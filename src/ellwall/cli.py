@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -232,8 +231,7 @@ def _cmd_destab_enumerate(args):
         u0=_rat(args.u0),
         ch2_denominator=args.ch2_denominator,
     )
-    jobs = args.jobs if args.jobs else int(os.environ.get("ELLWALL_JOBS", "1"))
-    reports = destabilize.enumerate_destabilizers(req, cfg, jobs=jobs)
+    reports = destabilize.enumerate_destabilizers(req, cfg)
     return _document(
         {"candidates": [eio.candidate_report_to_obj(rep) for rep in reports]}
     )
@@ -413,7 +411,6 @@ def build_parser() -> _Parser:
     de.add_argument("--beta")
     de.add_argument("--u0", required=True)
     de.add_argument("--ch2-denominator", type=int, default=2)
-    de.add_argument("--jobs", type=int, help="parallel workers (default $ELLWALL_JOBS or 1)")
     _add_config_args(de)
 
     sp = sub.add_parser("linebundle", help="line bundle chamber analysis")

@@ -18,14 +18,13 @@ claim of Bridgeland-wall actuality is made.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernCharacter, character
 from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError
 from .fmtransform import phi_hat
-from .nslattice import SurfaceConfig, VolumeSectionParams, _frac
+from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _frac
 from .walls import FactoredCharacter, PartnerCharacter, classify_asymptote_dim2
 
 # checks that gate emission; the strict variants of the category bound are
@@ -69,20 +68,22 @@ class CandidateReport:
 
 @dataclass(frozen=True)
 class _Context:
-    """Everything the per-candidate checker needs, precomputed."""
+    """Everything the per-candidate checker needs, precomputed.  D clears
+    the denominators of f.omega_0 = u0 and Theta.omega_0, so that
+    D*ch1(A).omega_0 = eta*f_om + gamma*th_om is an integer."""
 
     e: int
-    m: Fraction
     K: Fraction
-    x: Fraction
-    lam: Fraction
+    x: int
+    lam: int
     z: Fraction
     u0: Fraction
-    v0: Fraction
-    f_om: Fraction   # f.omega_0
-    th_om: Fraction  # Theta.omega_0
     den: int
-    bog: Fraction    # e/(m-e)^2
+    bog: Fraction  # e/(m-e)^2
+    D: int
+    f_om: int      # D*f.omega_0
+    th_om: int     # D*Theta.omega_0
+    lam_om: int    # D*ch1(E).omega_0
 
 
 def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
@@ -113,57 +114,95 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     v0 = (K - (cfg.m - Fraction(cfg.e) / 2) * u0 * u0) / u0
     if v0 <= 0:
         raise DomainError("u0 too large: the volume section point has v0 <= 0")
+    th_om = u0 * (cfg.m - cfg.e) + v0
+    D = math.lcm(u0.denominator, th_om.denominator)
+    f_om = int(u0 * D)
     return _Context(
         e=cfg.e,
-        m=cfg.m,
         K=K,
-        x=x,
-        lam=lam,
+        x=int(x),
+        lam=int(lam),
         z=z,
         u0=u0,
-        v0=v0,
-        f_om=u0,
-        th_om=u0 * (cfg.m - cfg.e) + v0,
         den=req.ch2_denominator,
         bog=Fraction(cfg.e) / (cfg.m - cfg.e) ** 2,
+        D=D,
+        f_om=f_om,
+        th_om=int(th_om * D),
+        lam_om=int(lam) * f_om,
     )
 
 
-def _candidate_checks(ctx: _Context, r: Fraction, gamma: int, eta: int, c2: Fraction) -> dict:
-    e, K, x, lam, z = ctx.e, ctx.K, ctx.x, ctx.lam, ctx.z
-    ch1A_om = eta * ctx.f_om + gamma * ctx.th_om
-    chE_om = lam * ctx.f_om
-    ch1A_sq = (2 * eta - e * gamma) * gamma
-    S = (c2 - r * K) / (z - x * K)
+def _ceil(q: Fraction) -> int:
+    return -(-q.numerator // q.denominator)
 
-    checks = {
-        "6.1": 0 <= ch1A_om <= chE_om,
-        "6.1_strict_lower": 0 < ch1A_om,
-        "6.1_strict_upper": ch1A_om < chE_om,
-        "6.3": z - x * K < c2 - r * K < 0,
-        "rank_nonneg": r >= 0,
-        "6.6": z - x * K + r * K < c2 < lam * lam,
-        "6.9": ch1A_sq <= 2 * S * lam * gamma,
-        "6.8": ch1A_sq - 2 * r * c2 >= -ctx.bog * S * S * lam * lam,
+
+@dataclass(frozen=True)
+class _Pair:
+    """The part of the inequality chain fixed by (r, ch2 = j/den): the
+    wall ratio S, the checks ch1(A) does not enter, and integer thresholds
+    for the others.  ch1(A)^2 and ch1(B)^2 are integers, so a rational
+    lower bound on them can be rounded up; 6.9 is cross-multiplied."""
+
+    r: int
+    S: Fraction
+    fixed: dict     # 6.3, rank_nonneg, 6.5, 6.6
+    min4: int       # 6.4 (r >= 1): (D*ch1(A).omega_0)^2 >= min4
+    num9: int       # 6.9: den9*ch1(A)^2 <= num9*gamma
+    den9: int
+    min8: int       # 6.8: ch1(A)^2 >= min8
+    min12: int      # 6.12 (gamma >= 1): min12 <= ch1(B)^2 <= 0
+
+
+def _pair(ctx: _Context, r: int, j: int) -> _Pair:
+    K, x, lam, z = ctx.K, ctx.x, ctx.lam, ctx.z
+    c2 = Fraction(j, ctx.den)
+    wall = z - x * K
+    S = (c2 - r * K) / wall
+    Sp = (z - c2 - (x - r) * K) / wall  # S of the complement B
+    s9 = 2 * S * lam
+    return _Pair(
+        r=r,
+        S=S,
+        fixed={
+            "6.3": wall < c2 - r * K < 0,
+            "rank_nonneg": r >= 0,
+            "6.5": r < 1 or c2 < lam * lam * ctx.u0 * ctx.u0 / (4 * K * r),
+            "6.6": wall + r * K < c2 < lam * lam,
+        },
+        min4=_ceil(4 * K * r * c2 * ctx.D * ctx.D),
+        num9=s9.numerator,
+        den9=s9.denominator,
+        min8=_ceil(2 * r * c2 - ctx.bog * S * S * lam * lam),
+        min12=_ceil(2 * (x - r) * (z - c2) - ctx.bog * Sp * Sp * lam * lam),
+    )
+
+
+def _ch1_gates(ctx: _Context, p: _Pair, gamma: int, eta: int) -> tuple:
+    """The gating checks ch1(A) enters besides 6.1: 6.4, 6.8, 6.9, 6.12."""
+    t = eta * ctx.f_om + gamma * ctx.th_om  # D*ch1(A).omega_0
+    sq = (2 * eta - ctx.e * gamma) * gamma  # ch1(A)^2
+    return (
+        p.r < 1 or t * t >= p.min4,
+        sq >= p.min8,
+        p.den9 * sq <= p.num9 * gamma,
+        gamma < 1 or p.min12 <= -gamma * (2 * (ctx.lam - eta) + ctx.e * gamma) <= 0,
+    )
+
+
+def _cell_checks(ctx: _Context, p: _Pair, gamma: int, eta: int) -> dict:
+    t = eta * ctx.f_om + gamma * ctx.th_om
+    c4, c8, c9, c12 = _ch1_gates(ctx, p, gamma, eta)
+    return {
+        "6.1": 0 <= t <= ctx.lam_om,
+        "6.1_strict_lower": 0 < t,
+        "6.1_strict_upper": t < ctx.lam_om,
+        **p.fixed,
+        "6.4": c4,
+        "6.8": c8,
+        "6.9": c9,
+        "6.12": c12,
     }
-    if r >= 1:
-        delta_bar = ch1A_om * ch1A_om - 4 * K * r * c2
-        checks["6.4"] = delta_bar >= 0
-        checks["6.5"] = c2 < lam * lam * ctx.u0 * ctx.u0 / (4 * K * r)
-    else:
-        checks["6.4"] = True
-        checks["6.5"] = True
-    if gamma >= 1:
-        rB = x - r
-        c2B = z - c2
-        ch1B_sq = -gamma * (2 * (lam - eta) + e * gamma)
-        Sp = (c2B - rB * K) / (z - x * K)
-        checks["6.12"] = (
-            -ctx.bog * Sp * Sp * lam * lam + 2 * rB * c2B <= ch1B_sq <= 0
-        )
-    else:
-        checks["6.12"] = True
-    return checks
 
 
 def candidate_checks(
@@ -176,32 +215,23 @@ def candidate_checks(
     gamma, eta = candidate.ch1.coeffs[0], candidate.ch1.coeffs[1]
     if any(v.denominator != 1 for v in (r, gamma, eta)):
         raise DomainError("candidate needs integer rank and ch1 coefficients")
-    if (candidate.ch2 * ctx.den).denominator != 1:
+    j = candidate.ch2 * ctx.den
+    if j.denominator != 1:
         raise DomainError("candidate ch2 not on the configured lattice")
-    return _candidate_checks(ctx, r, int(gamma), int(eta), candidate.ch2)
+    return _cell_checks(ctx, _pair(ctx, int(r), int(j)), int(gamma), int(eta))
 
 
 def _sqrt_upper(x: Fraction) -> Fraction:
     """A rational upper bound for sqrt(x), x >= 0."""
     if x < 0:
         raise InvariantError("sqrt of negative value")
-    n = -(-x.numerator // x.denominator)  # ceil(x)
-    return Fraction(math.isqrt(n) + 1)
-
-
-def _lattice_points(lo: Fraction, hi: Fraction, den: int):
-    """Integers j with lo < j/den < hi, yielded as Fractions j/den."""
-    j = math.floor(lo * den) + 1
-    while Fraction(j, den) < hi:
-        if Fraction(j, den) > lo:
-            yield Fraction(j, den)
-        j += 1
+    return Fraction(math.isqrt(_ceil(x)) + 1)
 
 
 def _pairs(ctx: _Context):
-    """The finitely many (r, ch2) pairs allowed by the sign constraint,
-    the combined bound and the rank-positive ch2 bound."""
-    K, x, lam, z = ctx.K, ctx.x, ctx.lam, ctx.z
+    """The finitely many (r, j) pairs, ch2 = j/den, allowed by the sign
+    constraint, the combined bound and the rank-positive ch2 bound."""
+    K, x, lam, z, den = ctx.K, ctx.x, ctx.lam, ctx.z, ctx.den
     out = []
     r = 0
     while z - x * K + r * K < lam * lam:
@@ -209,81 +239,66 @@ def _pairs(ctx: _Context):
         hi = min(r * K, lam * lam)
         if r >= 1:
             hi = min(hi, lam * lam * ctx.u0 * ctx.u0 / (4 * K * r))
-        for c2 in _lattice_points(lo, hi, ctx.den):
-            out.append((r, c2))
+        # lo < j/den < hi
+        out.extend((r, j) for j in range(math.floor(lo * den) + 1, math.ceil(hi * den)))
         r += 1
     return out
 
 
-def _gamma_bound(ctx: _Context, r: int, c2: Fraction) -> int:
+def _gamma_bound(ctx: _Context, p: _Pair) -> int:
     """Upper bound for |gamma| over candidates with this (r, ch2) pair.
 
     Writing eta = -gamma*T + theta with theta in [0, lam] (the category
     bound) gives ch1(A)^2 = -(2K/u0^2)*gamma^2 + 2*gamma*theta, so the
     discriminant bound (2K/u0^2)*gamma^2 - 2*gamma*theta + C8 <= 0 with
-    C8 = 2*r*ch2 - bog*S^2*lam^2 confines |gamma| under lam/a + sqrt(...)."""
-    S = (c2 - r * ctx.K) / (ctx.z - ctx.x * ctx.K)
-    c8 = 2 * r * c2 - ctx.bog * S * S * ctx.lam * ctx.lam
+    C8 = 2*r*ch2 - bog*S^2*lam^2 (rounded up, as ch1(A)^2 is an integer)
+    confines |gamma| under lam/a + sqrt(...)."""
     a2 = 2 * ctx.K / (ctx.u0 * ctx.u0)
-    disc = ctx.lam * ctx.lam - a2 * c8
+    disc = ctx.lam * ctx.lam - a2 * p.min8
     if disc < 0:
         return -1  # even gamma = 0 is infeasible
     bound = (ctx.lam + _sqrt_upper(disc)) / a2
     return math.floor(bound)
 
 
-def _eta_window(ctx: _Context, gamma: int):
-    """Integers eta with 0 <= ch1(A).omega_0 <= lam*u0, i.e.
-    eta in [-gamma*T, lam - gamma*T] with T = K/u0^2 - e/2."""
-    T = ctx.K / (ctx.u0 * ctx.u0) - Fraction(ctx.e) / 2
-    lo = -gamma * T
-    hi = ctx.lam - gamma * T
-    return range(math.ceil(lo), math.floor(hi) + 1)
-
-
-def _reports_for_pairs(req: EnumerationRequest, cfg: SurfaceConfig, pairs):
-    ctx = _build_context(req, cfg)
+def _survivors(ctx: _Context) -> list:
+    """(r, gamma, eta, j, pair) for every cell passing the gating checks:
+    those of the pair once, 6.1 as the eta range
+    0 <= D*ch1(A).omega_0 <= lam_om, the rest per cell."""
     out = []
-    for r, c2 in pairs:
-        gmax = _gamma_bound(ctx, r, c2)
+    f_om, th_om, lam_om = ctx.f_om, ctx.th_om, ctx.lam_om
+    for r, j in _pairs(ctx):
+        p = _pair(ctx, r, j)
+        if not all(p.fixed.values()):
+            continue
+        gmax = _gamma_bound(ctx, p)
         for gamma in range(-gmax, gmax + 1):
-            for eta in _eta_window(ctx, gamma):
-                checks = _candidate_checks(ctx, Fraction(r), gamma, eta, c2)
-                if all(checks[name] for name in GATING_CHECKS):
-                    cand = character(r, [gamma, eta], c2, cfg)
-                    out.append(
-                        CandidateReport(
-                            candidate=cand,
-                            complement=req.target - cand,
-                            S=(c2 - r * ctx.K) / (ctx.z - ctx.x * ctx.K),
-                            checks=checks,
-                        )
-                    )
+            base = gamma * th_om
+            for eta in range(-(base // f_om), (lam_om - base) // f_om + 1):
+                if all(_ch1_gates(ctx, p, gamma, eta)):
+                    out.append((r, gamma, eta, j, p))
     return out
 
 
-def _sort_key(rep: CandidateReport):
-    c = rep.candidate
-    return (c.ch0, c.ch1.coeffs[0], c.ch1.coeffs[1], c.ch2)
-
-
-def enumerate_destabilizers(
-    req: EnumerationRequest, cfg: SurfaceConfig, jobs: int = 1
-) -> list:
+def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list:
     """The complete finite list of candidate destabilizers, sorted
-    lexicographically by (rank, gamma, eta, ch2).  The (r, ch2) outer loop
-    may run on `jobs` processes; output order is input-determined."""
+    lexicographically by (rank, gamma, eta, ch2).  Every cell is gated
+    with exact integer arithmetic on thresholds fixed per (rank, ch2)."""
     ctx = _build_context(req, cfg)
-    pairs = _pairs(ctx)
-    if jobs > 1 and len(pairs) > 1:
-        chunks = [pairs[i::jobs] for i in range(jobs) if pairs[i::jobs]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = pool.map(_reports_for_pairs, [req] * len(chunks), [cfg] * len(chunks), chunks)
-        reports = [rep for chunk in results for rep in chunk]
-    else:
-        reports = _reports_for_pairs(req, cfg, pairs)
-    reports.sort(key=_sort_key)
-    return reports
+    cells = _survivors(ctx)
+    cells.sort(key=lambda cell: cell[:4])
+    zj = int(ctx.z * ctx.den)
+    return [
+        CandidateReport(
+            candidate=ChernCharacter(r, DivisorClass((gamma, eta)), Fraction(j, ctx.den)),
+            complement=ChernCharacter(
+                ctx.x - r, DivisorClass((-gamma, ctx.lam - eta)), Fraction(zj - j, ctx.den)
+            ),
+            S=p.S,
+            checks=_cell_checks(ctx, p, gamma, eta),
+        )
+        for r, gamma, eta, j, p in cells
+    ]
 
 
 @dataclass(frozen=True)

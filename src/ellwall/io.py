@@ -51,7 +51,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise InputError("expected an exact rational string, got %r" % (s,))
@@ -79,16 +79,25 @@ def config_to_obj(cfg: SurfaceConfig) -> dict:
     }
 
 
+def _parse_int(v, name: str) -> int:
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InputError("%s must be a JSON integer, got %r" % (name, v))
+    return v
+
+
 def config_from_obj(obj) -> SurfaceConfig:
     if not isinstance(obj, dict):
         raise InputError("surface config must be a JSON object")
     try:
-        e = int(obj["e"])
+        e = _parse_int(obj["e"], "e")
         m = parse_rational(obj["m"])
-        genus = int(obj.get("genus_base", 0))
+        genus = _parse_int(obj.get("genus_base", 0), "genus_base")
         chi = obj.get("euler_char")
         sections = tuple(
-            ExtraSection(theta=int(s["theta"]), cross=tuple(int(c) for c in s.get("cross", ())))
+            ExtraSection(
+                theta=_parse_int(s["theta"], "theta"),
+                cross=tuple(_parse_int(c, "cross") for c in s.get("cross", ())),
+            )
             for s in obj.get("sections", ())
         )
     except KeyError as exc:

@@ -30,6 +30,8 @@ Rational = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x  # immutable: no copy needed
     if isinstance(x, float):
         raise DomainError("floats are rejected to preserve exactness: %r" % (x,))
     return Fraction(x)

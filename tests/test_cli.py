@@ -174,21 +174,6 @@ def test_destab_enumerate_cli(tmp_path, capsys):
         capsys, ["destab", "enumerate", "--target", tgt, "--alpha", "2", "--u0", "4"] + CFG
     )
     assert code == 2 and "u0^2 >= 4K" in err
-    # jobs flag keeps output identical
-    code, out2, _ = run(
-        capsys,
-        ["destab", "enumerate", "--target", tgt, "--alpha", "2", "--u0", "1/10", "--jobs", "2"] + CFG,
-    )
-    assert out2 == out
-
-
-def test_destab_jobs_env_default(tmp_path, capsys, monkeypatch):
-    tgt = write_character(tmp_path, "t.json", 1, [0, 1], 0)
-    base = ["destab", "enumerate", "--target", tgt, "--alpha", "2", "--u0", "1/10"] + CFG
-    code, out, _ = run(capsys, base)
-    monkeypatch.setenv("ELLWALL_JOBS", "2")
-    code2, out2, _ = run(capsys, base)
-    assert code == code2 == 0 and out == out2
 
 
 def test_plots_cli(tmp_path, capsys):
@@ -249,6 +234,17 @@ def test_config_file_with_sections(tmp_path, capsys):
     bad.write_text(json.dumps({"e": "two", "m": "3"}))
     code, _, _ = run(capsys, ["surface", "check", "--config", str(bad)])
     assert code == 1
+
+
+def test_float_and_bool_inputs_exit_1(tmp_path, capsys):
+    cfg_path = tmp_path / "float.json"
+    cfg_path.write_text(json.dumps({"e": 2.7, "m": "3", "sections": [{"theta": 1.9}]}))
+    code, out, err = run(capsys, ["surface", "check", "--config", str(cfg_path)])
+    assert code == 1 and out == "" and "e must be a JSON integer" in err
+    ch = tmp_path / "bool.json"
+    ch.write_text(json.dumps({"ch0": True, "ch1": ["0", "0"], "ch2": "0"}))
+    code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", str(ch)] + CFG)
+    assert code == 1 and out == "" and "True" in err
 
 
 def test_destab_ch2_denominator_flag(tmp_path, capsys):

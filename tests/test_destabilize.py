@@ -200,15 +200,81 @@ def test_candidate_checks_gamma_branch():
     assert not checks["6.12"]  # complement side fails: B would be badly non-Bogomolov
 
 
-def test_determinism_and_jobs():
+def _fraction_checks(cfg, K, x, lam, z, u0, r, gamma, eta, c2):
+    """The eleven named checks, each written out over Fractions."""
+    e, m = cfg.e, cfg.m
+    v0 = (K - (m - Fraction(e, 2)) * u0 * u0) / u0
+    om = eta * u0 + gamma * (u0 * (m - e) + v0)  # ch1(A).omega_0
+    sq = (2 * eta - e * gamma) * gamma  # ch1(A)^2
+    S = (c2 - r * K) / (z - x * K)
+    Sp = (z - c2 - (x - r) * K) / (z - x * K)
+    bog = Fraction(e) / (m - e) ** 2
+    return {
+        "6.1": 0 <= om <= lam * u0,
+        "6.1_strict_lower": 0 < om,
+        "6.1_strict_upper": om < lam * u0,
+        "6.3": z - x * K < c2 - r * K < 0,
+        "rank_nonneg": r >= 0,
+        "6.4": r < 1 or om * om - 4 * K * r * c2 >= 0,
+        "6.5": r < 1 or c2 < lam * lam * u0 * u0 / (4 * K * r),
+        "6.6": z - x * K + r * K < c2 < lam * lam,
+        "6.8": sq - 2 * r * c2 >= -bog * S * S * lam * lam,
+        "6.9": sq <= 2 * S * lam * gamma,
+        "6.12": gamma < 1
+        or -bog * Sp * Sp * lam * lam + 2 * (x - r) * (z - c2) <= -gamma * (2 * (lam - eta) + e * gamma) <= 0,
+    }
+
+
+def test_candidate_checks_box_sweep_u0_third():
+    # u0 = 1/3, K = 3/2: Theta.omega_0 = 25/6, so the integer gating scales by D = 6
+    cfg = cfg_e2m3()
+    alpha, x, lam, z, u0 = Fraction(1, 2), 2, 4, Fraction(-1), Fraction(1, 3)
+    K = alpha + 1
+    th_om = Fraction(25, 6)
+    req = ew.EnumerationRequest(
+        target=ew.character(x, [0, lam], z, cfg), vp=ew.volume_params(alpha, cfg), u0=u0, ch2_denominator=4
+    )
+    seen = set()
+    for r in range(-1, 3):
+        for gamma in range(-2, 3):
+            # the 6.1 window eta in [-T*gamma, lam - T*gamma], T = 25/2, widened by 2
+            for eta in range(math.ceil(-Fraction(25, 2) * gamma) - 2, math.floor(lam - Fraction(25, 2) * gamma) + 3):
+                for j in range(-20, 4):
+                    c2 = Fraction(j, 4)
+                    got = ew.candidate_checks(req, cfg, ew.character(r, [gamma, eta], c2, cfg))
+                    want = _fraction_checks(cfg, K, x, lam, z, u0, r, gamma, eta, c2)
+                    assert got == want, (r, gamma, eta, c2)
+                    om = eta * u0 + gamma * th_om
+                    survives = all(want[name] for name in GATING_CHECKS)
+                    if om == 0:
+                        seen.add(("om = 0", survives))
+                    if om == lam * u0:
+                        seen.add(("om = lam*u0", survives))
+                    if r >= 1 and om * om == 4 * K * r * c2:
+                        seen.add(("delta_bar = 0", survives))
+    # every boundary is met by survivors and by non-survivors
+    assert seen == {(b, s) for b in ("om = 0", "om = lam*u0", "delta_bar = 0") for s in (True, False)}
+    # on ch2 in (1/50)Z, 4K*r*ch2*D^2 = 216*r*j/50 is not an integer and can
+    # fall strictly between (D*ch1(A).omega_0)^2 and the next integer
+    fine = ew.EnumerationRequest(req.target, req.vp, u0, ch2_denominator=50)
+    for r in (1, 2):
+        for eta in range(0, lam + 1):
+            for j in range(0, 12):
+                c2 = Fraction(j, 50)
+                got = ew.candidate_checks(fine, cfg, ew.character(r, [0, eta], c2, cfg))
+                assert got == _fraction_checks(cfg, K, x, lam, z, u0, r, 0, eta, c2), (r, eta, c2)
+    got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
+    assert got == brute_force(cfg, alpha, Fraction(x), Fraction(lam), z, u0, den=4)
+    assert any(g != 0 for _, g, _, _ in got) and any(r >= 1 for r, _, _, _ in got)
+
+
+def test_determinism_and_order():
     cfg = cfg_e2m3()
     vp = ew.volume_params(2, cfg)
     req = ew.EnumerationRequest(target=ew.character(2, [0, 3], -1, cfg), vp=vp, u0=Fraction(1, 2))
     seq = ew.enumerate_destabilizers(req, cfg)
     again = ew.enumerate_destabilizers(req, cfg)
     assert seq == again
-    par = ew.enumerate_destabilizers(req, cfg, jobs=2)
-    assert seq == par
     # output is sorted lexicographically by (rank, gamma, eta, ch2)
     keys = [
         (r.candidate.ch0, r.candidate.ch1.coeffs[0], r.candidate.ch1.coeffs[1], r.candidate.ch2)

@@ -37,6 +37,25 @@ def test_config_json_roundtrip():
         eio.config_from_obj({"e": 2, "m": "2.5"})
 
 
+def test_config_rejects_non_integer_fields():
+    # floats and booleans used to be truncated by int(): e=2.7 read as e=2
+    good = {"e": 2, "genus_base": 0, "m": "3", "sections": [{"theta": 2, "cross": []}]}
+    assert eio.config_from_obj(good).e == 2
+    for field, value in (("e", 2.7), ("e", True), ("e", "2"), ("genus_base", 1.0), ("genus_base", False)):
+        with pytest.raises(ew.InputError, match=field):
+            eio.config_from_obj(dict(good, **{field: value}))
+    for section in ({"theta": 1.9}, {"theta": True}, {"theta": 2, "cross": [0.5]}, {"theta": 2, "cross": [True]}):
+        with pytest.raises(ew.InputError):
+            eio.config_from_obj(dict(good, sections=[section]))
+
+
+def test_parse_rational_rejects_bool():
+    assert eio.parse_rational(3) == 3 and eio.parse_rational(-2) == -2
+    for bad in (True, False):
+        with pytest.raises(ew.InputError):
+            eio.parse_rational(bad)
+
+
 def test_character_json_roundtrip():
     cfg = cfg_e2m3()
     ch = ew.character(Fraction(2, 3), [1, Fraction(-5, 2)], Fraction(7, 4), cfg)
