@@ -178,26 +178,12 @@ def _cmd_wall_sq(args):
 
 
 def _wall_inputs(args, cfg):
-    if args.dim == 2:
-        fc = walls.FactoredCharacter(
-            x=_rat(args.x), z=_rat(args.z), L=_parse_coeffs(args.L, cfg)
-        )
-        pc = walls.PartnerCharacter(
-            r=_rat(args.r),
-            k=_rat(args.k),
-            p=_rat(args.p),
-            xis=tuple(_rat(v) for v in (args.xi or "").split(",") if v),
-            chi=_rat(args.chi),
-        )
-        return fc, pc
-    od = walls.OneDimCharacter(
-        k=_rat(args.k),
-        p=_rat(args.p),
-        z=_rat(args.z),
-        xis=tuple(_rat(v) for v in (args.xi or "").split(",") if v),
-    )
-    pc = walls.OneDimPartner(r=_rat(args.r), chi=_rat(args.chi), L=_parse_coeffs(args.L, cfg))
-    return od, pc
+    obj = {key: getattr(args, key) for key in ("dim", "x", "z", "r", "k", "p", "chi")
+           if getattr(args, key) is not None}
+    obj["xi"] = [v for v in (args.xi or "").split(",") if v]
+    if args.L is not None:
+        obj["L"] = args.L.split(",")
+    return eio.wall_spec_from_obj(obj, cfg, "")[1:]
 
 
 def _cmd_wall_lambda_q(args):
@@ -270,36 +256,9 @@ def _cmd_plot_lambda_q(args):
     if n < 2:
         raise InputError("--samples must be >= 2")
     vals = [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
-    wall_specs = []
-    for i, path in enumerate(args.wall or ()):
-        obj = _read_json(path)
-        label = str(obj.get("label", i))
-        if int(obj.get("dim", 2)) == 2:
-            ch = walls.FactoredCharacter(
-                x=eio.parse_rational(obj["x"]),
-                z=eio.parse_rational(obj["z"]),
-                L=eio.divisor_from_obj(obj["L"], cfg),
-            )
-            pc = walls.PartnerCharacter(
-                r=eio.parse_rational(obj["r"]),
-                k=eio.parse_rational(obj["k"]),
-                p=eio.parse_rational(obj["p"]),
-                xis=tuple(eio.parse_rational(v) for v in obj.get("xi", ())),
-                chi=eio.parse_rational(obj["chi"]),
-            )
-        else:
-            ch = walls.OneDimCharacter(
-                k=eio.parse_rational(obj["k"]),
-                p=eio.parse_rational(obj["p"]),
-                z=eio.parse_rational(obj["z"]),
-                xis=tuple(eio.parse_rational(v) for v in obj.get("xi", ())),
-            )
-            pc = walls.OneDimPartner(
-                r=eio.parse_rational(obj["r"]),
-                chi=eio.parse_rational(obj["chi"]),
-                L=eio.divisor_from_obj(obj["L"], cfg),
-            )
-        wall_specs.append((label, ch, pc))
+    wall_specs = [
+        eio.wall_spec_from_obj(_read_json(path), cfg, i) for i, path in enumerate(args.wall or ())
+    ]
     return eio.emit_lambda_q_plot(vp, cfg, vals, walls=wall_specs, fmt=args.format)
 
 

@@ -32,6 +32,8 @@ from .walls import (
     AsymptoteClass,
     FactoredCharacter,
     OneDimCharacter,
+    OneDimPartner,
+    PartnerCharacter,
     WallSQ,
     WallValue,
     wall_lambda_q,
@@ -44,7 +46,8 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return "%d/%d" % (x.numerator, x.denominator)
@@ -137,6 +140,34 @@ def divisor_from_obj(obj, cfg: SurfaceConfig) -> DivisorClass:
     if not isinstance(obj, (list, tuple)):
         raise InputError("divisor class must be a JSON array of rationals")
     return cfg.divisor([parse_rational(c) for c in obj])
+
+
+def wall_spec_from_obj(obj, cfg: SurfaceConfig, default_label) -> tuple:
+    """(label, character, partner) of a wall spec: dim 2 is a factored
+    character e^L.(x, 0, z) with partner (r, k, p, xi, chi), dim 1 a
+    one-dimensional character (0, k, p, xi, z) with partner e^L.(r, 0, chi)."""
+    if not isinstance(obj, dict):
+        raise InputError("wall spec must be a JSON object")
+    dim = obj.get("dim", 2)
+    if type(dim) is not int or dim not in (1, 2):
+        raise InputError("wall spec dim must be the JSON integer 1 or 2, got %r" % (dim,))
+    xi = obj.get("xi", ())
+    if not isinstance(xi, (list, tuple)):
+        raise InputError("wall spec xi must be a JSON array of rationals")
+    keys = ("x", "z", "r", "k", "p", "chi") if dim == 2 else ("k", "p", "z", "r", "chi")
+    try:
+        q = {key: parse_rational(obj[key]) for key in keys}
+        L = divisor_from_obj(obj["L"], cfg)
+    except KeyError as exc:
+        raise InputError("wall spec is missing %s" % exc) from exc
+    xis = tuple(parse_rational(v) for v in xi)
+    if dim == 2:
+        ch = FactoredCharacter(x=q["x"], z=q["z"], L=L)
+        pc = PartnerCharacter(r=q["r"], k=q["k"], p=q["p"], xis=xis, chi=q["chi"])
+    else:
+        ch = OneDimCharacter(k=q["k"], p=q["p"], z=q["z"], xis=xis)
+        pc = OneDimPartner(r=q["r"], chi=q["chi"], L=L)
+    return str(obj.get("label", default_label)), ch, pc
 
 
 def charge_to_obj(cv: ChargeValue) -> dict:

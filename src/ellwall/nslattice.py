@@ -412,8 +412,9 @@ def volume_params(alpha: Rational, cfg: SurfaceConfig, beta: Rational = 1) -> Vo
 
 @dataclass(frozen=True)
 class QuadraticRoot:
-    """The positive root of a*u^2 + b*u + c = 0 (integer coefficients,
-    a > 0, c < 0) when it is irrational, with a rational bracket."""
+    """The root of a*u^2 + b*u + c = 0 (integer coefficients, a > 0) in the
+    rational bracket lo < hi with f(lo) < 0 < f(hi); volume_section_u
+    builds one only when that root is irrational."""
 
     a: int
     b: int
@@ -421,22 +422,43 @@ class QuadraticRoot:
     lo: Fraction
     hi: Fraction
 
-    def _eval(self, u: Fraction) -> Fraction:
-        return (self.a * u + self.b) * u + self.c
+    def __post_init__(self):
+        lo, hi = _frac(self.lo), _frac(self.hi)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        if not (self.a > 0 and self._scaled_eval(lo) < 0 < self._scaled_eval(hi)):
+            raise DomainError("QuadraticRoot requires a > 0 and f(lo) < 0 < f(hi)")
+
+    def _scaled_eval(self, u: Fraction) -> int:
+        """f(u) times the square of u's denominator: an integer with the sign of f(u)."""
+        n, d = u.numerator, u.denominator
+        return (self.a * n + self.b * d) * n + self.c * d * d
 
     def enclosure(self, width: Rational) -> tuple:
-        """Shrink the bracket by bisection until hi - lo <= width."""
+        """The bracket that bisection of [lo, hi] ends on once hi - lo <= width,
+        in closed form: n halvings leave the grid cell of width h = (hi-lo)/2^n
+        that holds the root (-b + sqrt(d))/(2a), d = b^2 - 4ac."""
         width = _frac(width)
         if width <= 0:
             raise DomainError("enclosure width must be positive")
-        lo, hi = self.lo, self.hi
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            if self._eval(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo, hi)
+        lo, span = self.lo, self.hi - self.lo
+        # n = least n >= 0 with span/2^n <= width, i.e. q*2^n >= p for span/width = p/q
+        p = span.numerator * width.denominator
+        q = span.denominator * width.numerator
+        n = max(0, p.bit_length() - q.bit_length())
+        if q << n < p:
+            n += 1
+        h = span / (1 << n)
+        # bisection moves lo while f(mid) < 0, so the cell is k = ceil((root - lo)/h) - 1
+        # (k = 0 when n = 0), with (root - lo)/h = (sqrt(d*g^2) - c0)/den in the
+        # integers below.  isqrt(d*g^2 - 1) equals isqrt(d*g^2) unless d is a square
+        # (a rational root), where it takes the cell whose right end is the root.
+        g = lo.denominator * h.denominator
+        c0 = (self.b * lo.denominator + 2 * self.a * lo.numerator) * h.denominator
+        den = 2 * self.a * lo.denominator * h.numerator
+        d = self.b * self.b - 4 * self.a * self.c
+        k = (math.isqrt(d * g * g - 1) - c0) // den
+        return (lo + k * h, lo + (k + 1) * h)
 
     def midpoint(self, width: Rational = Fraction(1, 10**24)) -> Fraction:
         lo, hi = self.enclosure(width)

@@ -286,6 +286,28 @@ def test_plot_lambda_q_dim1_wall(tmp_path, capsys):
     assert eio.parse_rational(row["q_wall_od"]) == expected
 
 
+def test_plot_lambda_q_rejects_bad_wall_files(tmp_path, capsys):
+    good = {"x": "1", "z": "0", "L": ["2", "0"], "r": "1", "k": "-1", "p": "0", "chi": "-1"}
+    base = ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/100", "--lambda-to", "1/10",
+            "--samples", "3"] + CFG
+    for i, obj in enumerate([[good], dict(good, dim=2.7), dict(good, dim=3), dict(good, dim=False)]):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, base + ["--wall", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+    path = tmp_path / "good.json"
+    path.write_text(json.dumps(dict(good, dim=2)))
+    assert run(capsys, base + ["--wall", str(path)])[0] == 0
+
+
+def test_wall_flags_missing_line_bundle_exit_1(capsys):
+    # --L is optional to argparse; its absence used to raise AttributeError
+    for dim_args in (["--x", "1", "--z", "0", "--k", "-1", "--p", "0"], ["--dim", "1", "--k", "0", "--p", "1", "--z", "-3"]):
+        code, _, err = run(capsys, ["wall", "lambda-q", "--lambda", "1/10", "--r", "1", "--chi", "0"] + dim_args + CFG)
+        assert code == 1 and err.startswith("error:") and "L" in err
+
+
 def test_help_exits_zero(capsys):
     import pytest
 

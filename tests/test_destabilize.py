@@ -342,3 +342,14 @@ def test_line_bundle_analysis():
     with pytest.raises(ew.DomainError):
         cfg0 = ew.SurfaceConfig(e=0, m=1)
         ew.line_bundle_analysis(2, ew.volume_params(2, cfg0), cfg0)
+
+
+def test_candidate_checks_6_5_boundary():
+    # lam = 4, u0 = 1/3, K = 3/2: lam^2*u0^2/(4K*r) = 8/27 at r = 1, strict in 6.5
+    cfg = cfg_e2m3()
+    req = ew.EnumerationRequest(
+        target=ew.character(2, [0, 4], -1, cfg), vp=ew.volume_params(Fraction(1, 2), cfg),
+        u0=Fraction(1, 3), ch2_denominator=27,
+    )
+    for c2, holds in ((Fraction(8, 27), False), (Fraction(7, 27), True)):
+        assert ew.candidate_checks(req, cfg, ew.character(1, [0, 1], c2, cfg))["6.5"] is holds

@@ -56,6 +56,34 @@ def test_parse_rational_rejects_bool():
             eio.parse_rational(bad)
 
 
+def test_wall_spec_from_obj():
+    cfg = cfg_e2m3()
+    dim2 = {"label": "lb", "x": "1", "z": "0", "L": ["2", "0"], "r": "1", "k": "-1", "p": "0", "chi": "-1"}
+    label, ch, pc = eio.wall_spec_from_obj(dim2, cfg, 0)
+    assert label == "lb"
+    assert ch == ew.FactoredCharacter(x=1, z=0, L=cfg.divisor([2, 0]))
+    assert pc == ew.PartnerCharacter(r=1, k=-1, p=0, chi=-1)
+    assert eio.wall_spec_from_obj(dict(dim2, dim=2), cfg, 0)[1:] == (ch, pc)
+    label, _, _ = eio.wall_spec_from_obj({k: v for k, v in dim2.items() if k != "label"}, cfg, 3)
+    assert label == "3"
+    dim1 = {"dim": 1, "k": "0", "p": "1", "z": "-3", "xi": [], "r": "1", "chi": "0", "L": ["1", "0"]}
+    label, ch, pc = eio.wall_spec_from_obj(dim1, cfg, 1)
+    assert label == "1"
+    assert ch == ew.OneDimCharacter(k=0, p=1, z=-3)
+    assert pc == ew.OneDimPartner(r=1, chi=0, L=cfg.theta())
+
+
+def test_wall_spec_rejects_bad_shapes():
+    cfg = cfg_e2m3()
+    good = {"x": "1", "z": "0", "L": ["2", "0"], "r": "1", "k": "-1", "p": "0", "chi": "-1"}
+    # a float dim used to be truncated (2.7 read as 2) and any dim but 2 read as 1
+    bad = [[good], "wall", dict(good, dim=2.7), dict(good, dim=3), dict(good, dim=0), dict(good, dim=True),
+           dict(good, dim="2"), dict(good, xi="12"), {k: v for k, v in good.items() if k != "chi"}]
+    for obj in bad:
+        with pytest.raises(ew.InputError):
+            eio.wall_spec_from_obj(obj, cfg, 0)
+
+
 def test_character_json_roundtrip():
     cfg = cfg_e2m3()
     ch = ew.character(Fraction(2, 3), [1, Fraction(-5, 2)], Fraction(7, 4), cfg)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ellwall as ew
+from ellwall import io as eio
 from helpers import cfg_e2m3, cfg_rank3, rnd_divisor
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=6)
@@ -201,6 +202,88 @@ def test_volume_section_irrational_enclosure():
     # the bracket straddles the root of the exact integer quadratic
     assert (u.a * lo + u.b) * lo + u.c < 0 < (u.a * hi + u.b) * hi + u.c
     assert 0 < lo < hi <= Fraction(vp.K, 10)
+
+
+def _bisect(root, width):
+    """Plain Fraction bisection of the bracket: the reference enclosure."""
+    lo, hi = root.lo, root.hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if (root.a * mid + root.b) * mid + root.c < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _random_irrational_roots(rng, count):
+    roots = []
+    while len(roots) < count:
+        e = rng.randint(0, 3)
+        cfg = ew.SurfaceConfig(e=e, m=e + Fraction(rng.randint(1, 9), rng.randint(1, 4)))
+        vp = ew.volume_params(Fraction(rng.randint(1, 40), rng.randint(1, 6)), cfg)
+        u = ew.volume_section_u(Fraction(rng.randint(1, 300), rng.randint(1, 9)), vp, cfg)
+        if isinstance(u, ew.QuadraticRoot):
+            roots.append(u)
+    return roots
+
+
+def test_enclosure_matches_bisection():
+    rng = random.Random(20191)
+    for u in _random_irrational_roots(rng, 100):
+        # the same root in a bracket with lo > 0, cut from a coarse enclosure
+        lo, hi = _bisect(u, u.hi / 2**30)
+        shifted = ew.QuadraticRoot(
+            a=u.a, b=u.b, c=u.c, lo=lo * Fraction(rng.randint(1, 9), 10), hi=hi + Fraction(1, rng.randint(1, 5))
+        )
+        assert shifted.lo > 0
+        for root in (u, shifted):
+            span = root.hi - root.lo
+            for width in (Fraction(1, 10**24), Fraction(1, 2**40), Fraction(1, 7), Fraction(3, 10**5), span, span + 1):
+                assert root.enclosure(width) == _bisect(root, width), (root, width)
+            assert root.midpoint() == sum(_bisect(root, Fraction(1, 10**24))) / 2
+    # a rational root on the dyadic grid: bisection keeps it as the right end
+    for a, b, c, hi in ((1, 1, -6, 4), (2, 1, -1, 1), (4, 0, -9, 2)):
+        root = ew.QuadraticRoot(a=a, b=b, c=c, lo=Fraction(0), hi=Fraction(hi))
+        for width in (Fraction(1, 2**40), Fraction(1, 7), Fraction(hi, 2)):
+            assert root.enclosure(width) == _bisect(root, width), (root, width)
+
+
+def test_enclosure_requires_sign_change():
+    u = ew.volume_section_u(10, ew.volume_params(2, cfg_e2m3()), cfg_e2m3())
+    lo, hi = _bisect(u, Fraction(1, 100))
+    for bad_lo, bad_hi in ((hi, hi + 1), (lo - 1, lo), (0, lo)):
+        with pytest.raises(ew.DomainError):
+            ew.QuadraticRoot(a=u.a, b=u.b, c=u.c, lo=bad_lo, hi=bad_hi)
+    # u^2 - 4: f(2) = 0 is no strict sign change at either end
+    for bad_lo, bad_hi in ((2, 3), (1, 2)):
+        with pytest.raises(ew.DomainError):
+            ew.QuadraticRoot(a=1, b=0, c=-4, lo=bad_lo, hi=bad_hi)
+    with pytest.raises(ew.DomainError):
+        ew.QuadraticRoot(a=-1, b=0, c=2, lo=0, hi=2)
+    with pytest.raises(ew.DomainError):
+        u.enclosure(0)
+
+
+def test_volume_section_plot_bytes_match_bisection():
+    # the plots workload's shape: 140 rows, alpha = 5/2, v from 1/2 in steps of 1/7
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(Fraction(5, 2), cfg)
+    vs = [Fraction(1, 2) + Fraction(i, 7) for i in range(140)]
+    lines = ["v,u,u_is_exact,u_asym,v_float_lossy,u_float_lossy,u_asym_float_lossy"]
+    irrational = 0
+    for v in vs:
+        u = ew.volume_section_u(v, vp, cfg)
+        if isinstance(u, Fraction):
+            mid, exact = u, 1
+        else:
+            mid, exact = sum(_bisect(u, Fraction(1, 10**24))) / 2, 0
+            irrational += 1
+        asym = vp.K / v
+        lines.append(",".join([eio.format_rational(v), eio.format_rational(mid), str(exact),
+                               eio.format_rational(asym), repr(float(v)), repr(float(u)), repr(float(asym))]))
+    assert irrational > 100
+    assert eio.emit_volume_section_plot(vp, cfg, vs, fmt="csv") == "\n".join(lines) + "\n"
 
 
 def test_volume_invariance():
