@@ -188,22 +188,13 @@ def _wall_inputs(args, cfg):
 
 def _cmd_wall_lambda_q(args):
     cfg = _load_config(args)
-    ch, pc = _wall_inputs(args, cfg)
-    lam = _rat(args.lam)
-    if args.dim == 2:
-        wv = walls.wall_lambda_q(ch, pc, lam, cfg)
-    else:
-        wv = walls.wall_lambda_q_dim1(ch, pc, lam, cfg)
+    wv = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).at(_rat(args.lam))
     return _document({"wall_value": eio.wall_value_to_obj(wv)})
 
 
 def _cmd_wall_asymptote(args):
     cfg = _load_config(args)
-    ch, pc = _wall_inputs(args, cfg)
-    if args.dim == 2:
-        ac = walls.classify_asymptote_dim2(ch, pc, cfg)
-    else:
-        ac = walls.classify_asymptote_dim1(ch, pc, cfg)
+    ac = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).asymptote()
     return _document({"asymptote": eio.asymptote_to_obj(ac)})
 
 
@@ -230,15 +221,21 @@ def _cmd_linebundle_analyze(args):
     return _document(eio.line_bundle_report_to_obj(rep))
 
 
+# Largest number of rows a plot may have; checked before any row is built.
+MAX_PLOT_ROWS = 100_000
+
+
+def _check_rows(n: int):
+    if n > MAX_PLOT_ROWS:
+        raise DomainError("plot would have %d rows, above the budget of %d" % (n, MAX_PLOT_ROWS))
+
+
 def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
     if step <= 0:
         raise InputError("range step must be positive")
-    vals = []
-    v = lo
-    while v <= hi:
-        vals.append(v)
-        v += step
-    return vals
+    n = (hi - lo) // step + 1 if hi >= lo else 0
+    _check_rows(n)
+    return [lo + i * step for i in range(n)]
 
 
 def _cmd_plot_volume_section(args):
@@ -255,6 +252,7 @@ def _cmd_plot_lambda_q(args):
     n = args.samples
     if n < 2:
         raise InputError("--samples must be >= 2")
+    _check_rows(n)
     vals = [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
     wall_specs = [
         eio.wall_spec_from_obj(_read_json(path), cfg, i) for i, path in enumerate(args.wall or ())

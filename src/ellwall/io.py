@@ -36,8 +36,7 @@ from .walls import (
     PartnerCharacter,
     WallSQ,
     WallValue,
-    wall_lambda_q,
-    wall_lambda_q_dim1,
+    lambda_q_wall,
 )
 
 SCHEMA = "ellwall/1"
@@ -332,15 +331,19 @@ def emit_lambda_q_plot(
 ) -> str:
     """The volume section and its asymptote in the (lambda,0,0,q)-plane,
     with optional wall curves.  Walls are (label, character, partner)
-    triples, dimension read off the character type."""
+    triples, dimension read off the character type; labels name columns,
+    so they must be distinct."""
     lambda_values = [Fraction(l) for l in lambda_values]
     if not lambda_values:
         raise DomainError("empty lambda range")
-    walls = list(walls)
-    header = ["lambda", "q_section", "q_asym"]
-    for label, _, _ in walls:
-        header += ["q_wall_%s" % label]
+    walls = [(label, "q_wall_%s" % label, lambda_q_wall(ch, partner, cfg))
+             for label, ch, partner in walls]
+    header = ["lambda", "q_section", "q_asym"] + [key for _, key, _ in walls]
     float_header = [h + "_float_lossy" for h in header]
+    columns = header + float_header
+    for label, key, _ in walls:
+        if columns.count(key) > 1 or columns.count(key + "_float_lossy") > 1:
+            raise InputError("wall label %r repeats a plot column" % (label,))
     rows = []
     for lam in lambda_values:
         q_sec = section_q(lam, vp, cfg)
@@ -353,14 +356,8 @@ def emit_lambda_q_plot(
             "q_section_float_lossy": float(q_sec),
             "q_asym_float_lossy": float(q_asym),
         }
-        for label, ch, partner in walls:
-            if isinstance(ch, FactoredCharacter):
-                wv = wall_lambda_q(ch, partner, lam, cfg)
-            elif isinstance(ch, OneDimCharacter):
-                wv = wall_lambda_q_dim1(ch, partner, lam, cfg)
-            else:
-                raise InputError("unknown wall character %r" % (ch,))
-            key = "q_wall_%s" % label
+        for _, key, wall in walls:
+            wv = wall.at(lam)
             if wv.kind == "value":
                 row[key] = format_rational(wv.q)
                 row[key + "_float_lossy"] = float(wv.q)
@@ -369,7 +366,7 @@ def emit_lambda_q_plot(
                 row[key + "_float_lossy"] = ""
         rows.append(row)
     if fmt == "csv":
-        return _write_csv(header + float_header, rows)
+        return _write_csv(columns, rows)
     if fmt == "svg":
         series = [
             (
@@ -384,11 +381,11 @@ def emit_lambda_q_plot(
             ),
         ]
         palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-        for i, (label, _, _) in enumerate(walls):
+        for i, (label, key, _) in enumerate(walls):
             pts = [
-                (r["lambda_float_lossy"], r["q_wall_%s_float_lossy" % label])
+                (r["lambda_float_lossy"], r[key + "_float_lossy"])
                 for r in rows
-                if r.get("q_wall_%s_float_lossy" % label) != ""
+                if r[key + "_float_lossy"] != ""
             ]
             series.append(("wall %s" % label, pts, palette[i % len(palette)]))
         return _svg_plot(series, xlabel="lambda", ylabel="q")
@@ -402,6 +399,10 @@ def _write_csv(header, rows) -> str:
     for row in rows:
         writer.writerow({k: row.get(k, "") for k in header})
     return buf.getvalue()
+
+
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg_plot(series, xlabel: str, ylabel: str, width=640, height=480) -> str:
@@ -436,10 +437,11 @@ def _svg_plot(series, xlabel: str, ylabel: str, width=640, height=480) -> str:
     out.append(ax % (margin, height - margin, width - margin, height - margin))
     out.append(ax % (margin, margin, margin, height - margin))
     label = '<text x="%.2f" y="%.2f" font-size="12" font-family="monospace"%s>%s</text>'
-    out.append(label % (width / 2, height - margin / 3, "", xlabel))
+    out.append(label % (width / 2, height - margin / 3, "", _xml_text(xlabel)))
     out.append(
         label
-        % (margin / 3, height / 2, ' transform="rotate(-90 %.2f %.2f)"' % (margin / 3, height / 2), ylabel)
+        % (margin / 3, height / 2, ' transform="rotate(-90 %.2f %.2f)"' % (margin / 3, height / 2),
+           _xml_text(ylabel))
     )
     out.append(label % (margin, height - margin / 2, "", "%.6g" % x0))
     out.append(label % (width - margin, height - margin / 2, "", "%.6g" % x1))
@@ -455,7 +457,7 @@ def _svg_plot(series, xlabel: str, ylabel: str, width=640, height=480) -> str:
         )
         out.append(
             '<text x="%.2f" y="%.2f" font-size="11" font-family="monospace" fill="%s">%s</text>'
-            % (width - margin - 200, margin + 14 * (i + 1), color, name)
+            % (width - margin - 200, margin + 14 * (i + 1), color, _xml_text(name))
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

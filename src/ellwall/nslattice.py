@@ -13,6 +13,7 @@ functions, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,23 +94,22 @@ class SurfaceConfig:
         return 2 + len(self.sections)
 
     def _build_gram(self):
+        # integer entries: the form is integral
         n = self.rank
-        e = Fraction(self.e)
-        g = [[Fraction(0)] * n for _ in range(n)]
-        g[0][0] = -e
-        g[0][1] = g[1][0] = Fraction(1)
-        g[1][1] = Fraction(0)
+        g = [[0] * n for _ in range(n)]
+        g[0][0] = -self.e
+        g[0][1] = g[1][0] = 1
         defaulted = False
         for i, sec in enumerate(self.sections):
             k = 2 + i
-            g[0][k] = g[k][0] = Fraction(sec.theta)
-            g[1][k] = g[k][1] = Fraction(1)
-            g[k][k] = -e
+            g[0][k] = g[k][0] = sec.theta
+            g[1][k] = g[k][1] = 1
+            g[k][k] = -self.e
             for j in range(i):
                 if j < len(sec.cross):
-                    val = Fraction(sec.cross[j])
+                    val = sec.cross[j]
                 else:
-                    val = Fraction(0)
+                    val = 0
                     defaulted = True
                 g[k][2 + j] = g[2 + j][k] = val
         if defaulted:
@@ -190,24 +190,28 @@ class DivisorClass:
         return intersect(self, other, cfg)
 
 
-def intersect(a: DivisorClass, b: DivisorClass, cfg: SurfaceConfig) -> Fraction:
-    """Symmetric bilinear intersection pairing on NS(X)."""
-    n = cfg.rank
-    if len(a.coeffs) != n or len(b.coeffs) != n:
+def _scaled(D: DivisorClass, cfg: SurfaceConfig) -> tuple:
+    """(integer numerators, common denominator) of D's coefficients."""
+    if len(D.coeffs) != cfg.rank:
         raise DimensionError(
-            "divisor/config basis mismatch: %d and %d coefficients vs rank %d"
-            % (len(a.coeffs), len(b.coeffs), n)
+            "divisor/config basis mismatch: %d coefficients vs rank %d" % (len(D.coeffs), cfg.rank)
         )
-    gram = cfg._gram
-    total = Fraction(0)
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        row = gram[i]
-        for j, bj in enumerate(b.coeffs):
-            if bj != 0:
-                total += ai * bj * row[j]
-    return total
+    den = math.lcm(*[c.denominator for c in D.coeffs])
+    return [c.numerator * (den // c.denominator) for c in D.coeffs], den
+
+
+def intersect(a: DivisorClass, b: DivisorClass, cfg: SurfaceConfig) -> Fraction:
+    """Symmetric bilinear intersection pairing on NS(X), summed over the
+    integers of the integral form and the scaled coefficients."""
+    (na, da), (nb, db) = _scaled(a, cfg), _scaled(b, cfg)
+    total = sum(x * sum(map(operator.mul, row, nb)) for x, row in zip(na, cfg._gram) if x)
+    return Fraction(total, da * db)
+
+
+def pairings(D: DivisorClass, cfg: SurfaceConfig) -> tuple:
+    """(D.Theta, D.f, D.Theta_1, ...): D paired with each basis class."""
+    nums, den = _scaled(D, cfg)
+    return tuple(Fraction(sum(map(operator.mul, nums, row)), den) for row in cfg._gram)
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,24 @@ are semi-lines; for a fixed character of nonnegative discriminant with
 nonzero rank they all pass through one point, and twisting both characters
 by a line bundle transports walls by a closed-form point/slope shift.
 
-In the (lambda,0,0,q)-plane cut out by the moving elliptic frame the wall
-of a pair (e^L.(x,0,z), e^L.ch') has an exact rational q-value at every
-rational lambda, and its lambda -> 0+ behaviour falls into finitely many
-cases with explicit leading constants; both the evaluation and the
-classification are implemented here, for two-dimensional (rank nonzero)
-and one-dimensional (rank zero) characters.
+In the (lambda,0,0,q)-plane cut out by the moving elliptic frame H_lambda,
+every wall of a pair is one exact rational function of lambda:
+
+    q = (alpha*a - beta*l) / (g*a),  g = 2*lambda*(1 + kappa*lambda),
+
+with kappa = m - e/2 - 1, D.H_lambda = D.f + lambda*(D.Theta + (m-1)*D.f),
+l = L.H_lambda, and for dim 2, e^L.(x,0,z) against (r, P, chi): a = P.H_lambda,
+alpha = z/x + L^2/2, beta = (x*chi - r*z)/x + P.L; for dim 1, (0, C, z)
+against e^L.(r,0,chi): a = C.H_lambda, alpha = chi/r + L^2/2, beta = z + L.C.
+If a = 0 identically the wall is everywhere where l = 0, nowhere else;
+otherwise a root of a is a pole.  With a = a0 + a1*lambda and
+l = l0 + l1*lambda, the lambda -> 0+ class comes from the same formula:
+a0 != 0 gives q ~ D/(2*lambda), D = alpha - beta*l0/a0 (dim-2 C1, dim-1 B1;
+C2/B2 when D = 0); a0 = 0 gives q ~ A/(2*lambda^2) + B/(2*lambda) with
+A = -beta*l0/a1, B = alpha - beta*l1/a1 + kappa*beta*l0/a1 (dim-2 B1/B2/B3,
+dim-1 A1/A2/A3: A != 0, else B != 0, else bounded); a = 0 identically is
+dim-2 A1 when l = 0 identically, A2 otherwise.  A one-dimensional character
+needs ch1.H_lambda > 0 for small lambda: a0 > 0, or a0 = 0 and a1 > 0.
 
 All wall logic is exact rational arithmetic; no floats anywhere.
 """
@@ -22,15 +34,15 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .chern import ChernCharacter
-from .errors import DomainError
+from .errors import DomainError, InputError
 from .nslattice import (
     DivisorClass,
     Frame,
     SurfaceConfig,
     _frac,
     decompose,
-    elliptic_frame,
     intersect,
+    pairings,
 )
 
 Rational = Union[int, Fraction]
@@ -306,39 +318,6 @@ class WallValue:
     q: Optional[Fraction] = None
 
 
-def _delta_classes(coeffs_extra, cfg: SurfaceConfig) -> DivisorClass:
-    """sum_i c_i * Delta_i with Delta_i = Theta_i - Theta - (theta_i+e)*f,
-    the lambda-independent residual of Theta_i in every elliptic frame."""
-    total = cfg.zero()
-    for i, c in enumerate(coeffs_extra):
-        if c == 0:
-            continue
-        theta_i = cfg.sections[i].theta
-        delta_i = cfg.extra_section(i + 1) - cfg.theta() - (theta_i + cfg.e) * cfg.fiber()
-        total = total + c * delta_i
-    return total
-
-
-def _l_sums(L: DivisorClass, cfg: SurfaceConfig):
-    a_L, b_L = L.coeffs[0], L.coeffs[1]
-    etas = L.coeffs[2:]
-    thetas = [Fraction(s.theta) for s in cfg.sections]
-    sa = a_L + sum(etas, Fraction(0))
-    sb = b_L - cfg.e * a_L + sum((et * th for et, th in zip(etas, thetas)), Fraction(0))
-    return a_L, b_L, etas, sa, sb
-
-
-def _partner_sums(k, p, xis, cfg: SurfaceConfig):
-    thetas = [Fraction(s.theta) for s in cfg.sections]
-    xis = list(xis) + [Fraction(0)] * (len(thetas) - len(xis))
-    sk = k + sum(xis, Fraction(0))
-    sp = p - cfg.e * k + sum((xi * th for xi, th in zip(xis, thetas)), Fraction(0))
-    pe2 = p - Fraction(cfg.e) / 2 * k + sum(
-        (xi * (th + Fraction(cfg.e) / 2) for xi, th in zip(xis, thetas)), Fraction(0)
-    )
-    return xis, sk, sp, pe2
-
-
 @dataclass(frozen=True)
 class AsymptoteClass:
     """lambda -> 0+ behaviour of a wall: family 'dim2' or 'dim1', the case
@@ -350,62 +329,106 @@ class AsymptoteClass:
     leading_term: str
 
 
+@dataclass(frozen=True)
+class LambdaQWall:
+    """The (lambda,q)-wall of one pair as the rational function of the
+    module docstring, with a = a0 + a1*lambda and l = l0 + l1*lambda; built
+    once by `lambda_q_wall`, then `at` and `asymptote` only read it."""
+
+    family: str
+    alpha: Fraction
+    beta: Fraction
+    a0: Fraction
+    a1: Fraction
+    l0: Fraction
+    l1: Fraction
+    kappa: Fraction
+
+    def _require_positive(self):
+        if self.family == "dim1" and not (self.a0 > 0 or (self.a0 == 0 and self.a1 > 0)):
+            raise DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
+
+    def at(self, lam: Rational) -> WallValue:
+        """Exact q-value of the wall at this lambda in (0,1)."""
+        lam = _frac(lam)
+        if not 0 < lam < 1:
+            raise DomainError("lambda must lie in (0,1), got %s" % lam)
+        self._require_positive()
+        g = 2 * lam * (1 + self.kappa * lam)
+        if g <= 0:
+            raise DomainError("frame requires H.H > 0, got %s" % g)
+        l = self.l0 + self.l1 * lam
+        if self.a0 == 0 and self.a1 == 0:
+            # the wall is the locus s = l/g, so s = 0 is all or nothing
+            return WallValue(EVERYWHERE if l == 0 else NO_WALL)
+        a = self.a0 + self.a1 * lam
+        if a == 0:
+            return WallValue(POLE)
+        return WallValue(VALUE, (self.alpha * a - self.beta * l) / (g * a))
+
+    def asymptote(self) -> AsymptoteClass:
+        """lambda -> 0+ class from the Laurent expansion at 0: q ~ D/(2*lambda)
+        when a0 != 0, else q ~ A/(2*lambda^2) + B/(2*lambda)."""
+        self._require_positive()
+        dim2 = self.family == "dim2"
+        if self.a0 == 0 and self.a1 == 0:
+            if self.l0 == 0 and self.l1 == 0:
+                return AsymptoteClass(self.family, "A1", {}, "everywhere (entire region q > 0)")
+            return AsymptoteClass(self.family, "A2", {}, "no wall")
+        if self.a0 == 0:
+            A = -self.beta * self.l0 / self.a1
+            B = self.alpha - self.beta * self.l1 / self.a1 - self.kappa * A
+            letter, constants = "B" if dim2 else "A", {"A": A, "B": B}
+            case = 1 if A != 0 else 2 if B != 0 else 3
+            terms = ("q ~ A/(2*lambda^2)", "q ~ B/(2*lambda)", "bounded")
+        else:
+            D = self.alpha - self.beta * self.l0 / self.a0
+            letter, constants = "C" if dim2 else "B", {"D": D}
+            case = 1 if D != 0 else 2
+            terms = ("q ~ D/(2*lambda)", "bounded")
+        return AsymptoteClass(self.family, letter + str(case), constants, terms[case - 1])
+
+
+def lambda_q_wall(ch, partner, cfg: SurfaceConfig) -> LambdaQWall:
+    """The (lambda,q)-wall of a FactoredCharacter e^L.(x,0,z) against a
+    PartnerCharacter (dim 2), or of a OneDimCharacter against a
+    OneDimPartner e^L.(r,0,chi) (dim 1).  Preconditions on lambda and on
+    the characters are checked when the wall is used, not here."""
+    if isinstance(ch, FactoredCharacter):
+        family, L, C = "dim2", ch.L, partner.ch1(cfg)
+        alpha = ch.z / ch.x
+        beta = partner.chi - partner.r * alpha
+    elif isinstance(ch, OneDimCharacter):
+        family, L, C = "dim1", partner.L, ch.ch1(cfg)
+        alpha = partner.chi / partner.r
+        beta = ch.z
+    else:
+        raise InputError("unknown wall character %r" % (ch,))
+    pC, pL = pairings(C, cfg), pairings(L, cfg)
+    # D.H_lambda = D.f + lambda*(D.Theta + (m-1)*D.f) for D = C and D = L
+    m1 = cfg.m - 1
+    return LambdaQWall(
+        family,
+        alpha + intersect(L, L, cfg) / 2,
+        beta + intersect(L, C, cfg),
+        pC[1],
+        pC[0] + m1 * pC[1],
+        pL[1],
+        pL[0] + m1 * pL[1],
+        m1 - Fraction(cfg.e, 2),
+    )
+
+
 def classify_asymptote_dim2(
     fc: FactoredCharacter, pc: PartnerCharacter, cfg: SurfaceConfig
 ) -> AsymptoteClass:
-    x, z = fc.x, fc.z
-    r, chi = pc.r, pc.chi
-    a_L, b_L, etas, sa, sb = _l_sums(fc.L, cfg)
-    xis, sk, sp, pe2 = _partner_sums(pc.k, pc.p, pc.xis, cfg)
-    dL = _delta_classes(etas, cfg)
-    dP = _delta_classes(xis, cfg)
-    dL2 = intersect(dL, dL, cfg)
-    dPdL = intersect(dP, dL, cfg)
-    G = (x * chi - r * z) / x + dPdL
-
-    if sk == 0 and sp == 0:
-        if sa == 0 and sb == 0:
-            return AsymptoteClass("dim2", "A1", {}, "everywhere (entire region q > 0)")
-        return AsymptoteClass("dim2", "A2", {}, "no wall")
-    if sk == 0:
-        A = -(G + sa * pe2) * sa / sp
-        B = z / x + dL2 / 2 - (sb + Fraction(cfg.e) / 2 * sa) * G / sp
-        if A != 0:
-            return AsymptoteClass("dim2", "B1", {"A": A, "B": B}, "q ~ A/(2*lambda^2)")
-        if B != 0:
-            return AsymptoteClass("dim2", "B2", {"A": A, "B": B}, "q ~ B/(2*lambda)")
-        return AsymptoteClass("dim2", "B3", {"A": A, "B": B}, "bounded")
-    D = z / x + dL2 / 2 - (G + sa * pe2) * sa / sk
-    if D != 0:
-        return AsymptoteClass("dim2", "C1", {"D": D}, "q ~ D/(2*lambda)")
-    return AsymptoteClass("dim2", "C2", {"D": D}, "bounded")
+    return lambda_q_wall(fc, pc, cfg).asymptote()
 
 
 def classify_asymptote_dim1(
     od: OneDimCharacter, pc: OneDimPartner, cfg: SurfaceConfig
 ) -> AsymptoteClass:
-    a_L, b_L, etas, sa, sb = _l_sums(pc.L, cfg)
-    xis, sk, sp, pe2 = _partner_sums(od.k, od.p, od.xis, cfg)
-    if not (sk > 0 or (sk == 0 and sp > 0)):
-        raise DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
-    dL = _delta_classes(etas, cfg)
-    dC = _delta_classes(xis, cfg)
-    dL2 = intersect(dL, dL, cfg)
-    dCdL = intersect(dC, dL, cfg)
-    G = od.z + dCdL
-
-    if sk == 0:
-        A = -(G + sa * pe2) * sa / sp
-        B = pc.chi / pc.r + dL2 / 2 - (sb + Fraction(cfg.e) / 2 * sa) * G / sp
-        if A != 0:
-            return AsymptoteClass("dim1", "A1", {"A": A, "B": B}, "q ~ A/(2*lambda^2)")
-        if B != 0:
-            return AsymptoteClass("dim1", "A2", {"A": A, "B": B}, "q ~ B/(2*lambda)")
-        return AsymptoteClass("dim1", "A3", {"A": A, "B": B}, "bounded")
-    D = pc.chi / pc.r + dL2 / 2 - (G + sa * pe2) * sa / sk
-    if D != 0:
-        return AsymptoteClass("dim1", "B1", {"D": D}, "q ~ D/(2*lambda)")
-    return AsymptoteClass("dim1", "B2", {"D": D}, "bounded")
+    return lambda_q_wall(od, pc, cfg).asymptote()
 
 
 def wall_lambda_q(
@@ -413,54 +436,12 @@ def wall_lambda_q(
 ) -> WallValue:
     """Exact q-value of the wall W(e^L.(x,0,z), e^L.ch') at this lambda in
     the (lambda,0,0,q)-plane (s = w = 0 throughout)."""
-    lam = _frac(lam)
-    if not 0 < lam < 1:
-        raise DomainError("lambda must lie in (0,1), got %s" % lam)
-    x, z = fc.x, fc.z
-    r, chi = pc.r, pc.chi
-    _, sk, sp, _ = _partner_sums(pc.k, pc.p, pc.xis, cfg)
-    fr = elliptic_frame(lam, cfg)
-    g = fr.g
-    decL = decompose(fc.L, fr, cfg)
-    l1, l2, resL = decL.l1, decL.l2, decL.residual
-    decP = decompose(pc.ch1(cfg), fr, cfg)
-    c1, c2, resP = decP.l1, decP.l2, decP.residual
-
-    if sk == 0 and sp == 0:
-        # c1 vanishes identically; the wall is the locus s = l1(lambda)
-        return WallValue(EVERYWHERE) if l1 == 0 else WallValue(NO_WALL)
-    if c1 == 0:
-        return WallValue(POLE)
-    dPdL = intersect(resP, resL, cfg)
-    dL2 = intersect(resL, resL, cfg)
-    q = (
-        -((x * chi - r * z) / x + dPdL) * (l1 / c1) / g
-        + l1 * l2 * (c1 + c2) / c1
-        - (l1 + l2) ** 2 / 2
-        + (z / x + dL2 / 2) / g
-    )
-    return WallValue(VALUE, q)
+    return lambda_q_wall(fc, pc, cfg).at(lam)
 
 
 def wall_lambda_q_dim1(
     od: OneDimCharacter, pc: OneDimPartner, lam: Rational, cfg: SurfaceConfig
 ) -> WallValue:
     """Exact q-value at this lambda of the wall of a one-dimensional
-    character against e^L.(r, 0, chi), solved directly from the central
-    charge cross product."""
-    lam = _frac(lam)
-    if not 0 < lam < 1:
-        raise DomainError("lambda must lie in (0,1), got %s" % lam)
-    _, sk, sp, _ = _partner_sums(od.k, od.p, od.xis, cfg)
-    if not (sk > 0 or (sk == 0 and sp > 0)):
-        raise DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
-    fr = elliptic_frame(lam, cfg)
-    ch1 = od.ch1(cfg)
-    im_ch = intersect(ch1, fr.H, cfg)
-    if im_ch == 0:
-        return WallValue(POLE)
-    z_eff = od.z + intersect(pc.L, ch1, cfg)
-    chi_eff = pc.chi + pc.r * intersect(pc.L, pc.L, cfg) / 2
-    gl1 = intersect(pc.L, fr.H, cfg)
-    q = (chi_eff * im_ch - z_eff * pc.r * gl1) / (pc.r * fr.g * im_ch)
-    return WallValue(VALUE, q)
+    character against e^L.(r, 0, chi)."""
+    return lambda_q_wall(od, pc, cfg).at(lam)

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 import ellwall as ew
 from ellwall import io as eio
 from ellwall.cli import main
@@ -323,3 +325,60 @@ def test_stdin_character(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["transform", "--functor", "phi"] + CFG)
     assert code == 0
     assert json.loads(out)["character"] == {"ch0": "0", "ch1": ["0", "1"], "ch2": "0"}
+
+
+def test_plot_lambda_q_rejects_duplicate_wall_labels(tmp_path, capsys):
+    spec = {"x": "1", "z": "0", "L": ["2", "0"], "r": "1", "k": "-1", "p": "0", "chi": "-1"}
+    base = ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/100", "--lambda-to", "1/10",
+            "--samples", "3"] + CFG
+    paths = {}
+    for name, label in (("a1", "a"), ("a2", "a"), ("b", "b"), ("one", "1"), ("bare", None)):
+        obj = dict(spec) if label is None else dict(spec, label=label)
+        paths[name] = tmp_path / (name + ".json")
+        paths[name].write_text(json.dumps(obj))
+    # the second wall without a label is labelled by its index, 1
+    for pair in (("a1", "a2"), ("one", "bare")):
+        code, out, err = run(capsys, base + ["--wall", str(paths[pair[0]]), "--wall", str(paths[pair[1]])])
+        assert code == 1 and out == "" and err.startswith("error: wall label")
+    code, out, _ = run(capsys, base + ["--wall", str(paths["a1"]), "--wall", str(paths["b"])])
+    assert code == 0 and out.splitlines()[0].split(",")[3:5] == ["q_wall_a", "q_wall_b"]
+
+
+def test_plot_row_budget_exit_2(capsys):
+    from ellwall import cli
+
+    for argv in (
+        ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/100", "--lambda-to", "1/2",
+         "--samples", "1000000000000"],
+        ["plot", "volume-section", "--alpha", "2", "--v-from", "1", "--v-to", "30",
+         "--v-step", "1/1000000000000000"],
+    ):
+        code, out, err = run(capsys, argv + CFG)
+        assert code == 2 and out == "" and "budget" in err
+    # the row count is exact: MAX_PLOT_ROWS rows pass, one more does not
+    step = Fraction(1, 3)
+    top = Fraction(1, 2) + (cli.MAX_PLOT_ROWS - 1) * step
+    assert len(cli._rational_range(Fraction(1, 2), top, step)) == cli.MAX_PLOT_ROWS
+    with pytest.raises(ew.DomainError):
+        cli._rational_range(Fraction(1, 2), top + step, step)
+
+
+def test_rational_range_matches_accumulation():
+    from ellwall import cli
+
+    for lo, hi, step in ((1, 30, 1), (Fraction(1, 2), 7, Fraction(2, 3)), (3, 1, 1), (2, 2, 5),
+                         (Fraction(-7, 3), Fraction(5, 4), Fraction(1, 7))):
+        lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+        expected, v = [], lo
+        while v <= hi:
+            expected.append(v)
+            v += step
+        assert cli._rational_range(lo, hi, step) == expected
+
+
+def test_wall_flags_xi_of_wrong_length_exit_1(capsys):
+    flags = ["--x", "1", "--z", "0", "--L", "2,0", "--r", "1", "--k", "-1", "--p", "0",
+             "--chi", "-1", "--xi", "1"] + CFG
+    for cmd in (["wall", "asymptote"], ["wall", "lambda-q", "--lambda", "1/3"]):
+        code, out, err = run(capsys, cmd + flags)
+        assert code == 1 and out == "" and err.startswith("error:")

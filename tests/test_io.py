@@ -234,3 +234,25 @@ def test_report_objects():
         "im_lo": "-3",
         "K": "3",
     }
+
+
+def test_svg_escapes_text():
+    from xml.dom import minidom
+
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg)
+    wall = ("<b>&", ew.FactoredCharacter(1, 0, 2 * cfg.theta()),
+            ew.PartnerCharacter(r=1, k=-1, p=0, xis=(), chi=-1))
+    svg = eio.emit_lambda_q_plot(vp, cfg, [Fraction(k, 40) for k in range(1, 20)], walls=[wall], fmt="svg")
+    texts = [t.firstChild.data for t in minidom.parseString(svg).getElementsByTagName("text")]
+    assert "wall <b>&" in texts and "lambda" in texts
+    assert "wall &lt;b&gt;&amp;" in svg
+
+
+def test_lambda_q_plot_rejects_repeated_columns():
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg)
+    fc, pc = ew.FactoredCharacter(1, 0, cfg.zero()), ew.PartnerCharacter(1, 1, 0, (), 0)
+    for labels in (("a", "a"), ("a", "a_float_lossy"), (0, "0")):
+        with pytest.raises(ew.InputError):
+            eio.emit_lambda_q_plot(vp, cfg, [Fraction(1, 3)], walls=[(l, fc, pc) for l in labels])

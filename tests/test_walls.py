@@ -441,3 +441,199 @@ def test_reduce_by_twist():
         assert back == ch
     with pytest.raises(ew.DomainError):
         ew.reduce_by_twist(ew.character(0, [0, 1], 0, cfg), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Frame-based oracles for the (lambda,q)-walls: the elliptic frame, its
+# decompositions and residual pairings, and the hand-derived lambda -> 0+
+# constants, kept here independent of `lambda_q_wall`.
+
+
+def _sums(k, p, xis, cfg):
+    thetas = [Fraction(s.theta) for s in cfg.sections]
+    xis = list(xis) + [Fraction(0)] * (len(thetas) - len(xis))
+    sk = k + sum(xis, Fraction(0))
+    sp = p - cfg.e * k + sum((xi * th for xi, th in zip(xis, thetas)), Fraction(0))
+    pe2 = p - Fraction(cfg.e) / 2 * k + sum(
+        (xi * (th + Fraction(cfg.e) / 2) for xi, th in zip(xis, thetas)), Fraction(0)
+    )
+    return xis, sk, sp, pe2
+
+
+def _delta_classes(coeffs_extra, cfg):
+    """sum_i c_i * (Theta_i - Theta - (theta_i+e)*f)."""
+    total = cfg.zero()
+    for i, c in enumerate(coeffs_extra):
+        theta_i = cfg.sections[i].theta
+        total = total + c * (cfg.extra_section(i + 1) - cfg.theta() - (theta_i + cfg.e) * cfg.fiber())
+    return total
+
+
+def _oracle_wall_dim2(fc, pc, lam, cfg):
+    lam = Fraction(lam)
+    if not 0 < lam < 1:
+        raise ew.DomainError("lambda must lie in (0,1), got %s" % lam)
+    x, z, r, chi = fc.x, fc.z, pc.r, pc.chi
+    _, sk, sp, _ = _sums(pc.k, pc.p, pc.xis, cfg)
+    fr = ew.elliptic_frame(lam, cfg)
+    decL = ew.decompose(fc.L, fr, cfg)
+    l1, l2, resL = decL.l1, decL.l2, decL.residual
+    decP = ew.decompose(pc.ch1(cfg), fr, cfg)
+    c1, c2, resP = decP.l1, decP.l2, decP.residual
+    if sk == 0 and sp == 0:
+        return ("everywhere", None) if l1 == 0 else ("no-wall", None)
+    if c1 == 0:
+        return ("pole", None)
+    dPdL = ew.intersect(resP, resL, cfg)
+    dL2 = ew.intersect(resL, resL, cfg)
+    q = (
+        -((x * chi - r * z) / x + dPdL) * (l1 / c1) / fr.g
+        + l1 * l2 * (c1 + c2) / c1
+        - (l1 + l2) ** 2 / 2
+        + (z / x + dL2 / 2) / fr.g
+    )
+    return ("value", q)
+
+
+def _oracle_wall_dim1(od, pc, lam, cfg):
+    lam = Fraction(lam)
+    if not 0 < lam < 1:
+        raise ew.DomainError("lambda must lie in (0,1), got %s" % lam)
+    _, sk, sp, _ = _sums(od.k, od.p, od.xis, cfg)
+    if not (sk > 0 or (sk == 0 and sp > 0)):
+        raise ew.DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
+    fr = ew.elliptic_frame(lam, cfg)
+    ch1 = od.ch1(cfg)
+    im_ch = ew.intersect(ch1, fr.H, cfg)
+    if im_ch == 0:
+        return ("pole", None)
+    z_eff = od.z + ew.intersect(pc.L, ch1, cfg)
+    chi_eff = pc.chi + pc.r * ew.intersect(pc.L, pc.L, cfg) / 2
+    gl1 = ew.intersect(pc.L, fr.H, cfg)
+    return ("value", (chi_eff * im_ch - z_eff * pc.r * gl1) / (pc.r * fr.g * im_ch))
+
+
+def _oracle_asymptote(ch, pc, cfg):
+    """(family, tag, constants) from the hand-derived formulas."""
+    dim2 = isinstance(ch, ew.FactoredCharacter)
+    L = ch.L if dim2 else pc.L
+    a_L, b_L, etas = L.coeffs[0], L.coeffs[1], L.coeffs[2:]
+    sa = a_L + sum(etas, Fraction(0))
+    sb = b_L - cfg.e * a_L + sum(
+        (et * s.theta for et, s in zip(etas, cfg.sections)), Fraction(0)
+    )
+    C = pc if dim2 else ch  # the character whose ch1 meets H_lambda
+    xis, sk, sp, pe2 = _sums(C.k, C.p, C.xis, cfg)
+    if not dim2 and not (sk > 0 or (sk == 0 and sp > 0)):
+        raise ew.DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
+    dL = _delta_classes(etas, cfg)
+    dL2 = ew.intersect(dL, dL, cfg)
+    dPdL = ew.intersect(_delta_classes(xis, cfg), dL, cfg)
+    if dim2:
+        family, double, single = "dim2", "B", "C"
+        G = (ch.x * pc.chi - pc.r * ch.z) / ch.x + dPdL
+        base = ch.z / ch.x
+    else:
+        family, double, single = "dim1", "A", "B"
+        G = ch.z + dPdL
+        base = pc.chi / pc.r
+    if sk == 0 and sp == 0:
+        return (family, "A1" if sa == 0 and sb == 0 else "A2", {})
+    if sk == 0:
+        A = -(G + sa * pe2) * sa / sp
+        B = base + dL2 / 2 - (sb + Fraction(cfg.e) / 2 * sa) * G / sp
+        return (family, double + ("1" if A != 0 else "2" if B != 0 else "3"), {"A": A, "B": B})
+    D = base + dL2 / 2 - (G + sa * pe2) * sa / sk
+    return (family, single + ("1" if D != 0 else "2"), {"D": D})
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ew.EllwallError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _small(rng, lo=-2, hi=2):
+    """A small rational, zero half the time so degenerate walls occur."""
+    if rng.random() < 0.5:
+        return Fraction(0)
+    return Fraction(rng.randint(lo, hi), rng.choice([1, 1, 2, 3]))
+
+
+def _random_wall(rng, cfg):
+    """A random dim-2 or dim-1 wall of cfg with small, often zero, data."""
+    n_extra = cfg.rank - 2
+    L = cfg.divisor([_small(rng) for _ in range(cfg.rank)])
+    k, p = _small(rng), _small(rng)
+    xis = tuple(_small(rng, -1, 1) for _ in range(n_extra)) if rng.random() < 0.7 else ()
+    if rng.random() < 0.6:
+        x = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 1, 2]))
+        z = -abs(_small(rng, -4, 4)) * (1 if x > 0 else -1)
+        r = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+        return ew.FactoredCharacter(x, z, L), ew.PartnerCharacter(r, k, p, xis, _small(rng, -5, 5))
+    r = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 1, 2]))
+    return (ew.OneDimCharacter(k, p, _small(rng, -5, 5), xis),
+            ew.OneDimPartner(r, _small(rng, -5, 5), L))
+
+
+def _random_cfg(rng, rank):
+    e = rng.randint(0, 3)
+    if rank == 2:
+        return ew.SurfaceConfig(e=e, m=e + Fraction(rng.randint(1, 5), rng.choice([1, 2, 3])))
+    # above rank 2, m <= e/2 is allowed, so H_lambda.H_lambda <= 0 can occur
+    m = Fraction(rng.randint(1, 2 * e + 4), rng.choice([1, 2]))
+    return ew.SurfaceConfig(e=e, m=m, sections=(ew.ExtraSection(theta=rng.randint(0, 3)),))
+
+
+def _lambdas(rng, ch, pc, cfg):
+    """Sample lambdas: random ones, one outside (0,1) now and then, and the
+    root of ch1.H_lambda when it lies in (0,1), so poles occur."""
+    C = pc.ch1(cfg) if isinstance(ch, ew.FactoredCharacter) else ch.ch1(cfg)
+    a0 = ew.intersect(C, cfg.fiber(), cfg)
+    a1 = ew.intersect(C, cfg.theta(), cfg) + (cfg.m - 1) * a0
+    lams = [Fraction(rng.randint(1, 29), 30)]
+    if a1 != 0 and 0 < -a0 / a1 < 1:
+        lams.append(-a0 / a1)
+    if rng.random() < 0.1:
+        lams.append(rng.choice([Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 3)]))
+    return lams
+
+
+def _at(wall, lam):
+    wv = wall.at(lam)
+    return wv.kind, wv.q
+
+
+def _classified(ch, pc, cfg):
+    ac = ew.lambda_q_wall(ch, pc, cfg).asymptote()
+    return ac.family, ac.case_tag, ac.constants
+
+
+def test_lambda_q_wall_matches_frame_oracle():
+    rng = random.Random(4099)
+    seen = set()
+    for i in range(2400):
+        cfg = _random_cfg(rng, 2 if i % 2 else 3)
+        ch, pc = _random_wall(rng, cfg)
+        wall = ew.lambda_q_wall(ch, pc, cfg)
+        oracle = _oracle_wall_dim2 if isinstance(ch, ew.FactoredCharacter) else _oracle_wall_dim1
+        for lam in _lambdas(rng, ch, pc, cfg):
+            got = _outcome(_at, wall, lam)
+            assert got == _outcome(oracle, ch, pc, lam, cfg), (ch, pc, lam, cfg)
+            seen.add(got[1].split()[0] if got[0] == "DomainError" else got[0])
+    assert seen == {"value", "pole", "no-wall", "everywhere", "lambda", "one-dimensional", "frame"}
+
+
+def test_lambda_q_wall_asymptote_matches_hand_derived_constants():
+    rng = random.Random(4111)
+    tags = set()
+    for i in range(2400):
+        cfg = _random_cfg(rng, 2 if i % 2 else 3)
+        ch, pc = _random_wall(rng, cfg)
+        got = _outcome(_classified, ch, pc, cfg)
+        assert got == _outcome(_oracle_asymptote, ch, pc, cfg), (ch, pc, cfg)
+        if got[0] != "DomainError":
+            tags.add(got[:2])
+    assert tags == {("dim2", t) for t in ("A1", "A2", "B1", "B2", "B3", "C1", "C2")} | {
+        ("dim1", t) for t in ("A1", "A2", "A3", "B1", "B2")}
