@@ -80,7 +80,7 @@ def _rat(text: str) -> Fraction:
 def _document(obj) -> str:
     payload = {"schema": eio.SCHEMA}
     payload.update(obj)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return eio.emit_document(payload) + "\n"
 
 
 def _frame_from_args(args, cfg):
@@ -208,10 +208,11 @@ def _cmd_destab_enumerate(args):
         u0=_rat(args.u0),
         ch2_denominator=args.ch2_denominator,
     )
-    reports = destabilize.enumerate_destabilizers(req, cfg)
-    return _document(
-        {"candidates": [eio.candidate_report_to_obj(rep) for rep in reports]}
-    )
+    # the reports are dropped before the document is written
+    candidates = [
+        eio.candidate_report_to_obj(rep) for rep in destabilize.enumerate_destabilizers(req, cfg)
+    ]
+    return _document({"candidates": candidates})
 
 
 def _cmd_linebundle_analyze(args):
@@ -408,10 +409,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: parsing leaves the parser unchanged, and building
+# it costs more than a small command.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         document = args.func(args)
         if getattr(args, "out", None):
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -145,6 +145,8 @@ class _Pair:
     lower bound on them can be rounded up; 6.9 is cross-multiplied."""
 
     r: int
+    c2: Fraction    # ch2(A) = j/den
+    c2B: Fraction   # ch2(B) = z - ch2(A)
     S: Fraction
     fixed: dict     # 6.3, rank_nonneg, 6.5, 6.6
     min4: int       # 6.4 (r >= 1): (D*ch1(A).omega_0)^2 >= min4
@@ -163,6 +165,8 @@ def _pair(ctx: _Context, r: int, j: int) -> _Pair:
     s9 = 2 * S * lam
     return _Pair(
         r=r,
+        c2=c2,
+        c2B=z - c2,
         S=S,
         fixed={
             "6.3": wall < c2 - r * K < 0,
@@ -283,21 +287,25 @@ def _survivors(ctx: _Context) -> list:
 def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list:
     """The complete finite list of candidate destabilizers, sorted
     lexicographically by (rank, gamma, eta, ch2).  Every cell is gated
-    with exact integer arithmetic on thresholds fixed per (rank, ch2)."""
+    with exact integer arithmetic on thresholds fixed per (rank, ch2).
+    Reports share their immutable parts: one Fraction per integer value
+    and the ch2 values of their (rank, ch2) pair."""
     ctx = _build_context(req, cfg)
     cells = _survivors(ctx)
     cells.sort(key=lambda cell: cell[:4])
-    zj = int(ctx.z * ctx.den)
+    x, lam = ctx.x, ctx.lam
+    ints = {v for r, gamma, eta, _, _ in cells for v in (r, x - r, gamma, -gamma, eta, lam - eta)}
+    frac = {v: Fraction(v) for v in ints}
     return [
         CandidateReport(
-            candidate=ChernCharacter(r, DivisorClass((gamma, eta)), Fraction(j, ctx.den)),
+            candidate=ChernCharacter(frac[r], DivisorClass((frac[gamma], frac[eta])), p.c2),
             complement=ChernCharacter(
-                ctx.x - r, DivisorClass((-gamma, ctx.lam - eta)), Fraction(zj - j, ctx.den)
+                frac[x - r], DivisorClass((frac[-gamma], frac[lam - eta])), p.c2B
             ),
             S=p.S,
             checks=_cell_checks(ctx, p, gamma, eta),
         )
-        for r, gamma, eta, j, p in cells
+        for r, gamma, eta, _, p in cells
     ]
 
 

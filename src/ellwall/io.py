@@ -13,12 +13,13 @@ import csv
 import io as _stdio
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
 from .charge import ChargeValue, LimitCharge, PhaseLimit, cross_coefficients
 from .chern import ChernCharacter
 from .destabilize import CandidateReport, LineBundleReport
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, InvariantError
 from .nslattice import (
     DivisorClass,
     ExtraSection,
@@ -66,7 +67,7 @@ def parse_rational(s) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# JSON object mappers (plain dicts; callers json.dumps them)
+# JSON object mappers (plain dicts; emit_document writes them)
 
 
 def config_to_obj(cfg: SurfaceConfig) -> dict:
@@ -166,7 +167,18 @@ def wall_spec_from_obj(obj, cfg: SurfaceConfig, default_label) -> tuple:
     else:
         ch = OneDimCharacter(k=q["k"], p=q["p"], z=q["z"], xis=xis)
         pc = OneDimPartner(r=q["r"], chi=q["chi"], L=L)
-    return str(obj.get("label", default_label)), ch, pc
+    label = str(obj.get("label", default_label))
+    if not _is_xml_text(label):  # labels name SVG legend entries
+        raise InputError("wall label %r holds a character XML 1.0 cannot represent" % (label,))
+    return label, ch, pc
+
+
+def _is_xml_text(text: str) -> bool:
+    """Whether XML 1.0 can hold every character of text (its Char production)."""
+    return all(
+        c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd" or c >= "\U00010000"
+        for c in text
+    )
 
 
 def charge_to_obj(cv: ChargeValue) -> dict:
@@ -244,6 +256,55 @@ def line_bundle_report_to_obj(rep: LineBundleReport) -> dict:
         "transform_rank": rep.transform_rank,
         "case": rep.case_tag,
     }
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+
+def emit_document(obj) -> str:
+    """The text of json.dumps(obj, sort_keys=True, indent=2) for a document
+    built from dicts with str keys, lists, tuples, str, int, bool and None.
+    Strings are escaped to ASCII by json's C encoder; json.dumps itself
+    leaves its C encoder when given an indent.  Anything else, floats and
+    Fractions included, raises InvariantError: documents hold exact
+    values as strings."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(v, nl: str) -> str:
+    # each container joins its own items: a finished subtree is one string,
+    # not many small ones, which halves the peak memory of a large document
+    if isinstance(v, str):
+        return _json_str(v)
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        try:
+            keys = sorted(v)
+        except TypeError:
+            raise InvariantError("document keys must be strings") from None
+        inner = nl + "  "
+        items = []
+        for k in keys:
+            if not isinstance(k, str):
+                raise InvariantError("document keys must be strings, got %r" % (k,))
+            items.append(_json_str(k) + ": " + _json_text(v[k], inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + nl + "]"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if v is None:
+        return "null"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    raise InvariantError("a document cannot hold %s %r" % (type(v).__name__, v))
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ class DivisorClass:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_frac(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_frac, self.coeffs)))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)

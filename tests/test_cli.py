@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 import ellwall as ew
 from ellwall import io as eio
+from ellwall import cli
 from ellwall.cli import main
 
 
@@ -382,3 +384,63 @@ def test_wall_flags_xi_of_wrong_length_exit_1(capsys):
     for cmd in (["wall", "asymptote"], ["wall", "lambda-q", "--lambda", "1/3"]):
         code, out, err = run(capsys, cmd + flags)
         assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_enumerate_stdout_bytes_pin(tmp_path, capsys):
+    # the enumerate-large instance: size and digest of the bytes that
+    # json.dumps(doc, sort_keys=True, indent=2) + "\n" gives for it
+    path = tmp_path / "target.json"
+    path.write_text('{"ch0":"3","ch1":["0","20"],"ch2":"-2"}')
+    code, out, err = run(
+        capsys,
+        ["destab", "enumerate", "--target", str(path), "--alpha", "5", "--u0", "1/2"] + CFG,
+    )
+    assert code == 0, err
+    data = out.encode("ascii")
+    assert len(data) == 3_668_158
+    assert hashlib.sha256(data).hexdigest() == (
+        "3eb1a19f21ef0241d5755cbe59600cab3630bf105becfd7a383d28db20dc7f8c"
+    )
+
+
+def test_parser_reused_across_calls(tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    ch = write_character(tmp_path, "ch.json", 1, [1, 0], -1)
+    good = ["transform", "--functor", "phihat", "--ch", ch] + CFG
+    first = run(capsys, good)
+    assert first[0] == 0
+    assert run(capsys, good) == first
+    code, out, err = run(capsys, good + ["--bogus", "1"])
+    assert code == 1 and out == "" and "--bogus" in err
+    assert run(capsys, good) == first
+    for name in ("a.json", "b.json"):
+        out_path = tmp_path / name
+        assert run(capsys, good + ["--out", str(out_path)]) == (0, "", "")
+        assert out_path.read_text() == first[1]
+    assert run(capsys, good) == first
+
+
+def test_document_with_a_float_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(eio, "config_to_obj", lambda cfg: {"m": 3.0})
+    code, out, err = run(capsys, ["surface", "check"] + CFG)
+    assert code == 3 and out == "" and err.startswith("internal error:")
+
+
+def test_plot_lambda_q_rejects_labels_xml_cannot_hold(tmp_path, capsys):
+    from xml.dom import minidom
+
+    spec = {"x": "1", "z": "0", "L": ["2", "0"], "r": "1", "k": "-1", "p": "0", "chi": "-1"}
+    base = ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/100", "--lambda-to", "1/10",
+            "--samples", "3"] + CFG
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(spec, label="a\u0001b")))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(dict(spec, label="\u03bb <b>&")))
+    for fmt in ("csv", "svg"):
+        code, out, err = run(capsys, base + ["--format", fmt, "--wall", str(bad)])
+        assert code == 1 and out == "" and err.startswith("error:")
+    code, out, _ = run(capsys, base + ["--wall", str(plain)])
+    assert code == 0 and "q_wall_\u03bb <b>&" in out.splitlines()[0]
+    code, out, _ = run(capsys, base + ["--format", "svg", "--wall", str(plain)])
+    texts = [t.firstChild.data for t in minidom.parseString(out).getElementsByTagName("text")]
+    assert code == 0 and "wall \u03bb <b>&" in texts

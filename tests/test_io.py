@@ -1,6 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ellwall as ew
 from ellwall import io as eio
@@ -256,3 +259,59 @@ def test_lambda_q_plot_rejects_repeated_columns():
     for labels in (("a", "a"), ("a", "a_float_lossy"), (0, "0")):
         with pytest.raises(ew.InputError):
             eio.emit_lambda_q_plot(vp, cfg, [Fraction(1, 3)], walls=[(l, fc, pc) for l in labels])
+
+
+# every code point, lone surrogates and control characters included
+texts = st.text(st.characters(exclude_categories=()), max_size=8)
+scalars = (
+    st.none() | st.booleans() | texts | st.integers()
+    | st.integers(min_value=-(10**300), max_value=10**300)
+)
+documents = st.recursive(
+    scalars,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(texts, kids, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(documents)
+@settings(max_examples=300, deadline=None)
+def test_emit_document_matches_json_dumps(doc):
+    assert eio.emit_document(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _holding(kids):
+    # a container with one poisoned child among clean documents
+    return st.tuples(st.lists(documents, max_size=3), kids, st.lists(documents, max_size=3)).map(
+        lambda t: t[0] + [t[1]] + t[2]
+    ) | st.tuples(st.dictionaries(texts, documents, max_size=3), texts, kids).map(
+        lambda t: {**t[0], t[1]: t[2]}
+    )
+
+
+poisoned = st.recursive(st.floats() | st.fractions(), _holding, max_leaves=6)
+
+
+@given(poisoned)
+@settings(max_examples=150, deadline=None)
+def test_emit_document_rejects_floats_and_fractions(doc):
+    with pytest.raises(ew.InvariantError):
+        eio.emit_document(doc)
+
+
+def test_emit_document_rejects_non_string_keys():
+    for doc in ({1: "a"}, {"a": {2: "b"}}, [{"a": 1, 2: "b"}], {None: 1}, {True: 1}):
+        with pytest.raises(ew.InvariantError):
+            eio.emit_document(doc)
+
+
+def test_wall_spec_rejects_labels_xml_cannot_hold():
+    cfg = cfg_e2m3()
+    spec = {"x": "1", "z": "0", "L": ["2", "0"], "r": "1", "k": "-1", "p": "0", "chi": "-1"}
+    for label in ("a\u0001b", "\x00", "a\x1fb", "\ud800", "\ufffe", "\uffff"):
+        with pytest.raises(ew.InputError):
+            eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)
+    for label in ("a", "<b>&", "\t\n\r", "\u03bb \ud7ff\ue000\ufffd", "\U00010000\U0001f600\U0010ffff", ""):
+        assert eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)[0] == label
