@@ -53,17 +53,17 @@ def central_charge(
     )
 
 
+def _sq_parts(ch: ChernCharacter, fr: Frame, cfg: SurfaceConfig) -> tuple:
+    """(A, B) with Z(s,q) = (A + ch0*g*q) + i*(B - ch0*g*s) in the frame."""
+    A = -ch.ch2 + ch.ch0 * fr.delta * fr.w * fr.w / 2 + fr.w * intersect(ch.ch1, fr.Hperp, cfg)
+    return A, intersect(ch.ch1, fr.H, cfg)
+
+
 def charge_sq(ch: ChernCharacter, pt: SQ, fr: Frame, cfg: SurfaceConfig) -> ChargeValue:
     """Central charge in (s,q)-coordinates of a frame (H, H^perp, w):
     (-ch2 + ch0*g*q + ch0*delta*w^2/2 + w*ch1.H^perp) + i*(ch1.H - ch0*g*s)."""
-    re = (
-        -ch.ch2
-        + ch.ch0 * fr.g * pt.q
-        + ch.ch0 * fr.delta * fr.w * fr.w / 2
-        + fr.w * intersect(ch.ch1, fr.Hperp, cfg)
-    )
-    im = intersect(ch.ch1, fr.H, cfg) - ch.ch0 * fr.g * pt.s
-    return ChargeValue(re=re, im=im)
+    A, B = _sq_parts(ch, fr, cfg)
+    return ChargeValue(re=A + ch.ch0 * fr.g * pt.q, im=B - ch.ch0 * fr.g * pt.s)
 
 
 @dataclass(frozen=True)

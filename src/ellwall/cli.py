@@ -50,6 +50,8 @@ def _read_json(path: str):
         return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON in %s: %s" % (path, exc)) from exc
+    except RecursionError as exc:
+        raise InputError("JSON in %s is nested too deeply" % path) from exc
 
 
 def _load_config(args) -> SurfaceConfig:
@@ -268,37 +270,44 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ellwall", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
+    def group(name, help):
+        sp = sub.add_parser(name, help=help)
+        return sp.add_subparsers(dest=name + "_command", required=True)
+
+    def cmd(parent, name, fn, help):
+        sp = parent.add_parser(name, help=help)
         sp.set_defaults(func=fn)
-        sp.add_argument("--out", help="write output here instead of stdout")
+        # only the top-level commands describe --out
+        out_help = "write output here instead of stdout" if parent is sub else None
+        sp.add_argument("--out", help=out_help)
         return sp
 
-    sp = sub.add_parser("surface", help="surface config operations")
-    ssub = sp.add_subparsers(dest="surface_command", required=True)
-    sc = ssub.add_parser("check", help="validate a surface config")
-    sc.set_defaults(func=_cmd_surface_check)
-    sc.add_argument("--out")
-    _add_config_args(sc)
+    def alpha_beta(sp):
+        sp.add_argument("--alpha", required=True)
+        sp.add_argument("--beta")
 
-    sp = cmd("transform", _cmd_transform, help="apply a cohomological transform")
+    surface = group("surface", "surface config operations")
+    sp = cmd(surface, "check", _cmd_surface_check, "validate a surface config")
+    _add_config_args(sp)
+
+    sp = cmd(sub, "transform", _cmd_transform, "apply a cohomological transform")
     sp.add_argument("--functor", choices=["phi", "phihat"], required=True)
     sp.add_argument("--ch", help="character JSON file ('-' for stdin)")
     _add_config_args(sp)
 
-    sp = cmd("twist", _cmd_twist, help="B-field twist e^{-B} or line-bundle twist e^{L}")
+    sp = cmd(sub, "twist", _cmd_twist, "B-field twist e^{-B} or line-bundle twist e^{L}")
     sp.add_argument("--ch")
     sp.add_argument("--divisor", required=True, help="comma-separated coefficients")
     sp.add_argument("--line-bundle", action="store_true", help="apply e^{L} instead of e^{-B}")
     _add_config_args(sp)
 
-    sp = cmd("charge", _cmd_charge, help="central charge at an ample omega")
+    sp = cmd(sub, "charge", _cmd_charge, "central charge at an ample omega")
     sp.add_argument("--ch")
     sp.add_argument("--omega", required=True, help="comma-separated coefficients")
     sp.add_argument("--b-field", help="comma-separated coefficients (default 0)")
     _add_config_args(sp)
 
-    sp = cmd("charge-sq", _cmd_charge_sq, help="central charge in (s,q)-coordinates")
+    sp = cmd(sub, "charge-sq", _cmd_charge_sq, "central charge in (s,q)-coordinates")
     sp.add_argument("--ch")
     sp.add_argument("--lambda", dest="lam", help="elliptic frame parameter in (0,1)")
     sp.add_argument("--frame-h", help="H coefficients")
@@ -308,33 +317,27 @@ def build_parser() -> _Parser:
     sp.add_argument("--q", required=True)
     _add_config_args(sp)
 
-    sp = cmd("limit-phase", _cmd_limit_phase, help="phase limit along the volume section")
+    sp = cmd(sub, "limit-phase", _cmd_limit_phase, "phase limit along the volume section")
     sp.add_argument("--ch")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--beta")
+    alpha_beta(sp)
     _add_config_args(sp)
 
-    sp = cmd("limit-compare", _cmd_limit_compare, help="order of limit phases")
+    sp = cmd(sub, "limit-compare", _cmd_limit_compare, "order of limit phases")
     sp.add_argument("--first", required=True, help="character JSON file")
     sp.add_argument("--second", required=True, help="character JSON file")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--beta")
+    alpha_beta(sp)
     _add_config_args(sp)
 
-    sp = sub.add_parser("wall", help="potential wall computations")
-    wsub = sp.add_subparsers(dest="wall_command", required=True)
-
-    wq = wsub.add_parser("sq", help="wall in the (s,q)-plane of a frame")
-    wq.set_defaults(func=_cmd_wall_sq)
-    wq.add_argument("--out")
-    wq.add_argument("--ch", help="character JSON file")
-    wq.add_argument("--ch-prime", required=True, help="partner character JSON file")
-    wq.add_argument("--lambda", dest="lam", help="elliptic frame parameter")
-    wq.add_argument("--frame-h")
-    wq.add_argument("--frame-hperp")
-    wq.add_argument("--frame-w")
-    wq.add_argument("--shift", help="line bundle L coefficients for the shifted wall")
-    _add_config_args(wq)
+    wall = group("wall", "potential wall computations")
+    sp = cmd(wall, "sq", _cmd_wall_sq, "wall in the (s,q)-plane of a frame")
+    sp.add_argument("--ch", help="character JSON file")
+    sp.add_argument("--ch-prime", required=True, help="partner character JSON file")
+    sp.add_argument("--lambda", dest="lam", help="elliptic frame parameter")
+    sp.add_argument("--frame-h")
+    sp.add_argument("--frame-hperp")
+    sp.add_argument("--frame-w")
+    sp.add_argument("--shift", help="line bundle L coefficients for the shifted wall")
+    _add_config_args(sp)
 
     def wall_data_args(spp):
         spp.add_argument("--dim", type=int, choices=[1, 2], default=2)
@@ -348,63 +351,49 @@ def build_parser() -> _Parser:
         spp.add_argument("--chi", required=True, help="partner ch2")
         _add_config_args(spp)
 
-    wl = wsub.add_parser("lambda-q", help="exact wall value at one lambda")
-    wl.set_defaults(func=_cmd_wall_lambda_q)
-    wl.add_argument("--out")
-    wl.add_argument("--lambda", dest="lam", required=True)
-    wall_data_args(wl)
+    sp = cmd(wall, "lambda-q", _cmd_wall_lambda_q, "exact wall value at one lambda")
+    sp.add_argument("--lambda", dest="lam", required=True)
+    wall_data_args(sp)
 
-    wa = wsub.add_parser("asymptote", help="lambda -> 0+ wall classification")
-    wa.set_defaults(func=_cmd_wall_asymptote)
-    wa.add_argument("--out")
-    wall_data_args(wa)
+    wall_data_args(cmd(wall, "asymptote", _cmd_wall_asymptote, "lambda -> 0+ wall classification"))
 
-    sp = sub.add_parser("destab", help="destabilizer enumeration")
-    dsub = sp.add_subparsers(dest="destab_command", required=True)
-    de = dsub.add_parser("enumerate", help="enumerate candidate destabilizers")
-    de.set_defaults(func=_cmd_destab_enumerate)
-    de.add_argument("--out")
-    de.add_argument("--target", required=True, help="target character JSON file")
-    de.add_argument("--alpha", required=True)
-    de.add_argument("--beta")
-    de.add_argument("--u0", required=True)
-    de.add_argument("--ch2-denominator", type=int, default=2)
-    _add_config_args(de)
+    destab = group("destab", "destabilizer enumeration")
+    sp = cmd(destab, "enumerate", _cmd_destab_enumerate, "enumerate candidate destabilizers")
+    sp.add_argument("--target", required=True, help="target character JSON file")
+    alpha_beta(sp)
+    sp.add_argument("--u0", required=True)
+    sp.add_argument("--ch2-denominator", type=int, default=2)
+    _add_config_args(sp)
 
-    sp = sub.add_parser("linebundle", help="line bundle chamber analysis")
-    lsub = sp.add_subparsers(dest="linebundle_command", required=True)
-    la = lsub.add_parser("analyze", help="wall/section comparison for O(a_L*Theta)")
-    la.set_defaults(func=_cmd_linebundle_analyze)
-    la.add_argument("--out")
-    la.add_argument("--aL", type=int, required=True)
-    la.add_argument("--alpha", required=True)
-    la.add_argument("--beta")
-    _add_config_args(la)
+    linebundle = group("linebundle", "line bundle chamber analysis")
+    sp = cmd(
+        linebundle, "analyze", _cmd_linebundle_analyze, "wall/section comparison for O(a_L*Theta)"
+    )
+    sp.add_argument("--aL", type=int, required=True)
+    alpha_beta(sp)
+    _add_config_args(sp)
 
-    sp = sub.add_parser("plot", help="plot data emission")
-    psub = sp.add_subparsers(dest="plot_command", required=True)
-    pv = psub.add_parser("volume-section", help="the (v,u) volume section and asymptote")
-    pv.set_defaults(func=_cmd_plot_volume_section)
-    pv.add_argument("--out")
-    pv.add_argument("--alpha", required=True)
-    pv.add_argument("--beta")
-    pv.add_argument("--v-from", required=True)
-    pv.add_argument("--v-to", required=True)
-    pv.add_argument("--v-step")
-    pv.add_argument("--format", choices=["csv", "svg"], default="csv")
-    _add_config_args(pv)
+    plot = group("plot", "plot data emission")
+    sp = cmd(
+        plot, "volume-section", _cmd_plot_volume_section, "the (v,u) volume section and asymptote"
+    )
+    alpha_beta(sp)
+    sp.add_argument("--v-from", required=True)
+    sp.add_argument("--v-to", required=True)
+    sp.add_argument("--v-step")
+    sp.add_argument("--format", choices=["csv", "svg"], default="csv")
+    _add_config_args(sp)
 
-    pl = psub.add_parser("lambda-q", help="the section, asymptote and walls in (lambda,q)")
-    pl.set_defaults(func=_cmd_plot_lambda_q)
-    pl.add_argument("--out")
-    pl.add_argument("--alpha", required=True)
-    pl.add_argument("--beta")
-    pl.add_argument("--lambda-from", required=True)
-    pl.add_argument("--lambda-to", required=True)
-    pl.add_argument("--samples", type=int, default=50)
-    pl.add_argument("--wall", action="append", help="wall spec JSON file (repeatable)")
-    pl.add_argument("--format", choices=["csv", "svg"], default="csv")
-    _add_config_args(pl)
+    sp = cmd(
+        plot, "lambda-q", _cmd_plot_lambda_q, "the section, asymptote and walls in (lambda,q)"
+    )
+    alpha_beta(sp)
+    sp.add_argument("--lambda-from", required=True)
+    sp.add_argument("--lambda-to", required=True)
+    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--wall", action="append", help="wall spec JSON file (repeatable)")
+    sp.add_argument("--format", choices=["csv", "svg"], default="csv")
+    _add_config_args(sp)
 
     return parser
 

@@ -1,12 +1,10 @@
 """Cohomological Fourier-Mukai transforms of Chern characters.
 
 With n = ch0, d = f.ch1, c = Theta.ch1, s = ch2, the pair of transforms
-acts by
+is one signed map, sigma = 1 for phi and sigma = -1 for phi_hat:
 
-    fm_forward:  (n, ch1, s) -> (d, -ch1 + d*e*f + (d-n)*Theta + (c - e*d/2 + s)*f,
-                                 -c - d*e + n*e/2)
-    fm_backward: (n, ch1, s) -> (d, ch1 - n*e*f - (d+n)*Theta + (s + e*n - c - e*d/2)*f,
-                                 -(c + d*e + e*n/2))
+    (n, ch1, s) -> (d, -sigma*ch1 + (sigma*d - n)*Theta + (s + sigma*(c + e*d/2))*f,
+                    -c - e*d + sigma*n*e/2)
 
 and composing the two in either order is multiplication by -1.  The
 pullback of the fundamental divisor on the base is the class e*f, so the
@@ -35,28 +33,25 @@ def _span_theta_f(ch: ChernCharacter, cfg: SurfaceConfig):
     return ch.ch1.coeffs[0], ch.ch1.coeffs[1]
 
 
-def phi(ch: ChernCharacter, cfg: SurfaceConfig) -> ChernCharacter:
-    """The forward cohomological transform."""
+def _transform(ch: ChernCharacter, cfg: SurfaceConfig, sigma: int) -> ChernCharacter:
     _span_theta_f(ch, cfg)
     e = Fraction(cfg.e)
     n, s = ch.ch0, ch.ch2
     d = intersect(cfg.fiber(), ch.ch1, cfg)
     c = intersect(cfg.theta(), ch.ch1, cfg)
     pad = [0] * (cfg.rank - 2)
-    ch1 = -ch.ch1 + cfg.divisor([d - n, d * e + c - e * d / 2 + s] + pad)
-    return ChernCharacter(d, ch1, -c - d * e + n * e / 2)
+    ch1 = -sigma * ch.ch1 + cfg.divisor([sigma * d - n, s + sigma * (c + e * d / 2)] + pad)
+    return ChernCharacter(d, ch1, -c - e * d + sigma * n * e / 2)
+
+
+def phi(ch: ChernCharacter, cfg: SurfaceConfig) -> ChernCharacter:
+    """The forward cohomological transform."""
+    return _transform(ch, cfg, 1)
 
 
 def phi_hat(ch: ChernCharacter, cfg: SurfaceConfig) -> ChernCharacter:
     """The backward cohomological transform (quasi-inverse up to [-1])."""
-    _span_theta_f(ch, cfg)
-    e = Fraction(cfg.e)
-    n, s = ch.ch0, ch.ch2
-    d = intersect(cfg.fiber(), ch.ch1, cfg)
-    c = intersect(cfg.theta(), ch.ch1, cfg)
-    pad = [0] * (cfg.rank - 2)
-    ch1 = ch.ch1 + cfg.divisor([-(d + n), -n * e + s + e * n - c - e * d / 2] + pad)
-    return ChernCharacter(d, ch1, -(c + d * e + e * n / 2))
+    return _transform(ch, cfg, -1)
 
 
 def composition_check(ch: ChernCharacter, cfg: SurfaceConfig) -> bool:

@@ -41,7 +41,8 @@ def _frac(x) -> Fraction:
 @dataclass(frozen=True)
 class ExtraSection:
     """An extra section Theta_i: theta = Theta.Theta_i, cross[j] = Theta_i.Theta_j
-    for each earlier extra section j (length i-1)."""
+    for each earlier extra section j (length at most i-1; missing entries
+    are 0, with a warning)."""
 
     theta: int
     cross: tuple = ()
@@ -80,6 +81,12 @@ class SurfaceConfig:
         sections = tuple(
             s if isinstance(s, ExtraSection) else ExtraSection(**s) for s in self.sections
         )
+        for i, sec in enumerate(sections):
+            if len(sec.cross) > i:
+                raise DimensionError(
+                    "extra section %d takes at most %d cross intersections, got %d"
+                    % (i + 1, i, len(sec.cross))
+                )
         object.__setattr__(self, "sections", sections)
         if self.rank == 2 and m <= self.e:
             raise DomainError(

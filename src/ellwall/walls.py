@@ -1,9 +1,13 @@
 """Potential walls for pairs of Chern characters.
 
-In the (s,q)-coordinates of a fixed frame (H, H^perp, w), potential walls
-are semi-lines; for a fixed character of nonnegative discriminant with
-nonzero rank they all pass through one point, and twisting both characters
-by a line bundle transports walls by a closed-form point/slope shift.
+In the (s,q)-coordinates of a fixed frame (H, H^perp, w) the charge is
+Z(s,q) = (A + ch0*g*q) + i*(B - ch0*g*s), so Re Z.Im Z' - Re Z'.Im Z is
+affine in (s,q) and the potential wall of a pair is its zero set: a
+semi-line, a vertical semi-line, everything or nothing.  A semi-line is
+drawn through the nesting point of ch (of ch' when ch has rank zero),
+which every wall of that character passes through.  Twisting both
+characters by a line bundle transports the wall by a closed-form
+point/slope shift (`shift_wall`).
 
 In the (lambda,0,0,q)-plane cut out by the moving elliptic frame H_lambda,
 every wall of a pair is one exact rational function of lambda:
@@ -33,14 +37,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .chern import ChernCharacter
+from .charge import _sq_parts
+from .chern import ChernCharacter, line_bundle_twist
 from .errors import DomainError, InputError
 from .nslattice import (
     DivisorClass,
     Frame,
     SurfaceConfig,
     _frac,
-    decompose,
     intersect,
     pairings,
 )
@@ -103,11 +107,6 @@ EVERYWHERE_WALL = WallSQ(kind=EVERYWHERE)
 NOWHERE_WALL = WallSQ(kind=NOWHERE)
 
 
-def _frame_data(ch: ChernCharacter, fr: Frame, cfg: SurfaceConfig):
-    dec = decompose(ch.ch1, fr, cfg)
-    return dec.l1, dec.l2, dec.residual
-
-
 def bertram_wall(
     ch: ChernCharacter, ch_prime: ChernCharacter, fr: Frame, cfg: SurfaceConfig
 ) -> WallSQ:
@@ -115,33 +114,25 @@ def bertram_wall(
 
     For rank x != 0 the wall runs through the nesting point of ch; for
     x = 0 (requires ch1.H > 0) walls share the slope determined by ch and
-    run through the anchor of ch'.
+    run through the nesting point of ch'.
     """
-    g, d, w = fr.g, fr.delta, fr.w
-    x, z = ch.ch0, ch.ch2
-    r, chi = ch_prime.ch0, ch_prime.ch2
-    y1, y2, res = _frame_data(ch, fr, cfg)
-    c1, c2, res_p = _frame_data(ch_prime, fr, cfg)
-
+    g, x, r = fr.g, ch.ch0, ch_prime.ch0
+    A, B = _sq_parts(ch, fr, cfg)
+    Ap, Bp = _sq_parts(ch_prime, fr, cfg)
+    # Re Z.Im Z' - Re Z'.Im Z = g*q*a - g*s*b + c
+    a, b, c = x * Bp - r * B, r * A - x * Ap, A * Bp - Ap * B
     if x != 0:
-        F = d / g * (w - y2 / x) ** 2 + (y1 * y1 * g - y2 * y2 * d - 2 * x * z) / (x * x * g)
-        point = (y1 / x, ((y1 / x) ** 2 - F) / 2)
-        denom = x * c1 - r * y1
-        if denom == 0:
-            return _vertical(y1 / x)
-        slope = (x * chi - r * z + w * d * (x * c2 - r * y2)) / (g * denom)
-        return _line(point, slope)
-
-    if y1 <= 0:
-        raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % (y1 * g,))
-    if r == 0:
-        # the cross product is constant in (s,q); the wall is everything or nothing
-        const = (y1 * chi - c1 * z) + w * d * (c2 * y1 - y2 * c1)
-        return EVERYWHERE_WALL if const == 0 else NOWHERE_WALL
-    slope = (z + d * w * y2) / (g * y1)
-    Fp = d / g * (w - c2 / r) ** 2 + (c1 * c1 * g - c2 * c2 * d - 2 * r * chi) / (r * r * g)
-    point = (c1 / r, ((c1 / r) ** 2 - Fp) / 2)
-    return _line(point, slope)
+        s0 = B / (g * x)
+        if a == 0:
+            return _vertical(s0)
+    else:
+        if B <= 0:
+            raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % (B,))
+        if r == 0:
+            return EVERYWHERE_WALL if c == 0 else NOWHERE_WALL
+        s0 = Bp / (g * r)
+    slope = b / a
+    return _line((s0, slope * s0 - c / (g * a)), slope)
 
 
 def shift_wall(
@@ -151,67 +142,29 @@ def shift_wall(
     fr: Frame,
     cfg: SurfaceConfig,
 ) -> WallSQ:
-    """The wall of the pair (e^L.ch, e^L.ch') by the closed-form shifted
-    point and slope; must agree exactly with twisting first and calling
-    bertram_wall."""
-    g, d, w = fr.g, fr.delta, fr.w
-    x, z = ch.ch0, ch.ch2
-    r, chi = ch_prime.ch0, ch_prime.ch2
-    y1, y2, res = _frame_data(ch, fr, cfg)
-    c1, c2, res_p = _frame_data(ch_prime, fr, cfg)
-    l1, l2, res_L = _frame_data(
-        ChernCharacter(0, L, 0), fr, cfg
-    )
-    dL2 = intersect(res_L, res_L, cfg)
-    d_dL = intersect(res, res_L, cfg)
-    dp_dL = intersect(res_p, res_L, cfg)
-
-    if x != 0:
-        denom = x * c1 - r * y1
-        F = d / g * (w - y2 / x) ** 2 + (y1 * y1 * g - y2 * y2 * d - 2 * x * z) / (x * x * g)
-        q_base = ((y1 / x) ** 2 - F) / 2
-        point = (
-            y1 / x + l1,
-            q_base
-            + l1 * l1 / 2
-            + y1 / x * l1
-            - d / (2 * g) * l2 * l2
-            + d / g * (w - y2 / x) * l2
-            + dL2 / (2 * g)
-            + d_dL / (x * g),
+    """The wall of the pair (e^L.ch, e^L.ch') as the wall of (ch, ch') moved
+    by the closed-form shift: s by L.H/g, q by (L.D/n + L^2/2 - w*L.H^perp)/g
+    for the character (n, D, .) whose nesting point anchors the wall, and
+    the slope by (x*L.ch1' - r*L.ch1)/(x*ch1'.H - r*ch1.H).  Must agree
+    exactly with twisting first and calling bertram_wall."""
+    x, r = ch.ch0, ch_prime.ch0
+    if x == 0 and r == 0:
+        # the twist only moves ch2, so take the wall of the twisted pair
+        return bertram_wall(
+            line_bundle_twist(ch, L, cfg), line_bundle_twist(ch_prime, L, cfg), fr, cfg
         )
-        if denom == 0:
-            return _vertical(y1 / x + l1)
-        slope = (
-            (x * chi - r * z + w * d * (x * c2 - r * y2)) / (g * denom)
-            + l1
-            - l2 * (d / g) * (x * c2 - r * y2) / denom
-            + (x * dp_dL - r * d_dL) / (g * denom)
-        )
-        return _line(point, slope)
-
-    if y1 <= 0:
-        raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % (y1 * g,))
-    if r == 0:
-        # twisting leaves ch1, ch1' alone and shifts z, chi by L-pairings
-        z_t = z + intersect(L, ch.ch1, cfg)
-        chi_t = chi + intersect(L, ch_prime.ch1, cfg)
-        const = (y1 * chi_t - c1 * z_t) + w * d * (c2 * y1 - y2 * c1)
-        return EVERYWHERE_WALL if const == 0 else NOWHERE_WALL
-    slope = (z + d * w * y2) / (g * y1) + l1 - l2 * (d / g) * (y2 / y1) + d_dL / (g * y1)
-    Fp = d / g * (w - c2 / r) ** 2 + (c1 * c1 * g - c2 * c2 * d - 2 * r * chi) / (r * r * g)
-    q_base = ((c1 / r) ** 2 - Fp) / 2
-    point = (
-        c1 / r + l1,
-        q_base
-        + l1 * l1 / 2
-        + c1 / r * l1
-        - d / (2 * g) * l2 * l2
-        + d / g * (w - c2 / r) * l2
-        + dL2 / (2 * g)
-        + dp_dL / (r * g),
+    wall = bertram_wall(ch, ch_prime, fr, cfg)
+    g = fr.g
+    ds = intersect(L, fr.H, cfg) / g
+    if wall.kind == VERTICAL:
+        return _vertical(wall.s + ds)
+    n, D = (x, ch.ch1) if x != 0 else (r, ch_prime.ch1)
+    dq = intersect(L, D, cfg) / n + intersect(L, L, cfg) / 2 - fr.w * intersect(L, fr.Hperp, cfg)
+    dslope = (x * intersect(L, ch_prime.ch1, cfg) - r * intersect(L, ch.ch1, cfg)) / (
+        x * intersect(ch_prime.ch1, fr.H, cfg) - r * intersect(ch.ch1, fr.H, cfg)
     )
-    return _line(point, slope)
+    s0, q0 = wall.point
+    return _line((s0 + ds, q0 + dq / g), wall.slope + dslope)
 
 
 # ---------------------------------------------------------------------------

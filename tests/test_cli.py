@@ -444,3 +444,20 @@ def test_plot_lambda_q_rejects_labels_xml_cannot_hold(tmp_path, capsys):
     code, out, _ = run(capsys, base + ["--format", "svg", "--wall", str(plain)])
     texts = [t.firstChild.data for t in minidom.parseString(out).getElementsByTagName("text")]
     assert code == 0 and "wall \u03bb <b>&" in texts
+
+
+def test_deeply_nested_json_exit_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", str(path)] + CFG)
+    assert code == 1 and out == ""
+    assert err == "error: JSON in %s is nested too deeply\n" % path
+
+
+def test_config_cross_longer_than_index_exit_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    config = {"e": 2, "m": "3", "sections": [{"theta": 1, "cross": [1, 5, 7]}]}
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["surface", "check", "--config", str(cfg_path)])
+    assert code == 1 and out == ""
+    assert "at most 0 cross intersections, got 3" in err

@@ -89,6 +89,16 @@ def test_missing_cross_intersections_warn():
     assert ew.intersect(cfg2.extra_section(1), cfg2.extra_section(2), cfg2) == 4
 
 
+def test_cross_longer_than_index_rejected():
+    # cross lists one entry per earlier extra section, so the first has none
+    for sections in (
+        ({"theta": 1, "cross": [1, 5, 7]},),
+        (ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=(4, 1))),
+    ):
+        with pytest.raises(ew.DimensionError, match="at most"):
+            ew.SurfaceConfig(e=2, m=3, sections=sections)
+
+
 def test_cone_membership():
     cfg = cfg_e2m3()
     th, f = cfg.theta(), cfg.fiber()

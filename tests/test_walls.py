@@ -194,6 +194,138 @@ def test_rank3_shift_coherence():
             )
 
 
+def _frame_data(ch, fr, cfg):
+    dec = ew.decompose(ch.ch1, fr, cfg)
+    return dec.l1, dec.l2, dec.residual
+
+
+def _nesting_bertram(ch, ch_prime, fr, cfg):
+    """Reference: the wall through the nesting point P = (y1/x, (y1^2/x^2 - F)/2)."""
+    g, d, w = fr.g, fr.delta, fr.w
+    x, z = ch.ch0, ch.ch2
+    r, chi = ch_prime.ch0, ch_prime.ch2
+    y1, y2, res = _frame_data(ch, fr, cfg)
+    c1, c2, res_p = _frame_data(ch_prime, fr, cfg)
+
+    if x != 0:
+        F = d / g * (w - y2 / x) ** 2 + (y1 * y1 * g - y2 * y2 * d - 2 * x * z) / (x * x * g)
+        point = (y1 / x, ((y1 / x) ** 2 - F) / 2)
+        denom = x * c1 - r * y1
+        if denom == 0:
+            return ew.WallSQ(kind="vertical", s=y1 / x)
+        slope = (x * chi - r * z + w * d * (x * c2 - r * y2)) / (g * denom)
+        return ew.WallSQ(kind="line", point=point, slope=slope)
+
+    if y1 <= 0:
+        raise ew.DomainError("rank-zero wall needs ch1.H > 0, got %s" % (y1 * g,))
+    if r == 0:
+        const = (y1 * chi - c1 * z) + w * d * (c2 * y1 - y2 * c1)
+        return ew.WallSQ(kind="everywhere" if const == 0 else "nowhere")
+    slope = (z + d * w * y2) / (g * y1)
+    Fp = d / g * (w - c2 / r) ** 2 + (c1 * c1 * g - c2 * c2 * d - 2 * r * chi) / (r * r * g)
+    point = (c1 / r, ((c1 / r) ** 2 - Fp) / 2)
+    return ew.WallSQ(kind="line", point=point, slope=slope)
+
+
+def _nesting_shift(ch, ch_prime, L, fr, cfg):
+    """Reference: the nesting-point wall of the twisted pair, written out."""
+    g, d, w = fr.g, fr.delta, fr.w
+    x, z = ch.ch0, ch.ch2
+    r, chi = ch_prime.ch0, ch_prime.ch2
+    y1, y2, res = _frame_data(ch, fr, cfg)
+    c1, c2, res_p = _frame_data(ch_prime, fr, cfg)
+    l1, l2, res_L = _frame_data(ew.ChernCharacter(0, L, 0), fr, cfg)
+    dL2 = ew.intersect(res_L, res_L, cfg)
+    d_dL = ew.intersect(res, res_L, cfg)
+    dp_dL = ew.intersect(res_p, res_L, cfg)
+
+    if x != 0:
+        denom = x * c1 - r * y1
+        F = d / g * (w - y2 / x) ** 2 + (y1 * y1 * g - y2 * y2 * d - 2 * x * z) / (x * x * g)
+        q_base = ((y1 / x) ** 2 - F) / 2
+        point = (
+            y1 / x + l1,
+            q_base
+            + l1 * l1 / 2
+            + y1 / x * l1
+            - d / (2 * g) * l2 * l2
+            + d / g * (w - y2 / x) * l2
+            + dL2 / (2 * g)
+            + d_dL / (x * g),
+        )
+        if denom == 0:
+            return ew.WallSQ(kind="vertical", s=y1 / x + l1)
+        slope = (
+            (x * chi - r * z + w * d * (x * c2 - r * y2)) / (g * denom)
+            + l1
+            - l2 * (d / g) * (x * c2 - r * y2) / denom
+            + (x * dp_dL - r * d_dL) / (g * denom)
+        )
+        return ew.WallSQ(kind="line", point=point, slope=slope)
+
+    if y1 <= 0:
+        raise ew.DomainError("rank-zero wall needs ch1.H > 0, got %s" % (y1 * g,))
+    if r == 0:
+        z_t = z + ew.intersect(L, ch.ch1, cfg)
+        chi_t = chi + ew.intersect(L, ch_prime.ch1, cfg)
+        const = (y1 * chi_t - c1 * z_t) + w * d * (c2 * y1 - y2 * c1)
+        return ew.WallSQ(kind="everywhere" if const == 0 else "nowhere")
+    slope = (z + d * w * y2) / (g * y1) + l1 - l2 * (d / g) * (y2 / y1) + d_dL / (g * y1)
+    Fp = d / g * (w - c2 / r) ** 2 + (c1 * c1 * g - c2 * c2 * d - 2 * r * chi) / (r * r * g)
+    q_base = ((c1 / r) ** 2 - Fp) / 2
+    point = (
+        c1 / r + l1,
+        q_base
+        + l1 * l1 / 2
+        + c1 / r * l1
+        - d / (2 * g) * l2 * l2
+        + d / g * (w - c2 / r) * l2
+        + dL2 / (2 * g)
+        + dp_dL / (r * g),
+    )
+    return ew.WallSQ(kind="line", point=point, slope=slope)
+
+
+def _random_sq_pair(rng, cfg, flavor):
+    """A pair of one flavour: generic, proportional (vertical), rank zero
+    against a ranked partner, or rank zero against rank zero, where every
+    other partner is a multiple of ch so that the wall is everywhere."""
+    ch = rnd_character(rng, cfg, span_tf=False)
+    chp = rnd_character(rng, cfg, span_tf=False)
+    k = Fraction(rng.choice([1, 2, -1, -3]), rng.choice([1, 2]))
+    if flavor == 1:
+        chp = ew.ChernCharacter(k * ch.ch0, k * ch.ch1, chp.ch2)
+    elif flavor >= 2:
+        ch = ew.ChernCharacter(0, ch.ch1, ch.ch2)
+        if flavor == 3:
+            chp = ch.scale(k) if rng.random() < 0.5 else ew.ChernCharacter(0, chp.ch1, chp.ch2)
+    return ch, chp
+
+
+def test_bertram_and_shift_match_nesting_point_oracle():
+    rng = random.Random(83)
+    seen = set()
+    for cfg in (cfg_e2m3(), cfg_rank3()):
+        pad = [0] * (cfg.rank - 2)
+        H, Hp = cfg.divisor([1, 3] + pad), cfg.divisor([1, -1] + pad)
+        frames = [
+            ew.make_frame(H, Hp, 0, cfg),
+            ew.make_frame(H, Hp, Fraction(-5, 4), cfg),
+            ew.elliptic_frame(Fraction(1, 3), cfg),
+            ew.elliptic_frame(Fraction(3, 4), cfg),
+        ]
+        for i in range(1200):
+            fr = frames[i % len(frames)]
+            ch, chp = _random_sq_pair(rng, cfg, i // len(frames) % 4)
+            L = rnd_divisor(rng, cfg)
+            got = _outcome(ew.bertram_wall, ch, chp, fr, cfg)
+            assert got == _outcome(_nesting_bertram, ch, chp, fr, cfg), (ch, chp, fr)
+            shifted = _outcome(ew.shift_wall, ch, chp, L, fr, cfg)
+            assert shifted == _outcome(_nesting_shift, ch, chp, L, fr, cfg), (ch, chp, L, fr)
+            seen.add(got[0] if isinstance(got, tuple) else got.kind)
+    assert seen == {"line", "vertical", "everywhere", "nowhere", "DomainError"}
+
+
 # ---------------------------------------------------------------------------
 # (lambda,0,0,q)-plane
 
