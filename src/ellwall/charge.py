@@ -27,6 +27,7 @@ from .nslattice import (
     Frame,
     SurfaceConfig,
     VolumeSectionParams,
+    _omega_bar,
     cone_membership,
     intersect,
 )
@@ -100,8 +101,7 @@ def limit_charge(
 ) -> LimitCharge:
     if vp.K <= 0:
         raise DomainError("limit charge needs K = alpha+m-e > 0, got %s" % vp.K)
-    pad = [0] * (cfg.rank - 2)
-    theta_e2f = cfg.divisor([1, Fraction(cfg.e) / 2] + pad)
+    theta_e2f = cfg.theta_f(1, Fraction(cfg.e) / 2)
     return LimitCharge(
         re_const=-ch.ch2 + vp.K * ch.ch0,
         im_hi=intersect(cfg.fiber(), ch.ch1, cfg),
@@ -188,10 +188,8 @@ def re_z_identity_check(
     """Exact check that omega-bar.ch1^B equals -(beta/alpha) times the real
     part of the charge of the shifted transform along the volume section
     (B = e/2*f, omega-bar = (beta/alpha)*(Theta+mf)+beta*f)."""
-    pad = [0] * (cfg.rank - 2)
-    B = cfg.divisor([0, Fraction(cfg.e) / 2] + pad)
-    obar = cfg.divisor([vp.beta / vp.alpha, vp.beta / vp.alpha * cfg.m + vp.beta] + pad)
-    lhs = intersect(obar, twist(ch, B, cfg).ch1, cfg)
+    B = cfg.theta_f(0, Fraction(cfg.e) / 2)
+    lhs = intersect(_omega_bar(vp, cfg), twist(ch, B, cfg).ch1, cfg)
     shifted = -phi(ch, cfg)  # character of the transform placed in degree -1
     rhs = -vp.beta / vp.alpha * limit_charge(shifted, vp, cfg).re_const
     return lhs == rhs

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError
-from .nslattice import DivisorClass, SurfaceConfig, _frac, intersect
+from .nslattice import DivisorClass, SurfaceConfig, _frac, _omega_bar, intersect
 
 Rational = Union[int, Fraction]
 
@@ -76,12 +76,9 @@ def twist(ch: ChernCharacter, B: DivisorClass, cfg: SurfaceConfig) -> ChernChara
 
 
 def line_bundle_twist(ch: ChernCharacter, L: DivisorClass, cfg: SurfaceConfig) -> ChernCharacter:
-    """Multiplication by e^{L} (tensoring by the line bundle of class L)."""
-    return ChernCharacter(
-        ch.ch0,
-        ch.ch1 + ch.ch0 * L,
-        ch.ch2 + intersect(L, ch.ch1, cfg) + intersect(L, L, cfg) / 2 * ch.ch0,
-    )
+    """Multiplication by e^{L} (tensoring by the line bundle of class L),
+    which is the B-field twist by B = -L."""
+    return twist(ch, -L, cfg)
 
 
 class _PosInfinity:
@@ -198,11 +195,7 @@ def gieseker_slope_1dim(ch: ChernCharacter, vp, cfg: SurfaceConfig) -> GiesekerS
     """chi_L/(ch1.omega-bar) for omega-bar = (beta/alpha)*(Theta+mf)+beta*f."""
     if ch.ch0 != 0:
         raise DomainError("twisted Gieseker slope needs ch0 = 0")
-    pad = [0] * (cfg.rank - 2)
-    obar = cfg.divisor(
-        [vp.beta / vp.alpha, vp.beta / vp.alpha * cfg.m + vp.beta] + pad
-    )
-    denom = intersect(ch.ch1, obar, cfg)
+    denom = intersect(ch.ch1, _omega_bar(vp, cfg), cfg)
     if denom <= 0:
         raise DomainError("twisted Gieseker slope needs ch1.omega-bar > 0")
     chi = twisted_euler(ch, cfg)

@@ -27,11 +27,24 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _int(text: str) -> int:
+    """An integer flag: an optional sign and ASCII digits (int() alone also
+    takes other scripts' digits and underscores)."""
+    t = text.strip()
+    digits = t[1:] if t[:1] in ("+", "-") else t
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(t)
+    except ValueError:  # more digits than the int-string conversion limit
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %s" % eio._shown(text))
+
+
 def _add_config_args(sp):
     sp.add_argument("--config", help="surface config JSON file ('-' for stdin)")
-    sp.add_argument("--e", type=int, help="e = -Theta^2 (rank-2 shorthand)")
+    sp.add_argument("--e", type=_int, help="e = -Theta^2 (rank-2 shorthand)")
     sp.add_argument("--m", help="ample offset m as 'p/q'")
-    sp.add_argument("--genus-base", type=int, default=0)
+    sp.add_argument("--genus-base", type=_int, default=0)
     sp.add_argument("--euler-char", help="chi(O_X) as 'p/q' (default e)")
 
 
@@ -59,11 +72,8 @@ def _load_config(args) -> SurfaceConfig:
         return eio.config_from_obj(_read_json(args.config))
     if args.e is None or args.m is None:
         raise InputError("provide --config or both --e and --m")
-    return SurfaceConfig(
-        e=args.e,
-        genus_base=args.genus_base,
-        m=eio.parse_rational(args.m),
-        euler_char=None if args.euler_char is None else eio.parse_rational(args.euler_char),
+    return eio.config_from_obj(
+        {"e": args.e, "m": args.m, "genus_base": args.genus_base, "euler_char": args.euler_char}
     )
 
 
@@ -106,20 +116,17 @@ def _vp(args, cfg):
 # subcommands
 
 
-def _cmd_surface_check(args):
-    cfg = _load_config(args)
+def _cmd_surface_check(args, cfg):
     return _document({"config": eio.config_to_obj(cfg), "rank": cfg.rank, "ok": True})
 
 
-def _cmd_transform(args):
-    cfg = _load_config(args)
+def _cmd_transform(args, cfg):
     ch = _load_character(args.ch, cfg)
     fn = fmtransform.phi if args.functor == "phi" else fmtransform.phi_hat
     return _document({"character": eio.character_to_obj(fn(ch, cfg))})
 
 
-def _cmd_twist(args):
-    cfg = _load_config(args)
+def _cmd_twist(args, cfg):
     ch = _load_character(args.ch, cfg)
     D = _parse_coeffs(args.divisor, cfg)
     if args.line_bundle:
@@ -129,8 +136,7 @@ def _cmd_twist(args):
     return _document({"character": eio.character_to_obj(out)})
 
 
-def _cmd_charge(args):
-    cfg = _load_config(args)
+def _cmd_charge(args, cfg):
     ch = _load_character(args.ch, cfg)
     omega = _parse_coeffs(args.omega, cfg)
     B = _parse_coeffs(args.b_field, cfg) if args.b_field else cfg.zero()
@@ -138,8 +144,7 @@ def _cmd_charge(args):
     return _document({"charge": eio.charge_to_obj(cv)})
 
 
-def _cmd_charge_sq(args):
-    cfg = _load_config(args)
+def _cmd_charge_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     fr = _frame_from_args(args, cfg)
     pt = SQ(s=_rat(args.s), q=_rat(args.q))
@@ -147,8 +152,7 @@ def _cmd_charge_sq(args):
     return _document({"charge": eio.charge_to_obj(cv)})
 
 
-def _cmd_limit_phase(args):
-    cfg = _load_config(args)
+def _cmd_limit_phase(args, cfg):
     ch = _load_character(args.ch, cfg)
     vp = _vp(args, cfg)
     lc = charge_mod.limit_charge(ch, vp, cfg)
@@ -158,8 +162,7 @@ def _cmd_limit_phase(args):
     return _document(obj)
 
 
-def _cmd_limit_compare(args):
-    cfg = _load_config(args)
+def _cmd_limit_compare(args, cfg):
     vp = _vp(args, cfg)
     m_lc = charge_mod.limit_charge(_load_character(args.first, cfg), vp, cfg)
     n_lc = charge_mod.limit_charge(_load_character(args.second, cfg), vp, cfg)
@@ -167,8 +170,7 @@ def _cmd_limit_compare(args):
     return _document(eio.compare_to_obj(order, m_lc, n_lc))
 
 
-def _cmd_wall_sq(args):
-    cfg = _load_config(args)
+def _cmd_wall_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     chp = _load_character(args.ch_prime, cfg)
     fr = _frame_from_args(args, cfg)
@@ -188,20 +190,17 @@ def _wall_inputs(args, cfg):
     return eio.wall_spec_from_obj(obj, cfg, "")[1:]
 
 
-def _cmd_wall_lambda_q(args):
-    cfg = _load_config(args)
+def _cmd_wall_lambda_q(args, cfg):
     wv = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).at(_rat(args.lam))
     return _document({"wall_value": eio.wall_value_to_obj(wv)})
 
 
-def _cmd_wall_asymptote(args):
-    cfg = _load_config(args)
+def _cmd_wall_asymptote(args, cfg):
     ac = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).asymptote()
     return _document({"asymptote": eio.asymptote_to_obj(ac)})
 
 
-def _cmd_destab_enumerate(args):
-    cfg = _load_config(args)
+def _cmd_destab_enumerate(args, cfg):
     target = _load_character(args.target, cfg)
     vp = _vp(args, cfg)
     req = destabilize.EnumerationRequest(
@@ -217,8 +216,7 @@ def _cmd_destab_enumerate(args):
     return _document({"candidates": candidates})
 
 
-def _cmd_linebundle_analyze(args):
-    cfg = _load_config(args)
+def _cmd_linebundle_analyze(args, cfg):
     vp = _vp(args, cfg)
     rep = destabilize.line_bundle_analysis(args.aL, vp, cfg)
     return _document(eio.line_bundle_report_to_obj(rep))
@@ -241,15 +239,13 @@ def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
     return [lo + i * step for i in range(n)]
 
 
-def _cmd_plot_volume_section(args):
-    cfg = _load_config(args)
+def _cmd_plot_volume_section(args, cfg):
     vp = _vp(args, cfg)
     vals = _rational_range(_rat(args.v_from), _rat(args.v_to), _rat(args.v_step or "1"))
     return eio.emit_volume_section_plot(vp, cfg, vals, fmt=args.format)
 
 
-def _cmd_plot_lambda_q(args):
-    cfg = _load_config(args)
+def _cmd_plot_lambda_q(args, cfg):
     vp = _vp(args, cfg)
     lo, hi = _rat(args.lambda_from), _rat(args.lambda_to)
     n = args.samples
@@ -340,7 +336,7 @@ def build_parser() -> _Parser:
     _add_config_args(sp)
 
     def wall_data_args(spp):
-        spp.add_argument("--dim", type=int, choices=[1, 2], default=2)
+        spp.add_argument("--dim", type=_int, choices=[1, 2], default=2)
         spp.add_argument("--x", help="dim 2: rank of the factored character")
         spp.add_argument("--z", help="ch2 of the factored/one-dimensional character")
         spp.add_argument("--L", help="line bundle coefficients")
@@ -362,14 +358,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--target", required=True, help="target character JSON file")
     alpha_beta(sp)
     sp.add_argument("--u0", required=True)
-    sp.add_argument("--ch2-denominator", type=int, default=2)
+    sp.add_argument("--ch2-denominator", type=_int, default=2)
     _add_config_args(sp)
 
     linebundle = group("linebundle", "line bundle chamber analysis")
     sp = cmd(
         linebundle, "analyze", _cmd_linebundle_analyze, "wall/section comparison for O(a_L*Theta)"
     )
-    sp.add_argument("--aL", type=int, required=True)
+    sp.add_argument("--aL", type=_int, required=True)
     alpha_beta(sp)
     _add_config_args(sp)
 
@@ -390,7 +386,7 @@ def build_parser() -> _Parser:
     alpha_beta(sp)
     sp.add_argument("--lambda-from", required=True)
     sp.add_argument("--lambda-to", required=True)
-    sp.add_argument("--samples", type=int, default=50)
+    sp.add_argument("--samples", type=_int, default=50)
     sp.add_argument("--wall", action="append", help="wall spec JSON file (repeatable)")
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")
     _add_config_args(sp)
@@ -406,7 +402,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        document = args.func(args)
+        document = args.func(args, _load_config(args))
         if getattr(args, "out", None):
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(document)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .chern import ChernCharacter, character
 from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError
 from .fmtransform import phi_hat
-from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _frac
+from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _frac, _shear_constant
 from .walls import FactoredCharacter, PartnerCharacter, classify_asymptote_dim2
 
 # checks that gate emission; the strict variants of the category bound are
@@ -111,7 +111,7 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
         raise DomainError("u0 must be positive")
     if u0 * u0 >= 4 * K:
         raise DomainError("u0^2 >= 4K")
-    v0 = (K - (cfg.m - Fraction(cfg.e) / 2) * u0 * u0) / u0
+    v0 = (K - _shear_constant(cfg) * u0 * u0) / u0
     if v0 <= 0:
         raise DomainError("u0 too large: the volume section point has v0 <= 0")
     th_om = u0 * (cfg.m - cfg.e) + v0
@@ -293,9 +293,10 @@ def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list
     ctx = _build_context(req, cfg)
     cells = _survivors(ctx)
     cells.sort(key=lambda cell: cell[:4])
-    x, lam = ctx.x, ctx.lam
+    x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
     ints = {v for r, gamma, eta, _, _ in cells for v in (r, x - r, gamma, -gamma, eta, lam - eta)}
     frac = {v: Fraction(v) for v in ints}
+    passed = dict.fromkeys(GATING_CHECKS, True)  # a survivor passed every gating check
     return [
         CandidateReport(
             candidate=ChernCharacter(frac[r], DivisorClass((frac[gamma], frac[eta])), p.c2),
@@ -303,9 +304,10 @@ def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list
                 frac[x - r], DivisorClass((frac[-gamma], frac[lam - eta])), p.c2B
             ),
             S=p.S,
-            checks=_cell_checks(ctx, p, gamma, eta),
+            checks={**passed, "6.1_strict_lower": 0 < t, "6.1_strict_upper": t < lam_om},
         )
         for r, gamma, eta, _, p in cells
+        for t in (eta * f_om + gamma * th_om,)
     ]
 
 
@@ -334,8 +336,8 @@ def line_bundle_analysis(
         raise DomainError("line-bundle analysis requires e > 0")
     if a_L < 2:
         raise DomainError("fiber degree a_L must be an integer >= 2")
-    pad = [0] * (cfg.rank - 2)
-    fc = FactoredCharacter(x=Fraction(1), z=Fraction(0), L=cfg.divisor([a_L, 0] + pad))
+    L = cfg.theta_f(a_L, 0)
+    fc = FactoredCharacter(x=Fraction(1), z=Fraction(0), L=L)
     pc = PartnerCharacter(r=1, k=-1, p=0, xis=(), chi=-Fraction(cfg.e) / 2)
     ac = classify_asymptote_dim2(fc, pc, cfg)
     if ac.case_tag != "C1":
@@ -348,7 +350,7 @@ def line_bundle_analysis(
             "alpha+m-e equals (e/2)*a_L*(a_L-1); the section may ride the wall"
         )
     side = "above" if vp.K > D else "below"
-    line_char = character(1, [a_L, 0] + pad, -Fraction(cfg.e) * a_L * a_L / 2, cfg)
+    line_char = character(1, L, -Fraction(cfg.e) * a_L * a_L / 2, cfg)
     tr = phi_hat(line_char, cfg)
     if tr.ch0 != a_L:
         raise InvariantError("transform rank %s != a_L" % tr.ch0)

@@ -39,8 +39,7 @@ def _transform(ch: ChernCharacter, cfg: SurfaceConfig, sigma: int) -> ChernChara
     n, s = ch.ch0, ch.ch2
     d = intersect(cfg.fiber(), ch.ch1, cfg)
     c = intersect(cfg.theta(), ch.ch1, cfg)
-    pad = [0] * (cfg.rank - 2)
-    ch1 = -sigma * ch.ch1 + cfg.divisor([sigma * d - n, s + sigma * (c + e * d / 2)] + pad)
+    ch1 = -sigma * ch.ch1 + cfg.theta_f(sigma * d - n, s + sigma * (c + e * d / 2))
     return ChernCharacter(d, ch1, -c - e * d + sigma * n * e / 2)
 
 

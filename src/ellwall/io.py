@@ -35,6 +35,7 @@ from .walls import (
     OneDimCharacter,
     OneDimPartner,
     PartnerCharacter,
+    VALUE,
     WallSQ,
     WallValue,
     lambda_q_wall,
@@ -42,7 +43,15 @@ from .walls import (
 
 SCHEMA = "ellwall/1"
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+_SHOWN_CHARS = 80
+
+
+def _shown(v) -> str:
+    """repr(v) cut to _SHOWN_CHARS characters: a message names bad input
+    without echoing all of it."""
+    text = repr(v)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def format_rational(x: Fraction) -> str:
@@ -57,11 +66,11 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
-        raise InputError("expected an exact rational string, got %r" % (s,))
+        raise InputError("expected an exact rational string, got %s" % _shown(s))
     text = s.strip()
     if not _RATIONAL_RE.match(text):
         raise InputError(
-            "not an exact rational 'p/q' (decimals are rejected): %r" % (s,)
+            "not an exact rational 'p/q' (decimals are rejected): %s" % _shown(s)
         )
     return Fraction(text)
 
@@ -84,7 +93,7 @@ def config_to_obj(cfg: SurfaceConfig) -> dict:
 
 def _parse_int(v, name: str) -> int:
     if not isinstance(v, int) or isinstance(v, bool):
-        raise InputError("%s must be a JSON integer, got %r" % (name, v))
+        raise InputError("%s must be a JSON integer, got %s" % (name, _shown(v)))
     return v
 
 
@@ -150,7 +159,7 @@ def wall_spec_from_obj(obj, cfg: SurfaceConfig, default_label) -> tuple:
         raise InputError("wall spec must be a JSON object")
     dim = obj.get("dim", 2)
     if type(dim) is not int or dim not in (1, 2):
-        raise InputError("wall spec dim must be the JSON integer 1 or 2, got %r" % (dim,))
+        raise InputError("wall spec dim must be the JSON integer 1 or 2, got %s" % _shown(dim))
     xi = obj.get("xi", ())
     if not isinstance(xi, (list, tuple)):
         raise InputError("wall spec xi must be a JSON array of rationals")
@@ -169,7 +178,7 @@ def wall_spec_from_obj(obj, cfg: SurfaceConfig, default_label) -> tuple:
         pc = OneDimPartner(r=q["r"], chi=q["chi"], L=L)
     label = str(obj.get("label", default_label))
     if not _is_xml_text(label):  # labels name SVG legend entries
-        raise InputError("wall label %r holds a character XML 1.0 cannot represent" % (label,))
+        raise InputError("wall label %s holds a character XML 1.0 cannot represent" % _shown(label))
     return label, ch, pc
 
 
@@ -288,7 +297,7 @@ def _json_text(v, nl: str) -> str:
         items = []
         for k in keys:
             if not isinstance(k, str):
-                raise InvariantError("document keys must be strings, got %r" % (k,))
+                raise InvariantError("document keys must be strings, got %s" % _shown(k))
             items.append(_json_str(k) + ": " + _json_text(v[k], inner))
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(v, (list, tuple)):
@@ -304,22 +313,14 @@ def _json_text(v, nl: str) -> str:
         return "null"
     if isinstance(v, int):
         return int.__repr__(v)
-    raise InvariantError("a document cannot hold %s %r" % (type(v).__name__, v))
+    raise InvariantError("a document cannot hold %s %s" % (type(v).__name__, _shown(v)))
 
 
 # ---------------------------------------------------------------------------
 # plots
 
-
-def _u_cells(u) -> tuple:
-    """(exact string, is_exact flag, float) for a section height that may
-    be a Fraction or a quadratic-root enclosure."""
-    if isinstance(u, Fraction):
-        return format_rational(u), 1, float(u)
-    if isinstance(u, QuadraticRoot):
-        mid = u.midpoint()
-        return format_rational(mid), 0, float(u)
-    raise DomainError("unexpected section height %r" % (u,))
+_TWIN = "_float_lossy"
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 
 
 def emit_volume_section_plot(
@@ -337,33 +338,10 @@ def emit_volume_section_plot(
     rows = []
     for v in v_values:
         u = volume_section_u(v, vp, cfg)
-        u_str, exact, u_float = _u_cells(u)
-        asym = vp.K / v
-        rows.append(
-            {
-                "v": format_rational(v),
-                "u": u_str,
-                "u_is_exact": exact,
-                "u_asym": format_rational(asym),
-                "v_float_lossy": float(v),
-                "u_float_lossy": u_float,
-                "u_asym_float_lossy": float(asym),
-            }
-        )
-    if fmt == "csv":
-        return _write_csv(
-            ["v", "u", "u_is_exact", "u_asym", "v_float_lossy", "u_float_lossy", "u_asym_float_lossy"],
-            rows,
-        )
-    if fmt == "svg":
-        section = [(r["v_float_lossy"], r["u_float_lossy"]) for r in rows]
-        asym = [(r["v_float_lossy"], r["u_asym_float_lossy"]) for r in rows]
-        return _svg_plot(
-            [("section", section, "#000000"), ("asymptote K/v", asym, "#999999")],
-            xlabel="v",
-            ylabel="u",
-        )
-    raise InputError("unknown plot format %r" % (fmt,))
+        rows.append([v, u, int(isinstance(u, Fraction)), vp.K / v])
+    series = [("section", "u", "#000000"), ("asymptote K/v", "u_asym", "#999999")]
+    return _write_plot(fmt, ["v", "u", "u_is_exact", "u_asym"], ["v", "u", "u_asym"], rows,
+                       series, "u")
 
 
 def parse_volume_section_csv(text: str) -> list:
@@ -400,66 +378,63 @@ def emit_lambda_q_plot(
     walls = [(label, "q_wall_%s" % label, lambda_q_wall(ch, partner, cfg))
              for label, ch, partner in walls]
     header = ["lambda", "q_section", "q_asym"] + [key for _, key, _ in walls]
-    float_header = [h + "_float_lossy" for h in header]
-    columns = header + float_header
+    columns = header + [h + _TWIN for h in header]
     for label, key, _ in walls:
-        if columns.count(key) > 1 or columns.count(key + "_float_lossy") > 1:
-            raise InputError("wall label %r repeats a plot column" % (label,))
+        if columns.count(key) > 1 or columns.count(key + _TWIN) > 1:
+            raise InputError("wall label %s repeats a plot column" % _shown(label))
     rows = []
     for lam in lambda_values:
-        q_sec = section_q(lam, vp, cfg)
-        q_asym = vp.K / (2 * lam)
-        row = {
-            "lambda": format_rational(lam),
-            "q_section": format_rational(q_sec),
-            "q_asym": format_rational(q_asym),
-            "lambda_float_lossy": float(lam),
-            "q_section_float_lossy": float(q_sec),
-            "q_asym_float_lossy": float(q_asym),
-        }
-        for _, key, wall in walls:
+        row = [lam, section_q(lam, vp, cfg), vp.K / (2 * lam)]
+        for _, _, wall in walls:
             wv = wall.at(lam)
-            if wv.kind == "value":
-                row[key] = format_rational(wv.q)
-                row[key + "_float_lossy"] = float(wv.q)
-            else:
-                row[key] = wv.kind
-                row[key + "_float_lossy"] = ""
+            row.append(wv.q if wv.kind == VALUE else wv.kind)
         rows.append(row)
+    series = [("section", "q_section", "#000000"), ("asymptote K/(2*lambda)", "q_asym", "#999999")]
+    series += [("wall %s" % label, key, _PALETTE[i % len(_PALETTE)])
+               for i, (label, key, _) in enumerate(walls)]
+    return _write_plot(fmt, header, header, rows, series, "q")
+
+
+def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
+    """Rows of exact cells as CSV or SVG.  The CSV writes a Fraction as p/q,
+    a QuadraticRoot as its enclosure midpoint and anything else (a flag, a
+    wall outcome) as is, then a float twin of each column in twinned:
+    float(cell), or "" for an outcome.  Each SVG series (name, column,
+    colour) draws the twins of its column against those of the first
+    column, which is twinned; outcomes are left out."""
+    at = {c: i for i, c in enumerate(columns)}
+    twins = [[_twin(row[at[c]], c) for c in twinned] for row in rows]
     if fmt == "csv":
-        return _write_csv(columns, rows)
+        buf = _stdio.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns + [c + _TWIN for c in twinned])
+        for row, tw in zip(rows, twins):
+            writer.writerow([_exact(c) for c in row] + tw)
+        return buf.getvalue()
     if fmt == "svg":
-        series = [
-            (
-                "section",
-                [(r["lambda_float_lossy"], r["q_section_float_lossy"]) for r in rows],
-                "#000000",
-            ),
-            (
-                "asymptote K/(2*lambda)",
-                [(r["lambda_float_lossy"], r["q_asym_float_lossy"]) for r in rows],
-                "#999999",
-            ),
-        ]
-        palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b"]
-        for i, (label, key, _) in enumerate(walls):
-            pts = [
-                (r["lambda_float_lossy"], r[key + "_float_lossy"])
-                for r in rows
-                if r[key + "_float_lossy"] != ""
-            ]
-            series.append(("wall %s" % label, pts, palette[i % len(palette)]))
-        return _svg_plot(series, xlabel="lambda", ylabel="q")
-    raise InputError("unknown plot format %r" % (fmt,))
+        curves = []
+        for name, column, colour in series:
+            k = twinned.index(column)
+            curves.append((name, [(tw[0], tw[k]) for tw in twins if tw[k] != ""], colour))
+        return _svg_plot(curves, xlabel=columns[0], ylabel=ylabel)
+    raise InputError("unknown plot format %s" % _shown(fmt))
 
 
-def _write_csv(header, rows) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in header})
-    return buf.getvalue()
+def _exact(cell):
+    if isinstance(cell, Fraction):
+        return format_rational(cell)
+    if isinstance(cell, QuadraticRoot):
+        return format_rational(cell.midpoint())
+    return cell
+
+
+def _twin(cell, column: str):
+    if isinstance(cell, str):
+        return ""
+    try:
+        return float(cell)
+    except OverflowError:
+        raise DomainError("plot column %s holds a value outside the float range" % column) from None
 
 
 def _xml_text(text: str) -> str:

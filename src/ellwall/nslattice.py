@@ -138,11 +138,15 @@ class SurfaceConfig:
     def zero(self) -> "DivisorClass":
         return DivisorClass((Fraction(0),) * self.rank)
 
+    def theta_f(self, a: Rational, b: Rational) -> "DivisorClass":
+        """The class a*Theta + b*f."""
+        return DivisorClass((a, b) + (0,) * (self.rank - 2))
+
     def theta(self) -> "DivisorClass":
-        return self.divisor([1] + [0] * (self.rank - 1))
+        return self.theta_f(1, 0)
 
     def fiber(self) -> "DivisorClass":
-        return self.divisor([0, 1] + [0] * (self.rank - 2))
+        return self.theta_f(0, 1)
 
     def extra_section(self, i: int) -> "DivisorClass":
         if not 1 <= i <= len(self.sections):
@@ -153,7 +157,7 @@ class SurfaceConfig:
 
     def theta_mf(self) -> "DivisorClass":
         """The polarising direction Theta + m*f."""
-        return self.divisor([1, self.m] + [0] * (self.rank - 2))
+        return self.theta_f(1, self.m)
 
 
 @dataclass(frozen=True)
@@ -274,18 +278,26 @@ def make_frame(
     return Frame(H=H, Hperp=Hperp, w=w, g=g, delta=delta)
 
 
+def _shear_constant(cfg: SurfaceConfig) -> Fraction:
+    """m - e/2: the shear slope, and the u^2 coefficient of the volume section."""
+    return cfg.m - Fraction(cfg.e) / 2
+
+
+def _g_lambda(lam: Fraction, kappa: Fraction) -> Fraction:
+    """g = H_lambda^2 = 2*lam*(1 + kappa*lam), with kappa = m - e/2 - 1."""
+    return 2 * lam * (1 + kappa * lam)
+
+
 def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
     """Frame (H_lam, H_lam^perp, 0) spanned by the polarising direction:
     H_lam = lam*(Theta+mf) + (1-lam)*f, with g = delta = 2*lam*(1+(m-e/2-1)*lam)."""
     lam = _frac(lam)
     if not 0 < lam < 1:
         raise DomainError("lambda must lie in (0,1), got %s" % lam)
-    m, e = cfg.m, Fraction(cfg.e)
-    pad = [0] * (cfg.rank - 2)
-    H = cfg.divisor([lam, lam * m + 1 - lam] + pad)
-    Hperp = cfg.divisor([-lam, 1 + (m - e - 1) * lam] + pad)
+    H = cfg.theta_f(lam, lam * cfg.m + 1 - lam)
+    Hperp = cfg.theta_f(-lam, 1 + (cfg.m - cfg.e - 1) * lam)
     fr = make_frame(H, Hperp, 0, cfg)
-    expected = 2 * lam * (1 + (m - e / 2 - 1) * lam)
+    expected = _g_lambda(lam, _shear_constant(cfg) - 1)
     if fr.g != expected or fr.delta != expected:
         raise InvariantError("elliptic frame norm mismatch at lambda=%s" % lam)
     return fr
@@ -393,11 +405,11 @@ class ShearPoint:
 
 def shear(p: UV, cfg: SurfaceConfig) -> ShearPoint:
     """v' = v + (m - e/2)*u, u' = u; on the volume section u'v' = alpha+m-e."""
-    return ShearPoint(u_prime=p.u, v_prime=p.v + (cfg.m - Fraction(cfg.e) / 2) * p.u)
+    return ShearPoint(u_prime=p.u, v_prime=p.v + _shear_constant(cfg) * p.u)
 
 
 def unshear(p: ShearPoint, cfg: SurfaceConfig) -> UV:
-    return UV(u=p.u_prime, v=p.v_prime - (cfg.m - Fraction(cfg.e) / 2) * p.u_prime)
+    return UV(u=p.u_prime, v=p.v_prime - _shear_constant(cfg) * p.u_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +431,17 @@ def volume_params(alpha: Rational, cfg: SurfaceConfig, beta: Rational = 1) -> Vo
     if alpha <= 0 or beta <= 0:
         raise DomainError("alpha and beta must be positive")
     return VolumeSectionParams(alpha=alpha, beta=beta, K=alpha + cfg.m - cfg.e)
+
+
+def _omega_bar(vp: VolumeSectionParams, cfg: SurfaceConfig) -> "DivisorClass":
+    """omega-bar = (beta/alpha)*(Theta+mf) + beta*f."""
+    ratio = vp.beta / vp.alpha
+    return cfg.theta_f(ratio, ratio * cfg.m + vp.beta)
+
+
+def _require_section(vp: VolumeSectionParams):
+    if vp.K <= 0:
+        raise EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
 
 
 @dataclass(frozen=True)
@@ -487,11 +510,10 @@ def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
     QuadraticRoot carrying the exact integer quadratic and a bracket.
     """
     v = _frac(v)
-    if vp.K <= 0:
-        raise EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
+    _require_section(vp)
     if v <= 0:
         raise DomainError("v must be positive")
-    a = cfg.m - Fraction(cfg.e) / 2
+    a = _shear_constant(cfg)
     if a == 0:
         return vp.K / v
     if a < 0:
@@ -518,9 +540,8 @@ def section_q(lam: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> Fra
     lam = _frac(lam)
     if not 0 < lam < 1:
         raise DomainError("lambda must lie in (0,1)")
-    if vp.K <= 0:
-        raise EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
-    g = 2 * lam * (1 + (cfg.m - Fraction(cfg.e) / 2 - 1) * lam)
+    _require_section(vp)
+    g = _g_lambda(lam, _shear_constant(cfg) - 1)
     if g <= 0:
         raise DomainError("H_lambda fails to be positive at lambda=%s" % lam)
     return vp.K / g
@@ -531,10 +552,8 @@ def uv_on_section(u: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> U
     u = _frac(u)
     if u <= 0:
         raise DomainError("u must be positive")
-    if vp.K <= 0:
-        raise EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
-    a = cfg.m - Fraction(cfg.e) / 2
-    v = (vp.K - a * u * u) / u
+    _require_section(vp)
+    v = (vp.K - _shear_constant(cfg) * u * u) / u
     if v <= 0:
         raise DomainError("u=%s lies beyond the v > 0 part of the section" % u)
     return UV(u=u, v=v)

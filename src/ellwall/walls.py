@@ -45,6 +45,8 @@ from .nslattice import (
     Frame,
     SurfaceConfig,
     _frac,
+    _g_lambda,
+    _shear_constant,
     intersect,
     pairings,
 )
@@ -198,8 +200,21 @@ def reduce_by_twist(ch: ChernCharacter, cfg: SurfaceConfig) -> FactoredCharacter
     return FactoredCharacter(x=ch.ch0, z=z, L=L)
 
 
+class _ThetaFXi:
+    """A character with ch1 = k*Theta + p*f + sum xi_i*Theta_i: fields k,
+    p and the tuple xis, every field rational."""
+
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            object.__setattr__(self, name, tuple(map(_frac, v)) if name == "xis" else _frac(v))
+
+    def ch1(self, cfg: SurfaceConfig) -> DivisorClass:
+        return cfg.divisor([self.k, self.p, *self.xis]) if self.xis else cfg.theta_f(self.k, self.p)
+
+
 @dataclass(frozen=True)
-class PartnerCharacter:
+class PartnerCharacter(_ThetaFXi):
     """Destabilising partner data (r, k*Theta + p*f + sum xi_i*Theta_i, chi)."""
 
     r: Fraction
@@ -208,36 +223,15 @@ class PartnerCharacter:
     xis: tuple = ()
     chi: Fraction = Fraction(0)
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _frac(self.r))
-        object.__setattr__(self, "k", _frac(self.k))
-        object.__setattr__(self, "p", _frac(self.p))
-        object.__setattr__(self, "xis", tuple(_frac(v) for v in self.xis))
-        object.__setattr__(self, "chi", _frac(self.chi))
-
-    def ch1(self, cfg: SurfaceConfig) -> DivisorClass:
-        xis = self.xis if self.xis else (Fraction(0),) * (cfg.rank - 2)
-        return cfg.divisor([self.k, self.p] + list(xis))
-
 
 @dataclass(frozen=True)
-class OneDimCharacter:
+class OneDimCharacter(_ThetaFXi):
     """Rank-zero character (0, k*Theta + p*f + sum xi_i*Theta_i, z)."""
 
     k: Fraction
     p: Fraction
     z: Fraction
     xis: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", _frac(self.k))
-        object.__setattr__(self, "p", _frac(self.p))
-        object.__setattr__(self, "z", _frac(self.z))
-        object.__setattr__(self, "xis", tuple(_frac(v) for v in self.xis))
-
-    def ch1(self, cfg: SurfaceConfig) -> DivisorClass:
-        xis = self.xis if self.xis else (Fraction(0),) * (cfg.rank - 2)
-        return cfg.divisor([self.k, self.p] + list(xis))
 
 
 @dataclass(frozen=True)
@@ -307,7 +301,7 @@ class LambdaQWall:
         if not 0 < lam < 1:
             raise DomainError("lambda must lie in (0,1), got %s" % lam)
         self._require_positive()
-        g = 2 * lam * (1 + self.kappa * lam)
+        g = _g_lambda(lam, self.kappa)
         if g <= 0:
             raise DomainError("frame requires H.H > 0, got %s" % g)
         l = self.l0 + self.l1 * lam
@@ -368,7 +362,7 @@ def lambda_q_wall(ch, partner, cfg: SurfaceConfig) -> LambdaQWall:
         pC[0] + m1 * pC[1],
         pL[1],
         pL[0] + m1 * pL[1],
-        m1 - Fraction(cfg.e, 2),
+        _shear_constant(cfg) - 1,
     )
 
 

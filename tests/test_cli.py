@@ -461,3 +461,79 @@ def test_config_cross_longer_than_index_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, ["surface", "check", "--config", str(cfg_path)])
     assert code == 1 and out == ""
     assert "at most 0 cross intersections, got 3" in err
+
+
+def test_plot_bytes_pin(tmp_path, capsys):
+    # sizes and digests of both plots in both formats: the lambda-q walls
+    # give no-wall (dim 2, ch1 of the partner zero), value and pole rows
+    # (dim 1, pole at lambda = 1/4); the volume section has irrational roots
+    w2, w1 = tmp_path / "w2.json", tmp_path / "w1.json"
+    w2.write_text(json.dumps({"dim": 2, "label": "nw", "x": "1", "z": "0", "L": ["1", "0"],
+                              "r": "1", "k": "0", "p": "0", "chi": "-1"}))
+    w1.write_text(json.dumps({"dim": 1, "label": "pl", "k": "1", "p": "-4", "z": "-3",
+                              "r": "1", "chi": "0", "L": ["1", "0"]}))
+    lambda_q = ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/20", "--lambda-to", "1/2",
+                "--samples", "10", "--wall", str(w2), "--wall", str(w1)]
+    volume = ["plot", "volume-section", "--alpha", "2", "--v-from", "1", "--v-to", "6",
+              "--v-step", "1/2"]
+    pins = {
+        ("lambda-q", "csv"): (886, "6e31d8dfacfbe76e89476414f144eef445f708bdcbfdfbb2380cd25106f6e30e"),
+        ("lambda-q", "svg"): (1805, "3b11365205077180b2d6a4fbf5b93a80a6f18a4094ee49ce9b643bf49ba1f6d4"),
+        ("volume-section", "csv"): (886, "0c9e5c180e1d63a02e4d4d24e5b985833fa215d88fe7a162c4cd25c2b89f4ac5"),
+        ("volume-section", "svg"): (1505, "6f6a31de946f575fa7345a76a4c687b4a62f82fcba09f76108c532eb85712d87"),
+    }
+    for argv in (lambda_q, volume):
+        for fmt in ("csv", "svg"):
+            code, out, err = run(capsys, argv + ["--format", fmt] + CFG)
+            assert code == 0 and err == ""
+            data = out.encode("ascii")
+            assert (len(data), hashlib.sha256(data).hexdigest()) == pins[argv[1], fmt]
+    code, out, _ = run(capsys, lambda_q + CFG)
+    kinds = {row.split(",")[4] for row in out.splitlines()[1:]}
+    assert "no-wall" in out and "pole" in kinds and len(kinds) > 2
+
+
+def test_plot_value_outside_float_range_exit_2(tmp_path, capsys):
+    huge = "1" + "0" * 400
+    for argv in (
+        ["plot", "volume-section", "--alpha", huge, "--v-from", "1", "--v-to", "2"],
+        ["plot", "lambda-q", "--alpha", huge, "--lambda-from", "1/10", "--lambda-to", "1/2"],
+    ):
+        for fmt in ("csv", "svg"):
+            code, out, err = run(capsys, argv + ["--format", fmt] + CFG)
+            assert code == 2 and out == ""
+            assert err.startswith("error: plot column") and "outside the float range" in err
+
+
+def test_input_error_message_is_bounded(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"ch0": list(range(200_000)), "ch1": ["0", "0"], "ch2": "0"}))
+    code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", str(path)] + CFG)
+    assert code == 1 and out == "" and len(err.encode()) < 1024
+    assert err.startswith("error: expected an exact rational string, got [0, 1, 2")
+
+
+def test_flags_take_ascii_digits_only(tmp_path, capsys):
+    tgt = write_character(tmp_path, "t.json", 1, [0, 1], 0)
+    wall = ["wall", "asymptote", "--x", "1", "--z", "0", "--L", "2,0", "--r", "1", "--k", "-1",
+            "--p", "0", "--chi", "-1"]
+    for argv in (
+        ["surface", "check", "--e", "2", "--m", "٣"],
+        ["surface", "check", "--e", "1_0", "--m", "11"],
+        ["surface", "check", "--e", "٢", "--m", "3"],
+        ["surface", "check", "--genus-base", "１"] + CFG,
+        wall + ["--dim", "٢"] + CFG,
+        ["destab", "enumerate", "--target", tgt, "--alpha", "2", "--u0", "1/10",
+         "--ch2-denominator", "1_0"] + CFG,
+        ["linebundle", "analyze", "--aL", "٢", "--alpha", "2"] + CFG,
+        ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/10", "--lambda-to", "1/2",
+         "--samples", "٣"] + CFG,
+        ["surface", "check", "--e", "9" * 5000, "--m", "3"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and err.startswith("error:"), argv
+        assert "invalid int value" in err or "decimals are rejected" in err
+        assert len(err) < 200
+    # surrounding spaces and one sign are still accepted, as int() takes them
+    code, out, _ = run(capsys, ["surface", "check", "--e", " +2 ", "--m", "3"])
+    assert code == 0 and json.loads(out)["config"]["e"] == 2

@@ -16,7 +16,7 @@ def test_rational_format_and_parse():
     assert eio.parse_rational("3") == 3
     assert eio.parse_rational("-7/2") == Fraction(-7, 2)
     assert eio.parse_rational("+4/6") == Fraction(2, 3)
-    for bad in ("1.5", "1e3", "", "a/b", "1/0", "1/-2", None, 2.5):
+    for bad in ("1.5", "1e3", "", "a/b", "1/0", "1/-2", None, 2.5, "\u0663", "1/\u0663", "1_0"):
         with pytest.raises(ew.InputError):
             eio.parse_rational(bad)
     # round trip on a spread of values
