@@ -17,6 +17,7 @@ from . import charge as charge_mod
 from . import chern, destabilize, fmtransform, walls
 from . import io as eio
 from .errors import DimensionError, DomainError, EllwallError, InputError, InvariantError
+from .io import _document
 from .nslattice import SQ, SurfaceConfig, elliptic_frame, make_frame, volume_params
 
 
@@ -28,16 +29,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int(text: str) -> int:
-    """An integer flag: an optional sign and ASCII digits (int() alone also
-    takes other scripts' digits and underscores)."""
+    """An integer flag: an optional sign and at most io.MAX_DIGITS ASCII
+    digits (int() alone also takes other scripts' digits and underscores)."""
     t = text.strip()
     digits = t[1:] if t[:1] in ("+", "-") else t
-    try:
-        if digits.isascii() and digits.isdigit():
-            return int(t)
-    except ValueError:  # more digits than the int-string conversion limit
-        pass
-    raise argparse.ArgumentTypeError("invalid int value: %s" % eio._shown(text))
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError("invalid int value: %s" % eio._shown(text))
+    if len(digits) > eio.MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            "invalid int value, more than %d digits: %s" % (eio.MAX_DIGITS, eio._shown(text))
+        )
+    return int(t)
 
 
 def _add_config_args(sp):
@@ -58,11 +60,23 @@ def _read_text(path: str) -> str:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
-def _read_json(path: str):
+def _write_text(path: str, chunks):
     try:
-        return json.loads(_read_text(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from exc
+
+
+def _read_json(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON in %s: %s" % (path, exc)) from exc
+    except ValueError as exc:  # an integer past the int-string conversion limit
+        raise InputError("JSON in %s holds a number with more than %d digits"
+                         % (path, eio.MAX_DIGITS)) from exc
     except RecursionError as exc:
         raise InputError("JSON in %s is nested too deeply" % path) from exc
 
@@ -87,12 +101,6 @@ def _parse_coeffs(text: str, cfg):
 
 def _rat(text: str) -> Fraction:
     return eio.parse_rational(text)
-
-
-def _document(obj) -> str:
-    payload = {"schema": eio.SCHEMA}
-    payload.update(obj)
-    return eio.emit_document(payload) + "\n"
 
 
 def _frame_from_args(args, cfg):
@@ -209,11 +217,7 @@ def _cmd_destab_enumerate(args, cfg):
         u0=_rat(args.u0),
         ch2_denominator=args.ch2_denominator,
     )
-    # the reports are dropped before the document is written
-    candidates = [
-        eio.candidate_report_to_obj(rep) for rep in destabilize.enumerate_destabilizers(req, cfg)
-    ]
-    return _document({"candidates": candidates})
+    return eio._enumeration_chunks(req, cfg)
 
 
 def _cmd_linebundle_analyze(args, cfg):
@@ -402,12 +406,12 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        document = args.func(args, _load_config(args))
+        document = args.func(args, _load_config(args))  # its text, or its chunks of text
+        chunks = [document] if isinstance(document, str) else document
         if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(document)
+            _write_text(args.out, chunks)
         else:
-            sys.stdout.write(document)
+            sys.stdout.writelines(chunks)
         return 0
     except (InputError, DimensionError, KeyError, TypeError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -40,6 +40,13 @@ GATING_CHECKS = (
     "6.9",
     "6.12",
 )
+# the recorded checks that do not gate: they vary over the candidates
+STRICT_CHECKS = ("6.1_strict_lower", "6.1_strict_upper")
+
+# Largest number of (rank, gamma, eta, ch2) cells an enumeration may visit,
+# counted before any cell is visited.  The ranks and (rank, ch2) pairs
+# scanned before are bounded by it too.
+MAX_ENUMERATE_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -232,9 +239,16 @@ def _sqrt_upper(x: Fraction) -> Fraction:
     return Fraction(math.isqrt(_ceil(x)) + 1)
 
 
+def _over_budget():
+    return DomainError("enumeration would visit more than the budget of %d cells"
+                       % MAX_ENUMERATE_CELLS)
+
+
 def _pairs(ctx: _Context):
     """The finitely many (r, j) pairs, ch2 = j/den, allowed by the sign
-    constraint, the combined bound and the rank-positive ch2 bound."""
+    constraint, the combined bound and the rank-positive ch2 bound.  For
+    r >= 1 the lower end rises with r and the rank-positive bound falls,
+    so the first r >= 1 without room between them ends the list."""
     K, x, lam, z, den = ctx.K, ctx.x, ctx.lam, ctx.z, ctx.den
     out = []
     r = 0
@@ -243,8 +257,13 @@ def _pairs(ctx: _Context):
         hi = min(r * K, lam * lam)
         if r >= 1:
             hi = min(hi, lam * lam * ctx.u0 * ctx.u0 / (4 * K * r))
+            if lo >= hi:
+                break
         # lo < j/den < hi
-        out.extend((r, j) for j in range(math.floor(lo * den) + 1, math.ceil(hi * den)))
+        first, end = math.floor(lo * den) + 1, math.ceil(hi * den)
+        if r + len(out) + end - first > MAX_ENUMERATE_CELLS:  # ranks scanned and pairs
+            raise _over_budget()
+        out.extend((r, j) for j in range(first, end))
         r += 1
     return out
 
@@ -265,12 +284,14 @@ def _gamma_bound(ctx: _Context, p: _Pair) -> int:
     return math.floor(bound)
 
 
-def _survivors(ctx: _Context) -> list:
-    """(r, gamma, eta, j, pair) for every cell passing the gating checks:
-    those of the pair once, 6.1 as the eta range
-    0 <= D*ch1(A).omega_0 <= lam_om, the rest per cell."""
-    out = []
+def _rows(ctx: _Context) -> list:
+    """(r, j, pair, gamma, etas) for every gamma row the kernel visits: the
+    pairs whose fixed checks hold, |gamma| up to _gamma_bound and eta over
+    the 6.1 range 0 <= D*ch1(A).omega_0 <= lam_om.  The cells are counted
+    against MAX_ENUMERATE_CELLS before any is visited; every row holds lam
+    or lam + 1 of them, so counting stops soon after the budget."""
     f_om, th_om, lam_om = ctx.f_om, ctx.th_om, ctx.lam_om
+    rows, cells = [], 0
     for r, j in _pairs(ctx):
         p = _pair(ctx, r, j)
         if not all(p.fixed.values()):
@@ -278,9 +299,25 @@ def _survivors(ctx: _Context) -> list:
         gmax = _gamma_bound(ctx, p)
         for gamma in range(-gmax, gmax + 1):
             base = gamma * th_om
-            for eta in range(-(base // f_om), (lam_om - base) // f_om + 1):
-                if all(_ch1_gates(ctx, p, gamma, eta)):
-                    out.append((r, gamma, eta, j, p))
+            lo, end = -(base // f_om), (lam_om - base) // f_om + 1
+            cells += end - lo
+            if cells > MAX_ENUMERATE_CELLS:
+                raise _over_budget()
+            rows.append((r, j, p, gamma, range(lo, end)))
+    return rows
+
+
+def _sorted_cells(ctx: _Context) -> list:
+    """(r, gamma, eta, j, pair) for every cell passing the gating checks,
+    sorted by (rank, gamma, eta, ch2): those of the pair once, 6.1 as the
+    eta range of its row, the rest per cell."""
+    out = [
+        (r, gamma, eta, j, p)
+        for r, j, p, gamma, etas in _rows(ctx)
+        for eta in etas
+        if all(_ch1_gates(ctx, p, gamma, eta))
+    ]
+    out.sort(key=lambda cell: cell[:4])
     return out
 
 
@@ -291,8 +328,7 @@ def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list
     Reports share their immutable parts: one Fraction per integer value
     and the ch2 values of their (rank, ch2) pair."""
     ctx = _build_context(req, cfg)
-    cells = _survivors(ctx)
-    cells.sort(key=lambda cell: cell[:4])
+    cells = _sorted_cells(ctx)
     x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
     ints = {v for r, gamma, eta, _, _ in cells for v in (r, x - r, gamma, -gamma, eta, lam - eta)}
     frac = {v: Fraction(v) for v in ints}

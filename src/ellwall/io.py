@@ -10,15 +10,26 @@ suffixed `_float_lossy` for plotting convenience.
 from __future__ import annotations
 
 import csv
+import functools
 import io as _stdio
+import operator
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
 from .charge import ChargeValue, LimitCharge, PhaseLimit, cross_coefficients
 from .chern import ChernCharacter
-from .destabilize import CandidateReport, LineBundleReport
+from .destabilize import (
+    GATING_CHECKS,
+    STRICT_CHECKS,
+    CandidateReport,
+    EnumerationRequest,
+    LineBundleReport,
+    _build_context,
+    _sorted_cells,
+)
 from .errors import DomainError, InputError, InvariantError
 from .nslattice import (
     DivisorClass,
@@ -45,6 +56,10 @@ SCHEMA = "ellwall/1"
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 _SHOWN_CHARS = 80
+# Most digits an input integer, or the numerator or denominator of an
+# input rational, may have: far below the interpreter's int-string limit.
+MAX_DIGITS = 1000
+_INT_LIMIT = 10**MAX_DIGITS
 
 
 def _shown(v) -> str:
@@ -57,14 +72,29 @@ def _shown(v) -> str:
 def format_rational(x: Fraction) -> str:
     if type(x) is not Fraction:
         x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return "%d/%d" % (x.numerator, x.denominator)
+    except ValueError:  # more digits than the int-string conversion limit
+        raise DomainError(
+            "result too large to write: a number has more than %d digits"
+            % sys.get_int_max_str_digits()
+        ) from None
+
+
+def _parse_int(v, name: str) -> int:
+    """An integer input: an int, not a bool, of at most MAX_DIGITS digits."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InputError("%s must be a JSON integer, got %s" % (name, _shown(v)))
+    if not -_INT_LIMIT < v < _INT_LIMIT:
+        raise InputError("%s has more than %d digits" % (name, MAX_DIGITS))
+    return v
 
 
 def parse_rational(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        return Fraction(_parse_int(s, "an integer"))
     if not isinstance(s, str):
         raise InputError("expected an exact rational string, got %s" % _shown(s))
     text = s.strip()
@@ -72,6 +102,10 @@ def parse_rational(s) -> Fraction:
         raise InputError(
             "not an exact rational 'p/q' (decimals are rejected): %s" % _shown(s)
         )
+    if len(text) > MAX_DIGITS and any(
+        len(part) > MAX_DIGITS for part in text.lstrip("+-").split("/")
+    ):
+        raise InputError("more than %d digits in p or q: %s" % (MAX_DIGITS, _shown(s)))
     return Fraction(text)
 
 
@@ -89,12 +123,6 @@ def config_to_obj(cfg: SurfaceConfig) -> dict:
             {"theta": s.theta, "cross": list(s.cross)} for s in cfg.sections
         ],
     }
-
-
-def _parse_int(v, name: str) -> int:
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InputError("%s must be a JSON integer, got %s" % (name, _shown(v)))
-    return v
 
 
 def config_from_obj(obj) -> SurfaceConfig:
@@ -314,6 +342,87 @@ def _json_text(v, nl: str) -> str:
     if isinstance(v, int):
         return int.__repr__(v)
     raise InvariantError("a document cannot hold %s %s" % (type(v).__name__, _shown(v)))
+
+
+def _document(obj) -> str:
+    """A result document: the schema tag and the entries of obj, written as
+    one JSON text and a newline."""
+    payload = {"schema": SCHEMA}
+    payload.update(obj)
+    return emit_document(payload) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the enumerate document, written from the kernel's cells
+
+_CHUNK = 1024  # candidates per chunk of text
+_JSON_BOOL = ("false", "true")
+
+
+@functools.cache
+def _candidate_template() -> tuple:
+    """(head, separator, tail, block, pick) of an enumerate document with
+    candidates: head, the blocks joined by separator, then tail.  A block
+    is block % pick(values) for the eleven values of one candidate in the
+    order of CandidateReport: the candidate's ch0, ch1 and ch2, the
+    complement's, S, then the strict checks as JSON literals; pick puts
+    them in the order of the text.  All of it is cut from documents that
+    _document renders with marks for the values, so the text has one
+    source."""
+    texts = [str(10**40 + i) for i in range(11)]  # unlike any text of the layout
+    v = [Fraction(text) for text in texts]
+    rep = CandidateReport(
+        candidate=ChernCharacter(v[0], DivisorClass((v[1], v[2])), v[3]),
+        complement=ChernCharacter(v[4], DivisorClass((v[5], v[6])), v[7]),
+        S=v[8],
+        checks=dict.fromkeys(GATING_CHECKS + STRICT_CHECKS, True),
+    )
+    sample = candidate_report_to_obj(rep)
+    sample["checks"].update(zip(STRICT_CHECKS, texts[9:]))
+    marks = [_json_str(text) for text in texts]
+    head, sep, tail = _document({"candidates": texts[:1] * 2}).split(marks[0])
+    block = _document({"candidates": [sample]})[len(head):-len(tail)]
+    order = sorted(range(11), key=lambda i: block.index(marks[i]))
+    block = block.replace("%", "%%")
+    for i, mark in enumerate(marks):
+        # a rational is a JSON string, a check a JSON literal
+        block = block.replace(mark, '"%s"' if i < 9 else "%s")
+    return head, sep, tail, block, operator.itemgetter(*order)
+
+
+def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
+    """The document of `destab enumerate` as chunks of text: the bytes of
+    _document({"candidates": [candidate_report_to_obj(rep) for rep in
+    enumerate_destabilizers(req, cfg)]}), from the same sorted cells.  A
+    cell passed every gating check, so a candidate varies only in its
+    integers, the rationals of its (rank, ch2) pair and the strict checks.
+    The kernel runs and each pair's rationals are formatted before this
+    returns, so an error leaves nothing written."""
+    ctx = _build_context(req, cfg)
+    cells = _sorted_cells(ctx)
+    if not cells:
+        return [_document({"candidates": []})]
+    head, sep, tail, block, pick = _candidate_template()
+    rationals = {}
+    for r, _, _, j, p in cells:
+        if (r, j) not in rationals:
+            rationals[r, j] = (format_rational(p.c2), format_rational(p.c2B), format_rational(p.S))
+    x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
+
+    def blocks(part):
+        for r, gamma, eta, j, _ in part:
+            c2, c2B, S = rationals[r, j]
+            t = eta * f_om + gamma * th_om
+            yield block % pick((r, gamma, eta, c2, x - r, -gamma, lam - eta, c2B, S,
+                                _JSON_BOOL[0 < t], _JSON_BOOL[t < lam_om]))
+
+    def chunks():
+        yield head
+        for start in range(0, len(cells), _CHUNK):
+            yield (sep if start else "") + sep.join(blocks(cells[start:start + _CHUNK]))
+        yield tail
+
+    return chunks()
 
 
 # ---------------------------------------------------------------------------

@@ -537,3 +537,100 @@ def test_flags_take_ascii_digits_only(tmp_path, capsys):
     # surrounding spaces and one sign are still accepted, as int() takes them
     code, out, _ = run(capsys, ["surface", "check", "--e", " +2 ", "--m", "3"])
     assert code == 0 and json.loads(out)["config"]["e"] == 2
+
+
+def _generic_enumerate_text(x, lam, z, alpha, u0, den, cfg):
+    """The enumerate document through the report objects and emit_document."""
+    req = ew.EnumerationRequest(
+        ew.character(x, [0, lam], z, cfg), ew.volume_params(alpha, cfg), Fraction(u0), den
+    )
+    reports = ew.enumerate_destabilizers(req, cfg)
+    return eio._document({"candidates": [eio.candidate_report_to_obj(r) for r in reports]})
+
+
+@pytest.mark.parametrize(
+    "x, lam, z, alpha, u0, den, m",
+    [
+        (2, 7, -1, 3, "1/2", 2, "3"),
+        (2, 7, -1, 3, "1/3", 2, "3"),
+        (3, 6, -1, 2, "1/2", 3, "3"),
+        (1, 5, 0, 2, "1/3", 4, "3"),
+        (1, 1, 0, "1/100", "1/10", 2, "201/100"),  # no candidates
+    ],
+)
+@pytest.mark.parametrize("chunk", [1024, 7])
+def test_enumerate_direct_bytes_match_generic(tmp_path, capsys, monkeypatch, x, lam, z, alpha,
+                                              u0, den, m, chunk):
+    monkeypatch.setattr(eio, "_CHUNK", chunk)
+    cfg = ew.SurfaceConfig(e=2, m=Fraction(m))
+    expected = _generic_enumerate_text(x, lam, z, Fraction(alpha), u0, den, cfg)
+    assert ('"candidates": []' in expected) == (alpha == "1/100")
+    tgt = write_character(tmp_path, "t.json", x, [0, lam], z)
+    argv = ["destab", "enumerate", "--target", tgt, "--alpha", str(alpha), "--u0", u0,
+            "--ch2-denominator", str(den), "--e", "2", "--m", m]
+    assert run(capsys, argv) == (0, expected, "")
+    out_path = tmp_path / "out.json"
+    assert run(capsys, argv + ["--out", str(out_path)]) == (0, "", "")
+    assert out_path.read_bytes() == expected.encode("ascii")
+
+
+def test_unwritable_out_is_exit_1(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run(capsys, ["surface", "check", "--out", str(missing)] + CFG)
+    assert code == 1 and out == "" and err.startswith("error: cannot write %s" % missing)
+    tgt = write_character(tmp_path, "t.json", 3, [0, 20], -2)
+    code, out, err = run(capsys, ["destab", "enumerate", "--target", tgt, "--alpha", "5",
+                                  "--u0", "1/2", "--out", str(missing)] + CFG)
+    assert code == 1 and out == "" and "cannot write" in err
+
+
+def test_enumerate_errors_write_no_out_file(tmp_path, capsys, monkeypatch):
+    from ellwall import destabilize
+
+    tgt = write_character(tmp_path, "t.json", 1, [0, 1], 0)
+    out_path = tmp_path / "out.json"
+    base = ["destab", "enumerate", "--target", tgt, "--alpha", "2", "--out", str(out_path)]
+    code, out, err = run(capsys, base + ["--u0", "4"] + CFG)
+    assert code == 2 and out == "" and "u0^2 >= 4K" in err
+    assert not out_path.exists()
+    monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 1)
+    code, out, err = run(capsys, base + ["--u0", "1/10"] + CFG)
+    assert code == 2 and out == "" and "budget" in err
+    assert not out_path.exists()
+
+
+def test_enumerate_cell_budget_exit_2(tmp_path, capsys):
+    tgt = write_character(tmp_path, "t.json", 3, [0, 1000], -2)
+    code, out, err = run(capsys, ["destab", "enumerate", "--target", tgt, "--alpha", "5",
+                                  "--u0", "1/2"] + CFG)
+    assert code == 2 and out == "" and "budget" in err and len(err.encode()) < 200
+
+
+def test_digit_bound_input_exit_1_result_exit_2(tmp_path, capsys):
+    # a 4,000-digit ch0, or a 1,001-digit numerator or denominator, is past
+    # the input bound: malformed input
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"ch0": "7" * 4000, "ch1": ["0", "0"], "ch2": "0"}))
+    one = write_character(tmp_path, "one.json", 1, [0, 0], 0)
+    for argv in (
+        ["twist", "--ch", str(big), "--divisor", "9" * 400 + ",0"] + CFG,
+        ["twist", "--ch", one, "--divisor", "9" * 1001 + ",0"] + CFG,
+        ["surface", "check", "--e", "2", "--m", "1/" + "3" * 1001],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and "more than %d digits" % eio.MAX_DIGITS in err
+        assert len(err.encode()) < 200
+    # inputs within the bound whose result has too many digits to write: exit 2
+    n = 10**999
+    ch = write_character(tmp_path, "ch.json", "%d/%d" % (n + 1, n + 3),
+                         ["%d/%d" % (n + 5, n + 7), "%d/%d" % (n + 9, n + 11)],
+                         "%d/%d" % (n + 13, n + 17))
+    divisor = "%d/%d,%d/%d" % (n + 19, n + 21, n + 23, n + 27)
+    code, out, err = run(capsys, ["twist", "--ch", ch, "--divisor", divisor] + CFG)
+    assert code == 2 and out == "" and err.startswith("error: result too large to write")
+    assert len(err.encode()) < 200
+    # a JSON integer past the int-string limit is malformed input too
+    big.write_text('{"ch0": %s, "ch1": ["0", "0"], "ch2": "0"}' % ("7" * 5000))
+    code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", str(big)] + CFG)
+    assert code == 1 and out == "" and "more than %d digits" % eio.MAX_DIGITS in err
+    assert len(err.encode()) < 200

@@ -353,3 +353,71 @@ def test_candidate_checks_6_5_boundary():
     )
     for c2, holds in ((Fraction(8, 27), False), (Fraction(7, 27), True)):
         assert ew.candidate_checks(req, cfg, ew.character(1, [0, 1], c2, cfg))["6.5"] is holds
+
+
+def _pairs_every_rank(ctx):
+    """The (r, j) pairs scanned over every rank r with z - x*K + r*K < lam^2,
+    as the kernel did before it stopped at the first empty rank r >= 1."""
+    K, x, lam, z, den = ctx.K, ctx.x, ctx.lam, ctx.z, ctx.den
+    out = []
+    r = 0
+    while z - x * K + r * K < lam * lam:
+        lo = z - x * K + r * K
+        hi = min(r * K, lam * lam)
+        if r >= 1:
+            hi = min(hi, lam * lam * ctx.u0 * ctx.u0 / (4 * K * r))
+        out.extend((r, j) for j in range(math.floor(lo * den) + 1, math.ceil(hi * den)))
+        r += 1
+    return out
+
+
+def test_pairs_stop_at_first_empty_rank():
+    from ellwall import destabilize
+
+    checked = 0
+    for cfg in (ew.SurfaceConfig(e=1, m=2), cfg_e2m3(), ew.SurfaceConfig(e=3, m=Fraction(7, 2))):
+        for x, lam, z in ((1, 1, 0), (2, 5, -1), (3, 9, Fraction(-3, 2)), (1, 12, -4), (4, 20, -2)):
+            for alpha in (Fraction(1, 2), 2, 5):
+                for den in (2, 3):
+                    for u0 in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
+                        req = ew.EnumerationRequest(
+                            ew.character(x, [0, lam], z, cfg), ew.volume_params(alpha, cfg), u0, den
+                        )
+                        try:
+                            ctx = destabilize._build_context(req, cfg)
+                        except ew.DomainError:
+                            continue
+                        assert destabilize._pairs(ctx) == _pairs_every_rank(ctx)
+                        checked += 1
+    assert checked > 200
+
+
+def _cell_count(req, cfg):
+    from ellwall import destabilize
+
+    rows = destabilize._rows(destabilize._build_context(req, cfg))
+    return sum(len(etas) for *_, etas in rows)
+
+
+def test_enumeration_cell_budget(monkeypatch):
+    from ellwall import destabilize
+
+    cfg = cfg_e2m3()
+    req = _pinned_request(cfg, u0=Fraction(1, 2), alpha=5, lam=20, z=-2, x=3)
+    assert _cell_count(req, cfg) == 12_327
+    # the (5, 60, -4, 8) target fits the budget; lam = 200 does not
+    big = _pinned_request(cfg, u0=Fraction(1, 2), alpha=8, lam=60, z=-4, x=5)
+    assert _cell_count(big, cfg) == 329_095 <= destabilize.MAX_ENUMERATE_CELLS
+    for lam in (200, 1000):
+        over = _pinned_request(cfg, u0=Fraction(1, 2), alpha=5, lam=lam, z=-2, x=3)
+        with pytest.raises(ew.DomainError, match="budget"):
+            ew.enumerate_destabilizers(over, cfg)
+    # rank 10^7 has 6*10^7 rank-zero pairs: the scan stops before listing them
+    with pytest.raises(ew.DomainError, match="budget"):
+        ew.enumerate_destabilizers(_pinned_request(cfg, x=10**7), cfg)
+    # the count is exact: a budget of 12,327 cells passes, one fewer does not
+    monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 12_327)
+    assert len(ew.enumerate_destabilizers(req, cfg)) == 6_288
+    monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 12_326)
+    with pytest.raises(ew.DomainError, match="budget"):
+        ew.enumerate_destabilizers(req, cfg)
