@@ -7,9 +7,11 @@ section must satisfy an explicit chain of inequalities (category bounds,
 the wall sign constraint, Bogomolov-type discriminant bounds with the
 rank-2 effective-divisor constant, and a Hodge-index bound coupling
 ch1(A) to the wall ratio S).  Those constraints confine (ch0, ch1, ch2)
-of A to a finite set once ch2 is restricted to a lattice (1/2)Z by
-default); this module enumerates that set completely and records every
-inequality per candidate.
+of A to a finite set once ch2 is restricted to a lattice ((1/2)Z by
+default); this module enumerates that set completely on integers alone.
+On a (rank, ch2, gamma) row every inequality ch1(A) enters is an exact
+integer bound on eta, so whole rows are gated at once; candidate_checks
+records every inequality for a single candidate.
 
 The output is a superset of actual destabilizers by construction: no
 claim of Bridgeland-wall actuality is made.
@@ -61,7 +63,7 @@ class EnumerationRequest:
 
     def __post_init__(self):
         object.__setattr__(self, "u0", _frac(self.u0))
-        if self.ch2_denominator < 1:
+        if type(self.ch2_denominator) is not int or self.ch2_denominator < 1:
             raise DomainError("ch2 denominator must be a positive integer")
 
 
@@ -76,8 +78,8 @@ class CandidateReport:
 @dataclass(frozen=True)
 class _Context:
     """Everything the per-candidate checker needs, precomputed.  D clears
-    the denominators of f.omega_0 = u0 and Theta.omega_0, so that
-    D*ch1(A).omega_0 = eta*f_om + gamma*th_om is an integer."""
+    the denominators of u0 and Theta.omega_0, so that D*ch1(A).omega_0 =
+    eta*f_om + gamma*th_om is an integer; N clears those of ch2, K and z."""
 
     e: int
     K: Fraction
@@ -86,11 +88,14 @@ class _Context:
     z: Fraction
     u0: Fraction
     den: int
-    bog: Fraction  # e/(m-e)^2
+    bog: tuple     # e/(m-e)^2 as (numerator, denominator)
     D: int
     f_om: int      # D*f.omega_0
     th_om: int     # D*Theta.omega_0
     lam_om: int    # D*ch1(E).omega_0
+    N: int
+    Kn: int        # N*K
+    wall: int      # N*(z - x*K) < 0
 
 
 def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
@@ -124,6 +129,7 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     th_om = u0 * (cfg.m - cfg.e) + v0
     D = math.lcm(u0.denominator, th_om.denominator)
     f_om = int(u0 * D)
+    N = math.lcm(req.ch2_denominator, K.denominator)
     return _Context(
         e=cfg.e,
         K=K,
@@ -132,29 +138,25 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
         z=z,
         u0=u0,
         den=req.ch2_denominator,
-        bog=Fraction(cfg.e) / (cfg.m - cfg.e) ** 2,
+        bog=(Fraction(cfg.e) / (cfg.m - cfg.e) ** 2).as_integer_ratio(),
         D=D,
         f_om=f_om,
         th_om=int(th_om * D),
         lam_om=int(lam) * f_om,
+        N=N,
+        Kn=int(K * N),
+        wall=int((z - x * K) * N),
     )
-
-
-def _ceil(q: Fraction) -> int:
-    return -(-q.numerator // q.denominator)
 
 
 @dataclass(frozen=True)
 class _Pair:
     """The part of the inequality chain fixed by (r, ch2 = j/den): the
-    wall ratio S, the checks ch1(A) does not enter, and integer thresholds
-    for the others.  ch1(A)^2 and ch1(B)^2 are integers, so a rational
-    lower bound on them can be rounded up; 6.9 is cross-multiplied."""
+    checks ch1(A) does not enter, and integer thresholds for the others.
+    ch1(A)^2 and ch1(B)^2 are integers, so a rational lower bound on them
+    is rounded up (one integer ceiling division); 6.9 is cross-multiplied."""
 
     r: int
-    c2: Fraction    # ch2(A) = j/den
-    c2B: Fraction   # ch2(B) = z - ch2(A)
-    S: Fraction
     fixed: dict     # 6.3, rank_nonneg, 6.5, 6.6
     min4: int       # 6.4 (r >= 1): (D*ch1(A).omega_0)^2 >= min4
     num9: int       # 6.9: den9*ch1(A)^2 <= num9*gamma
@@ -164,28 +166,26 @@ class _Pair:
 
 
 def _pair(ctx: _Context, r: int, j: int) -> _Pair:
-    K, x, lam, z = ctx.K, ctx.x, ctx.lam, ctx.z
-    c2 = Fraction(j, ctx.den)
-    wall = z - x * K
-    S = (c2 - r * K) / wall
-    Sp = (z - c2 - (x - r) * K) / wall  # S of the complement B
-    s9 = 2 * S * lam
+    N, Kn, wall, lam = ctx.N, ctx.Kn, ctx.wall, ctx.lam
+    jn = j * (N // ctx.den)  # N*ch2(A)
+    a = jn - r * Kn  # N*(ch2(A) - r*K); S = a/wall, and S of B = (wall - a)/wall
+    c4 = 4 * Kn * ctx.D**2 * r * jn  # (N*D)^2 * 4K*r*ch2(A)
+    bn, bd = ctx.bog
+    w2 = bd * wall * wall  # N*w2 clears the denominators of 6.8 and 6.12
     return _Pair(
         r=r,
-        c2=c2,
-        c2B=z - c2,
-        S=S,
         fixed={
-            "6.3": wall < c2 - r * K < 0,
+            "6.3": wall < a < 0,
             "rank_nonneg": r >= 0,
-            "6.5": r < 1 or c2 < lam * lam * ctx.u0 * ctx.u0 / (4 * K * r),
-            "6.6": wall + r * K < c2 < lam * lam,
+            "6.5": r < 1 or c4 < (ctx.lam_om * N) ** 2,
+            "6.6": wall + r * Kn < jn < lam * lam * N,
         },
-        min4=_ceil(4 * K * r * c2 * ctx.D * ctx.D),
-        num9=s9.numerator,
-        den9=s9.denominator,
-        min8=_ceil(2 * r * c2 - ctx.bog * S * S * lam * lam),
-        min12=_ceil(2 * (x - r) * (z - c2) - ctx.bog * Sp * Sp * lam * lam),
+        min4=-(-c4 // (N * N)),
+        num9=-2 * lam * a,
+        den9=-wall,
+        min8=-((bn * N * (lam * a) ** 2 - 2 * r * jn * w2) // (N * w2)),
+        min12=-((bn * N * (lam * (wall - a)) ** 2
+                 - 2 * (ctx.x - r) * (wall + ctx.x * Kn - jn) * w2) // (N * w2)),
     )
 
 
@@ -232,13 +232,6 @@ def candidate_checks(
     return _cell_checks(ctx, _pair(ctx, int(r), int(j)), int(gamma), int(eta))
 
 
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x < 0:
-        raise InvariantError("sqrt of negative value")
-    return Fraction(math.isqrt(_ceil(x)) + 1)
-
-
 def _over_budget():
     return DomainError("enumeration would visit more than the budget of %d cells"
                        % MAX_ENUMERATE_CELLS)
@@ -246,21 +239,20 @@ def _over_budget():
 
 def _pairs(ctx: _Context):
     """The finitely many (r, j) pairs, ch2 = j/den, allowed by the sign
-    constraint, the combined bound and the rank-positive ch2 bound.  For
-    r >= 1 the lower end rises with r and the rank-positive bound falls,
-    so the first r >= 1 without room between them ends the list."""
-    K, x, lam, z, den = ctx.K, ctx.x, ctx.lam, ctx.z, ctx.den
+    constraint, the combined bound and the rank-positive ch2 bound, scaled
+    by N.  For r >= 1 the lower end rises with r and the rank-positive bound
+    falls, so the first r >= 1 without room between them ends the list."""
+    Kn, step, top = ctx.Kn, ctx.N // ctx.den, ctx.lam**2 * ctx.N
+    c5, q5 = 4 * Kn * ctx.D**2, (ctx.lam_om * ctx.N) ** 2  # 6.5: c5*r*N*ch2 < q5
     out = []
     r = 0
-    while z - x * K + r * K < lam * lam:
-        lo = z - x * K + r * K
-        hi = min(r * K, lam * lam)
+    while ctx.wall + r * Kn < top:
+        lo, end = ctx.wall + r * Kn, -(-min(r * Kn, top) // step)
         if r >= 1:
-            hi = min(hi, lam * lam * ctx.u0 * ctx.u0 / (4 * K * r))
-            if lo >= hi:
+            if lo * c5 * r >= q5:
                 break
-        # lo < j/den < hi
-        first, end = math.floor(lo * den) + 1, math.ceil(hi * den)
+            end = min(end, -(-q5 // (c5 * r * step)))
+        first = lo // step + 1  # lo < N*j/den < hi
         if r + len(out) + end - first > MAX_ENUMERATE_CELLS:  # ranks scanned and pairs
             raise _over_budget()
         out.extend((r, j) for j in range(first, end))
@@ -272,30 +264,27 @@ def _gamma_bound(ctx: _Context, p: _Pair) -> int:
     """Upper bound for |gamma| over candidates with this (r, ch2) pair.
 
     Writing eta = -gamma*T + theta with theta in [0, lam] (the category
-    bound) gives ch1(A)^2 = -(2K/u0^2)*gamma^2 + 2*gamma*theta, so the
-    discriminant bound (2K/u0^2)*gamma^2 - 2*gamma*theta + C8 <= 0 with
+    bound) gives ch1(A)^2 = -a*gamma^2 + 2*gamma*theta with a = 2K/u0^2,
+    so the discriminant bound a*gamma^2 - 2*gamma*theta + C8 <= 0 with
     C8 = 2*r*ch2 - bog*S^2*lam^2 (rounded up, as ch1(A)^2 is an integer)
-    confines |gamma| under lam/a + sqrt(...)."""
-    a2 = 2 * ctx.K / (ctx.u0 * ctx.u0)
-    disc = ctx.lam * ctx.lam - a2 * p.min8
+    confines |gamma| under (lam + isqrt(ceil(lam^2 - a*C8)) + 1)/a."""
+    a_num, a_den = 2 * ctx.Kn * ctx.D**2, ctx.N * ctx.f_om**2  # a = a_num/a_den
+    disc = ctx.lam**2 * a_den - a_num * p.min8
     if disc < 0:
         return -1  # even gamma = 0 is infeasible
-    bound = (ctx.lam + _sqrt_upper(disc)) / a2
-    return math.floor(bound)
+    return (ctx.lam + math.isqrt(-(-disc // a_den)) + 1) * a_den // a_num
 
 
 def _rows(ctx: _Context) -> list:
-    """(r, j, pair, gamma, etas) for every gamma row the kernel visits: the
-    pairs whose fixed checks hold, |gamma| up to _gamma_bound and eta over
-    the 6.1 range 0 <= D*ch1(A).omega_0 <= lam_om.  The cells are counted
-    against MAX_ENUMERATE_CELLS before any is visited; every row holds lam
-    or lam + 1 of them, so counting stops soon after the budget."""
+    """(r, j, pair, gamma, etas) for every gamma row: the pairs (they pass
+    the fixed checks by construction), |gamma| up to _gamma_bound and eta
+    over the 6.1 range 0 <= D*ch1(A).omega_0 <= lam_om.  The cells are
+    counted against MAX_ENUMERATE_CELLS before any is visited; every row
+    holds lam or lam + 1 of them, so counting stops soon after the budget."""
     f_om, th_om, lam_om = ctx.f_om, ctx.th_om, ctx.lam_om
     rows, cells = [], 0
     for r, j in _pairs(ctx):
         p = _pair(ctx, r, j)
-        if not all(p.fixed.values()):
-            continue
         gmax = _gamma_bound(ctx, p)
         for gamma in range(-gmax, gmax + 1):
             base = gamma * th_om
@@ -307,26 +296,57 @@ def _rows(ctx: _Context) -> list:
     return rows
 
 
+def _survivors(ctx: _Context, p: _Pair, gamma: int, etas: range) -> range:
+    """The etas of a row that pass 6.4, 6.8, 6.9 and 6.12.  On a row each
+    check is linear in eta, or (6.4) in t = D*ch1(A).omega_0, which is
+    >= 0 in the 6.1 window, so it cuts the window at an integer bound."""
+    e, lam, f_om = ctx.e, ctx.lam, ctx.f_om
+    lo, hi = etas.start, etas.stop - 1
+    if p.r >= 1 and p.min4 > 0:  # 6.4: t >= ceil(sqrt(min4))
+        lo = max(lo, -((gamma * ctx.th_om - math.isqrt(p.min4 - 1) - 1) // f_om))
+    g2, eg2 = 2 * gamma, e * gamma * gamma
+    m8 = p.min8 + eg2  # 6.8: g2*eta >= m8
+    n9 = p.num9 + p.den9 * e * gamma  # 6.9: g2*den9*eta <= gamma*n9
+    if gamma > 0:
+        # 6.12: min12 + g2*lam + eg2 <= g2*eta <= g2*lam + eg2
+        lo = max(lo, -(-m8 // g2), -(-(p.min12 + g2 * lam + eg2) // g2))
+        hi = min(hi, n9 // (2 * p.den9), (2 * lam + e * gamma) // 2)
+    elif gamma < 0:
+        lo = max(lo, -(-n9 // (2 * p.den9)))
+        hi = min(hi, m8 // g2)
+    elif p.min8 > 0:
+        return range(0)
+    return range(lo, hi + 1)
+
+
 def _sorted_cells(ctx: _Context) -> list:
-    """(r, gamma, eta, j, pair) for every cell passing the gating checks,
-    sorted by (rank, gamma, eta, ch2): those of the pair once, 6.1 as the
-    eta range of its row, the rest per cell."""
-    out = [
-        (r, gamma, eta, j, p)
-        for r, j, p, gamma, etas in _rows(ctx)
-        for eta in etas
-        if all(_ch1_gates(ctx, p, gamma, eta))
-    ]
-    out.sort(key=lambda cell: cell[:4])
+    """(r, gamma, eta, j, (ch2(A), ch2(B), S)) for every cell passing the
+    gating checks, in (rank, gamma, eta, ch2) order, walking eta over the
+    rows of each (rank, gamma), which come in ch2 order.  The rationals are
+    built once for each pair with a survivor."""
+    groups, rationals = {}, {}
+    for r, j, p, gamma, etas in _rows(ctx):
+        etas = _survivors(ctx, p, gamma, etas)
+        if etas:
+            if (r, j) not in rationals:
+                c2 = Fraction(j, ctx.den)
+                S = Fraction(j * (ctx.N // ctx.den) - r * ctx.Kn, ctx.wall)
+                rationals[r, j] = (c2, ctx.z - c2, S)
+            groups.setdefault((r, gamma), []).append((j, etas, rationals[r, j]))
+    out = []
+    for (r, gamma), group in sorted(groups.items()):
+        windows = [etas for _, etas, _ in group]
+        for eta in range(min(w.start for w in windows), max(w.stop for w in windows)):
+            out.extend((r, gamma, eta, j, q) for j, etas, q in group if eta in etas)
     return out
 
 
 def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list:
     """The complete finite list of candidate destabilizers, sorted
-    lexicographically by (rank, gamma, eta, ch2).  Every cell is gated
-    with exact integer arithmetic on thresholds fixed per (rank, ch2).
+    lexicographically by (rank, gamma, eta, ch2).  Every gamma row is gated
+    by exact integer bounds on eta from thresholds fixed per (rank, ch2).
     Reports share their immutable parts: one Fraction per integer value
-    and the ch2 values of their (rank, ch2) pair."""
+    and the rationals of their (rank, ch2) pair."""
     ctx = _build_context(req, cfg)
     cells = _sorted_cells(ctx)
     x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
@@ -335,14 +355,14 @@ def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list
     passed = dict.fromkeys(GATING_CHECKS, True)  # a survivor passed every gating check
     return [
         CandidateReport(
-            candidate=ChernCharacter(frac[r], DivisorClass((frac[gamma], frac[eta])), p.c2),
+            candidate=ChernCharacter(frac[r], DivisorClass((frac[gamma], frac[eta])), c2),
             complement=ChernCharacter(
-                frac[x - r], DivisorClass((frac[-gamma], frac[lam - eta])), p.c2B
+                frac[x - r], DivisorClass((frac[-gamma], frac[lam - eta])), c2B
             ),
-            S=p.S,
+            S=S,
             checks={**passed, "6.1_strict_lower": 0 < t, "6.1_strict_upper": t < lam_om},
         )
-        for r, gamma, eta, _, p in cells
+        for r, gamma, eta, _, (c2, c2B, S) in cells
         for t in (eta * f_om + gamma * th_om,)
     ]
 

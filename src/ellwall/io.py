@@ -403,10 +403,8 @@ def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
     if not cells:
         return [_document({"candidates": []})]
     head, sep, tail, block, pick = _candidate_template()
-    rationals = {}
-    for r, _, _, j, p in cells:
-        if (r, j) not in rationals:
-            rationals[r, j] = (format_rational(p.c2), format_rational(p.c2B), format_rational(p.S))
+    pairs = {(r, j): q for r, _, _, j, q in cells}
+    rationals = {pair: tuple(map(format_rational, q)) for pair, q in pairs.items()}
     x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
 
     def blocks(part):

@@ -403,6 +403,24 @@ def test_enumerate_stdout_bytes_pin(tmp_path, capsys):
     )
 
 
+def test_enumerate_second_bytes_pin(tmp_path, capsys):
+    # pool target (4, 16f, -1) at alpha = 6, u0 = 1/3 on the (1/3)Z lattice:
+    # another D, th_om and ch2 step than the pin above
+    path = tmp_path / "target.json"
+    path.write_text('{"ch0":"4","ch1":["0","16"],"ch2":"-1"}')
+    code, out, err = run(
+        capsys,
+        ["destab", "enumerate", "--target", str(path), "--alpha", "6", "--u0", "1/3",
+         "--ch2-denominator", "3"] + CFG,
+    )
+    assert code == 0, err
+    data = out.encode("ascii")
+    assert len(data) == 3_816_024
+    assert hashlib.sha256(data).hexdigest() == (
+        "e45263e7e2c7f94fa8bb22ad10e5e6b4fdff30ae214e5e95134db10dae41ad19"
+    )
+
+
 def test_parser_reused_across_calls(tmp_path, capsys):
     assert cli.build_parser() is not cli.build_parser()
     ch = write_character(tmp_path, "ch.json", 1, [1, 0], -1)

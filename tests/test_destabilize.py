@@ -306,6 +306,10 @@ def test_request_validation():
             ew.EnumerationRequest(ew.character(1, [0, 1], Fraction(-1, 3), cfg), vp, Fraction(1, 10)),
             cfg,
         )
+    # the ch2 denominator is a plain int: no bool, float or string slips through
+    for den in (True, 2.0, "2"):
+        with pytest.raises(ew.DomainError, match="ch2 denominator"):
+            ew.EnumerationRequest(ok, vp, Fraction(1, 10), ch2_denominator=den)
     rank3 = ew.SurfaceConfig(e=2, m=3, sections=(ew.ExtraSection(theta=1),))
     with pytest.raises(ew.UnsupportedRankError):
         ew.enumerate_destabilizers(
@@ -390,6 +394,61 @@ def test_pairs_stop_at_first_empty_rank():
                         assert destabilize._pairs(ctx) == _pairs_every_rank(ctx)
                         checked += 1
     assert checked > 200
+
+
+def _check_row_bounds(ctx, seen):
+    """The survivors of the row bounds against a per-cell loop kept here:
+    every cell of the 6.1 windows of _rows passing _ch1_gates, sorted."""
+    from ellwall import destabilize
+
+    rows, cells = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
+    assert [cell[:4] for cell in cells] == sorted(
+        (r, gamma, eta, j)
+        for r, j, p, gamma, etas in rows
+        for eta in etas
+        if all(destabilize._ch1_gates(ctx, p, gamma, eta))
+    )
+    for r, gamma, eta, j, rationals in cells:
+        c2 = Fraction(j, ctx.den)
+        assert rationals == (c2, ctx.z - c2, (c2 - r * ctx.K) / (ctx.z - ctx.x * ctx.K))
+        seen.add(("survivor", (gamma > 0) - (gamma < 0), min(r, 1)))
+    for r, j, p, gamma, etas in rows:
+        assert all(p.fixed.values())  # the pair bounds are the fixed checks
+        seen.add(("row", (gamma > 0) - (gamma < 0), min(r, 1)))
+        if r >= 1:
+            seen.add(("min4", min(max(p.min4, 0), 2)))
+
+
+def test_row_bounds_match_per_cell_loop():
+    from ellwall import destabilize
+
+    checked, seen = 0, set()
+    for cfg in (ew.SurfaceConfig(e=1, m=2), cfg_e2m3(), ew.SurfaceConfig(e=3, m=Fraction(7, 2))):
+        for x, lam, z in ((1, 1, 0), (2, 5, -1), (3, 9, Fraction(-3, 2)), (1, 12, -4), (3, 7, -1)):
+            for alpha in (Fraction(1, 2), 2, 5):
+                for den in (1, 2, 3):
+                    for u0 in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)):
+                        req = ew.EnumerationRequest(
+                            ew.character(x, [0, lam], z, cfg), ew.volume_params(alpha, cfg), u0, den
+                        )
+                        try:
+                            ctx = destabilize._build_context(req, cfg)
+                        except ew.DomainError:
+                            continue
+                        _check_row_bounds(ctx, seen)
+                        checked += 1
+    assert checked >= 200
+    # K = 3/2, D = 2 on the (1/24)Z lattice: 4K*r*ch2*D^2 = 1 at r = 1,
+    # ch2 = 1/24, so min4 = 1 and 6.4 cuts t = 0 off its gamma = 0 row
+    cfg = cfg_e2m3()
+    fine = ew.EnumerationRequest(
+        ew.character(2, [0, 4], -1, cfg), ew.volume_params(Fraction(1, 2), cfg), Fraction(1, 2), 24
+    )
+    _check_row_bounds(destabilize._build_context(fine, cfg), seen)
+    # rows and survivors of every gamma sign at rank 0 and rank >= 1, and
+    # rank-positive pairs with min4 <= 0, min4 = 1 and min4 >= 2
+    assert seen == {(k, g, r) for k in ("row", "survivor") for g in (-1, 0, 1) for r in (0, 1)} | {
+        ("min4", 0), ("min4", 1), ("min4", 2)}
 
 
 def _cell_count(req, cfg):
