@@ -101,11 +101,11 @@ def limit_charge(
 ) -> LimitCharge:
     if vp.K <= 0:
         raise DomainError("limit charge needs K = alpha+m-e > 0, got %s" % vp.K)
-    theta_e2f = cfg.theta_f(1, Fraction(cfg.e) / 2)
+    d = ch.d(cfg)
     return LimitCharge(
         re_const=-ch.ch2 + vp.K * ch.ch0,
-        im_hi=intersect(cfg.fiber(), ch.ch1, cfg),
-        im_lo=vp.K * intersect(theta_e2f, ch.ch1, cfg),
+        im_hi=d,
+        im_lo=vp.K * (ch.c(cfg) + Fraction(cfg.e) * d / 2),
         K=vp.K,
         rank=ch.ch0,
     )

@@ -45,7 +45,8 @@ class ChernCharacter:
     def is_zero(self) -> bool:
         return self.ch0 == 0 and self.ch2 == 0 and self.ch1.is_zero()
 
-    # the (n, d, c, s) accessors used for transform formulas
+    # the coordinates (n, d, c, s) = (ch0, f.ch1, Theta.ch1, ch2); d and c
+    # are defined here only
     def n(self) -> Fraction:
         return self.ch0
 
@@ -178,8 +179,7 @@ def bogomolov_constant(u0: Rational, cfg: SurfaceConfig) -> Fraction:
 
 def twisted_euler(ch: ChernCharacter, cfg: SurfaceConfig) -> Fraction:
     """chi_L = ch2 - (e/2)*ch1.f + ch0*chi(O_X)."""
-    d = intersect(ch.ch1, cfg.fiber(), cfg)
-    return ch.ch2 - Fraction(cfg.e) / 2 * d + ch.ch0 * cfg.euler_char
+    return ch.ch2 - Fraction(cfg.e) / 2 * ch.d(cfg) + ch.ch0 * cfg.euler_char
 
 
 @dataclass(frozen=True)
@@ -199,9 +199,7 @@ def gieseker_slope_1dim(ch: ChernCharacter, vp, cfg: SurfaceConfig) -> GiesekerS
     if denom <= 0:
         raise DomainError("twisted Gieseker slope needs ch1.omega-bar > 0")
     chi = twisted_euler(ch, cfg)
-    den_free = intersect(ch.ch1, cfg.theta_mf(), cfg) + vp.alpha * intersect(
-        ch.ch1, cfg.fiber(), cfg
-    )
+    den_free = intersect(ch.ch1, cfg.theta_mf(), cfg) + vp.alpha * ch.d(cfg)
     return GiesekerSlope(slope=chi / denom, beta_free=vp.alpha * chi / den_free)
 
 
@@ -212,9 +210,8 @@ def torsion_free_threshold(ch: ChernCharacter, m0: Rational, cfg: SurfaceConfig)
     if ch.ch0 != 0:
         raise DomainError("threshold is for 1-dimensional characters (ch0 = 0)")
     m0 = _frac(m0)
-    d = intersect(ch.ch1, cfg.fiber(), cfg)
+    d = ch.d(cfg)
     if d <= 0:
         raise DomainError("threshold needs ch1.f > 0, got %s" % d)
-    c = intersect(ch.ch1, cfg.theta(), cfg)
     chi = twisted_euler(ch, cfg)
-    return c / d * (chi - 1) + m0 * chi
+    return ch.c(cfg) / d * (chi - 1) + m0 * chi

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import charge as charge_mod
 from . import chern, destabilize, fmtransform, walls
 from . import io as eio
-from .errors import DimensionError, DomainError, EllwallError, InputError, InvariantError
+from .errors import DimensionError, DomainError, EllwallError, InputError, InvariantError, _shown
 from .io import _document
 from .nslattice import SQ, SurfaceConfig, elliptic_frame, make_frame, volume_params
 
@@ -34,20 +34,12 @@ def _int(text: str) -> int:
     t = text.strip()
     digits = t[1:] if t[:1] in ("+", "-") else t
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError("invalid int value: %s" % eio._shown(text))
+        raise argparse.ArgumentTypeError("invalid int value: %s" % _shown(text))
     if len(digits) > eio.MAX_DIGITS:
         raise argparse.ArgumentTypeError(
-            "invalid int value, more than %d digits: %s" % (eio.MAX_DIGITS, eio._shown(text))
+            "invalid int value, more than %d digits: %s" % (eio.MAX_DIGITS, _shown(text))
         )
     return int(t)
-
-
-def _add_config_args(sp):
-    sp.add_argument("--config", help="surface config JSON file ('-' for stdin)")
-    sp.add_argument("--e", type=_int, help="e = -Theta^2 (rank-2 shorthand)")
-    sp.add_argument("--m", help="ample offset m as 'p/q'")
-    sp.add_argument("--genus-base", type=_int, default=0)
-    sp.add_argument("--euler-char", help="chi(O_X) as 'p/q' (default e)")
 
 
 def _read_text(path: str) -> str:
@@ -96,28 +88,24 @@ def _load_character(path, cfg):
 
 
 def _parse_coeffs(text: str, cfg):
-    return cfg.divisor([eio.parse_rational(c) for c in text.split(",")])
-
-
-def _rat(text: str) -> Fraction:
-    return eio.parse_rational(text)
+    return eio.divisor_from_obj(text.split(","), cfg)
 
 
 def _frame_from_args(args, cfg):
     if args.lam is not None:
-        return elliptic_frame(_rat(args.lam), cfg)
+        return elliptic_frame(eio.parse_rational(args.lam), cfg)
     if args.frame_h is None or args.frame_hperp is None:
         raise InputError("provide --lambda or both --frame-h and --frame-hperp")
     return make_frame(
         _parse_coeffs(args.frame_h, cfg),
         _parse_coeffs(args.frame_hperp, cfg),
-        _rat(args.frame_w or "0"),
+        eio.parse_rational(args.frame_w or "0"),
         cfg,
     )
 
 
 def _vp(args, cfg):
-    return volume_params(_rat(args.alpha), cfg, beta=_rat(args.beta or "1"))
+    return volume_params(eio.parse_rational(args.alpha), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +143,7 @@ def _cmd_charge(args, cfg):
 def _cmd_charge_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     fr = _frame_from_args(args, cfg)
-    pt = SQ(s=_rat(args.s), q=_rat(args.q))
+    pt = SQ(s=eio.parse_rational(args.s), q=eio.parse_rational(args.q))
     cv = charge_mod.charge_sq(ch, pt, fr, cfg)
     return _document({"charge": eio.charge_to_obj(cv)})
 
@@ -199,7 +187,7 @@ def _wall_inputs(args, cfg):
 
 
 def _cmd_wall_lambda_q(args, cfg):
-    wv = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).at(_rat(args.lam))
+    wv = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).at(eio.parse_rational(args.lam))
     return _document({"wall_value": eio.wall_value_to_obj(wv)})
 
 
@@ -214,7 +202,7 @@ def _cmd_destab_enumerate(args, cfg):
     req = destabilize.EnumerationRequest(
         target=target,
         vp=vp,
-        u0=_rat(args.u0),
+        u0=eio.parse_rational(args.u0),
         ch2_denominator=args.ch2_denominator,
     )
     return eio._enumeration_chunks(req, cfg)
@@ -245,13 +233,14 @@ def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
 
 def _cmd_plot_volume_section(args, cfg):
     vp = _vp(args, cfg)
-    vals = _rational_range(_rat(args.v_from), _rat(args.v_to), _rat(args.v_step or "1"))
+    lo, hi = eio.parse_rational(args.v_from), eio.parse_rational(args.v_to)
+    vals = _rational_range(lo, hi, eio.parse_rational(args.v_step or "1"))
     return eio.emit_volume_section_plot(vp, cfg, vals, fmt=args.format)
 
 
 def _cmd_plot_lambda_q(args, cfg):
     vp = _vp(args, cfg)
-    lo, hi = _rat(args.lambda_from), _rat(args.lambda_to)
+    lo, hi = eio.parse_rational(args.lambda_from), eio.parse_rational(args.lambda_to)
     n = args.samples
     if n < 2:
         raise InputError("--samples must be >= 2")
@@ -280,64 +269,58 @@ def build_parser() -> _Parser:
         # only the top-level commands describe --out
         out_help = "write output here instead of stdout" if parent is sub else None
         sp.add_argument("--out", help=out_help)
+        # main loads the surface config for every command
+        sp.add_argument("--config", help="surface config JSON file ('-' for stdin)")
+        sp.add_argument("--e", type=_int, help="e = -Theta^2 (rank-2 shorthand)")
+        sp.add_argument("--m", help="ample offset m as 'p/q'")
+        sp.add_argument("--genus-base", type=_int, default=0)
+        sp.add_argument("--euler-char", help="chi(O_X) as 'p/q' (default e)")
         return sp
 
-    def alpha_beta(sp):
-        sp.add_argument("--alpha", required=True)
-        sp.add_argument("--beta")
+    def frame_args(sp):
+        sp.add_argument("--lambda", dest="lam", help="elliptic frame parameter in (0,1)")
+        sp.add_argument("--frame-h", help="H coefficients")
+        sp.add_argument("--frame-hperp", help="H-perp coefficients")
+        sp.add_argument("--frame-w", help="frame w (default 0)")
 
     surface = group("surface", "surface config operations")
-    sp = cmd(surface, "check", _cmd_surface_check, "validate a surface config")
-    _add_config_args(sp)
+    cmd(surface, "check", _cmd_surface_check, "validate a surface config")
 
     sp = cmd(sub, "transform", _cmd_transform, "apply a cohomological transform")
     sp.add_argument("--functor", choices=["phi", "phihat"], required=True)
     sp.add_argument("--ch", help="character JSON file ('-' for stdin)")
-    _add_config_args(sp)
 
     sp = cmd(sub, "twist", _cmd_twist, "B-field twist e^{-B} or line-bundle twist e^{L}")
     sp.add_argument("--ch")
     sp.add_argument("--divisor", required=True, help="comma-separated coefficients")
     sp.add_argument("--line-bundle", action="store_true", help="apply e^{L} instead of e^{-B}")
-    _add_config_args(sp)
 
     sp = cmd(sub, "charge", _cmd_charge, "central charge at an ample omega")
     sp.add_argument("--ch")
     sp.add_argument("--omega", required=True, help="comma-separated coefficients")
     sp.add_argument("--b-field", help="comma-separated coefficients (default 0)")
-    _add_config_args(sp)
 
     sp = cmd(sub, "charge-sq", _cmd_charge_sq, "central charge in (s,q)-coordinates")
     sp.add_argument("--ch")
-    sp.add_argument("--lambda", dest="lam", help="elliptic frame parameter in (0,1)")
-    sp.add_argument("--frame-h", help="H coefficients")
-    sp.add_argument("--frame-hperp", help="H-perp coefficients")
-    sp.add_argument("--frame-w", help="frame w (default 0)")
+    frame_args(sp)
     sp.add_argument("--s", required=True)
     sp.add_argument("--q", required=True)
-    _add_config_args(sp)
 
     sp = cmd(sub, "limit-phase", _cmd_limit_phase, "phase limit along the volume section")
     sp.add_argument("--ch")
-    alpha_beta(sp)
-    _add_config_args(sp)
+    sp.add_argument("--alpha", required=True)
 
     sp = cmd(sub, "limit-compare", _cmd_limit_compare, "order of limit phases")
     sp.add_argument("--first", required=True, help="character JSON file")
     sp.add_argument("--second", required=True, help="character JSON file")
-    alpha_beta(sp)
-    _add_config_args(sp)
+    sp.add_argument("--alpha", required=True)
 
     wall = group("wall", "potential wall computations")
     sp = cmd(wall, "sq", _cmd_wall_sq, "wall in the (s,q)-plane of a frame")
     sp.add_argument("--ch", help="character JSON file")
     sp.add_argument("--ch-prime", required=True, help="partner character JSON file")
-    sp.add_argument("--lambda", dest="lam", help="elliptic frame parameter")
-    sp.add_argument("--frame-h")
-    sp.add_argument("--frame-hperp")
-    sp.add_argument("--frame-w")
+    frame_args(sp)
     sp.add_argument("--shift", help="line bundle L coefficients for the shifted wall")
-    _add_config_args(sp)
 
     def wall_data_args(spp):
         spp.add_argument("--dim", type=_int, choices=[1, 2], default=2)
@@ -349,7 +332,6 @@ def build_parser() -> _Parser:
         spp.add_argument("--p", help="f coefficient of ch1")
         spp.add_argument("--xi", help="comma-separated extra-section coefficients")
         spp.add_argument("--chi", required=True, help="partner ch2")
-        _add_config_args(spp)
 
     sp = cmd(wall, "lambda-q", _cmd_wall_lambda_q, "exact wall value at one lambda")
     sp.add_argument("--lambda", dest="lam", required=True)
@@ -360,40 +342,36 @@ def build_parser() -> _Parser:
     destab = group("destab", "destabilizer enumeration")
     sp = cmd(destab, "enumerate", _cmd_destab_enumerate, "enumerate candidate destabilizers")
     sp.add_argument("--target", required=True, help="target character JSON file")
-    alpha_beta(sp)
+    sp.add_argument("--alpha", required=True)
     sp.add_argument("--u0", required=True)
     sp.add_argument("--ch2-denominator", type=_int, default=2)
-    _add_config_args(sp)
 
     linebundle = group("linebundle", "line bundle chamber analysis")
     sp = cmd(
         linebundle, "analyze", _cmd_linebundle_analyze, "wall/section comparison for O(a_L*Theta)"
     )
     sp.add_argument("--aL", type=_int, required=True)
-    alpha_beta(sp)
-    _add_config_args(sp)
+    sp.add_argument("--alpha", required=True)
 
     plot = group("plot", "plot data emission")
     sp = cmd(
         plot, "volume-section", _cmd_plot_volume_section, "the (v,u) volume section and asymptote"
     )
-    alpha_beta(sp)
+    sp.add_argument("--alpha", required=True)
     sp.add_argument("--v-from", required=True)
     sp.add_argument("--v-to", required=True)
     sp.add_argument("--v-step")
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")
-    _add_config_args(sp)
 
     sp = cmd(
         plot, "lambda-q", _cmd_plot_lambda_q, "the section, asymptote and walls in (lambda,q)"
     )
-    alpha_beta(sp)
+    sp.add_argument("--alpha", required=True)
     sp.add_argument("--lambda-from", required=True)
     sp.add_argument("--lambda-to", required=True)
     sp.add_argument("--samples", type=_int, default=50)
     sp.add_argument("--wall", action="append", help="wall spec JSON file (repeatable)")
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")
-    _add_config_args(sp)
 
     return parser
 

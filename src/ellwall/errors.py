@@ -4,6 +4,15 @@ The CLI maps these onto exit codes: malformed input -> 1, domain or
 precondition violations -> 2, internal invariant breaches -> 3.
 """
 
+_SHOWN_CHARS = 80
+
+
+def _shown(v) -> str:
+    """repr(v) cut to _SHOWN_CHARS characters: a message names bad input
+    without echoing all of it."""
+    text = repr(v)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
+
 
 class EllwallError(Exception):
     """Base class for all errors raised by this package."""

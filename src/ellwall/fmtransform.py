@@ -1,7 +1,8 @@
 """Cohomological Fourier-Mukai transforms of Chern characters.
 
-With n = ch0, d = f.ch1, c = Theta.ch1, s = ch2, the pair of transforms
-is one signed map, sigma = 1 for phi and sigma = -1 for phi_hat:
+In the coordinates (n, d, c, s) = (ch0, f.ch1, Theta.ch1, ch2) that
+ChernCharacter's accessors define, the pair of transforms is one signed
+map, sigma = 1 for phi and sigma = -1 for phi_hat:
 
     (n, ch1, s) -> (d, -sigma*ch1 + (sigma*d - n)*Theta + (s + sigma*(c + e*d/2))*f,
                     -c - e*d + sigma*n*e/2)
@@ -21,24 +22,17 @@ from fractions import Fraction
 
 from .chern import ChernCharacter
 from .errors import DomainError
-from .nslattice import SurfaceConfig, intersect
+from .nslattice import SurfaceConfig
 
 
-def _span_theta_f(ch: ChernCharacter, cfg: SurfaceConfig):
+def _transform(ch: ChernCharacter, cfg: SurfaceConfig, sigma: int) -> ChernCharacter:
     if any(c != 0 for c in ch.ch1.coeffs[2:]):
         raise DomainError(
             "transform is only defined for ch1 in span{Theta, f}; "
             "components along extra sections present"
         )
-    return ch.ch1.coeffs[0], ch.ch1.coeffs[1]
-
-
-def _transform(ch: ChernCharacter, cfg: SurfaceConfig, sigma: int) -> ChernCharacter:
-    _span_theta_f(ch, cfg)
     e = Fraction(cfg.e)
-    n, s = ch.ch0, ch.ch2
-    d = intersect(cfg.fiber(), ch.ch1, cfg)
-    c = intersect(cfg.theta(), ch.ch1, cfg)
+    n, d, c, s = ch.n(), ch.d(cfg), ch.c(cfg), ch.s()
     ch1 = -sigma * ch.ch1 + cfg.theta_f(sigma * d - n, s + sigma * (c + e * d / 2))
     return ChernCharacter(d, ch1, -c - e * d + sigma * n * e / 2)
 
@@ -69,5 +63,5 @@ def wit_sign(ch: ChernCharacter, which: str, functor: str, cfg: SurfaceConfig) -
         raise DomainError("which must be 'W0' or 'W1', got %r" % (which,))
     if functor not in ("phi", "phi_hat"):
         raise DomainError("functor must be 'phi' or 'phi_hat', got %r" % (functor,))
-    d = intersect(cfg.fiber(), ch.ch1, cfg)
+    d = ch.d(cfg)
     return d >= 0 if which == "W0" else d <= 0

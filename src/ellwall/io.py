@@ -30,13 +30,14 @@ from .destabilize import (
     _build_context,
     _sorted_cells,
 )
-from .errors import DomainError, InputError, InvariantError
+from .errors import DomainError, InputError, InvariantError, _shown
 from .nslattice import (
     DivisorClass,
     ExtraSection,
     QuadraticRoot,
     SurfaceConfig,
     VolumeSectionParams,
+    _frac,
     section_q,
     volume_section_u,
 )
@@ -55,18 +56,10 @@ from .walls import (
 SCHEMA = "ellwall/1"
 
 _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
-_SHOWN_CHARS = 80
 # Most digits an input integer, or the numerator or denominator of an
 # input rational, may have: far below the interpreter's int-string limit.
 MAX_DIGITS = 1000
 _INT_LIMIT = 10**MAX_DIGITS
-
-
-def _shown(v) -> str:
-    """repr(v) cut to _SHOWN_CHARS characters: a message names bad input
-    without echoing all of it."""
-    text = repr(v)
-    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 
 def format_rational(x: Fraction) -> str:
@@ -439,7 +432,7 @@ def emit_volume_section_plot(
     """Sampled (v, u(v)) rows of the volume section plus the asymptote
     u = K/v.  The u column is exact whenever the root is rational
     (u_is_exact = 1); otherwise it is an enclosure midpoint."""
-    v_values = [Fraction(v) for v in v_values]
+    v_values = [_frac(v) for v in v_values]
     if not v_values:
         raise DomainError("empty v range")
     rows = []
@@ -479,7 +472,7 @@ def emit_lambda_q_plot(
     with optional wall curves.  Walls are (label, character, partner)
     triples, dimension read off the character type; labels name columns,
     so they must be distinct."""
-    lambda_values = [Fraction(l) for l in lambda_values]
+    lambda_values = [_frac(l) for l in lambda_values]
     if not lambda_values:
         raise DomainError("empty lambda range")
     walls = [(label, "q_wall_%s" % label, lambda_q_wall(ch, partner, cfg))

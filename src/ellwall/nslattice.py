@@ -25,17 +25,27 @@ from .errors import (
     EmptySectionError,
     InvariantError,
     UnsupportedRankError,
+    _shown,
 )
 
 Rational = Union[int, Fraction]
 
 
 def _frac(x) -> Fraction:
+    """x as a Fraction.  Only an int (not a bool) or a Fraction is exact
+    input: floats, strings and anything else are rejected."""
     if type(x) is Fraction:
         return x  # immutable: no copy needed
-    if isinstance(x, float):
-        raise DomainError("floats are rejected to preserve exactness: %r" % (x,))
-    return Fraction(x)
+    if isinstance(x, (int, Fraction)) and type(x) is not bool:
+        return Fraction(x)
+    raise DomainError("expected an int or a Fraction, got %s" % _shown(x))
+
+
+def _int_field(v, name: str) -> int:
+    """v when it is a plain int: a bool, a float or a string is rejected."""
+    if type(v) is not int:
+        raise DomainError("%s must be an int, got %s" % (name, _shown(v)))
+    return v
 
 
 @dataclass(frozen=True)
@@ -48,9 +58,9 @@ class ExtraSection:
     cross: tuple = ()
 
     def __post_init__(self):
-        if self.theta < 0:
+        if _int_field(self.theta, "theta") < 0:
             raise DomainError("Theta.Theta_i must be >= 0, got %d" % self.theta)
-        object.__setattr__(self, "cross", tuple(int(c) for c in self.cross))
+        object.__setattr__(self, "cross", tuple(_int_field(c, "cross") for c in self.cross))
 
 
 @dataclass(frozen=True)
@@ -70,9 +80,9 @@ class SurfaceConfig:
     _gram: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.e < 0:
+        if _int_field(self.e, "e") < 0:
             raise DomainError("e must be a nonnegative integer, got %r" % (self.e,))
-        if self.genus_base < 0:
+        if _int_field(self.genus_base, "genus_base") < 0:
             raise DomainError("base genus must be >= 0")
         m = _frac(self.m)
         if m <= 0:

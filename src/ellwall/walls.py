@@ -5,9 +5,8 @@ Z(s,q) = (A + ch0*g*q) + i*(B - ch0*g*s), so Re Z.Im Z' - Re Z'.Im Z is
 affine in (s,q) and the potential wall of a pair is its zero set: a
 semi-line, a vertical semi-line, everything or nothing.  A semi-line is
 drawn through the nesting point of ch (of ch' when ch has rank zero),
-which every wall of that character passes through.  Twisting both
-characters by a line bundle transports the wall by a closed-form
-point/slope shift (`shift_wall`).
+which every wall of that character passes through.  The wall after a
+line-bundle twist (`shift_wall`) is the wall of the twisted pair.
 
 In the (lambda,0,0,q)-plane cut out by the moving elliptic frame H_lambda,
 every wall of a pair is one exact rational function of lambda:
@@ -144,29 +143,11 @@ def shift_wall(
     fr: Frame,
     cfg: SurfaceConfig,
 ) -> WallSQ:
-    """The wall of the pair (e^L.ch, e^L.ch') as the wall of (ch, ch') moved
-    by the closed-form shift: s by L.H/g, q by (L.D/n + L^2/2 - w*L.H^perp)/g
-    for the character (n, D, .) whose nesting point anchors the wall, and
-    the slope by (x*L.ch1' - r*L.ch1)/(x*ch1'.H - r*ch1.H).  Must agree
-    exactly with twisting first and calling bertram_wall."""
-    x, r = ch.ch0, ch_prime.ch0
-    if x == 0 and r == 0:
-        # the twist only moves ch2, so take the wall of the twisted pair
-        return bertram_wall(
-            line_bundle_twist(ch, L, cfg), line_bundle_twist(ch_prime, L, cfg), fr, cfg
-        )
-    wall = bertram_wall(ch, ch_prime, fr, cfg)
-    g = fr.g
-    ds = intersect(L, fr.H, cfg) / g
-    if wall.kind == VERTICAL:
-        return _vertical(wall.s + ds)
-    n, D = (x, ch.ch1) if x != 0 else (r, ch_prime.ch1)
-    dq = intersect(L, D, cfg) / n + intersect(L, L, cfg) / 2 - fr.w * intersect(L, fr.Hperp, cfg)
-    dslope = (x * intersect(L, ch_prime.ch1, cfg) - r * intersect(L, ch.ch1, cfg)) / (
-        x * intersect(ch_prime.ch1, fr.H, cfg) - r * intersect(ch.ch1, fr.H, cfg)
+    """The wall of the pair (e^L.ch, e^L.ch'): bertram_wall of the pair
+    twisted by the line bundle L."""
+    return bertram_wall(
+        line_bundle_twist(ch, L, cfg), line_bundle_twist(ch_prime, L, cfg), fr, cfg
     )
-    s0, q0 = wall.point
-    return _line((s0 + ds, q0 + dq / g), wall.slope + dslope)
 
 
 # ---------------------------------------------------------------------------

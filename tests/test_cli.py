@@ -142,6 +142,57 @@ def test_wall_sq_cli(tmp_path, capsys):
     assert code == 0 and json.loads(out)["wall"]["kind"] == "line"
 
 
+def _twisted_file(tmp_path, capsys, name, path, L, cfg_args):
+    code, out, _ = run(capsys, ["twist", "--ch", path, "--divisor=" + L, "--line-bundle"] + cfg_args)
+    assert code == 0
+    twisted = tmp_path / name
+    twisted.write_text(json.dumps(json.loads(out)["character"]))
+    return str(twisted)
+
+
+def test_wall_sq_shift_is_wall_of_twisted_pair(tmp_path, capsys):
+    # `wall sq --shift L` prints what `wall sq` prints for the pair first
+    # twisted by `twist --line-bundle L`: lines, verticals, rank-zero
+    # characters and errors alike, in elliptic frames and frames with w != 0
+    config = tmp_path / "rank3.json"
+    config.write_text(json.dumps({"e": 2, "m": "3", "sections": [{"theta": 2}]}))
+    cases = [
+        (CFG, [["--lambda", "1/3"], ["--frame-h", "1,3", "--frame-hperp", "1,-1", "--frame-w=-7/3"]],
+         [(1, [0, 0], 0, 1, [-1, 0], -1), (2, [1, 3], -1, 1, [1, 2], 5),
+          (0, [1, 1], 2, 1, [0, -1], 1), (0, [1, 0], 1, 0, [2, 1], -3),
+          (0, [1, 0], 1, 0, [2, 0], 2), (1, [0, 0], 0, 2, [0, 0], 3),
+          (0, [0, -1], 0, 1, [0, 0], 0)],
+         ["2,0", "-1/2,3", "0,0"]),
+        (["--config", str(config)],
+         [["--lambda", "1/4"], ["--frame-h", "1,3,0", "--frame-hperp", "1,-1,0", "--frame-w=1/2"]],
+         [(1, [0, 0, 1], 0, 1, [-1, 0, 2], -1), (3, [1, 2, -1], -2, -1, [1, 0, Fraction(1, 2)], 3)],
+         ["2,0,-1", "1/3,-2,5/2"]),
+    ]
+    shown = set()
+    for cfg_args, frames, pairs, shifts in cases:
+        for x, c, z, r, cp, zp in pairs:
+            a = write_character(tmp_path, "a.json", x, c, z)
+            b = write_character(tmp_path, "b.json", r, cp, zp)
+            for L in shifts:
+                ta = _twisted_file(tmp_path, capsys, "ta.json", a, L, cfg_args)
+                tb = _twisted_file(tmp_path, capsys, "tb.json", b, L, cfg_args)
+                for frame in frames:
+                    shifted = run(capsys, ["wall", "sq", "--ch", a, "--ch-prime", b, "--shift=" + L]
+                                  + frame + cfg_args)
+                    direct = run(capsys, ["wall", "sq", "--ch", ta, "--ch-prime", tb] + frame + cfg_args)
+                    assert shifted == direct, (x, c, z, r, cp, zp, L, frame)
+                    shown.add(json.loads(shifted[1])["wall"]["kind"] if shifted[0] == 0 else shifted[0])
+    assert shown == {"line", "vertical", "everywhere", "nowhere", 2}
+
+
+def test_beta_flag_is_gone(tmp_path, capsys):
+    target = write_character(tmp_path, "t.json", 1, [0, 1], 0)
+    argv = ["destab", "enumerate", "--target", target, "--alpha", "2", "--u0", "1/10"] + CFG
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, argv + ["--beta", "2"])
+    assert code == 1 and out == "" and "--beta" in err
+
+
 def test_wall_lambda_q_and_asymptote_cli(capsys):
     args = ["--x", "1", "--z", "0", "--L", "2,0", "--r", "1", "--k", "-1", "--p", "0", "--chi", "-1"]
     code, out, _ = run(capsys, ["wall", "lambda-q", "--lambda", "1/10"] + args + CFG)

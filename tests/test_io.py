@@ -209,6 +209,20 @@ def test_plot_errors():
         eio.emit_lambda_q_plot(vp, cfg, [], fmt="csv")
 
 
+def test_plot_samples_take_only_exact_values():
+    # a float sample would become its binary expansion in the exact column
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg)
+    for bad in (0.1, "1/10", True):
+        with pytest.raises(ew.DomainError):
+            eio.emit_volume_section_plot(vp, cfg, [bad])
+        with pytest.raises(ew.DomainError):
+            eio.emit_lambda_q_plot(vp, cfg, [bad])
+    text = eio.emit_volume_section_plot(vp, cfg, [Fraction(1, 10), 2])
+    assert [row["v"] for row in eio.parse_volume_section_csv(text)] == [Fraction(1, 10), 2]
+    assert eio.emit_lambda_q_plot(vp, cfg, [Fraction(1, 10)]).splitlines()[1].startswith("1/10,")
+
+
 def test_report_objects():
     cfg = cfg_e2m3()
     vp = ew.volume_params(2, cfg)

@@ -364,3 +364,45 @@ def test_volume_section_domain_checks():
         ew.volume_params(0, cfg)
     with pytest.raises(ew.DomainError):
         ew.volume_params(1, cfg, beta=0)
+
+
+def test_frac_takes_only_ints_and_fractions():
+    # library inputs go through _frac: a decimal string, a bool, a float or
+    # an unparsable string is a DomainError, never a silent conversion
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg)
+    target = ew.character(2, [0, 3], -1, cfg)
+    req = ew.EnumerationRequest(target, vp, Fraction(1, 2))
+    assert req.u0 == Fraction(1, 2)
+    assert ew.EnumerationRequest(target, vp, 1).u0 == 1
+    for bad in ("0.5", "1e1", "1/2", True, False, 0.5, 1.0, "abc", None, [1]):
+        with pytest.raises(ew.DomainError):
+            ew.EnumerationRequest(target, vp, bad)
+    for bad in ("0.5", True, 2.0):
+        with pytest.raises(ew.DomainError):
+            ew.volume_params(bad, cfg)
+        with pytest.raises(ew.DomainError):
+            cfg.divisor([bad, 0])
+    # the message names the input by a bounded repr
+    with pytest.raises(ew.DomainError) as exc:
+        ew.volume_params("7" * 5000, cfg)
+    assert len(str(exc.value)) < 200
+
+
+def test_integer_config_fields_take_only_ints():
+    for bad in (True, 2.0, 2.7, "2", Fraction(2)):
+        with pytest.raises(ew.DomainError):
+            ew.SurfaceConfig(e=bad, m=3)
+        with pytest.raises(ew.DomainError):
+            ew.SurfaceConfig(e=2, m=3, genus_base=bad)
+        with pytest.raises(ew.DomainError):
+            ew.ExtraSection(theta=bad)
+        with pytest.raises(ew.DomainError):
+            ew.ExtraSection(theta=1, cross=(bad,))
+        with pytest.raises(ew.DomainError):
+            ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1}, {"theta": bad}))
+    # cross entries are kept as given, not truncated
+    with pytest.raises(ew.DomainError):
+        ew.SurfaceConfig(e=2, m=3, sections=(ew.ExtraSection(1), ew.ExtraSection(1, cross=(2.7,))))
+    cfg = ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1}, {"theta": 2, "cross": [3]}))
+    assert cfg._gram[2][3] == 3 and all(type(v) is int for row in cfg._gram for v in row)
