@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .chern import ChernCharacter, twist
 from .errors import DomainError, NotInHeartError
@@ -30,6 +31,7 @@ from .nslattice import (
     _omega_bar,
     cone_membership,
     intersect,
+    record,
 )
 
 
@@ -67,7 +69,7 @@ def charge_sq(ch: ChernCharacter, pt: SQ, fr: Frame, cfg: SurfaceConfig) -> Char
     return ChargeValue(re=A + ch.ch0 * fr.g * pt.q, im=B - ch.ch0 * fr.g * pt.s)
 
 
-@dataclass(frozen=True)
+@record
 class LimitCharge:
     """Laurent coefficients of the charge along the volume section.
 
@@ -79,7 +81,7 @@ class LimitCharge:
     im_hi: Fraction
     im_lo: Fraction
     K: Fraction
-    rank: Fraction = None  # type: ignore[assignment]
+    rank: Optional[Fraction] = None
 
     def at(self, v_prime: Fraction) -> ChargeValue:
         return ChargeValue(

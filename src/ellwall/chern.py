@@ -8,12 +8,12 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import DomainError
-from .nslattice import DivisorClass, SurfaceConfig, _frac, _omega_bar, intersect
+from .nslattice import DivisorClass, SurfaceConfig, _frac, _omega_bar, intersect, record
 
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class ChernCharacter:
     """Triple (ch0, ch1, ch2) over exact rationals.
 
@@ -24,10 +24,6 @@ class ChernCharacter:
     ch0: Fraction
     ch1: DivisorClass
     ch2: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "ch0", _frac(self.ch0))
-        object.__setattr__(self, "ch2", _frac(self.ch2))
 
     def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
         return ChernCharacter(self.ch0 + other.ch0, self.ch1 + other.ch1, self.ch2 + other.ch2)
@@ -64,7 +60,7 @@ def character(ch0: Rational, ch1, ch2: Rational, cfg: SurfaceConfig) -> ChernCha
     """Build a ChernCharacter, accepting ch1 as a DivisorClass or coefficient list."""
     if not isinstance(ch1, DivisorClass):
         ch1 = cfg.divisor(ch1)
-    return ChernCharacter(_frac(ch0), ch1, _frac(ch2))
+    return ChernCharacter(ch0, ch1, ch2)
 
 
 def twist(ch: ChernCharacter, B: DivisorClass, cfg: SurfaceConfig) -> ChernCharacter:

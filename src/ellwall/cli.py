@@ -1,22 +1,25 @@
 """Command-line front end.
 
-Every numeric flag takes an exact rational "p/q" (decimals are rejected).
+Every numeric flag takes an exact rational "p/q" (decimals are rejected),
+a negative one also as a separate argument ("--frame-w -7/3").
 Exit codes: 0 success, 1 malformed input, 2 domain/precondition error
-(the message names the violated precondition), 3 internal invariant
-breach.  Output for identical inputs is byte-identical.
+(the message names the violated precondition), 3 internal error (an
+invariant breach or any other bug).  Output for identical inputs is
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import charge as charge_mod
 from . import chern, destabilize, fmtransform, walls
 from . import io as eio
-from .errors import DimensionError, DomainError, EllwallError, InputError, InvariantError, _shown
+from .errors import DimensionError, DomainError, InputError, _shown
 from .io import _document
 from .nslattice import SQ, SurfaceConfig, elliptic_frame, make_frame, volume_params
 
@@ -26,6 +29,23 @@ class _Parser(argparse.ArgumentParser):
     # input here, so re-route through the error hierarchy instead.
     def error(self, message):
         raise InputError(message)
+
+
+_FLAG = re.compile(r"--[^=]+$")
+
+
+def _join_negative_values(argv):
+    """argv with each "--flag -1/2" written "--flag=-1/2": argparse reads a
+    token that starts with "-" as an option unless it is a negative integer
+    or decimal, so a negative rational or coefficient list would not reach
+    its flag.  No command takes such a token any other way."""
+    out = []
+    for token in argv:
+        if token[:1] == "-" and "0" <= token[1:2] <= "9" and out and _FLAG.match(out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _int(text: str) -> int:
@@ -383,7 +403,8 @@ _PARSER = build_parser()
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _PARSER.parse_args(_join_negative_values(argv))
         document = args.func(args, _load_config(args))  # its text, or its chunks of text
         chunks = [document] if isinstance(document, str) else document
         if getattr(args, "out", None):
@@ -391,13 +412,13 @@ def main(argv=None) -> int:
         else:
             sys.stdout.writelines(chunks)
         return 0
-    except (InputError, DimensionError, KeyError, TypeError, ValueError) as exc:
+    except (InputError, DimensionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except DomainError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (InvariantError, EllwallError) as exc:
+    except Exception as exc:  # InvariantError, or a bug: never "malformed input"
         print("internal error: %s" % exc, file=sys.stderr)
         return 3
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .chern import ChernCharacter, character
 from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError
 from .fmtransform import phi_hat
-from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _frac, _shear_constant
+from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _shear_constant, record
 from .walls import FactoredCharacter, PartnerCharacter, classify_asymptote_dim2
 
 # checks that gate emission; the strict variants of the category bound are
@@ -51,7 +51,7 @@ STRICT_CHECKS = ("6.1_strict_lower", "6.1_strict_upper")
 MAX_ENUMERATE_CELLS = 1_000_000
 
 
-@dataclass(frozen=True)
+@record
 class EnumerationRequest:
     """Target character, volume-section data, the sampled u0, and the
     denominator of the ch2 lattice (2 by default: ch2 in (1/2)Z)."""
@@ -62,8 +62,7 @@ class EnumerationRequest:
     ch2_denominator: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "u0", _frac(self.u0))
-        if type(self.ch2_denominator) is not int or self.ch2_denominator < 1:
+        if self.ch2_denominator < 1:
             raise DomainError("ch2 denominator must be a positive integer")
 
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 The CLI maps these onto exit codes: malformed input -> 1, domain or
-precondition violations -> 2, internal invariant breaches -> 3.
+precondition violations -> 2, internal invariant breaches and any
+exception from outside this hierarchy -> 3.
 """
 
 _SHOWN_CHARS = 80

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .errors import (
     DimensionError,
@@ -31,6 +31,11 @@ from .errors import (
 Rational = Union[int, Fraction]
 
 
+def _reject(expected: str, v):
+    """Raise the DomainError for a value v that is not the expected kind."""
+    raise DomainError("expected %s, got %s" % (expected, _shown(v)))
+
+
 def _frac(x) -> Fraction:
     """x as a Fraction.  Only an int (not a bool) or a Fraction is exact
     input: floats, strings and anything else are rejected."""
@@ -38,32 +43,80 @@ def _frac(x) -> Fraction:
         return x  # immutable: no copy needed
     if isinstance(x, (int, Fraction)) and type(x) is not bool:
         return Fraction(x)
-    raise DomainError("expected an int or a Fraction, got %s" % _shown(x))
+    _reject("an int or a Fraction", x)
 
 
-def _int_field(v, name: str) -> int:
+def _int_field(v) -> int:
     """v when it is a plain int: a bool, a float or a string is rejected."""
-    if type(v) is not int:
-        raise DomainError("%s must be an int, got %s" % (name, _shown(v)))
-    return v
+    return v if type(v) is int else _reject("an int", v)
 
 
-@dataclass(frozen=True)
+def _sequence(v):
+    return v if isinstance(v, (tuple, list)) else _reject("a tuple", v)
+
+
+def _converter(tp):
+    """The function that makes a value exact to the field annotation tp, or
+    None when the annotation is not one of the exact kinds of `record`."""
+    origin, args = get_origin(tp), get_args(tp)
+    inner = _converter(args[0]) if args else None
+    if origin is Union and args[1:] == (type(None),) and inner:  # Optional[X]
+        return lambda v: v if v is None else inner(v)
+    if origin is tuple and args[1:] == (Ellipsis,) and inner:  # tuple[X, ...]
+        return lambda v: tuple(map(inner, _sequence(v)))
+    if is_dataclass(tp):
+        return lambda v: v if isinstance(v, tp) else _reject("a " + tp.__name__, v)
+    return {Fraction: _frac, int: _int_field}.get(tp)
+
+
+def record(cls):
+    """@dataclass(frozen=True) with one exactness rule for every field, read
+    off its annotation when the class is created: Fraction and
+    Optional[Fraction] take an int or a Fraction and store a Fraction; int
+    takes only an int; tuple[X, ...] takes a tuple or list and converts
+    each element as X; a dataclass type takes only an instance.  Anything
+    else (a float, a bool, a string) is a DomainError naming the field.
+    The class's own __post_init__, if any, runs after and only checks
+    ranges and invariants."""
+    check = cls.__dict__.get("__post_init__")
+    steps = ()
+
+    def __post_init__(self):
+        for name, tp, convert in steps:
+            value = getattr(self, name)
+            if type(value) is tp:  # a value of exactly the annotated class stays
+                continue
+            try:
+                object.__setattr__(self, name, convert(value))
+            except DomainError as exc:
+                raise DomainError("%s: %s" % (name.replace("_", " "), exc)) from None
+        if check is not None:
+            check(self)
+
+    cls.__post_init__ = __post_init__
+    cls = dataclass(frozen=True)(cls)
+    hints = get_type_hints(cls)
+    steps = tuple(
+        (f.name, hints[f.name], c) for f in fields(cls) if (c := _converter(hints[f.name]))
+    )
+    return cls
+
+
+@record
 class ExtraSection:
     """An extra section Theta_i: theta = Theta.Theta_i, cross[j] = Theta_i.Theta_j
     for each earlier extra section j (length at most i-1; missing entries
     are 0, with a warning)."""
 
     theta: int
-    cross: tuple = ()
+    cross: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if _int_field(self.theta, "theta") < 0:
+        if self.theta < 0:
             raise DomainError("Theta.Theta_i must be >= 0, got %d" % self.theta)
-        object.__setattr__(self, "cross", tuple(_int_field(c, "cross") for c in self.cross))
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceConfig:
     """Numeric model of the surface: e = -Theta^2, base genus, the ample
     offset m (Theta + m*f ample), chi(O_X), and extra-section data.
@@ -75,19 +128,17 @@ class SurfaceConfig:
     e: int
     genus_base: int = 0
     m: Fraction = Fraction(0)
-    euler_char: Fraction = None  # type: ignore[assignment]
+    euler_char: Optional[Fraction] = None
     sections: tuple = ()
     _gram: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if _int_field(self.e, "e") < 0:
+        if self.e < 0:
             raise DomainError("e must be a nonnegative integer, got %r" % (self.e,))
-        if _int_field(self.genus_base, "genus_base") < 0:
+        if self.genus_base < 0:
             raise DomainError("base genus must be >= 0")
-        m = _frac(self.m)
-        if m <= 0:
-            raise DomainError("m must be positive, got %s" % (m,))
-        object.__setattr__(self, "m", m)
+        if self.m <= 0:
+            raise DomainError("m must be positive, got %s" % (self.m,))
         sections = tuple(
             s if isinstance(s, ExtraSection) else ExtraSection(**s) for s in self.sections
         )
@@ -98,12 +149,12 @@ class SurfaceConfig:
                     % (i + 1, i, len(sec.cross))
                 )
         object.__setattr__(self, "sections", sections)
-        if self.rank == 2 and m <= self.e:
+        if self.rank == 2 and self.m <= self.e:
             raise DomainError(
-                "rank-2 ampleness of Theta+mf requires m > e (m=%s, e=%d)" % (m, self.e)
+                "rank-2 ampleness of Theta+mf requires m > e (m=%s, e=%d)" % (self.m, self.e)
             )
-        chi = Fraction(self.e) if self.euler_char is None else _frac(self.euler_char)
-        object.__setattr__(self, "euler_char", chi)
+        if self.euler_char is None:
+            object.__setattr__(self, "euler_char", Fraction(self.e))
         object.__setattr__(self, "_gram", self._build_gram())
 
     @property
@@ -132,18 +183,18 @@ class SurfaceConfig:
         if defaulted:
             warnings.warn(
                 "Theta_i.Theta_j not configured for some pair; defaulting to 0",
-                stacklevel=3,
+                stacklevel=4,  # the dataclass __init__, past the frame record adds
             )
         return tuple(tuple(row) for row in g)
 
     # basis helpers
     def divisor(self, coeffs: Sequence[Rational]) -> "DivisorClass":
-        coeffs = tuple(_frac(c) for c in coeffs)
-        if len(coeffs) != self.rank:
+        D = DivisorClass(coeffs)
+        if len(D.coeffs) != self.rank:
             raise DimensionError(
-                "expected %d coefficients, got %d" % (self.rank, len(coeffs))
+                "expected %d coefficients, got %d" % (self.rank, len(D.coeffs))
             )
-        return DivisorClass(coeffs)
+        return D
 
     def zero(self) -> "DivisorClass":
         return DivisorClass((Fraction(0),) * self.rank)
@@ -170,14 +221,11 @@ class SurfaceConfig:
         return self.theta_f(1, self.m)
 
 
-@dataclass(frozen=True)
+@record
 class DivisorClass:
     """Rational vector in NS(X) over the basis (Theta, f, Theta_1, ...)."""
 
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_frac, self.coeffs)))
+    coeffs: tuple[Fraction, ...]
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check(other)
@@ -257,7 +305,7 @@ def cone_membership(D: DivisorClass, cfg: SurfaceConfig) -> ConeMembership:
     return ConeMembership(nef=nef, ample=ample, effective_curve_cone=mori)
 
 
-@dataclass(frozen=True)
+@record
 class Frame:
     """A triple (H, H^perp, w) with H.H^perp = 0, g = H.H > 0,
     delta = -(H^perp)^2 >= 0 (zero exactly when H^perp = 0)."""
@@ -272,7 +320,6 @@ class Frame:
 def make_frame(
     H: DivisorClass, Hperp: DivisorClass, w: Rational, cfg: SurfaceConfig
 ) -> Frame:
-    w = _frac(w)
     g = intersect(H, H, cfg)
     delta = -intersect(Hperp, Hperp, cfg)
     if intersect(H, Hperp, cfg) != 0:
@@ -336,7 +383,7 @@ def decompose(D: DivisorClass, fr: Frame, cfg: SurfaceConfig) -> FrameDecomposit
 # stability-parameter points and coordinate changes
 
 
-@dataclass(frozen=True)
+@record
 class UV:
     """Polarisation omega = u*(Theta+mf) + v*f with u, v > 0."""
 
@@ -344,14 +391,11 @@ class UV:
     v: Fraction
 
     def __post_init__(self):
-        u, v = _frac(self.u), _frac(self.v)
-        if u <= 0 or v <= 0:
+        if self.u <= 0 or self.v <= 0:
             raise DomainError("UV point requires u, v > 0")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
+@record
 class LambdaT:
     """omega = t*H_lambda with 0 < lambda < 1 and t > 0."""
 
@@ -359,16 +403,13 @@ class LambdaT:
     t: Fraction
 
     def __post_init__(self):
-        lam, t = _frac(self.lam), _frac(self.t)
-        if not 0 < lam < 1:
+        if not 0 < self.lam < 1:
             raise DomainError("lambda must lie in (0,1)")
-        if t <= 0:
+        if self.t <= 0:
             raise DomainError("t must be positive")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
+@record
 class SQ:
     """(s,q)-coordinates in a fixed frame; q > s^2/2 strictly."""
 
@@ -376,14 +417,11 @@ class SQ:
     q: Fraction
 
     def __post_init__(self):
-        s, q = _frac(self.s), _frac(self.q)
-        if q <= s * s / 2:
+        if self.q <= self.s * self.s / 2:
             raise DomainError("SQ point requires q > s^2/2")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
+@record
 class LambdaQ:
     """A point of the (lambda,0,0,q)-plane (s = w = 0)."""
 
@@ -405,7 +443,7 @@ def to_lambda_q(p: UV) -> LambdaQ:
     return LambdaQ(lam=p.u / t, q=t * t / 2)
 
 
-@dataclass(frozen=True)
+@record
 class ShearPoint:
     """Image of (u,v) under the unit-determinant shear fixing u."""
 
@@ -426,7 +464,7 @@ def unshear(p: ShearPoint, cfg: SurfaceConfig) -> UV:
 # volume section
 
 
-@dataclass(frozen=True)
+@record
 class VolumeSectionParams:
     """alpha scales the slope-side polarisation, beta only rescales it;
     K = alpha + m - e is the constant omega^2/2 along the section."""
@@ -454,7 +492,7 @@ def _require_section(vp: VolumeSectionParams):
         raise EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
 
 
-@dataclass(frozen=True)
+@record
 class QuadraticRoot:
     """The root of a*u^2 + b*u + c = 0 (integer coefficients, a > 0) in the
     rational bracket lo < hi with f(lo) < 0 < f(hi); volume_section_u
@@ -467,10 +505,7 @@ class QuadraticRoot:
     hi: Fraction
 
     def __post_init__(self):
-        lo, hi = _frac(self.lo), _frac(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if not (self.a > 0 and self._scaled_eval(lo) < 0 < self._scaled_eval(hi)):
+        if not (self.a > 0 and self._scaled_eval(self.lo) < 0 < self._scaled_eval(self.hi)):
             raise DomainError("QuadraticRoot requires a > 0 and f(lo) < 0 < f(hi)")
 
     def _scaled_eval(self, u: Fraction) -> int:

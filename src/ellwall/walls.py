@@ -48,6 +48,7 @@ from .nslattice import (
     _shear_constant,
     intersect,
     pairings,
+    record,
 )
 
 Rational = Union[int, Fraction]
@@ -58,7 +59,7 @@ EVERYWHERE = "everywhere"
 NOWHERE = "nowhere"
 
 
-@dataclass(frozen=True)
+@record
 class WallSQ:
     """A potential wall in the (s,q)-plane: a semi-line through `point`
     with `slope`, a vertical semi-line at `s`, or the degenerate
@@ -66,7 +67,7 @@ class WallSQ:
     understood restricted to q > s^2/2."""
 
     kind: str
-    point: Optional[tuple] = None
+    point: Optional[tuple[Fraction, ...]] = None
     slope: Optional[Fraction] = None
     s: Optional[Fraction] = None
 
@@ -154,7 +155,7 @@ def shift_wall(
 # (lambda,0,0,q)-plane walls and their lambda -> 0+ classification
 
 
-@dataclass(frozen=True)
+@record
 class FactoredCharacter:
     """A rank-nonzero character presented as e^L.(x, 0, z) with x*z <= 0
     (the twisted-to-primitive form every Bogomolov-type character admits)."""
@@ -164,8 +165,6 @@ class FactoredCharacter:
     L: DivisorClass
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "z", _frac(self.z))
         if self.x == 0:
             raise DomainError("factored character needs x != 0")
         if self.x * self.z > 0:
@@ -183,39 +182,34 @@ def reduce_by_twist(ch: ChernCharacter, cfg: SurfaceConfig) -> FactoredCharacter
 
 class _ThetaFXi:
     """A character with ch1 = k*Theta + p*f + sum xi_i*Theta_i: fields k,
-    p and the tuple xis, every field rational."""
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            object.__setattr__(self, name, tuple(map(_frac, v)) if name == "xis" else _frac(v))
+    p and the tuple xis."""
 
     def ch1(self, cfg: SurfaceConfig) -> DivisorClass:
         return cfg.divisor([self.k, self.p, *self.xis]) if self.xis else cfg.theta_f(self.k, self.p)
 
 
-@dataclass(frozen=True)
+@record
 class PartnerCharacter(_ThetaFXi):
     """Destabilising partner data (r, k*Theta + p*f + sum xi_i*Theta_i, chi)."""
 
     r: Fraction
     k: Fraction
     p: Fraction
-    xis: tuple = ()
+    xis: tuple[Fraction, ...] = ()
     chi: Fraction = Fraction(0)
 
 
-@dataclass(frozen=True)
+@record
 class OneDimCharacter(_ThetaFXi):
     """Rank-zero character (0, k*Theta + p*f + sum xi_i*Theta_i, z)."""
 
     k: Fraction
     p: Fraction
     z: Fraction
-    xis: tuple = ()
+    xis: tuple[Fraction, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class OneDimPartner:
     """Rank-nonzero partner of a one-dimensional character, presented as
     e^L.(r, 0, chi)."""
@@ -225,8 +219,6 @@ class OneDimPartner:
     L: DivisorClass
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _frac(self.r))
-        object.__setattr__(self, "chi", _frac(self.chi))
         if self.r == 0:
             raise DomainError("one-dimensional wall partner needs r != 0")
 
@@ -257,7 +249,7 @@ class AsymptoteClass:
     leading_term: str
 
 
-@dataclass(frozen=True)
+@record
 class LambdaQWall:
     """The (lambda,q)-wall of one pair as the rational function of the
     module docstring, with a = a0 + a1*lambda and l = l0 + l1*lambda; built

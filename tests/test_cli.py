@@ -1,8 +1,15 @@
+import contextlib
 import hashlib
+import io as stdio
 import json
+import os
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ellwall as ew
 from ellwall import io as eio
@@ -495,6 +502,55 @@ def test_document_with_a_float_exit_3(capsys, monkeypatch):
     assert code == 3 and out == "" and err.startswith("internal error:")
 
 
+def test_bare_builtin_exception_exit_3(tmp_path, capsys, monkeypatch):
+    # a builtin exception is a bug, not malformed input
+    def broken(ch, cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli.fmtransform, "phi", broken)
+    ch = write_character(tmp_path, "ch.json", 1, [0, 0], 0)
+    code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", ch] + CFG)
+    assert (code, out, err) == (3, "", "internal error: boom\n")
+
+
+def test_negative_rationals_as_separate_tokens(tmp_path, capsys):
+    # every rational and coefficient flag takes a negative p/q both as the
+    # next argument and after "=", with the same result
+    a = write_character(tmp_path, "a.json", 2, [1, 3], -1)
+    b = write_character(tmp_path, "b.json", 1, [1, 2], 5)
+    rank3 = tmp_path / "rank3.json"
+    rank3.write_text(json.dumps({"e": 2, "m": "3", "sections": [{"theta": 2}]}))
+    wall_sq = ["wall", "sq", "--ch", a, "--ch-prime", b, "--frame-h", "1,3", "--frame-hperp", "1,-1"]
+    dim2 = ["wall", "lambda-q", "--lambda", "1/2", "--x", "1", "--z", "-1", "--L", "0,0",
+            "--r", "1", "--k", "0", "--p", "1", "--chi", "0"]
+    cases = [  # (argv, flag, value, exit code); a repeated flag takes its last value
+        (wall_sq + CFG, "--frame-w", "-7/3", 0),
+        (wall_sq + CFG, "--shift", "-1/2,3", 0),
+        (["twist", "--ch", a] + CFG, "--divisor", "-1/2,0", 0),
+        (["charge", "--ch", a] + CFG, "--omega", "-1/2,3", 2),  # not ample
+        (["charge", "--ch", a, "--omega", "1,3"] + CFG, "--b-field", "-1/2,1", 0),
+        (["charge-sq", "--ch", a, "--lambda", "1/2", "--q", "1"] + CFG, "--s", "-1/2", 0),
+        (["charge-sq", "--ch", a, "--lambda", "1/2", "--s", "0"] + CFG, "--q", "-1/2", 2),
+        (dim2 + CFG, "--z", "-1/2", 0),
+        (dim2 + CFG, "--chi", "-3/2", 0),
+        (dim2 + CFG, "--k", "-1/2", 0),
+        (dim2 + CFG, "--p", "-1/2", 0),
+        (dim2 + CFG, "--L", "-1/2,1", 0),
+        (dim2 + ["--L", "0,0,0", "--config", str(rank3)], "--xi", "-1/2", 0),
+        (["plot", "lambda-q", "--alpha", "5", "--lambda-to", "1/2", "--samples", "2"] + CFG,
+         "--lambda-from", "-1/2", 2),
+        (["plot", "volume-section", "--alpha", "5", "--v-to", "1"] + CFG, "--v-from", "-1/2", 2),
+        (["surface", "check", "--e", "2"], "--m", "-7/3", 2),
+    ]
+    for argv, flag, value, expected in cases:
+        separate = run(capsys, argv + [flag, value])
+        assert separate == run(capsys, argv + [flag + "=" + value]), flag
+        assert separate[0] == expected, (flag, separate)
+    # a flag that takes no value takes no negative token either
+    code, _, err = run(capsys, ["twist", "--ch", a, "--divisor", "1,0", "--line-bundle", "-1/2"] + CFG)
+    assert code == 1 and "-1/2" in err
+
+
 def test_plot_lambda_q_rejects_labels_xml_cannot_hold(tmp_path, capsys):
     from xml.dom import minidom
 
@@ -703,3 +759,149 @@ def test_digit_bound_input_exit_1_result_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", str(big)] + CFG)
     assert code == 1 and out == "" and "more than %d digits" % eio.MAX_DIGITS in err
     assert len(err.encode()) < 200
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over random argv and JSON files
+
+_FILES = ("a.json", "b.json", "config.json", "wall.json")
+_FRAME = ["--frame-h", "--frame-hperp", "--frame-w"]
+_WALL = ["--x", "--z", "--L", "--r", "--k", "--p", "--chi"]
+_COMMANDS = {  # (the flags a valid call needs, some other flags it may take)
+    ("surface", "check"): ([], []),
+    ("transform",): (["--functor", "--ch"], []),
+    ("twist",): (["--ch", "--divisor"], ["--line-bundle"]),
+    ("charge",): (["--ch", "--omega"], ["--b-field"]),
+    ("charge-sq",): (["--ch", "--lambda", "--s", "--q"], _FRAME),
+    ("limit-phase",): (["--ch", "--alpha"], []),
+    ("limit-compare",): (["--first", "--second", "--alpha"], []),
+    ("wall", "sq"): (["--ch", "--ch-prime", "--lambda"], ["--shift"] + _FRAME),
+    ("wall", "lambda-q"): (["--lambda"] + _WALL, ["--dim", "--xi"]),
+    ("wall", "asymptote"): (_WALL, ["--dim", "--xi"]),
+    ("destab", "enumerate"): (["--target", "--alpha", "--u0"], ["--ch2-denominator"]),
+    ("linebundle", "analyze"): (["--aL", "--alpha"], []),
+    ("plot", "volume-section"): (["--alpha", "--v-from", "--v-to"], ["--v-step", "--format"]),
+    ("plot", "lambda-q"): (["--alpha", "--lambda-from", "--lambda-to", "--samples"],
+                           ["--wall", "--format"]),
+}
+_CONFIG = ["--e", "--m", "--genus-base", "--euler-char", "--config"]
+_FILE_FLAGS = {"--ch", "--ch-prime", "--first", "--second", "--target", "--wall", "--config"}
+_INT_FLAGS = {"--e", "--genus-base", "--dim", "--ch2-denominator", "--aL", "--samples"}
+_LIST_FLAGS = {"--divisor", "--omega", "--b-field", "--frame-h", "--frame-hperp", "--shift",
+               "--L", "--xi"}
+
+
+def _mostly(good, bad):
+    """good nine times in ten, bad otherwise."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+_junk = st.sampled_from(["", "x", "0.5", "-0.5", "1e3", "1/0", "\u0663", "1_0", " 2 ", "--e"])
+_ints = st.integers(-9, 9).map(str)
+_exact = st.one_of(_ints, st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 4)))
+_rationals = _mostly(_exact, _junk)
+_lists = st.lists(_rationals, min_size=2, max_size=3).map(",".join)
+_positive = _mostly(st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 4)), _rationals)
+_VALUES = {  # flags whose values are drawn mostly from their domain
+    "--e": _mostly(st.sampled_from("0123"), _rationals),
+    "--m": _mostly(st.sampled_from(["4", "7/2", "5", "13/3"]), _rationals),
+    "--lambda": _mostly(st.builds("{}/8".format, st.integers(1, 7)), _rationals),
+    "--lambda-from": st.just("1/9"),
+    "--lambda-to": _mostly(st.builds("{}/9".format, st.integers(1, 8)), _rationals),
+    "--samples": _mostly(st.integers(2, 9).map(str), st.one_of(_ints, _junk)),
+    "--alpha": _positive,
+    "--u0": _mostly(st.builds("1/{}".format, st.integers(2, 9)), _rationals),
+    "--v-from": _positive,
+    "--v-to": _positive,
+}
+_scalars = _mostly(_exact, st.one_of(_junk, st.sampled_from([0.5, True, None, [], 7])))
+_divisors = _mostly(st.lists(_scalars, min_size=2, max_size=2), st.lists(_scalars, max_size=3))
+_character = st.fixed_dictionaries({"ch0": _scalars, "ch1": _divisors, "ch2": _scalars})
+_config = st.fixed_dictionaries(
+    {"e": _mostly(st.integers(0, 3), _scalars), "m": _mostly(st.just("4"), _scalars)},
+    optional={"sections": st.lists(st.fixed_dictionaries({"theta": st.integers(-1, 3)}),
+                                   max_size=2)},
+)
+_wall_spec = st.fixed_dictionaries(
+    {key: _scalars for key in ("x", "z", "r", "k", "p", "chi")},
+    optional={"dim": st.sampled_from([1, 2, 3, "2"]), "L": _divisors,
+              "xi": st.lists(_scalars, max_size=2), "label": st.text(max_size=3)},
+)
+
+
+def _file(document):
+    """The text of a JSON file that mostly holds document."""
+    anything = st.one_of(_character, _config, _wall_spec, _scalars).map(json.dumps)
+    return _mostly(document.map(json.dumps), anything | st.sampled_from(["", "{", "[1,"]))
+
+
+@st.composite
+def _calls(draw):
+    """(argv, {file name: text}, stdin text) of one CLI call."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    needed, other = _COMMANDS[command]
+    flags = ["--e", "--m"] + needed + draw(st.lists(st.sampled_from(other + _CONFIG), max_size=3))
+    argv, named = list(command), set()
+    for flag in draw(st.permutations(flags)):
+        if flag == "--line-bundle":
+            argv.append(flag)
+            continue
+        if flag in _VALUES:
+            value = draw(_VALUES[flag])
+        elif flag in _FILE_FLAGS:
+            own = {"--config": "config.json", "--wall": "wall.json"}.get(flag)
+            value = draw(_mostly(st.sampled_from([own] if own else _FILES[:2]),
+                                 st.sampled_from(_FILES + ("missing.json", "-"))))
+            named.add(value)
+        elif flag in _INT_FLAGS:
+            value = draw(_mostly(st.integers(0, 9).map(str), st.one_of(_ints, _junk)))
+        elif flag in _LIST_FLAGS:
+            value = draw(_lists)
+        elif flag == "--functor":
+            value = draw(st.sampled_from(["phi", "phihat", "psi"]))
+        elif flag == "--format":
+            value = draw(st.sampled_from(["csv", "svg", "png"]))
+        else:
+            value = draw(_rationals)
+        # a negative rational as a separate token, or after "="
+        argv += draw(st.sampled_from([[flag, value], [flag + "=" + value]]))
+    # only the files the call names are drawn; "-" is stdin
+    kinds = dict(zip(_FILES + ("-",), (_character, _character, _config, _wall_spec, _character)))
+    files = {name: draw(_file(kinds[name])) for name in kinds if name in named}
+    return argv, files, files.pop("-", "")
+
+
+def _call(argv, stdin_text):
+    out, err = stdio.StringIO(), stdio.StringIO()
+    stdin, sys.stdin = sys.stdin, stdio.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_calls())
+def test_cli_exit_contract_on_random_calls(call):
+    # whatever the argv and the files hold: nothing escapes main, the exit
+    # code is 0-3, a failure writes only its error line, and a repeat is
+    # byte-identical
+    argv, files, stdin_text = call
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        os.chdir(tmp)
+        try:
+            first = _call(argv, stdin_text)
+            assert _call(argv, stdin_text) == first
+        finally:
+            os.chdir(cwd)
+    code, out, err = first
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out == "" and err.startswith("internal error:" if code == 3 else "error:")

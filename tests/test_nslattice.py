@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import warnings
 from fractions import Fraction
@@ -87,6 +88,70 @@ def test_missing_cross_intersections_warn():
         )
     assert not caught
     assert ew.intersect(cfg2.extra_section(1), cfg2.extra_section(2), cfg2) == 4
+
+
+def _record_cases():
+    """(record, its exact fields with valid values, its other fields): ints
+    wherever the field allows one, so that storing them can be checked."""
+    cfg = cfg_e2m3()
+    D = cfg.divisor([1, 3])
+    vp = ew.volume_params(2, cfg)
+    return [
+        (ew.ChernCharacter, dict(ch0=1, ch1=D, ch2=0), {}),
+        (ew.EnumerationRequest,
+         dict(target=ew.character(2, [0, 3], -1, cfg), vp=vp, u0=1, ch2_denominator=2), {}),
+        (ew.ExtraSection, dict(theta=1, cross=(3,)), {}),
+        (ew.SurfaceConfig, dict(e=2, genus_base=0, m=3, euler_char=2), {}),
+        (ew.DivisorClass, dict(coeffs=(1, 3)), {}),
+        (ew.UV, dict(u=1, v=2), {}),
+        (ew.LambdaT, dict(lam=Fraction(1, 2), t=1), {}),
+        (ew.SQ, dict(s=0, q=1), {}),
+        (ew.QuadraticRoot, dict(a=1, b=0, c=-2, lo=1, hi=2), {}),
+        (ew.FactoredCharacter, dict(x=1, z=0, L=D), {}),
+        (ew.PartnerCharacter, dict(r=1, k=0, p=1, xis=(1,), chi=0), {}),
+        (ew.OneDimCharacter, dict(k=0, p=1, z=0, xis=(1,)), {}),
+        (ew.OneDimPartner, dict(r=1, chi=0, L=D), {}),
+        (ew.LambdaQ, dict(lam=Fraction(1, 2), q=1), {}),
+        (ew.ShearPoint, dict(u_prime=1, v_prime=1), {}),
+        (ew.VolumeSectionParams, dict(alpha=2, beta=1, K=1), {}),
+        (ew.Frame, dict(H=D, Hperp=cfg.divisor([1, -1]), w=0, g=4, delta=4), {}),
+        (ew.LimitCharge, dict(re_const=1, im_hi=1, im_lo=0, K=1, rank=1), {}),
+        (ew.WallSQ, dict(point=(0, 1), slope=1, s=0), dict(kind="line")),
+        (ew.LambdaQWall, dict(alpha=1, beta=0, a0=1, a1=0, l0=0, l1=0, kappa=0),
+         dict(family="dim2")),
+    ]
+
+
+# the fields the record rule keeps as int; every other int above is a Fraction field
+_INT_FIELDS = {"theta", "cross", "e", "genus_base", "a", "b", "c", "ch2_denominator"}
+
+
+def test_record_rule_takes_only_exact_values():
+    # every public input record: a float, a bool, a decimal or a non-numeric
+    # string in an exact field is a DomainError, a list is no DivisorClass
+    # and no number is a tuple, and an int is stored as a Fraction in a
+    # Fraction field
+    for cls, exact, other in _record_cases():
+        obj = cls(**exact, **other)
+        assert obj == cls(**exact, **other) and repr(obj).startswith(cls.__name__ + "(")
+        first = next(iter(exact))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, first, exact[first])
+        for name, good in exact.items():
+            stored = getattr(obj, name)
+            kind = int if name in _INT_FIELDS else Fraction
+            if isinstance(good, int):
+                assert type(stored) is kind, (cls, name)
+            elif isinstance(good, tuple):
+                assert type(stored) is tuple and all(type(v) is kind for v in stored), (cls, name)
+            bad = [0.5, True, "0.5", "abc"]
+            if isinstance(good, tuple):
+                bad += [(0.5,), (True,), ("1/2",), 5]
+            elif not isinstance(good, (int, Fraction)):  # a record instance
+                bad += [[1, 2], 5]
+            for value in bad:
+                with pytest.raises(ew.DomainError):
+                    cls(**dict(exact, **{name: value}), **other)
 
 
 def test_cross_longer_than_index_rejected():

@@ -148,7 +148,8 @@ def test_shift_wall_identity_at_zero():
 
 
 def test_shift_coherence_random():
-    # the module's core consistency oracle: closed-form shift == twist-then-wall
+    # shift_wall agrees with its definition, the wall of the twisted pair,
+    # over random frames, both rank branches and random line bundles
     cfg = cfg_e2m3()
     rng = random.Random(73)
     frames = _frames(cfg)
@@ -176,8 +177,8 @@ def test_shift_coherence_random():
 
 
 def test_rank3_shift_coherence():
-    # extra sections give nonzero residuals; the second frame adds w != 0,
-    # exercising every term of the closed-form point/slope shift
+    # extra sections give nonzero residuals and the second frame adds w != 0:
+    # shift_wall is the wall of the twisted pair on rank 3 too
     cfg = cfg_rank3()
     frames = [
         ew.elliptic_frame(Fraction(1, 4), cfg),
