@@ -63,18 +63,23 @@ def _int(text: str) -> int:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    # ValueError: text that is not UTF-8, or a NUL character in path
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def _write_text(path: str, chunks):
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        fh = open(path, "w", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL character in path
+        raise InputError("cannot write %s: %s" % (path, exc)) from exc
+    try:
+        with fh:
             fh.writelines(chunks)
     except OSError as exc:
         raise InputError("cannot write %s: %s" % (path, exc)) from exc

@@ -709,6 +709,23 @@ def test_unwritable_out_is_exit_1(tmp_path, capsys):
     assert code == 1 and out == "" and "cannot write" in err
 
 
+def test_unreadable_input_is_exit_1(tmp_path, capsys, monkeypatch):
+    # text that is not UTF-8 (here UTF-16 or stray bytes) is malformed input
+    for data in (b"\xff\xfe{", json.dumps({"e": 2, "m": "3"}).encode("utf-16")):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        for flag in ("--ch", "--config"):
+            code, out, err = run(capsys, ["transform", "--functor", "phi", flag, str(bad)] + CFG)
+            assert (code, out) == (1, "") and err.startswith("error: cannot read %s: " % bad)
+        monkeypatch.setattr("sys.stdin", stdio.TextIOWrapper(stdio.BytesIO(data), encoding="utf-8"))
+        code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", "-"] + CFG)
+        assert (code, out) == (1, "") and err.startswith("error: cannot read -: ")
+    # so is a path no file can have
+    for flag, verb in (("--config", "read"), ("--out", "write")):
+        code, out, err = run(capsys, ["surface", "check", flag, "a\0b"] + CFG)
+        assert (code, out) == (1, "") and err.startswith("error: cannot %s a\0b: " % verb)
+
+
 def test_enumerate_errors_write_no_out_file(tmp_path, capsys, monkeypatch):
     from ellwall import destabilize
 
@@ -830,14 +847,16 @@ _wall_spec = st.fixed_dictionaries(
 
 
 def _file(document):
-    """The text of a JSON file that mostly holds document."""
+    """The bytes of a JSON file that mostly holds document."""
     anything = st.one_of(_character, _config, _wall_spec, _scalars).map(json.dumps)
-    return _mostly(document.map(json.dumps), anything | st.sampled_from(["", "{", "[1,"]))
+    utf16 = document.map(lambda obj: json.dumps(obj).encode("utf-16"))  # not UTF-8
+    text = _mostly(document.map(json.dumps), anything | st.sampled_from(["", "{", "[1,"]))
+    return _mostly(text.map(str.encode), utf16)
 
 
 @st.composite
 def _calls(draw):
-    """(argv, {file name: text}, stdin text) of one CLI call."""
+    """(argv, {file name: bytes}, stdin bytes) of one CLI call."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     needed, other = _COMMANDS[command]
     flags = ["--e", "--m"] + needed + draw(st.lists(st.sampled_from(other + _CONFIG), max_size=3))
@@ -868,12 +887,13 @@ def _calls(draw):
     # only the files the call names are drawn; "-" is stdin
     kinds = dict(zip(_FILES + ("-",), (_character, _character, _config, _wall_spec, _character)))
     files = {name: draw(_file(kinds[name])) for name in kinds if name in named}
-    return argv, files, files.pop("-", "")
+    return argv, files, files.pop("-", b"")
 
 
-def _call(argv, stdin_text):
+def _call(argv, stdin_bytes):
     out, err = stdio.StringIO(), stdio.StringIO()
-    stdin, sys.stdin = sys.stdin, stdio.StringIO(stdin_text)
+    stdin = sys.stdin
+    sys.stdin = stdio.TextIOWrapper(stdio.BytesIO(stdin_bytes), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
@@ -886,22 +906,22 @@ def _call(argv, stdin_text):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_calls())
 def test_cli_exit_contract_on_random_calls(call):
-    # whatever the argv and the files hold: nothing escapes main, the exit
-    # code is 0-3, a failure writes only its error line, and a repeat is
-    # byte-identical
-    argv, files, stdin_text = call
+    # whatever the argv and the files hold: nothing escapes main, a repeat
+    # is byte-identical, and a failure writes only its error line; each call
+    # is valid or malformed input, so none reaches the internal-error exit 3
+    argv, files, stdin_bytes = call
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in files.items():
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
-                fh.write(text)
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
         os.chdir(tmp)
         try:
-            first = _call(argv, stdin_text)
-            assert _call(argv, stdin_text) == first
+            first = _call(argv, stdin_bytes)
+            assert _call(argv, stdin_bytes) == first
         finally:
             os.chdir(cwd)
     code, out, err = first
-    assert code in (0, 1, 2, 3)
+    assert code in (0, 1, 2)
     if code:
-        assert out == "" and err.startswith("internal error:" if code == 3 else "error:")
+        assert out == "" and err.startswith("error:")
