@@ -11,7 +11,9 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -62,31 +64,37 @@ def _int(text: str) -> int:
     return int(t)
 
 
-def _read_text(path: str) -> str:
-    # ValueError: text that is not UTF-8, or a NUL character in path
+def _write_text(path, chunks):
+    """Write chunks to the file path, or to stdout when there is none.  A
+    file that cannot be opened, or a stream that cannot be written (a full
+    disk, a pipe closed by its reader), is an InputError: exit 1."""
+    name = path or "stdout"
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except (OSError, ValueError) as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from exc
-
-
-def _write_text(path: str, chunks):
-    try:
-        fh = open(path, "w", encoding="utf-8")
+        # stdout is looked up on each call: callers may redirect it
+        fh = open(path, "w", encoding="utf-8") if path else sys.stdout
     except (OSError, ValueError) as exc:  # ValueError: a NUL character in path
-        raise InputError("cannot write %s: %s" % (path, exc)) from exc
+        raise InputError("cannot write %s: %s" % (name, exc)) from exc
     try:
-        with fh:
+        with fh if path else contextlib.nullcontext():
             fh.writelines(chunks)
+            fh.flush()  # a closed pipe fails here, not at exit
     except OSError as exc:
-        raise InputError("cannot write %s: %s" % (path, exc)) from exc
+        if fh is sys.__stdout__:  # flushed again at exit: let the rest go to os.devnull
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), fh.fileno())
+        raise InputError("cannot write %s: %s" % (name, exc)) from exc
 
 
 def _read_json(path: str):
-    text = _read_text(path)
+    """The JSON value in the file path, or on stdin when path is "-"."""
+    try:  # ValueError: text that is not UTF-8, or a NUL character in path
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise InputError("cannot read %s: %s" % (path, exc)) from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -411,11 +419,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:] if argv is None else argv
         args = _PARSER.parse_args(_join_negative_values(argv))
         document = args.func(args, _load_config(args))  # its text, or its chunks of text
-        chunks = [document] if isinstance(document, str) else document
-        if getattr(args, "out", None):
-            _write_text(args.out, chunks)
-        else:
-            sys.stdout.writelines(chunks)
+        _write_text(args.out, [document] if isinstance(document, str) else document)
         return 0
     except (InputError, DimensionError) as exc:
         print("error: %s" % exc, file=sys.stderr)

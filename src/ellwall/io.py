@@ -102,6 +102,29 @@ def parse_rational(s) -> Fraction:
     return Fraction(text)
 
 
+_ABSENT = object()  # an optional key that a JSON object leaves out
+
+
+def _fields(obj, what: str, required: tuple, optional: tuple = ()) -> list:
+    """The values of the required keys, then of the optional keys (or _ABSENT)
+    of obj, a JSON object that holds every required key; others are ignored."""
+    if not isinstance(obj, dict):
+        raise InputError("%s must be a JSON object, got %s" % (what, _shown(obj)))
+    for key in required:
+        if key not in obj:
+            raise InputError("%s is missing %r" % (what, key))
+    return [obj.get(key, _ABSENT) for key in required + optional]
+
+
+def _array(v, what: str):
+    """v, which must be a JSON array; an absent optional key reads as []."""
+    if v is _ABSENT:
+        return ()
+    if not isinstance(v, (list, tuple)):
+        raise InputError("%s must be a JSON array, got %s" % (what, _shown(v)))
+    return v
+
+
 # ---------------------------------------------------------------------------
 # JSON object mappers (plain dicts; emit_document writes them)
 
@@ -119,30 +142,23 @@ def config_to_obj(cfg: SurfaceConfig) -> dict:
 
 
 def config_from_obj(obj) -> SurfaceConfig:
-    if not isinstance(obj, dict):
-        raise InputError("surface config must be a JSON object")
-    try:
-        e = _parse_int(obj["e"], "e")
-        m = parse_rational(obj["m"])
-        genus = _parse_int(obj.get("genus_base", 0), "genus_base")
-        chi = obj.get("euler_char")
-        sections = tuple(
-            ExtraSection(
-                theta=_parse_int(s["theta"], "theta"),
-                cross=tuple(_parse_int(c, "cross") for c in s.get("cross", ())),
-            )
-            for s in obj.get("sections", ())
-        )
-    except KeyError as exc:
-        raise InputError("surface config is missing %s" % exc) from exc
-    except (TypeError, ValueError) as exc:
-        raise InputError("malformed surface config: %s" % exc) from exc
-    return SurfaceConfig(
-        e=e,
-        genus_base=genus,
-        m=m,
-        euler_char=None if chi is None else parse_rational(chi),
-        sections=sections,
+    e, m, genus, chi, sections = _fields(
+        obj, "surface config", ("e", "m"), ("genus_base", "euler_char", "sections")
+    )
+    return SurfaceConfig(  # parsed in this order: the first bad field is the one reported
+        e=_parse_int(e, "e"),
+        m=parse_rational(m),
+        genus_base=0 if genus is _ABSENT else _parse_int(genus, "genus_base"),
+        sections=tuple(map(_section_from_obj, _array(sections, "sections"))),
+        euler_char=None if chi is _ABSENT or chi is None else parse_rational(chi),
+    )
+
+
+def _section_from_obj(obj) -> ExtraSection:
+    theta, cross = _fields(obj, "extra section", ("theta",), ("cross",))
+    return ExtraSection(
+        theta=_parse_int(theta, "theta"),
+        cross=tuple(_parse_int(c, "cross") for c in _array(cross, "cross")),
     )
 
 
@@ -155,49 +171,34 @@ def character_to_obj(ch: ChernCharacter) -> dict:
 
 
 def character_from_obj(obj, cfg: SurfaceConfig) -> ChernCharacter:
-    if not isinstance(obj, dict):
-        raise InputError("Chern character must be a JSON object")
-    try:
-        ch0 = parse_rational(obj["ch0"])
-        ch1 = divisor_from_obj(obj["ch1"], cfg)
-        ch2 = parse_rational(obj["ch2"])
-    except KeyError as exc:
-        raise InputError("Chern character is missing %s" % exc) from exc
-    return ChernCharacter(ch0, ch1, ch2)
+    ch0, ch1, ch2 = _fields(obj, "Chern character", ("ch0", "ch1", "ch2"))
+    return ChernCharacter(parse_rational(ch0), divisor_from_obj(ch1, cfg), parse_rational(ch2))
 
 
 def divisor_from_obj(obj, cfg: SurfaceConfig) -> DivisorClass:
-    if not isinstance(obj, (list, tuple)):
-        raise InputError("divisor class must be a JSON array of rationals")
-    return cfg.divisor([parse_rational(c) for c in obj])
+    return cfg.divisor([parse_rational(c) for c in _array(obj, "divisor class")])
 
 
 def wall_spec_from_obj(obj, cfg: SurfaceConfig, default_label) -> tuple:
     """(label, character, partner) of a wall spec: dim 2 is a factored
     character e^L.(x, 0, z) with partner (r, k, p, xi, chi), dim 1 a
     one-dimensional character (0, k, p, xi, z) with partner e^L.(r, 0, chi)."""
-    if not isinstance(obj, dict):
-        raise InputError("wall spec must be a JSON object")
-    dim = obj.get("dim", 2)
+    dim, xi, label = _fields(obj, "wall spec", (), ("dim", "xi", "label"))
+    dim = 2 if dim is _ABSENT else dim
     if type(dim) is not int or dim not in (1, 2):
         raise InputError("wall spec dim must be the JSON integer 1 or 2, got %s" % _shown(dim))
-    xi = obj.get("xi", ())
-    if not isinstance(xi, (list, tuple)):
-        raise InputError("wall spec xi must be a JSON array of rationals")
     keys = ("x", "z", "r", "k", "p", "chi") if dim == 2 else ("k", "p", "z", "r", "chi")
-    try:
-        q = {key: parse_rational(obj[key]) for key in keys}
-        L = divisor_from_obj(obj["L"], cfg)
-    except KeyError as exc:
-        raise InputError("wall spec is missing %s" % exc) from exc
-    xis = tuple(parse_rational(v) for v in xi)
+    *values, L = _fields(obj, "wall spec", keys + ("L",))
+    q = dict(zip(keys, map(parse_rational, values)))
+    L = divisor_from_obj(L, cfg)
+    xis = tuple(parse_rational(v) for v in _array(xi, "wall spec xi"))
     if dim == 2:
         ch = FactoredCharacter(x=q["x"], z=q["z"], L=L)
         pc = PartnerCharacter(r=q["r"], k=q["k"], p=q["p"], xis=xis, chi=q["chi"])
     else:
         ch = OneDimCharacter(k=q["k"], p=q["p"], z=q["z"], xis=xis)
         pc = OneDimPartner(r=q["r"], chi=q["chi"], L=L)
-    label = str(obj.get("label", default_label))
+    label = str(default_label if label is _ABSENT else label)
     if not _is_xml_text(label):  # labels name SVG legend entries
         raise InputError("wall label %s holds a character XML 1.0 cannot represent" % _shown(label))
     return label, ch, pc
@@ -310,16 +311,11 @@ def _json_text(v, nl: str) -> str:
     if isinstance(v, dict):
         if not v:
             return "{}"
-        try:
-            keys = sorted(v)
-        except TypeError:
-            raise InvariantError("document keys must be strings") from None
-        inner = nl + "  "
-        items = []
-        for k in keys:
+        for k in v:
             if not isinstance(k, str):
                 raise InvariantError("document keys must be strings, got %s" % _shown(k))
-            items.append(_json_str(k) + ": " + _json_text(v[k], inner))
+        inner = nl + "  "
+        items = [_json_str(k) + ": " + _json_text(v[k], inner) for k in sorted(v)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(v, (list, tuple)):
         if not v:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -65,6 +64,8 @@ def _converter(tp):
     if origin is tuple and args[1:] == (Ellipsis,) and inner:  # tuple[X, ...]
         return lambda v: tuple(map(inner, _sequence(v)))
     if is_dataclass(tp):
+        if tp is ExtraSection:  # an entry of SurfaceConfig.sections
+            return _extra_section
         return lambda v: v if isinstance(v, tp) else _reject("a " + tp.__name__, v)
     return {Fraction: _frac, int: _int_field}.get(tp)
 
@@ -74,7 +75,8 @@ def record(cls):
     off its annotation when the class is created: Fraction and
     Optional[Fraction] take an int or a Fraction and store a Fraction; int
     takes only an int; tuple[X, ...] takes a tuple or list and converts
-    each element as X; a dataclass type takes only an instance.  Anything
+    each element as X; a dataclass type takes only an instance (an
+    ExtraSection also takes a dict of its fields).  Anything
     else (a float, a bool, a string) is a DomainError naming the field.
     The class's own __post_init__, if any, runs after and only checks
     ranges and invariants."""
@@ -105,8 +107,8 @@ def record(cls):
 @record
 class ExtraSection:
     """An extra section Theta_i: theta = Theta.Theta_i, cross[j] = Theta_i.Theta_j
-    for each earlier extra section j (length at most i-1; missing entries
-    are 0, with a warning)."""
+    for each earlier extra section j (exactly i-1 entries: a SurfaceConfig
+    takes no section whose cross data is short or long)."""
 
     theta: int
     cross: tuple[int, ...] = ()
@@ -114,6 +116,15 @@ class ExtraSection:
     def __post_init__(self):
         if self.theta < 0:
             raise DomainError("Theta.Theta_i must be >= 0, got %d" % self.theta)
+
+
+def _extra_section(s) -> ExtraSection:
+    """An entry of SurfaceConfig.sections: an ExtraSection or a dict of its fields."""
+    if isinstance(s, ExtraSection):
+        return s
+    if isinstance(s, dict) and {"theta"} <= s.keys() <= {"theta", "cross"}:
+        return ExtraSection(**s)
+    _reject("an ExtraSection or a dict of its fields", s)
 
 
 @record
@@ -129,8 +140,8 @@ class SurfaceConfig:
     genus_base: int = 0
     m: Fraction = Fraction(0)
     euler_char: Optional[Fraction] = None
-    sections: tuple = ()
-    _gram: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    sections: tuple[ExtraSection, ...] = ()
+    _gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.e < 0:
@@ -139,16 +150,13 @@ class SurfaceConfig:
             raise DomainError("base genus must be >= 0")
         if self.m <= 0:
             raise DomainError("m must be positive, got %s" % (self.m,))
-        sections = tuple(
-            s if isinstance(s, ExtraSection) else ExtraSection(**s) for s in self.sections
-        )
-        for i, sec in enumerate(sections):
-            if len(sec.cross) > i:
+        for i, sec in enumerate(self.sections):
+            # Theta_i.Theta_j for every earlier j: the lattice needs all of them
+            if len(sec.cross) != i:
                 raise DimensionError(
-                    "extra section %d takes at most %d cross intersections, got %d"
-                    % (i + 1, i, len(sec.cross))
+                    "extra section %d takes %s %d cross intersections, got %d"
+                    % (i + 1, "at most" if len(sec.cross) > i else "at least", i, len(sec.cross))
                 )
-        object.__setattr__(self, "sections", sections)
         if self.rank == 2 and self.m <= self.e:
             raise DomainError(
                 "rank-2 ampleness of Theta+mf requires m > e (m=%s, e=%d)" % (self.m, self.e)
@@ -167,24 +175,13 @@ class SurfaceConfig:
         g = [[0] * n for _ in range(n)]
         g[0][0] = -self.e
         g[0][1] = g[1][0] = 1
-        defaulted = False
         for i, sec in enumerate(self.sections):
             k = 2 + i
             g[0][k] = g[k][0] = sec.theta
             g[1][k] = g[k][1] = 1
             g[k][k] = -self.e
-            for j in range(i):
-                if j < len(sec.cross):
-                    val = sec.cross[j]
-                else:
-                    val = 0
-                    defaulted = True
+            for j, val in enumerate(sec.cross):
                 g[k][2 + j] = g[2 + j][k] = val
-        if defaulted:
-            warnings.warn(
-                "Theta_i.Theta_j not configured for some pair; defaulting to 0",
-                stacklevel=4,  # the dataclass __init__, past the frame record adds
-            )
         return tuple(tuple(row) for row in g)
 
     # basis helpers

@@ -3,6 +3,7 @@ import hashlib
 import io as stdio
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -588,6 +589,70 @@ def test_config_cross_longer_than_index_exit_1(tmp_path, capsys):
     assert "at most 0 cross intersections, got 3" in err
 
 
+# the directory holding the ellwall package, for the interpreters the tests start
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(ew.__file__)))
+
+
+def _python(args, **kwargs):
+    """A new interpreter that finds this ellwall, with buffered stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable] + args, env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_config_cross_shorter_than_index_same_error_on_every_call(tmp_path):
+    # two identical calls in one process, outside the test runner's warning
+    # capture: a warning would show on the first call only
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"e": 2, "m": "3", "sections": [{"theta": 1}, {"theta": 2}]}))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from ellwall.cli import main\n"
+        "calls = []\n"
+        "for _ in range(2):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = main(['surface', 'check', '--config', sys.argv[1]])\n"
+        "    calls.append((code, out.getvalue(), err.getvalue()))\n"
+        "print(json.dumps(calls))\n"
+    )
+    proc = _python(["-c", script, str(cfg_path)], stdout=subprocess.PIPE, check=True)
+    first, second = json.loads(proc.stdout)
+    assert first == second
+    assert first[:2] == [1, ""]
+    assert first[2].startswith("error: extra section 2 takes at least 1 cross intersections")
+
+
+class _ClosedPipe(stdio.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_exit_1(tmp_path, capsys, monkeypatch):
+    tgt = write_character(tmp_path, "t.json", 3, [0, 20], -2)
+    for argv in (["surface", "check"],
+                 ["destab", "enumerate", "--target", tgt, "--alpha", "5", "--u0", "1/2"]):
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+        code = main(argv + CFG)
+        assert (code, capsys.readouterr().err) == (1, "error: cannot write stdout: "
+                                                       "[Errno 32] Broken pipe\n")
+
+
+def test_closed_stdout_pipe_exits_1_once():
+    # the reader is gone before the first byte: the output stays in stdout's
+    # buffer, which the interpreter flushes again at exit (status 120 and an
+    # "Exception ignored" line, unless that flush has somewhere to go)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python(["-m", "ellwall.cli", "surface", "check"] + CFG, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot write stdout: ")
+
+
 def test_plot_bytes_pin(tmp_path, capsys):
     # sizes and digests of both plots in both formats: the lambda-q walls
     # give no-wall (dim 2, ch1 of the partner zero), value and pole rows
@@ -834,10 +899,23 @@ _VALUES = {  # flags whose values are drawn mostly from their domain
 _scalars = _mostly(_exact, st.one_of(_junk, st.sampled_from([0.5, True, None, [], 7])))
 _divisors = _mostly(st.lists(_scalars, min_size=2, max_size=2), st.lists(_scalars, max_size=3))
 _character = st.fixed_dictionaries({"ch0": _scalars, "ch1": _divisors, "ch2": _scalars})
+
+
+def _sections(n):
+    """n extra sections, each with one cross entry per earlier section."""
+    return st.tuples(*[
+        st.fixed_dictionaries({"theta": st.integers(-1, 3),
+                               "cross": st.lists(st.integers(-1, 3), min_size=i, max_size=i)})
+        for i in range(n)
+    ]).map(list)
+
+
 _config = st.fixed_dictionaries(
     {"e": _mostly(st.integers(0, 3), _scalars), "m": _mostly(st.just("4"), _scalars)},
-    optional={"sections": st.lists(st.fixed_dictionaries({"theta": st.integers(-1, 3)}),
-                                   max_size=2)},
+    # complete cross data mostly; left out, it is short from the second section on
+    optional={"sections": _mostly(st.integers(0, 2).flatmap(_sections),
+                                  st.lists(st.fixed_dictionaries({"theta": st.integers(-1, 3)}),
+                                           max_size=2))},
 )
 _wall_spec = st.fixed_dictionaries(
     {key: _scalars for key in ("x", "z", "r", "k", "p", "chi")},

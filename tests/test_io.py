@@ -329,3 +329,45 @@ def test_wall_spec_rejects_labels_xml_cannot_hold():
             eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)
     for label in ("a", "<b>&", "\t\n\r", "\u03bb \ud7ff\ue000\ufffd", "\U00010000\U0001f600\U0010ffff", ""):
         assert eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)[0] == label
+
+
+_small = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
+_positive = st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**4))
+
+
+@st.composite
+def _configs(draw):
+    """A valid surface config: m > e at rank 2 and m > e/2 above it, each
+    extra section with one cross entry per earlier section."""
+    n, e = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    sections = tuple(
+        ew.ExtraSection(theta=draw(st.integers(0, 9)),
+                        cross=tuple(draw(st.lists(st.integers(-9, 9), min_size=i, max_size=i))))
+        for i in range(n)
+    )
+    m = (e if n == 0 else Fraction(e, 2)) + draw(_positive)
+    return ew.SurfaceConfig(e=e, genus_base=draw(st.integers(0, 5)), m=m,
+                            euler_char=draw(st.none() | _small), sections=sections)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs(), st.data())
+def test_documents_round_trip_through_io(cfg, data):
+    # every document io writes and reads back: through JSON text for the
+    # config and the character, through CSV for the volume section
+    obj = json.loads(json.dumps(eio.config_to_obj(cfg)))
+    restored = eio.config_from_obj(obj)
+    assert restored == cfg and restored._gram == cfg._gram
+    ch = ew.character(data.draw(_small), data.draw(st.lists(_small, min_size=cfg.rank,
+                                                            max_size=cfg.rank)),
+                      data.draw(_small), cfg)
+    assert eio.character_from_obj(json.loads(json.dumps(eio.character_to_obj(ch))), cfg) == ch
+    vp = ew.volume_params(cfg.e + data.draw(_positive), cfg)  # K = alpha + m - e > 0
+    vs = data.draw(st.lists(_positive, min_size=1, max_size=5))
+    rows = eio.parse_volume_section_csv(eio.emit_volume_section_plot(vp, cfg, vs))
+    assert [row["v"] for row in rows] == vs
+    for v, row in zip(vs, rows):
+        u = ew.volume_section_u(v, vp, cfg)
+        exact = isinstance(u, Fraction)
+        assert row["u"] == (u if exact else u.midpoint()) and row["u_is_exact"] == int(exact)
+        assert row["u_asym"] == vp.K / v

@@ -1,6 +1,5 @@
 import dataclasses
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -70,24 +69,38 @@ def test_config_validation():
     assert ew.SurfaceConfig(e=2, m=3, euler_char=5).euler_char == 5
 
 
-def test_missing_cross_intersections_warn():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg = ew.SurfaceConfig(
-            e=2, m=3, sections=(ew.ExtraSection(theta=1), ew.ExtraSection(theta=2))
-        )
-    assert any("defaulting to 0" in str(w.message) for w in caught)
-    assert ew.intersect(cfg.extra_section(1), cfg.extra_section(2), cfg) == 0
-    # explicit cross data: no warning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cfg2 = ew.SurfaceConfig(
-            e=2,
-            m=3,
-            sections=(ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=(4,))),
-        )
-    assert not caught
-    assert ew.intersect(cfg2.extra_section(1), cfg2.extra_section(2), cfg2) == 4
+def test_short_cross_data_rejected():
+    # a config that leaves out some Theta_i.Theta_j defines no lattice
+    for sections in (
+        (ew.ExtraSection(theta=1), ew.ExtraSection(theta=2)),
+        ({"theta": 1}, {"theta": 2, "cross": [4]}, {"theta": 0, "cross": [1]}),
+    ):
+        with pytest.raises(ew.DimensionError, match="at least"):
+            ew.SurfaceConfig(e=2, m=3, sections=sections)
+    cfg = ew.SurfaceConfig(
+        e=2, m=3, sections=(ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=(4,)))
+    )
+    assert ew.intersect(cfg.extra_section(1), cfg.extra_section(2), cfg) == 4
+    zero = ew.SurfaceConfig(
+        e=2, m=3, sections=(ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=(0,)))
+    )
+    assert ew.intersect(zero.extra_section(1), zero.extra_section(2), zero) == 0
+
+
+def test_sections_take_only_extra_sections_or_their_fields():
+    for sections in (5, ("x",), ({"theta": 1, "bogus": 2},), ({"cross": []},), (None,)):
+        with pytest.raises(ew.DomainError, match="^sections: "):
+            ew.SurfaceConfig(e=2, m=3, sections=sections)
+
+
+def test_gram_is_derived_not_given():
+    with pytest.raises(TypeError):
+        ew.SurfaceConfig(e=2, m=3, _gram=((9,),))
+    cfg = ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1}, {"theta": 2, "cross": [4]}))
+    moved = dataclasses.replace(cfg, m=4, sections=cfg.sections[:1])
+    assert moved._gram == ((-2, 1, 1), (1, 0, 1), (1, 1, -2))
+    assert dataclasses.replace(cfg, m=4)._gram == cfg._gram
+    assert dataclasses.replace(cfg, e=3)._gram[0][0] == -3
 
 
 def _record_cases():
