@@ -146,13 +146,13 @@ def _vp(args, cfg):
 
 
 def _cmd_surface_check(args, cfg):
-    return _document({"config": eio.config_to_obj(cfg), "rank": cfg.rank, "ok": True})
+    return _document({"config": cfg, "rank": cfg.rank, "ok": True})
 
 
 def _cmd_transform(args, cfg):
     ch = _load_character(args.ch, cfg)
     fn = fmtransform.phi if args.functor == "phi" else fmtransform.phi_hat
-    return _document({"character": eio.character_to_obj(fn(ch, cfg))})
+    return _document({"character": fn(ch, cfg)})
 
 
 def _cmd_twist(args, cfg):
@@ -162,7 +162,7 @@ def _cmd_twist(args, cfg):
         out = chern.line_bundle_twist(ch, D, cfg)
     else:
         out = chern.twist(ch, D, cfg)
-    return _document({"character": eio.character_to_obj(out)})
+    return _document({"character": out})
 
 
 def _cmd_charge(args, cfg):
@@ -170,7 +170,7 @@ def _cmd_charge(args, cfg):
     omega = _parse_coeffs(args.omega, cfg)
     B = _parse_coeffs(args.b_field, cfg) if args.b_field else cfg.zero()
     cv = charge_mod.central_charge(ch, omega, B, cfg)
-    return _document({"charge": eio.charge_to_obj(cv)})
+    return _document({"charge": cv})
 
 
 def _cmd_charge_sq(args, cfg):
@@ -178,7 +178,7 @@ def _cmd_charge_sq(args, cfg):
     fr = _frame_from_args(args, cfg)
     pt = SQ(s=eio.parse_rational(args.s), q=eio.parse_rational(args.q))
     cv = charge_mod.charge_sq(ch, pt, fr, cfg)
-    return _document({"charge": eio.charge_to_obj(cv)})
+    return _document({"charge": cv})
 
 
 def _cmd_limit_phase(args, cfg):
@@ -186,9 +186,7 @@ def _cmd_limit_phase(args, cfg):
     vp = _vp(args, cfg)
     lc = charge_mod.limit_charge(ch, vp, cfg)
     pl = charge_mod.phase_limit(lc)
-    obj = eio.phase_limit_to_obj(pl)
-    obj["limit_charge"] = eio.limit_charge_to_obj(lc)
-    return _document(obj)
+    return _document({**eio.record_to_obj(pl), "limit_charge": lc})
 
 
 def _cmd_limit_compare(args, cfg):
@@ -196,7 +194,7 @@ def _cmd_limit_compare(args, cfg):
     m_lc = charge_mod.limit_charge(_load_character(args.first, cfg), vp, cfg)
     n_lc = charge_mod.limit_charge(_load_character(args.second, cfg), vp, cfg)
     order = charge_mod.limit_compare(m_lc, n_lc)
-    return _document(eio.compare_to_obj(order, m_lc, n_lc))
+    return _document({"order": order, "cross_coeffs": charge_mod.cross_coefficients(m_lc, n_lc)})
 
 
 def _cmd_wall_sq(args, cfg):
@@ -207,7 +205,7 @@ def _cmd_wall_sq(args, cfg):
         wall = walls.shift_wall(ch, chp, _parse_coeffs(args.shift, cfg), fr, cfg)
     else:
         wall = walls.bertram_wall(ch, chp, fr, cfg)
-    return _document({"wall": eio.wall_sq_to_obj(wall)})
+    return _document({"wall": wall})
 
 
 def _wall_inputs(args, cfg):
@@ -221,12 +219,12 @@ def _wall_inputs(args, cfg):
 
 def _cmd_wall_lambda_q(args, cfg):
     wv = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).at(eio.parse_rational(args.lam))
-    return _document({"wall_value": eio.wall_value_to_obj(wv)})
+    return _document({"wall_value": wv})
 
 
 def _cmd_wall_asymptote(args, cfg):
     ac = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).asymptote()
-    return _document({"asymptote": eio.asymptote_to_obj(ac)})
+    return _document({"asymptote": ac})
 
 
 def _cmd_destab_enumerate(args, cfg):
@@ -244,7 +242,7 @@ def _cmd_destab_enumerate(args, cfg):
 def _cmd_linebundle_analyze(args, cfg):
     vp = _vp(args, cfg)
     rep = destabilize.line_bundle_analysis(args.aL, vp, cfg)
-    return _document(eio.line_bundle_report_to_obj(rep))
+    return _document(rep)
 
 
 # Largest number of rows a plot may have; checked before any row is built.

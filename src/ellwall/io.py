@@ -15,18 +15,17 @@ import io as _stdio
 import operator
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
-from .charge import ChargeValue, LimitCharge, PhaseLimit, cross_coefficients
 from .chern import ChernCharacter
 from .destabilize import (
     GATING_CHECKS,
     STRICT_CHECKS,
     CandidateReport,
     EnumerationRequest,
-    LineBundleReport,
     _build_context,
     _sorted_cells,
 )
@@ -42,14 +41,11 @@ from .nslattice import (
     volume_section_u,
 )
 from .walls import (
-    AsymptoteClass,
     FactoredCharacter,
     OneDimCharacter,
     OneDimPartner,
     PartnerCharacter,
     VALUE,
-    WallSQ,
-    WallValue,
     lambda_q_wall,
 )
 
@@ -126,19 +122,7 @@ def _array(v, what: str):
 
 
 # ---------------------------------------------------------------------------
-# JSON object mappers (plain dicts; emit_document writes them)
-
-
-def config_to_obj(cfg: SurfaceConfig) -> dict:
-    return {
-        "e": cfg.e,
-        "genus_base": cfg.genus_base,
-        "m": format_rational(cfg.m),
-        "euler_char": format_rational(cfg.euler_char),
-        "sections": [
-            {"theta": s.theta, "cross": list(s.cross)} for s in cfg.sections
-        ],
-    }
+# JSON input readers
 
 
 def config_from_obj(obj) -> SurfaceConfig:
@@ -160,14 +144,6 @@ def _section_from_obj(obj) -> ExtraSection:
         theta=_parse_int(theta, "theta"),
         cross=tuple(_parse_int(c, "cross") for c in _array(cross, "cross")),
     )
-
-
-def character_to_obj(ch: ChernCharacter) -> dict:
-    return {
-        "ch0": format_rational(ch.ch0),
-        "ch1": [format_rational(c) for c in ch.ch1.coeffs],
-        "ch2": format_rational(ch.ch2),
-    }
 
 
 def character_from_obj(obj, cfg: SurfaceConfig) -> ChernCharacter:
@@ -212,85 +188,36 @@ def _is_xml_text(text: str) -> bool:
     )
 
 
-def charge_to_obj(cv: ChargeValue) -> dict:
-    return {"re": format_rational(cv.re), "im": format_rational(cv.im)}
-
-
-def limit_charge_to_obj(lc: LimitCharge) -> dict:
-    return {
-        "re_const": format_rational(lc.re_const),
-        "im_hi": format_rational(lc.im_hi),
-        "im_lo": format_rational(lc.im_lo),
-        "K": format_rational(lc.K),
-    }
-
-
-def phase_limit_to_obj(pl: PhaseLimit) -> dict:
-    return {
-        "phase_limit": format_rational(pl.value),
-        "attained": pl.attained,
-        "case": pl.case_tag,
-    }
-
-
-def compare_to_obj(order: str, m_lc: LimitCharge, n_lc: LimitCharge) -> dict:
-    hi, lo = cross_coefficients(m_lc, n_lc)
-    return {
-        "order": order,
-        "cross_coeffs": [format_rational(hi), format_rational(lo)],
-    }
-
-
-def wall_sq_to_obj(wall: WallSQ) -> dict:
-    obj = {"kind": wall.kind}
-    if wall.point is not None:
-        obj["point"] = [format_rational(wall.point[0]), format_rational(wall.point[1])]
-    if wall.slope is not None:
-        obj["slope"] = format_rational(wall.slope)
-    if wall.s is not None:
-        obj["s"] = format_rational(wall.s)
-    return obj
-
-
-def wall_value_to_obj(wv: WallValue) -> dict:
-    obj = {"kind": wv.kind}
-    if wv.q is not None:
-        obj["q"] = format_rational(wv.q)
-    return obj
-
-
-def asymptote_to_obj(ac: AsymptoteClass) -> dict:
-    return {
-        "family": ac.family,
-        "case": ac.case_tag,
-        "constants": {k: format_rational(v) for k, v in sorted(ac.constants.items())},
-        "leading_term": ac.leading_term,
-    }
-
-
-def candidate_report_to_obj(rep: CandidateReport) -> dict:
-    return {
-        "candidate": character_to_obj(rep.candidate),
-        "complement": character_to_obj(rep.complement),
-        "S": format_rational(rep.S),
-        "checks": {k: bool(v) for k, v in sorted(rep.checks.items())},
-    }
-
-
-def line_bundle_report_to_obj(rep: LineBundleReport) -> dict:
-    return {
-        "aL": rep.a_L,
-        "D": format_rational(rep.D),
-        "K": format_rational(rep.K),
-        "generic": rep.generic,
-        "side": rep.side,
-        "transform_rank": rep.transform_rank,
-        "case": rep.case_tag,
-    }
-
-
 # ---------------------------------------------------------------------------
 # JSON documents
+
+# Fields whose document key is spelt otherwise; a field mapped to None is left out.
+_KEYS = {"case_tag": "case", "a_L": "aL", "value": "phase_limit", "rank": None}
+
+
+def record_to_obj(v):
+    """v as a document value, by one rule for every result record: a record
+    is the JSON object of its constructor fields, each under its name or
+    its _KEYS spelling, with the fields that are None left out; a Fraction
+    is "p/q", a DivisorClass its coefficient list, a tuple a list, and a
+    dict is mapped value by value.  Anything else stays as it is, for
+    emit_document to write or, a float for one, to reject."""
+    if type(v) is Fraction:
+        return format_rational(v)
+    if isinstance(v, DivisorClass):
+        return [format_rational(c) for c in v.coeffs]
+    if isinstance(v, (list, tuple)):
+        return [record_to_obj(x) for x in v]
+    if isinstance(v, dict):
+        return {k: record_to_obj(x) for k, x in v.items()}
+    if is_dataclass(v):
+        obj = {}
+        for f in fields(v):
+            key, x = _KEYS.get(f.name, f.name), getattr(v, f.name)
+            if f.init and key is not None and x is not None:
+                obj[key] = record_to_obj(x)
+        return obj
+    return v
 
 
 def emit_document(obj) -> str:
@@ -334,10 +261,11 @@ def _json_text(v, nl: str) -> str:
 
 
 def _document(obj) -> str:
-    """A result document: the schema tag and the entries of obj, written as
-    one JSON text and a newline."""
+    """A result document: the schema tag and the entries of obj, a dict or a
+    record, under the rule of record_to_obj, written as one JSON text and
+    a newline."""
     payload = {"schema": SCHEMA}
-    payload.update(obj)
+    payload.update(record_to_obj(obj))
     return emit_document(payload) + "\n"
 
 
@@ -364,13 +292,11 @@ def _candidate_template() -> tuple:
         candidate=ChernCharacter(v[0], DivisorClass((v[1], v[2])), v[3]),
         complement=ChernCharacter(v[4], DivisorClass((v[5], v[6])), v[7]),
         S=v[8],
-        checks=dict.fromkeys(GATING_CHECKS + STRICT_CHECKS, True),
+        checks=dict.fromkeys(GATING_CHECKS, True) | dict(zip(STRICT_CHECKS, texts[9:])),
     )
-    sample = candidate_report_to_obj(rep)
-    sample["checks"].update(zip(STRICT_CHECKS, texts[9:]))
     marks = [_json_str(text) for text in texts]
     head, sep, tail = _document({"candidates": texts[:1] * 2}).split(marks[0])
-    block = _document({"candidates": [sample]})[len(head):-len(tail)]
+    block = _document({"candidates": [rep]})[len(head):-len(tail)]
     order = sorted(range(11), key=lambda i: block.index(marks[i]))
     block = block.replace("%", "%%")
     for i, mark in enumerate(marks):
@@ -381,10 +307,10 @@ def _candidate_template() -> tuple:
 
 def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
     """The document of `destab enumerate` as chunks of text: the bytes of
-    _document({"candidates": [candidate_report_to_obj(rep) for rep in
-    enumerate_destabilizers(req, cfg)]}), from the same sorted cells.  A
-    cell passed every gating check, so a candidate varies only in its
-    integers, the rationals of its (rank, ch2) pair and the strict checks.
+    _document({"candidates": enumerate_destabilizers(req, cfg)}), from the
+    same sorted cells.  A cell passed every gating check, so a candidate
+    varies only in its integers, the rationals of its (rank, ch2) pair and
+    the strict checks.
     The kernel runs and each pair's rationals are formatted before this
     returns, so an error leaves nothing written."""
     ctx = _build_context(req, cfg)
@@ -442,18 +368,15 @@ def emit_volume_section_plot(
 
 def parse_volume_section_csv(text: str) -> list:
     """Exact round-trip parse of an emitted volume-section CSV: rows as
-    dicts with Fraction values for the exact columns."""
-    reader = csv.DictReader(_stdio.StringIO(text))
+    dicts with Fraction values for the exact columns and the flag
+    u_is_exact, written "0" or "1", as an int."""
     rows = []
-    for raw in reader:
-        rows.append(
-            {
-                "v": parse_rational(raw["v"]),
-                "u": parse_rational(raw["u"]),
-                "u_is_exact": int(raw["u_is_exact"]),
-                "u_asym": parse_rational(raw["u_asym"]),
-            }
-        )
+    for raw in csv.DictReader(_stdio.StringIO(text)):
+        v, u, flag, u_asym = _fields(raw, "volume-section row", ("v", "u", "u_is_exact", "u_asym"))
+        if flag not in ("0", "1"):
+            raise InputError("u_is_exact must be 0 or 1, got %s" % _shown(flag))
+        rows.append({"v": parse_rational(v), "u": parse_rational(u), "u_is_exact": int(flag),
+                     "u_asym": parse_rational(u_asym)})
     return rows
 
 

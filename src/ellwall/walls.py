@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 from .charge import _sq_parts
 from .chern import ChernCharacter, line_bundle_twist
-from .errors import DomainError, InputError
+from .errors import DomainError
 from .nslattice import (
     DivisorClass,
     Frame,
@@ -314,16 +314,19 @@ def lambda_q_wall(ch, partner, cfg: SurfaceConfig) -> LambdaQWall:
     PartnerCharacter (dim 2), or of a OneDimCharacter against a
     OneDimPartner e^L.(r,0,chi) (dim 1).  Preconditions on lambda and on
     the characters are checked when the wall is used, not here."""
-    if isinstance(ch, FactoredCharacter):
+    if isinstance(ch, FactoredCharacter) and isinstance(partner, PartnerCharacter):
         family, L, C = "dim2", ch.L, partner.ch1(cfg)
         alpha = ch.z / ch.x
         beta = partner.chi - partner.r * alpha
-    elif isinstance(ch, OneDimCharacter):
+    elif isinstance(ch, OneDimCharacter) and isinstance(partner, OneDimPartner):
         family, L, C = "dim1", partner.L, ch.ch1(cfg)
         alpha = partner.chi / partner.r
         beta = ch.z
     else:
-        raise InputError("unknown wall character %r" % (ch,))
+        raise DomainError(
+            "a wall pairs a FactoredCharacter with a PartnerCharacter or a OneDimCharacter"
+            " with a OneDimPartner, got %s and %s" % (type(ch).__name__, type(partner).__name__)
+        )
     pC, pL = pairings(C, cfg), pairings(L, cfg)
     # D.H_lambda = D.f + lambda*(D.Theta + (m-1)*D.f) for D = C and D = L
     m1 = cfg.m - 1

@@ -230,7 +230,7 @@ def test_destab_enumerate_cli(tmp_path, capsys):
     req = ew.EnumerationRequest(
         target=ew.character(1, [0, 1], 0, cfg), vp=ew.volume_params(2, cfg), u0=Fraction(1, 10)
     )
-    api = [eio.candidate_report_to_obj(r) for r in ew.enumerate_destabilizers(req, cfg)]
+    api = [eio.record_to_obj(r) for r in ew.enumerate_destabilizers(req, cfg)]
     assert doc["candidates"] == api
     # precondition failure names the violation and exits 2
     code, _, err = run(
@@ -498,7 +498,7 @@ def test_parser_reused_across_calls(tmp_path, capsys):
 
 
 def test_document_with_a_float_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(eio, "config_to_obj", lambda cfg: {"m": 3.0})
+    monkeypatch.setattr(eio, "record_to_obj", lambda obj: {"m": 3.0})
     code, out, err = run(capsys, ["surface", "check"] + CFG)
     assert code == 3 and out == "" and err.startswith("internal error:")
 
@@ -735,7 +735,7 @@ def _generic_enumerate_text(x, lam, z, alpha, u0, den, cfg):
         ew.character(x, [0, lam], z, cfg), ew.volume_params(alpha, cfg), Fraction(u0), den
     )
     reports = ew.enumerate_destabilizers(req, cfg)
-    return eio._document({"candidates": [eio.candidate_report_to_obj(r) for r in reports]})
+    return eio._document({"candidates": [eio.record_to_obj(r) for r in reports]})
 
 
 @pytest.mark.parametrize(
@@ -1003,3 +1003,105 @@ def test_cli_exit_contract_on_random_calls(call):
     assert code in (0, 1, 2)
     if code:
         assert out == "" and err.startswith("error:")
+
+
+def _document_calls(tmp_path):
+    """(name, argv, key, shape) of a call of every document command: the
+    entry doc[key] must read shape (a wall's kind, or the case of a
+    phase limit or an asymptote) for the pin to cover that shape."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"e": 2, "m": "3", "genus_base": 1, "euler_char": "5/2",
+                                  "sections": [{"theta": 2, "cross": []},
+                                               {"theta": 1, "cross": [3]}]}))
+    ch = write_character(tmp_path, "ch.json", 2, [1, -3], Fraction(-7, 2))
+    sq = {
+        "line": (write_character(tmp_path, "l1.json", 2, [1, 3], -1),
+                 write_character(tmp_path, "l2.json", 1, [1, 2], 5)),
+        "vertical": (write_character(tmp_path, "v1.json", 2, [1, 0], 1),
+                     write_character(tmp_path, "v2.json", 4, [2, 0], -1)),
+        "everywhere": (write_character(tmp_path, "e1.json", 0, [1, 0], 1),
+                       write_character(tmp_path, "e2.json", 0, [2, 0], 2)),
+        "nowhere": (write_character(tmp_path, "n1.json", 0, [1, 0], 1),
+                    write_character(tmp_path, "n2.json", 0, [2, 1], -3)),
+    }
+    dim2 = ["--x", "1", "--z", "0", "--r", "1", "--chi", "-1"]
+    lambda_q = {
+        "value": ["--lambda", "1/10", "--L", "2,0", "--k", "-1", "--p", "0"] + dim2,
+        "pole": ["--lambda", "1/4", "--dim", "1", "--k", "1", "--p", "-4", "--z", "-3",
+                 "--r", "1", "--chi", "0", "--L", "1,0"],
+        "no-wall": ["--lambda", "1/3", "--L", "1,0", "--k", "0", "--p", "0"] + dim2,
+        "everywhere": ["--lambda", "1/3", "--L", "0,0", "--k", "0", "--p", "0"] + dim2,
+    }
+    empty = write_character(tmp_path, "t.json", 1, [0, 1], 0)
+    calls = [
+        ("surface check", ["surface", "check", "--config", str(config)], "rank", 4),
+        ("transform", ["transform", "--functor", "phihat", "--ch", ch] + CFG, None, None),
+        ("twist", ["twist", "--ch", ch, "--divisor", "1/2,-1", "--line-bundle"] + CFG, None, None),
+        ("charge", ["charge", "--ch", ch, "--omega", "1,4", "--b-field", "1/3,0"] + CFG,
+         None, None),
+        ("charge-sq", ["charge-sq", "--ch", ch, "--lambda", "1/3", "--s", "-1/2", "--q", "5/3"]
+         + CFG, None, None),
+        ("limit-phase", ["limit-phase", "--ch", write_character(tmp_path, "r.json", 1, [0, 1], 0),
+                         "--alpha", "2"] + CFG, "case", "4/5-sign"),
+        ("limit-compare", ["limit-compare", "--first", write_character(
+            tmp_path, "f.json", 0, [0, 1], 0), "--second", write_character(
+            tmp_path, "s.json", 0, [1, 2], -1), "--alpha", "7/3"] + CFG, "order", "succeeds"),
+    ]
+    for kind, (c1, c2) in sq.items():
+        calls.append(("wall sq " + kind, ["wall", "sq", "--ch", c1, "--ch-prime", c2,
+                                          "--lambda", "1/3"] + CFG, "wall", kind))
+    for kind, flags in lambda_q.items():
+        calls.append(("wall lambda-q " + kind, ["wall", "lambda-q"] + flags + CFG,
+                      "wall_value", kind))
+    calls += [
+        ("wall asymptote dim 2", ["wall", "asymptote", "--L", "2,0", "--k", "-1", "--p", "0"]
+         + dim2 + CFG, "asymptote", "C1"),
+        ("wall asymptote dim 1", ["wall", "asymptote", "--dim", "1", "--k", "0", "--p", "1",
+                                  "--z", "-3", "--r", "1", "--chi", "0", "--L", "1,0"] + CFG,
+         "asymptote", "A1"),
+        ("linebundle analyze", ["linebundle", "analyze", "--aL", "3", "--alpha", "5/2"] + CFG,
+         "case", "C1"),
+        ("destab enumerate empty", ["destab", "enumerate", "--target", empty, "--alpha", "1/100",
+                                    "--u0", "1/10", "--e", "2", "--m", "201/100"],
+         "candidates", []),
+    ]
+    return calls
+
+
+_DOCUMENT_PINS = {
+    "surface check": "88581d105a67efd2ebbf2980409081d32717d0354ecfae911a8afa79ecfca62d",
+    "transform": "768de7f3ebd6198bd8a202596d01d0c5836dd4956329083a2ea7d638dc28a3a0",
+    "twist": "9cf2f3639c4e0442828d07ed05b48e794b1bb47e8cfd6504b34aca78709ae0c1",
+    "charge": "18781548f1f44f9688f7827933c0a96e3601cfbbfd53e94f5f3328bf23402fa6",
+    "charge-sq": "f27205f8b0db2e27abd0fd7f6681ec9ba42413afd7d5ae3539adb9fd825507b8",
+    "limit-phase": "2a2fc72d831d5eb1695e97ce281b80baab99d0294d28077a283e31e39093daf5",
+    "limit-compare": "671b3f13f42db3d6146baf38ec5f6f9b56c9a35f5dbe589c10f0441c86b24250",
+    "wall sq line": "9a75f9d756971656ec3566a34d5f9a82820fb8cb0dd17ecb8c3a3ff55beb3f89",
+    "wall sq vertical": "bf14608df0079f489199842543bab364cc8507021830e7e68ac93f983db05748",
+    "wall sq everywhere": "705f800129b4f919ceeab55ae3087af4bc7fe597a0168263f9709fd6aeda5d2e",
+    "wall sq nowhere": "c27b6e09d12fcf5ce0b11d9ea0565b84164264a4707a6e1eab33f909eb5a0279",
+    "wall lambda-q value": "06536bcdcecceeea59a2f3b4d3fd18d7baa75ec5a4ba474572596e79641daaa7",
+    "wall lambda-q pole": "cd06965fbd74f0ec4b4278169718190a85e9dd41ef9d43b39aaa633270018892",
+    "wall lambda-q no-wall": "905479a76defb19eb33d181d57d55aa6766fd4d63ca509bce9a096af9c20af71",
+    "wall lambda-q everywhere": "c221d1968ce4ab679b668e16a731a1e4e8d2e5a700956d241d3da9f7f6afa684",
+    "wall asymptote dim 2": "3e5cb36503bf7b82798a04293babb210524d62294c78c94e401853e06fdd8fbf",
+    "wall asymptote dim 1": "1d1d7d1c234e2da358bc5eaea6de1bc1b450bc83ea6edadcdd5dce524e98f673",
+    "linebundle analyze": "cba93de8dbf2d3d254d9077c75e0c1e833c636bccd65517adb163e0e1f65babb",
+    "destab enumerate empty": "cb13fbffb6214000f1d796a0ea0264051cd8372cb8f5815844f2be3b6a3d6e7f",
+}
+
+
+def test_document_bytes_pins(tmp_path, capsys):
+    # the stdout digest of every JSON document shape, each wall and phase
+    # outcome included: a config with extra sections and cross data, a
+    # limit charge whose rank stays out of the document, no candidates
+    calls = _document_calls(tmp_path)
+    assert [name for name, *_ in calls] == list(_DOCUMENT_PINS)
+    for name, argv, key, shape in calls:
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), name
+        entry = json.loads(out)[key] if key else None
+        if isinstance(entry, dict):
+            entry = entry.get("kind", entry.get("case"))
+        assert entry == shape, name
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == _DOCUMENT_PINS[name], name

@@ -28,7 +28,7 @@ def test_rational_format_and_parse():
 
 def test_config_json_roundtrip():
     cfg = cfg_rank3()
-    obj = eio.config_to_obj(cfg)
+    obj = eio.record_to_obj(cfg)
     back = eio.config_from_obj(obj)
     assert back == cfg
     assert obj["m"] == "3" and obj["sections"][0]["theta"] == 2
@@ -90,7 +90,7 @@ def test_wall_spec_rejects_bad_shapes():
 def test_character_json_roundtrip():
     cfg = cfg_e2m3()
     ch = ew.character(Fraction(2, 3), [1, Fraction(-5, 2)], Fraction(7, 4), cfg)
-    obj = eio.character_to_obj(ch)
+    obj = eio.record_to_obj(ch)
     assert obj == {"ch0": "2/3", "ch1": ["1", "-5/2"], "ch2": "7/4"}
     assert eio.character_from_obj(obj, cfg) == ch
     with pytest.raises(ew.InputError):
@@ -115,6 +115,22 @@ def test_volume_section_csv_pins():
         else:
             assert by_v[v]["u_is_exact"] == 0
         assert by_v[v]["u_asym"] == Fraction(vp.K, v)
+
+
+
+def test_volume_section_csv_rejects_bad_rows():
+    # a missing u_is_exact column and a flag other than "0" or "1" are
+    # malformed input, not a KeyError, a ValueError or the flag 7
+    cfg = cfg_e2m3()
+    doc = eio.emit_volume_section_plot(ew.volume_params(2, cfg), cfg, [1], fmt="csv")
+    header, row = (line.split(",") for line in doc.splitlines())
+    assert header[2] == "u_is_exact" and row[2] == "1"
+    texts = ["%s\n%s" % (",".join(header[:2] + header[3:]), ",".join(row[:2] + row[3:]))]
+    texts += ["%s\n%s" % (",".join(header), ",".join(row[:2] + [flag] + row[3:]))
+              for flag in ("yes", " 7 ")]
+    for text in texts:
+        with pytest.raises(ew.InputError, match="u_is_exact"):
+            eio.parse_volume_section_csv(text)
 
 
 def test_volume_section_asymptote_bound():
@@ -227,7 +243,7 @@ def test_report_objects():
     cfg = cfg_e2m3()
     vp = ew.volume_params(2, cfg)
     rep = ew.line_bundle_analysis(2, vp, cfg)
-    obj = eio.line_bundle_report_to_obj(rep)
+    obj = eio.record_to_obj(rep)
     assert obj == {
         "aL": 2,
         "D": "2",
@@ -243,9 +259,9 @@ def test_report_objects():
         ew.make_frame(cfg.divisor([1, 3]), cfg.divisor([1, -1]), 0, cfg),
         cfg,
     )
-    assert eio.wall_sq_to_obj(wall) == {"kind": "line", "point": ["0", "0"], "slope": "1"}
+    assert eio.record_to_obj(wall) == {"kind": "line", "point": ["0", "0"], "slope": "1"}
     lc = ew.limit_charge(ew.character(0, [1, 0], 0, cfg), vp, cfg)
-    assert eio.limit_charge_to_obj(lc) == {
+    assert eio.record_to_obj(lc) == {
         "re_const": "0",
         "im_hi": "1",
         "im_lo": "-3",
@@ -355,13 +371,13 @@ def _configs(draw):
 def test_documents_round_trip_through_io(cfg, data):
     # every document io writes and reads back: through JSON text for the
     # config and the character, through CSV for the volume section
-    obj = json.loads(json.dumps(eio.config_to_obj(cfg)))
+    obj = json.loads(json.dumps(eio.record_to_obj(cfg)))
     restored = eio.config_from_obj(obj)
     assert restored == cfg and restored._gram == cfg._gram
     ch = ew.character(data.draw(_small), data.draw(st.lists(_small, min_size=cfg.rank,
                                                             max_size=cfg.rank)),
                       data.draw(_small), cfg)
-    assert eio.character_from_obj(json.loads(json.dumps(eio.character_to_obj(ch))), cfg) == ch
+    assert eio.character_from_obj(json.loads(json.dumps(eio.record_to_obj(ch))), cfg) == ch
     vp = ew.volume_params(cfg.e + data.draw(_positive), cfg)  # K = alpha + m - e > 0
     vs = data.draw(st.lists(_positive, min_size=1, max_size=5))
     rows = eio.parse_volume_section_csv(eio.emit_volume_section_plot(vp, cfg, vs))

@@ -758,6 +758,17 @@ def test_lambda_q_wall_matches_frame_oracle():
     assert seen == {"value", "pole", "no-wall", "everywhere", "lambda", "one-dimensional", "frame"}
 
 
+def test_lambda_q_wall_rejects_mismatched_characters():
+    # a character of the wrong type and a pairing of dim-2 and dim-1 data
+    # are domain errors naming the pairings, not InputError or AttributeError
+    cfg = cfg_e2m3()
+    fc, pc = ew.FactoredCharacter(x=1, z=0, L=cfg.theta()), ew.PartnerCharacter(r=1, k=-1, p=0)
+    od, op = ew.OneDimCharacter(k=0, p=1, z=-3), ew.OneDimPartner(r=1, chi=0, L=cfg.theta())
+    for ch, partner in (("x", None), (fc, op), (od, pc)):
+        with pytest.raises(ew.DomainError, match="FactoredCharacter with a PartnerCharacter"):
+            ew.lambda_q_wall(ch, partner, cfg)
+
+
 def test_lambda_q_wall_asymptote_matches_hand_derived_constants():
     rng = random.Random(4111)
     tags = set()
