@@ -23,7 +23,7 @@ from . import chern, destabilize, fmtransform, walls
 from . import io as eio
 from .errors import DimensionError, DomainError, InputError, _shown
 from .io import _document
-from .nslattice import SQ, SurfaceConfig, elliptic_frame, make_frame, volume_params
+from .nslattice import SQ, SurfaceConfig, _cleared, elliptic_frame, make_frame, volume_params
 
 
 class _Parser(argparse.ArgumentParser):
@@ -259,7 +259,9 @@ def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
         raise InputError("range step must be positive")
     n = (hi - lo) // step + 1 if hi >= lo else 0
     _check_rows(n)
-    return [lo + i * step for i in range(n)]
+    # lo + i*step over the one denominator of lo and step
+    (a, p), den = _cleared((lo, step))
+    return [Fraction(a + i * p, den) for i in range(n)]
 
 
 def _cmd_plot_volume_section(args, cfg):
@@ -276,7 +278,9 @@ def _cmd_plot_lambda_q(args, cfg):
     if n < 2:
         raise InputError("--samples must be >= 2")
     _check_rows(n)
-    vals = [lo + (hi - lo) * Fraction(i, n - 1) for i in range(n)]
+    # lo + (hi - lo)*i/(n-1) over the one denominator den
+    (a, b), den = _cleared((lo, hi))
+    vals = [Fraction(a * (n - 1) + (b - a) * i, den * (n - 1)) for i in range(n)]
     wall_specs = [
         eio.wall_spec_from_obj(_read_json(path), cfg, i) for i, path in enumerate(args.wall or ())
     ]

@@ -37,6 +37,8 @@ from .nslattice import (
     SurfaceConfig,
     VolumeSectionParams,
     _frac,
+    _section_at,
+    _shear_constant,
     section_q,
     volume_section_u,
 )
@@ -357,10 +359,11 @@ def emit_volume_section_plot(
     v_values = [_frac(v) for v in v_values]
     if not v_values:
         raise DomainError("empty v range")
-    rows = []
+    K, rows = vp.K, []
     for v in v_values:
         u = volume_section_u(v, vp, cfg)
-        rows.append([v, u, int(isinstance(u, Fraction)), vp.K / v])
+        u_asym = Fraction(K.numerator * v.denominator, K.denominator * v.numerator)  # K/v
+        rows.append([v, u, int(isinstance(u, Fraction)), u_asym])
     series = [("section", "u", "#000000"), ("asymptote K/v", "u_asym", "#999999")]
     return _write_plot(fmt, ["v", "u", "u_is_exact", "u_asym"], ["v", "u", "u_asym"], rows,
                        series, "u")
@@ -401,13 +404,14 @@ def emit_lambda_q_plot(
     for label, key, _ in walls:
         if columns.count(key) > 1 or columns.count(key + _TWIN) > 1:
             raise InputError("wall label %s repeats a plot column" % _shown(label))
+    # each row on the integers of lambda = n/d, by the evaluators of section_q
+    # and LambdaQWall.at, which take the same checks in the same order
+    kappa, K = _shear_constant(cfg) - 1, vp.K
     rows = []
     for lam in lambda_values:
-        row = [lam, section_q(lam, vp, cfg), vp.K / (2 * lam)]
-        for _, _, wall in walls:
-            wv = wall.at(lam)
-            row.append(wv.q if wv.kind == VALUE else wv.kind)
-        rows.append(row)
+        n, d = lam.numerator, lam.denominator
+        row = [lam, _section_at(n, d, vp, kappa), Fraction(K.numerator * d, 2 * K.denominator * n)]
+        rows.append(row + [wall._q(n, d) for _, _, wall in walls])
     series = [("section", "q_section", "#000000"), ("asymptote K/(2*lambda)", "q_asym", "#999999")]
     series += [("wall %s" % label, key, _PALETTE[i % len(_PALETTE)])
                for i, (label, key, _) in enumerate(walls)]

@@ -256,14 +256,19 @@ class DivisorClass:
         return intersect(self, other, cfg)
 
 
+def _cleared(values: Sequence[Fraction]) -> tuple:
+    """(integer numerators, common denominator) of the Fractions in values."""
+    den = math.lcm(*[c.denominator for c in values])
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
 def _scaled(D: DivisorClass, cfg: SurfaceConfig) -> tuple:
     """(integer numerators, common denominator) of D's coefficients."""
     if len(D.coeffs) != cfg.rank:
         raise DimensionError(
             "divisor/config basis mismatch: %d coefficients vs rank %d" % (len(D.coeffs), cfg.rank)
         )
-    den = math.lcm(*[c.denominator for c in D.coeffs])
-    return [c.numerator * (den // c.denominator) for c in D.coeffs], den
+    return _cleared(D.coeffs)
 
 
 def intersect(a: DivisorClass, b: DivisorClass, cfg: SurfaceConfig) -> Fraction:
@@ -511,38 +516,51 @@ class QuadraticRoot:
         return (self.a * n + self.b * d) * n + self.c * d * d
 
     def enclosure(self, width: Rational) -> tuple:
-        """The bracket that bisection of [lo, hi] ends on once hi - lo <= width,
-        in closed form: n halvings leave the grid cell of width h = (hi-lo)/2^n
-        that holds the root (-b + sqrt(d))/(2a), d = b^2 - 4ac."""
+        """The bracket that bisection of [lo, hi] ends on once hi - lo <= width."""
+        n, h, den = self._cell(width)
+        return Fraction(n, den), Fraction(n + h, den)
+
+    def midpoint(self, width: Rational = Fraction(1, 10**24)) -> Fraction:
+        n, h, den = self._cell(width)
+        return Fraction(2 * n + h, 2 * den)
+
+    def _cell(self, width: Rational) -> tuple:
+        """(n, h, den) with enclosure(width) = (n/den, (n+h)/den), in closed
+        form on integers not reduced: n halvings leave the grid cell of width
+        (hi-lo)/2^n that holds the root (-b + sqrt(d))/(2a), d = b^2 - 4ac."""
         width = _frac(width)
         if width <= 0:
             raise DomainError("enclosure width must be positive")
-        lo, span = self.lo, self.hi - self.lo
+        # lo = ln/ld and hi - lo = sn/sd, both denominators positive
+        ln, ld = self.lo.numerator, self.lo.denominator
+        sn, sd = self.hi.numerator * ld - ln * self.hi.denominator, self.hi.denominator * ld
         # n = least n >= 0 with span/2^n <= width, i.e. q*2^n >= p for span/width = p/q
-        p = span.numerator * width.denominator
-        q = span.denominator * width.numerator
+        p = sn * width.denominator
+        q = sd * width.numerator
         n = max(0, p.bit_length() - q.bit_length())
         if q << n < p:
             n += 1
-        h = span / (1 << n)
+        hd = sd << n  # the cell width is h = sn/hd
         # bisection moves lo while f(mid) < 0, so the cell is k = ceil((root - lo)/h) - 1
         # (k = 0 when n = 0), with (root - lo)/h = (sqrt(d*g^2) - c0)/den in the
         # integers below.  isqrt(d*g^2 - 1) equals isqrt(d*g^2) unless d is a square
         # (a rational root), where it takes the cell whose right end is the root.
-        g = lo.denominator * h.denominator
-        c0 = (self.b * lo.denominator + 2 * self.a * lo.numerator) * h.denominator
-        den = 2 * self.a * lo.denominator * h.numerator
+        g = ld * hd
+        c0 = (self.b * ld + 2 * self.a * ln) * hd
+        den = 2 * self.a * ld * sn
         d = self.b * self.b - 4 * self.a * self.c
         k = (math.isqrt(d * g * g - 1) - c0) // den
-        return (lo + k * h, lo + (k + 1) * h)
-
-    def midpoint(self, width: Rational = Fraction(1, 10**24)) -> Fraction:
-        lo, hi = self.enclosure(width)
-        return (lo + hi) / 2
+        # lo + k*h = (ln*hd + k*sn*ld)/(ld*hd)
+        return ln * hd + k * sn * ld, sn * ld, g
 
     def __float__(self) -> float:
         d = self.b * self.b - 4 * self.a * self.c
-        return (-self.b + math.sqrt(d)) / (2 * self.a)
+        try:
+            return (-self.b + math.sqrt(d)) / (2 * self.a)
+        except OverflowError:  # d is beyond the float range; the root need not be
+            s = d.bit_length() // 2 - 500  # b and sqrt(d) over 2^s: exact in floats
+        num = -self.b / (1 << s) + math.sqrt(d / (1 << 2 * s))
+        return float(Fraction(num) * (1 << s) / (2 * self.a))
 
 
 def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
@@ -562,31 +580,36 @@ def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
         raise DomainError(
             "volume section requires m >= e/2 for a unique positive root"
         )
-    # clear denominators: A*u^2 + B*u + C = 0 with integer coefficients
-    den = math.lcm(a.denominator, v.denominator, vp.K.denominator)
-    A = a.numerator * (den // a.denominator)
-    B = v.numerator * (den // v.denominator)
-    C = -vp.K.numerator * (den // vp.K.denominator)
-    disc = B * B - 4 * A * C
+    # clear denominators: A*u^2 + B*u - C = 0 with integer coefficients
+    (A, B, C), _ = _cleared((a, v, vp.K))
+    disc = B * B + 4 * A * C
     s = math.isqrt(disc)
     if s * s == disc:
         u = Fraction(-B + s, 2 * A)
         if u <= 0:
             raise InvariantError("positive root expected, got %s" % u)
         return u
-    return QuadraticRoot(a=A, b=B, c=C, lo=Fraction(0), hi=vp.K / v)
+    return QuadraticRoot(a=A, b=B, c=-C, lo=Fraction(0), hi=Fraction(C, B))  # hi = K/v
 
 
 def section_q(lam: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> Fraction:
     """Exact q with (lambda, q) on the volume section: 2q*(lam+(m-e/2-1)*lam^2) = K."""
     lam = _frac(lam)
-    if not 0 < lam < 1:
+    return _section_at(lam.numerator, lam.denominator, vp, _shear_constant(cfg) - 1)
+
+
+def _section_at(n: int, d: int, vp: VolumeSectionParams, kappa: Fraction) -> Fraction:
+    """section_q at lambda = n/d in lowest terms, on integers: with kappa = kn/kd
+    and gN = kd*d + kn*n, g = 2n*gN/(kd*d^2) and q = K/g = K*kd*d^2/(2n*gN)."""
+    if not 0 < n < d:
         raise DomainError("lambda must lie in (0,1)")
     _require_section(vp)
-    g = _g_lambda(lam, _shear_constant(cfg) - 1)
-    if g <= 0:
-        raise DomainError("H_lambda fails to be positive at lambda=%s" % lam)
-    return vp.K / g
+    kn, kd = kappa.numerator, kappa.denominator
+    gN = kd * d + kn * n
+    if gN <= 0:
+        raise DomainError("H_lambda fails to be positive at lambda=%s" % Fraction(n, d))
+    K = vp.K
+    return Fraction(K.numerator * kd * d * d, K.denominator * 2 * n * gN)
 
 
 def uv_on_section(u: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> UV:

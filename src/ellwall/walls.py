@@ -32,7 +32,7 @@ All wall logic is exact rational arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -43,6 +43,7 @@ from .nslattice import (
     DivisorClass,
     Frame,
     SurfaceConfig,
+    _cleared,
     _frac,
     _g_lambda,
     _shear_constant,
@@ -263,9 +264,17 @@ class LambdaQWall:
     l0: Fraction
     l1: Fraction
     kappa: Fraction
+    _ints: tuple = field(init=False, repr=False, compare=False)  # the constants of _q
+
+    def __post_init__(self):
+        # cleared once: a0, a1, l0, l1 over one denominator, alpha, beta over cd
+        (A0, A1, L0, L1), _ = _cleared((self.a0, self.a1, self.l0, self.l1))
+        (Al, Be), cd = _cleared((self.alpha, self.beta))
+        positive = self.family != "dim1" or A0 > 0 or (A0 == 0 and A1 > 0)
+        object.__setattr__(self, "_ints", (positive, A0, A1, L0, L1, Al, Be, cd))
 
     def _require_positive(self):
-        if self.family == "dim1" and not (self.a0 > 0 or (self.a0 == 0 and self.a1 > 0)):
+        if not self._ints[0]:
             raise DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
 
     def at(self, lam: Rational) -> WallValue:
@@ -273,18 +282,29 @@ class LambdaQWall:
         lam = _frac(lam)
         if not 0 < lam < 1:
             raise DomainError("lambda must lie in (0,1), got %s" % lam)
+        q = self._q(lam.numerator, lam.denominator)
+        return WallValue(VALUE, q) if type(q) is Fraction else WallValue(q)
+
+    def _q(self, n: int, d: int):
+        """The wall at lambda = n/d in lowest terms, on integers: an exact q or
+        an outcome word.  With kappa = kn/kd, aN = A0*d + A1*n, lN = L0*d + L1*n
+        and gN = kd*d + kn*n, the q = (alpha*a - beta*l)/(g*a) of the module
+        docstring is (Al*aN - Be*lN)*kd*d^2/(cd*2n*gN*aN)."""
         self._require_positive()
-        g = _g_lambda(lam, self.kappa)
-        if g <= 0:
+        _, A0, A1, L0, L1, Al, Be, cd = self._ints
+        kn, kd = self.kappa.numerator, self.kappa.denominator
+        gN = kd * d + kn * n  # g = 2n*gN/(kd*d^2)
+        if gN <= 0:
+            g = _g_lambda(Fraction(n, d), self.kappa)
             raise DomainError("frame requires H.H > 0, got %s" % g)
-        l = self.l0 + self.l1 * lam
-        if self.a0 == 0 and self.a1 == 0:
+        lN = L0 * d + L1 * n
+        if A0 == 0 and A1 == 0:
             # the wall is the locus s = l/g, so s = 0 is all or nothing
-            return WallValue(EVERYWHERE if l == 0 else NO_WALL)
-        a = self.a0 + self.a1 * lam
-        if a == 0:
-            return WallValue(POLE)
-        return WallValue(VALUE, (self.alpha * a - self.beta * l) / (g * a))
+            return EVERYWHERE if lN == 0 else NO_WALL
+        aN = A0 * d + A1 * n
+        if aN == 0:
+            return POLE
+        return Fraction((Al * aN - Be * lN) * kd * d * d, cd * 2 * n * gN * aN)
 
     def asymptote(self) -> AsymptoteClass:
         """lambda -> 0+ class from the Laurent expansion at 0: q ~ D/(2*lambda)

@@ -695,6 +695,22 @@ def test_plot_value_outside_float_range_exit_2(tmp_path, capsys):
             assert err.startswith("error: plot column") and "outside the float range" in err
 
 
+def test_plot_float_twin_of_a_root_whose_discriminant_overflows(capsys):
+    # v = 1/10^200 makes b^2 - 4ac about 3*10^401, beyond the float range,
+    # while the root u is about sqrt(2)
+    tiny = "1/1" + "0" * 200
+    code, out, err = run(capsys, ["plot", "volume-section", "--alpha", "3", "--v-from", tiny,
+                                  "--v-to", "1"] + CFG)
+    assert code == 0 and err == ""
+    v, u, exact, u_asym, v_float, u_float, u_asym_float = out.splitlines()[1].split(",")
+    assert exact == "0" and u_asym_float == "4e+200"
+    assert abs(float(u_float) - float(Fraction(u))) <= 1e-15
+    # a root that is itself beyond the float range still overflows
+    root = ew.QuadraticRoot(a=1, b=1, c=-10**800, lo=0, hi=10**400)
+    with pytest.raises(OverflowError):
+        float(root)
+
+
 def test_input_error_message_is_bounded(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"ch0": list(range(200_000)), "ch1": ["0", "0"], "ch2": "0"}))

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -387,3 +389,56 @@ def test_documents_round_trip_through_io(cfg, data):
         exact = isinstance(u, Fraction)
         assert row["u"] == (u if exact else u.midpoint()) and row["u_is_exact"] == int(exact)
         assert row["u_asym"] == vp.K / v
+
+
+def _wall_spec_obj(label, ch, partner):
+    """The wall-spec JSON object of a pair, written field by field."""
+    f = eio.format_rational
+    L = [f(c) for c in (ch.L if isinstance(ch, ew.FactoredCharacter) else partner.L).coeffs]
+    if isinstance(ch, ew.FactoredCharacter):
+        return {"dim": 2, "label": label, "x": f(ch.x), "z": f(ch.z), "L": L, "r": f(partner.r),
+                "k": f(partner.k), "p": f(partner.p), "xi": [f(c) for c in partner.xis],
+                "chi": f(partner.chi)}
+    return {"dim": 1, "label": label, "k": f(ch.k), "p": f(ch.p), "z": f(ch.z),
+            "xi": [f(c) for c in ch.xis], "r": f(partner.r), "chi": f(partner.chi), "L": L}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_configs(), st.data())
+def test_wall_specs_and_lambda_q_plot_round_trip_through_io(cfg, data):
+    # a wall spec read back from its JSON text gives the characters it was
+    # written from, and every exact cell of the (lambda,q) CSV reads back as
+    # section_q, K/(2*lambda) or the wall's value or outcome word
+    n = cfg.rank - 2
+    xis = tuple(data.draw(st.lists(_small, min_size=n, max_size=n)))
+    L = cfg.divisor(data.draw(st.lists(_small, min_size=cfg.rank, max_size=cfg.rank)))
+    pairs = [
+        ("a", ew.FactoredCharacter(x=data.draw(_positive), z=-data.draw(_positive), L=L),
+         ew.PartnerCharacter(r=data.draw(_small), k=data.draw(_small), p=data.draw(_small), xis=xis,
+                             chi=data.draw(_small))),
+        # ch1.f = k + sum(xis) > 0: the one-dimensional wall is defined
+        ("b", ew.OneDimCharacter(k=data.draw(_positive) - sum(xis), p=data.draw(_small),
+                                 z=data.draw(_small), xis=xis),
+         ew.OneDimPartner(r=data.draw(_positive), chi=data.draw(_small), L=L)),
+    ]
+    specs = []
+    for label, ch, partner in pairs:
+        spec = eio.wall_spec_from_obj(json.loads(json.dumps(_wall_spec_obj(label, ch, partner))), cfg, 0)
+        assert spec == (label, ch, partner)
+        specs.append(spec)
+    vp = ew.volume_params(cfg.e + data.draw(_positive), cfg)  # K = alpha + m - e > 0
+    lams = data.draw(st.lists(st.builds(Fraction, st.integers(1, 10**6 - 1), st.just(10**6))
+                              | st.builds(Fraction, st.just(1), st.integers(2, 10**12)),
+                              min_size=1, max_size=5))
+    rows = list(csv.DictReader(io.StringIO(eio.emit_lambda_q_plot(vp, cfg, lams, walls=specs))))
+    assert [eio.parse_rational(row["lambda"]) for row in rows] == lams
+    for lam, row in zip(lams, rows):
+        assert eio.parse_rational(row["q_section"]) == ew.section_q(lam, vp, cfg)
+        assert eio.parse_rational(row["q_asym"]) == vp.K / (2 * lam)
+        for label, ch, partner in pairs:
+            wv = ew.lambda_q_wall(ch, partner, cfg).at(lam)
+            cell = row["q_wall_" + label]
+            if wv.kind == "value":
+                assert eio.parse_rational(cell) == wv.q
+            else:
+                assert cell == wv.kind

@@ -1,0 +1,211 @@
+"""The integer evaluators of the plots against the paper's formulas.
+
+`LambdaQWall.at`, `section_q` and the rows of `plot lambda-q` evaluate the
+(lambda,q)-walls and the volume section on the numerator and denominator
+of lambda.  The references below restate the rational functions of the
+walls.py docstring in Fractions, with the checks in the order the
+documented errors name them; `QuadraticRoot.midpoint` is compared with the
+plain bisection of tests/test_nslattice.py.
+"""
+
+import csv
+import io
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import ellwall as ew
+from ellwall import io as eio
+from test_nslattice import _bisect
+
+
+def _outcome(fn, *args):
+    """("ok", result) or ("raised", exception class, message)."""
+    try:
+        return ("ok", fn(*args))
+    except ew.EllwallError as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def _paper_wall(wall, lam):
+    """(kind, q) of the wall at lam: q = (alpha*a - beta*l)/(g*a), with
+    a = a0 + a1*lam, l = l0 + l1*lam and g = 2*lam*(1 + kappa*lam)."""
+    if not 0 < lam < 1:
+        raise ew.DomainError("lambda must lie in (0,1), got %s" % lam)
+    if wall.family == "dim1" and not (wall.a0 > 0 or (wall.a0 == 0 and wall.a1 > 0)):
+        raise ew.DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
+    g = 2 * lam * (1 + wall.kappa * lam)
+    if g <= 0:
+        raise ew.DomainError("frame requires H.H > 0, got %s" % g)
+    a, l = wall.a0 + wall.a1 * lam, wall.l0 + wall.l1 * lam
+    if wall.a0 == 0 and wall.a1 == 0:
+        return ("everywhere" if l == 0 else "no-wall"), None
+    if a == 0:
+        return "pole", None
+    return "value", (wall.alpha * a - wall.beta * l) / (g * a)
+
+
+def _paper_section(lam, vp, cfg):
+    """q with 2q*g = K on the section, g = 2*lam*(1 + (m - e/2 - 1)*lam)."""
+    if not 0 < lam < 1:
+        raise ew.DomainError("lambda must lie in (0,1)")
+    if vp.K <= 0:
+        raise ew.EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
+    g = 2 * lam * (1 + (cfg.m - Fraction(cfg.e, 2) - 1) * lam)
+    if g <= 0:
+        raise ew.DomainError("H_lambda fails to be positive at lambda=%s" % lam)
+    return vp.K / g
+
+
+def _at(wall, lam):
+    wv = wall.at(lam)
+    return wv.kind, wv.q
+
+
+_ratio = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+# lambda in (0,1) with a denominator up to 10^30, or a little outside
+_lam = st.one_of(
+    st.integers(1, 10**30).flatmap(
+        lambda d: st.builds(Fraction, st.integers(1, max(1, d - 1)), st.just(d + 1))),
+    st.builds(Fraction, st.integers(-3, 14), st.integers(1, 11)),
+)
+
+
+@st.composite
+def _walls(draw):
+    """A LambdaQWall of either family: generic, with a pole at a drawn
+    lambda, or with a = 0 identically (everywhere or no-wall); kappa below
+    -1 as well, where g changes sign inside (0,1)."""
+    family = draw(st.sampled_from(("dim1", "dim2")))
+    a1, l0, l1 = draw(_ratio), draw(_ratio), draw(_ratio)
+    shape = draw(st.sampled_from(("generic", "pole", "zero", "zero-l")))
+    if shape == "pole":
+        a0 = -a1 * draw(_lam)
+    elif shape.startswith("zero"):
+        a0 = a1 = Fraction(0)
+        if shape == "zero-l":
+            l0 = l1 = Fraction(0)
+    else:
+        a0 = draw(_ratio)
+    kappa = draw(st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9)))
+    return ew.LambdaQWall(family, draw(_ratio), draw(_ratio), a0, a1, l0, l1, kappa)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_walls(), _lam)
+@example(ew.LambdaQWall("dim2", 1, 1, 1, 1, 0, 0, -2), Fraction(1, 2))  # g = 0
+def test_wall_at_matches_the_paper_formula(wall, lam):
+    assert _outcome(_at, wall, lam) == _outcome(_paper_wall, wall, lam)
+
+
+@st.composite
+def _sections(draw):
+    """(vp, cfg): a rank-3 surface, which takes any m > 0, so kappa < -1
+    and K <= 0 both occur."""
+    e = draw(st.integers(0, 8))
+    cfg = ew.SurfaceConfig(e=e, m=draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 6))),
+                           sections=(ew.ExtraSection(theta=draw(st.integers(0, 3))),))
+    alpha = draw(st.builds(Fraction, st.integers(1, 60), st.integers(1, 6)))
+    return ew.volume_params(alpha, cfg), cfg
+
+
+_G_ZERO = ew.SurfaceConfig(e=4, m=1, sections=(ew.ExtraSection(theta=0),))  # kappa = -2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sections(), _lam)
+@example((ew.volume_params(5, _G_ZERO), _G_ZERO), Fraction(1, 2))  # g = 0
+def test_section_q_matches_the_paper_formula(section, lam):
+    vp, cfg = section
+    assert _outcome(ew.section_q, lam, vp, cfg) == _outcome(_paper_section, lam, vp, cfg)
+
+
+def _spec_walls(cfg, xi):
+    """Wall specs on cfg's basis: a dim-2 wall with a pole at lambda = 1/5
+    when m = e + 1 and xi = 0, a dim-1 wall, and a dim-2 wall that holds
+    everywhere."""
+    L = cfg.divisor([1, -1] + [xi] * (cfg.rank - 2))
+    xis = (xi,) * (cfg.rank - 2)
+    return [
+        ("a", ew.FactoredCharacter(x=2, z=-1, L=L), ew.PartnerCharacter(r=1, k=1, p=-5, xis=xis, chi=1)),
+        ("b", ew.OneDimCharacter(k=1, p=2, z=-3, xis=xis), ew.OneDimPartner(r=2, chi=Fraction(1, 3), L=L)),
+        ("c", ew.FactoredCharacter(x=1, z=0, L=cfg.zero()),
+         ew.PartnerCharacter(r=1, k=0, p=0, xis=(0,) * len(xis), chi=1)),
+    ]
+
+
+def _paper_plot(vp, cfg, lams, walls):
+    rows = []
+    for lam in lams:
+        row = [_paper_section(lam, vp, cfg), vp.K / (2 * lam)]
+        for _, ch, partner in walls:
+            kind, q = _paper_wall(ew.lambda_q_wall(ch, partner, cfg), lam)
+            row.append(q if kind == "value" else kind)
+        rows.append(row)
+    return rows
+
+
+def _plot_rows(vp, cfg, lams, walls):
+    text = eio.emit_lambda_q_plot(vp, cfg, lams, walls=walls, fmt="csv")
+    cells = [row[1:3 + len(walls)] for row in list(csv.reader(io.StringIO(text)))[1:]]
+    return [[eio.parse_rational(c) if c[0].isdigit() or c[0] == "-" else c for c in row]
+            for row in cells]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_sections(), st.lists(_lam, min_size=1, max_size=6), st.integers(-2, 2))
+def test_plot_rows_match_the_paper_formulas(section, lams, xi):
+    vp, cfg = section
+    walls = _spec_walls(cfg, xi)
+    assert _outcome(_plot_rows, vp, cfg, lams, walls) == _outcome(_paper_plot, vp, cfg, lams, walls)
+
+
+def test_plot_rows_cover_every_outcome():
+    # m = e + 1 puts the dim-2 wall's pole at lambda = 1/5
+    cfg = ew.SurfaceConfig(e=2, m=3, sections=(ew.ExtraSection(theta=1),))
+    vp = ew.volume_params(Fraction(5, 2), cfg)
+    lams = [Fraction(1, 5), Fraction(10**29 + 7, 10**30), Fraction(1, 10**30 + 1)]
+    walls = _spec_walls(cfg, 0)
+    rows = _plot_rows(vp, cfg, lams, walls)
+    assert rows == _paper_plot(vp, cfg, lams, walls)
+    assert rows[0][2] == "pole" and {row[4] for row in rows} == {"everywhere"}
+    assert all(isinstance(row[3], Fraction) for row in rows)
+    # kappa < -1: g <= 0 from lambda = 2/3 on, and the section raises first
+    steep = ew.SurfaceConfig(e=4, m=Fraction(3, 2), sections=(ew.ExtraSection(theta=2),))
+    for lams in ([Fraction(1, 2), Fraction(2, 3)], [Fraction(9, 10)]):
+        got = _outcome(_plot_rows, ew.volume_params(5, steep), steep, lams, _spec_walls(steep, 0))
+        assert got == ("raised", ew.DomainError, "H_lambda fails to be positive at lambda=%s" % lams[-1])
+
+
+def _root(e, m, alpha, v):
+    cfg = ew.SurfaceConfig(e=e, m=e + m)
+    return ew.volume_section_u(v, ew.volume_params(alpha, cfg), cfg)
+
+
+# irrational roots of the volume section, at v with large denominators too
+_roots = st.builds(
+    _root, st.integers(0, 3), st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(1, 40), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+).filter(lambda u: isinstance(u, ew.QuadraticRoot))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_roots, st.sampled_from([Fraction(1, 10**24), Fraction(1, 7), Fraction(3, 2**40), Fraction(10**6)]))
+def test_midpoint_matches_bisection(root, width):
+    lo, hi = _bisect(root, width)
+    assert root.enclosure(width) == (lo, hi)
+    assert root.midpoint(width) == (lo + hi) / 2
+    if width == Fraction(1, 10**24):
+        assert root.midpoint() == (lo + hi) / 2
+
+
+def test_bad_enclosure_width_keeps_its_error():
+    root = _root(2, 1, 2, 10)
+    for width in (0, Fraction(-1, 3)):
+        for fn in (root.enclosure, root.midpoint):
+            assert _outcome(fn, width) == ("raised", ew.DomainError, "enclosure width must be positive")
+    with pytest.raises(ew.DomainError, match="expected an int or a Fraction"):
+        root.midpoint(0.5)
