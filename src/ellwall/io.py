@@ -38,6 +38,8 @@ from .nslattice import (
     VolumeSectionParams,
     _frac,
     _section_at,
+    _section_u,
+    _SectionRoot,
     _shear_constant,
     section_q,
     volume_section_u,
@@ -359,10 +361,13 @@ def emit_volume_section_plot(
     v_values = [_frac(v) for v in v_values]
     if not v_values:
         raise DomainError("empty v range")
-    K, rows = vp.K, []
+    # each row on the integers of v = n/d, by the evaluator of volume_section_u,
+    # which takes the same checks in the same order
+    u_at, K, rows = _section_u(vp, cfg), vp.K, []
     for v in v_values:
-        u = volume_section_u(v, vp, cfg)
-        u_asym = Fraction(K.numerator * v.denominator, K.denominator * v.numerator)  # K/v
+        n, d = v.numerator, v.denominator
+        u = u_at(n, d)
+        u_asym = Fraction(K.numerator * d, K.denominator * n)  # K/v
         rows.append([v, u, int(isinstance(u, Fraction)), u_asym])
     series = [("section", "u", "#000000"), ("asymptote K/v", "u_asym", "#999999")]
     return _write_plot(fmt, ["v", "u", "u_is_exact", "u_asym"], ["v", "u", "u_asym"], rows,
@@ -420,7 +425,7 @@ def emit_lambda_q_plot(
 
 def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
     """Rows of exact cells as CSV or SVG.  The CSV writes a Fraction as p/q,
-    a QuadraticRoot as its enclosure midpoint and anything else (a flag, a
+    an irrational root as its enclosure midpoint and anything else (a flag, a
     wall outcome) as is, then a float twin of each column in twinned:
     float(cell), or "" for an outcome.  Each SVG series (name, column,
     colour) draws the twins of its column against those of the first
@@ -446,7 +451,7 @@ def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
 def _exact(cell):
     if isinstance(cell, Fraction):
         return format_rational(cell)
-    if isinstance(cell, QuadraticRoot):
+    if isinstance(cell, _SectionRoot):
         return format_rational(cell.midpoint())
     return cell
 

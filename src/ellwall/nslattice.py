@@ -494,6 +494,47 @@ def _require_section(vp: VolumeSectionParams):
         raise EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
 
 
+_WIDTH = Fraction(1, 10**24)  # of the bracket whose midpoint stands for an irrational root
+
+
+def _bisection_cell(a: int, b: int, d: int, ln: int, ld: int, sn: int, sd: int, width) -> tuple:
+    """(n, h, den) with (n/den, (n+h)/den) the cell that bisection of [lo, lo + span],
+    lo = ln/ld and span = sn/sd > 0, ends on once it is no wider than width, for the
+    root (-b + sqrt(d))/(2a) of a*u^2 + b*u + c, d = b^2 - 4ac: in closed form on
+    integers not reduced, n halvings leave the grid cell of width span/2^n that holds it."""
+    # n = least n >= 0 with span/2^n <= width, i.e. q*2^n >= p for span/width = p/q
+    p = sn * width.denominator
+    q = sd * width.numerator
+    n = max(0, p.bit_length() - q.bit_length())
+    if q << n < p:
+        n += 1
+    hd = sd << n  # the cell width is h = sn/hd
+    # bisection moves lo while f(mid) < 0, so the cell is k = ceil((root - lo)/h) - 1
+    # (k = 0 when n = 0), with (root - lo)/h = (sqrt(d*g^2) - c0)/den in the
+    # integers below.  isqrt(d*g^2 - 1) equals isqrt(d*g^2) unless d is a square
+    # (a rational root), where it takes the cell whose right end is the root.
+    g = ld * hd
+    c0 = (b * ld + 2 * a * ln) * hd
+    den = 2 * a * ld * sn
+    k = (math.isqrt(d * g * g - 1) - c0) // den
+    # lo + k*h = (ln*hd + k*sn*ld)/(ld*hd)
+    return ln * hd + k * sn * ld, sn * ld, g
+
+
+def _midpoint(n: int, h: int, den: int) -> Fraction:
+    return Fraction(2 * n + h, 2 * den)  # of the cell (n/den, (n+h)/den)
+
+
+def _root_float(a: int, b: int, d: int) -> float:
+    """The float twin (-b + sqrt(d))/(2a) of a root, evaluated in floats."""
+    try:
+        return (-b + math.sqrt(d)) / (2 * a)
+    except OverflowError:  # d is beyond the float range; the root need not be
+        s = d.bit_length() // 2 - 500  # b and sqrt(d) over 2^s: exact in floats
+    num = -b / (1 << s) + math.sqrt(d / (1 << 2 * s))
+    return float(Fraction(num) * (1 << s) / (2 * a))
+
+
 @record
 class QuadraticRoot:
     """The root of a*u^2 + b*u + c = 0 (integer coefficients, a > 0) in the
@@ -520,47 +561,62 @@ class QuadraticRoot:
         n, h, den = self._cell(width)
         return Fraction(n, den), Fraction(n + h, den)
 
-    def midpoint(self, width: Rational = Fraction(1, 10**24)) -> Fraction:
-        n, h, den = self._cell(width)
-        return Fraction(2 * n + h, 2 * den)
+    def midpoint(self, width: Rational = _WIDTH) -> Fraction:
+        return _midpoint(*self._cell(width))
 
     def _cell(self, width: Rational) -> tuple:
-        """(n, h, den) with enclosure(width) = (n/den, (n+h)/den), in closed
-        form on integers not reduced: n halvings leave the grid cell of width
-        (hi-lo)/2^n that holds the root (-b + sqrt(d))/(2a), d = b^2 - 4ac."""
+        """(n, h, den) with enclosure(width) = (n/den, (n+h)/den)."""
         width = _frac(width)
         if width <= 0:
             raise DomainError("enclosure width must be positive")
         # lo = ln/ld and hi - lo = sn/sd, both denominators positive
         ln, ld = self.lo.numerator, self.lo.denominator
         sn, sd = self.hi.numerator * ld - ln * self.hi.denominator, self.hi.denominator * ld
-        # n = least n >= 0 with span/2^n <= width, i.e. q*2^n >= p for span/width = p/q
-        p = sn * width.denominator
-        q = sd * width.numerator
-        n = max(0, p.bit_length() - q.bit_length())
-        if q << n < p:
-            n += 1
-        hd = sd << n  # the cell width is h = sn/hd
-        # bisection moves lo while f(mid) < 0, so the cell is k = ceil((root - lo)/h) - 1
-        # (k = 0 when n = 0), with (root - lo)/h = (sqrt(d*g^2) - c0)/den in the
-        # integers below.  isqrt(d*g^2 - 1) equals isqrt(d*g^2) unless d is a square
-        # (a rational root), where it takes the cell whose right end is the root.
-        g = ld * hd
-        c0 = (self.b * ld + 2 * self.a * ln) * hd
-        den = 2 * self.a * ld * sn
-        d = self.b * self.b - 4 * self.a * self.c
-        k = (math.isqrt(d * g * g - 1) - c0) // den
-        # lo + k*h = (ln*hd + k*sn*ld)/(ld*hd)
-        return ln * hd + k * sn * ld, sn * ld, g
+        return _bisection_cell(self.a, self.b, self.b * self.b - 4 * self.a * self.c,
+                               ln, ld, sn, sd, width)
 
     def __float__(self) -> float:
-        d = self.b * self.b - 4 * self.a * self.c
-        try:
-            return (-self.b + math.sqrt(d)) / (2 * self.a)
-        except OverflowError:  # d is beyond the float range; the root need not be
-            s = d.bit_length() // 2 - 500  # b and sqrt(d) over 2^s: exact in floats
-        num = -self.b / (1 << s) + math.sqrt(d / (1 << 2 * s))
-        return float(Fraction(num) * (1 << s) / (2 * self.a))
+        return _root_float(self.a, self.b, self.b * self.b - 4 * self.a * self.c)
+
+
+class _SectionRoot(tuple):
+    """(A, B, C, disc): an irrational u of the volume section, the root of
+    A*u^2 + B*u - C = 0 (A, B, C > 0, disc = B^2 + 4AC) that QuadraticRoot(A, B,
+    -C, 0, C/B) brackets, with f(0) = -C < 0 < A*C^2/B^2 = f(C/B) by construction."""
+
+    __slots__ = ()
+
+    def midpoint(self) -> Fraction:
+        A, B, C, disc = self
+        return _midpoint(*_bisection_cell(A, B, disc, 0, 1, C, B, _WIDTH))
+
+    def __float__(self) -> float:
+        return _root_float(self[0], self[1], self[3])
+
+
+def _section_u(vp: VolumeSectionParams, cfg: SurfaceConfig):
+    """volume_section_u at v = n/d in lowest terms, on integers, with K > 0 checked
+    and a = m - e/2 = an/ad, K = Kn/Kd fixed once: K/v when a = 0, else the root of
+    A*u^2 + B*u - C = 0 cleared over lcm(ad, d, Kd), one isqrt deciding whether it
+    is rational (a Fraction; s > B, so u > 0) or irrational (a _SectionRoot)."""
+    _require_section(vp)
+    a, K = _shear_constant(cfg), vp.K
+    an, ad, Kn, Kd = a.numerator, a.denominator, K.numerator, K.denominator
+
+    def u_at(n: int, d: int):
+        if n <= 0:
+            raise DomainError("v must be positive")
+        if an == 0:
+            return Fraction(Kn * d, Kd * n)
+        if an < 0:
+            raise DomainError("volume section requires m >= e/2 for a unique positive root")
+        den = math.lcm(ad, d, Kd)
+        A, B, C = an * (den // ad), n * (den // d), Kn * (den // Kd)
+        disc = B * B + 4 * A * C
+        s = math.isqrt(disc)
+        return Fraction(s - B, 2 * A) if s * s == disc else _SectionRoot((A, B, C, disc))
+
+    return u_at
 
 
 def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
@@ -570,26 +626,11 @@ def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
     QuadraticRoot carrying the exact integer quadratic and a bracket.
     """
     v = _frac(v)
-    _require_section(vp)
-    if v <= 0:
-        raise DomainError("v must be positive")
-    a = _shear_constant(cfg)
-    if a == 0:
-        return vp.K / v
-    if a < 0:
-        raise DomainError(
-            "volume section requires m >= e/2 for a unique positive root"
-        )
-    # clear denominators: A*u^2 + B*u - C = 0 with integer coefficients
-    (A, B, C), _ = _cleared((a, v, vp.K))
-    disc = B * B + 4 * A * C
-    s = math.isqrt(disc)
-    if s * s == disc:
-        u = Fraction(-B + s, 2 * A)
-        if u <= 0:
-            raise InvariantError("positive root expected, got %s" % u)
-        return u
-    return QuadraticRoot(a=A, b=B, c=-C, lo=Fraction(0), hi=Fraction(C, B))  # hi = K/v
+    u = _section_u(vp, cfg)(v.numerator, v.denominator)
+    if isinstance(u, _SectionRoot):  # bracket [0, K/v]
+        A, B, C, _ = u
+        return QuadraticRoot(a=A, b=B, c=-C, lo=Fraction(0), hi=Fraction(C, B))
+    return u
 
 
 def section_q(lam: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> Fraction:

@@ -711,6 +711,24 @@ def test_plot_float_twin_of_a_root_whose_discriminant_overflows(capsys):
         float(root)
 
 
+def test_volume_section_errors_keep_exit_code_and_line(tmp_path, capsys):
+    # rank 3 takes m < e/2 (m = 1, e = 4), where the section has no unique positive root
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps({"e": 4, "m": "1", "sections": [{"theta": 0}]}))
+    base = ["plot", "volume-section", "--v-to", "2", "--config", str(path)]
+    cases = [
+        (["--alpha", "5", "--v-from", "1"], "volume section requires m >= e/2 for a unique positive root"),
+        # v is checked before m - e/2, and before K/v is formed: no zero division
+        (["--alpha", "5", "--v-from", "0"], "v must be positive"),
+        (["--alpha", "5", "--v-from", "-1/2"], "v must be positive"),
+        # K = alpha + m - e <= 0 is checked first
+        (["--alpha", "1", "--v-from", "0"], "empty volume section: K = -2 <= 0"),
+        (["--alpha", "3", "--v-from", "1"], "empty volume section: K = 0 <= 0"),
+    ]
+    for args, message in cases:
+        assert run(capsys, base + args) == (2, "", "error: %s\n" % message), args
+
+
 def test_input_error_message_is_bounded(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"ch0": list(range(200_000)), "ch1": ["0", "0"], "ch2": "0"}))

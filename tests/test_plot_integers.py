@@ -2,15 +2,18 @@
 
 `LambdaQWall.at`, `section_q` and the rows of `plot lambda-q` evaluate the
 (lambda,q)-walls and the volume section on the numerator and denominator
-of lambda.  The references below restate the rational functions of the
-walls.py docstring in Fractions, with the checks in the order the
-documented errors name them; `QuadraticRoot.midpoint` is compared with the
-plain bisection of tests/test_nslattice.py.
+of lambda; `volume_section_u` and the rows of `plot volume-section` evaluate
+u(v) on those of v.  The references below restate the rational functions of
+the walls.py docstring and the section's quadratic in Fractions, with the
+checks in the order the documented errors name them; midpoints are compared
+with the plain bisection of tests/test_nslattice.py.
 """
 
 import csv
 import io
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -209,3 +212,107 @@ def test_bad_enclosure_width_keeps_its_error():
             assert _outcome(fn, width) == ("raised", ew.DomainError, "enclosure width must be positive")
     with pytest.raises(ew.DomainError, match="expected an int or a Fraction"):
         root.midpoint(0.5)
+
+
+def _paper_u(v, vp, cfg):
+    """(u, u is rational, float twin) of (m - e/2)*u^2 + v*u - K = 0 at v > 0:
+    the rational root, or the midpoint of the bisection of [0, K/v] to width
+    10^-24 on the Fraction quadratic, with the twin (-b + sqrt(d))/(2a) on the
+    quadratic cleared over the denominators of m - e/2, v and K."""
+    a, K = cfg.m - Fraction(cfg.e, 2), vp.K
+    if a == 0:
+        return K / v, True, float(K / v)
+    d = v * v + 4 * a * K
+    rd = [math.isqrt(d.numerator), math.isqrt(d.denominator)]
+    if rd[0] ** 2 == d.numerator and rd[1] ** 2 == d.denominator:
+        u = (Fraction(*rd) - v) / (2 * a)
+        return u, True, float(u)
+    quadratic = SimpleNamespace(a=a, b=v, c=-K, lo=Fraction(0), hi=K / v)
+    mid = sum(_bisect(quadratic, Fraction(1, 10**24))) / 2
+    den = math.lcm(a.denominator, v.denominator, K.denominator)
+    A, B, C = (int(x * den) for x in (a, v, K))
+    return mid, False, (-B + math.sqrt(B * B + 4 * A * C)) / (2 * A)
+
+
+def _paper_volume_rows(vp, cfg, vs):
+    """[v, u, u_is_exact, u_asym, twins] per v, with the errors in their order:
+    K <= 0 first, then per row v <= 0 before m < e/2."""
+    if vp.K <= 0:
+        raise ew.EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
+    rows = []
+    for v in vs:
+        if v <= 0:
+            raise ew.DomainError("v must be positive")
+        if cfg.m < Fraction(cfg.e, 2):
+            raise ew.DomainError("volume section requires m >= e/2 for a unique positive root")
+        u, exact, twin = _paper_u(v, vp, cfg)
+        rows.append([v, u, int(exact), vp.K / v, [float(v), twin, float(vp.K / v)]])
+    return rows
+
+
+def _volume_rows(vp, cfg, vs):
+    text = eio.emit_volume_section_plot(vp, cfg, vs, fmt="csv")
+    raw = list(csv.reader(io.StringIO(text)))[1:]
+    return [[row["v"], row["u"], row["u_is_exact"], row["u_asym"], [float(c) for c in r[4:]]]
+            for row, r in zip(eio.parse_volume_section_csv(text), raw)]
+
+
+# v > 0: small and large values, denominators up to 10^12
+_v = st.one_of(
+    st.builds(Fraction, st.integers(1, 10**6), st.sampled_from([1, 2, 7, 10**3, 10**12 + 1])),
+    st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def _volume_grids(draw):
+    """(vp, cfg, vs): rank 2 (m > e), or rank 3 with m = e/2 (u = K/v) or
+    m > e/2, now and then m < e/2, K <= 0 or a v <= 0 in the grid; the grid
+    takes a v whose root u is rational as well."""
+    e = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(("rank2",) * 3 + ("half",) * 2 + ("above",) * 4 + ("below",)))
+    step = draw(st.builds(Fraction, st.integers(1, 30), st.integers(1, 7)))
+    if shape == "rank2":
+        cfg = ew.SurfaceConfig(e=e, m=e + step)
+    else:
+        m = {"half": Fraction(e, 2), "above": Fraction(e, 2) + step, "below": Fraction(e, 2) - step}[shape]
+        cfg = ew.SurfaceConfig(e=e, m=m if m > 0 else step,
+                               sections=(ew.ExtraSection(theta=draw(st.integers(0, 3))),))
+    vp = ew.volume_params(draw(st.builds(Fraction, st.integers(1, 80), st.integers(1, 9))), cfg)
+    vs = draw(st.lists(_v, min_size=1, max_size=6))
+    u = draw(st.builds(Fraction, st.integers(1, 40), st.integers(1, 40)))
+    v = (vp.K - (cfg.m - Fraction(cfg.e, 2)) * u * u) / u  # the v at which u is the root
+    if v > 0 and draw(st.booleans()):
+        vs.insert(draw(st.integers(0, len(vs))), v)
+    if draw(st.integers(0, 9)) == 0:
+        bad = draw(st.builds(Fraction, st.integers(-3, 0), st.integers(1, 4)))
+        vs.insert(draw(st.integers(0, len(vs))), bad)
+    return vp, cfg, vs
+
+
+_E2M3, _E2M4 = ew.SurfaceConfig(e=2, m=3), ew.SurfaceConfig(e=2, m=4)
+_BELOW = ew.SurfaceConfig(e=4, m=1, sections=(ew.ExtraSection(theta=0),))  # m < e/2
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_volume_grids())
+# the twin at v = 10^8 loses precision by cancellation (4.0978e-08 for a root
+# of 3.9999e-08): a known defect whose bytes are kept
+@example((ew.volume_params(3, _E2M3), _E2M3, [Fraction(10**8)]))
+@example((ew.volume_params(2, _E2M3), _E2M3, [Fraction(1), Fraction(5), Fraction(10)]))  # rational roots
+# the cleared integers have the common factor 3, which changes the twin's last bits
+@example((ew.volume_params(76, _E2M4), _E2M4, [Fraction(325314)]))
+# v <= 0 is checked before m < e/2, and K <= 0 before both
+@example((ew.volume_params(5, _BELOW), _BELOW, [Fraction(0), Fraction(1)]))
+@example((ew.volume_params(5, _BELOW), _BELOW, [Fraction(1), Fraction(0)]))
+@example((ew.volume_params(1, _BELOW), _BELOW, [Fraction(0)]))
+def test_volume_section_rows_match_the_paper_quadratic(grid):
+    vp, cfg, vs = grid
+    got = _outcome(_volume_rows, vp, cfg, vs)
+    assert got == _outcome(_paper_volume_rows, vp, cfg, vs)
+    if got[0] == "ok":  # volume_section_u runs the same evaluator
+        for v, row in zip(vs, got[1]):
+            u = ew.volume_section_u(v, vp, cfg)
+            assert (u if row[2] else u.midpoint()) == row[1]
+            assert float(u) == row[4][1]
+

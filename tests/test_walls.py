@@ -48,6 +48,9 @@ def test_bertram_vertical():
         ew.character(1, [0, 0], 0, cfg), ew.character(2, [1, -1], 5, cfg), fr, cfg
     )
     assert wall.kind == "vertical" and wall.s == 0
+    # a vertical wall holds every point with its s, whatever q
+    assert wall.passes_through(0, 5) and wall.passes_through(Fraction(0), Fraction(1, 3))
+    assert not wall.passes_through(Fraction(1, 2), 5)
 
 
 def test_nested_walls_random():
@@ -111,7 +114,12 @@ def test_dim1_rank_zero_partner():
     assert wall.kind == expected
     # force the everywhere branch: chi = z*c1/y1
     chp2 = ew.ChernCharacter(0, chp.ch1, ch.ch2 * c1 / y1)
-    assert ew.bertram_wall(ch, chp2, fr, cfg).kind == "everywhere"
+    everywhere = ew.bertram_wall(ch, chp2, fr, cfg)
+    assert everywhere.kind == "everywhere"
+    for s, q in ((0, 1), (Fraction(-3, 2), 7), (5, Fraction(1, 9))):
+        assert everywhere.passes_through(s, q) and not ew.WallSQ(kind="nowhere").passes_through(s, q)
+    with pytest.raises(ew.DomainError, match="expected an int or a Fraction"):
+        everywhere.passes_through(0.5, 1)
 
 
 def test_dim1_requires_positive_h_degree():
