@@ -3,14 +3,12 @@ twisted Euler characteristics and Bogomolov-type bounds."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import DomainError
-from .nslattice import DivisorClass, SurfaceConfig, _frac, _omega_bar, intersect, record
-
-Rational = Union[int, Fraction]
+from .nslattice import DivisorClass, Rational, SurfaceConfig, _frac, _omega_bar, intersect, record
 
 
 @record
@@ -78,15 +76,9 @@ def line_bundle_twist(ch: ChernCharacter, L: DivisorClass, cfg: SurfaceConfig) -
     return twist(ch, -L, cfg)
 
 
+@functools.total_ordering
 class _PosInfinity:
     """Slope of rank-zero characters; compares above every rational."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self):
         return "+inf"
@@ -97,17 +89,8 @@ class _PosInfinity:
     def __hash__(self):
         return hash("ellwall-positive-infinity")
 
-    def __gt__(self, other):
-        return not isinstance(other, _PosInfinity)
-
-    def __ge__(self, other):
-        return True
-
     def __lt__(self, other):
         return False
-
-    def __le__(self, other):
-        return isinstance(other, _PosInfinity)
 
 
 POS_INFINITY = _PosInfinity()

@@ -200,21 +200,6 @@ def _ch1_gates(ctx: _Context, p: _Pair, gamma: int, eta: int) -> tuple:
     )
 
 
-def _cell_checks(ctx: _Context, p: _Pair, gamma: int, eta: int) -> dict:
-    t = eta * ctx.f_om + gamma * ctx.th_om
-    c4, c8, c9, c12 = _ch1_gates(ctx, p, gamma, eta)
-    return {
-        "6.1": 0 <= t <= ctx.lam_om,
-        "6.1_strict_lower": 0 < t,
-        "6.1_strict_upper": t < ctx.lam_om,
-        **p.fixed,
-        "6.4": c4,
-        "6.8": c8,
-        "6.9": c9,
-        "6.12": c12,
-    }
-
-
 def candidate_checks(
     req: EnumerationRequest, cfg: SurfaceConfig, candidate: ChernCharacter
 ) -> dict:
@@ -228,7 +213,20 @@ def candidate_checks(
     j = candidate.ch2 * ctx.den
     if j.denominator != 1:
         raise DomainError("candidate ch2 not on the configured lattice")
-    return _cell_checks(ctx, _pair(ctx, int(r), int(j)), int(gamma), int(eta))
+    p = _pair(ctx, int(r), int(j))
+    gamma, eta = int(gamma), int(eta)
+    t = eta * ctx.f_om + gamma * ctx.th_om
+    c4, c8, c9, c12 = _ch1_gates(ctx, p, gamma, eta)
+    return {
+        "6.1": 0 <= t <= ctx.lam_om,
+        "6.1_strict_lower": 0 < t,
+        "6.1_strict_upper": t < ctx.lam_om,
+        **p.fixed,
+        "6.4": c4,
+        "6.8": c8,
+        "6.9": c9,
+        "6.12": c12,
+    }
 
 
 def _over_budget():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import functools
 import io as _stdio
+import math
 import operator
 import re
 import sys
@@ -33,7 +34,6 @@ from .errors import DomainError, InputError, InvariantError, _shown
 from .nslattice import (
     DivisorClass,
     ExtraSection,
-    QuadraticRoot,
     SurfaceConfig,
     VolumeSectionParams,
     _frac,
@@ -41,15 +41,12 @@ from .nslattice import (
     _section_u,
     _SectionRoot,
     _shear_constant,
-    section_q,
-    volume_section_u,
 )
 from .walls import (
     FactoredCharacter,
     OneDimCharacter,
     OneDimPartner,
     PartnerCharacter,
-    VALUE,
     lambda_q_wall,
 )
 
@@ -63,8 +60,6 @@ _INT_LIMIT = 10**MAX_DIGITS
 
 
 def format_rational(x: Fraction) -> str:
-    if type(x) is not Fraction:
-        x = Fraction(x)
     try:
         if x.denominator == 1:
             return str(x.numerator)
@@ -480,10 +475,11 @@ def _svg_plot(series, xlabel: str, ylabel: str, width=640, height=480) -> str:
     ys = [p[1] for p in pts_all]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
+    # widen a degenerate axis; past 2^53, x0 + 1.0 rounds back to x0
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = max(x0 + 1.0, math.nextafter(x0, math.inf))
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = max(y0 + 1.0, math.nextafter(y0, math.inf))
 
     def sx(x):
         return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)

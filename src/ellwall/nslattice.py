@@ -329,7 +329,7 @@ def make_frame(
     if g <= 0:
         raise DomainError("frame requires H.H > 0, got %s" % g)
     if delta < 0:
-        raise InvariantError("Hodge index violated: -(H^perp)^2 = %s < 0" % delta)
+        raise DomainError("Hodge index violated: -(H^perp)^2 = %s < 0" % delta)
     if (delta == 0) != Hperp.is_zero():
         raise DomainError("delta = 0 must coincide with H^perp = 0")
     if cfg.rank == 2 and not cone_membership(H, cfg).ample:
@@ -342,11 +342,6 @@ def _shear_constant(cfg: SurfaceConfig) -> Fraction:
     return cfg.m - Fraction(cfg.e) / 2
 
 
-def _g_lambda(lam: Fraction, kappa: Fraction) -> Fraction:
-    """g = H_lambda^2 = 2*lam*(1 + kappa*lam), with kappa = m - e/2 - 1."""
-    return 2 * lam * (1 + kappa * lam)
-
-
 def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
     """Frame (H_lam, H_lam^perp, 0) spanned by the polarising direction:
     H_lam = lam*(Theta+mf) + (1-lam)*f, with g = delta = 2*lam*(1+(m-e/2-1)*lam)."""
@@ -356,7 +351,7 @@ def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
     H = cfg.theta_f(lam, lam * cfg.m + 1 - lam)
     Hperp = cfg.theta_f(-lam, 1 + (cfg.m - cfg.e - 1) * lam)
     fr = make_frame(H, Hperp, 0, cfg)
-    expected = _g_lambda(lam, _shear_constant(cfg) - 1)
+    expected = 2 * lam * (1 + (_shear_constant(cfg) - 1) * lam)
     if fr.g != expected or fr.delta != expected:
         raise InvariantError("elliptic frame norm mismatch at lambda=%s" % lam)
     return fr

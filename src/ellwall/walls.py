@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .charge import _sq_parts
 from .chern import ChernCharacter, line_bundle_twist
@@ -42,17 +42,15 @@ from .errors import DomainError
 from .nslattice import (
     DivisorClass,
     Frame,
+    Rational,
     SurfaceConfig,
     _cleared,
     _frac,
-    _g_lambda,
     _shear_constant,
     intersect,
     pairings,
     record,
 )
-
-Rational = Union[int, Fraction]
 
 LINE = "line"
 VERTICAL = "vertical"
@@ -98,14 +96,6 @@ class WallSQ:
         return True
 
 
-def _line(point, slope) -> WallSQ:
-    return WallSQ(kind=LINE, point=point, slope=slope)
-
-
-def _vertical(s) -> WallSQ:
-    return WallSQ(kind=VERTICAL, s=s)
-
-
 EVERYWHERE_WALL = WallSQ(kind=EVERYWHERE)
 NOWHERE_WALL = WallSQ(kind=NOWHERE)
 
@@ -127,7 +117,7 @@ def bertram_wall(
     if x != 0:
         s0 = B / (g * x)
         if a == 0:
-            return _vertical(s0)
+            return WallSQ(kind=VERTICAL, s=s0)
     else:
         if B <= 0:
             raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % (B,))
@@ -135,7 +125,7 @@ def bertram_wall(
             return EVERYWHERE_WALL if c == 0 else NOWHERE_WALL
         s0 = Bp / (g * r)
     slope = b / a
-    return _line((s0, slope * s0 - c / (g * a)), slope)
+    return WallSQ(kind=LINE, point=(s0, slope * s0 - c / (g * a)), slope=slope)
 
 
 def shift_wall(
@@ -295,8 +285,7 @@ class LambdaQWall:
         kn, kd = self.kappa.numerator, self.kappa.denominator
         gN = kd * d + kn * n  # g = 2n*gN/(kd*d^2)
         if gN <= 0:
-            g = _g_lambda(Fraction(n, d), self.kappa)
-            raise DomainError("frame requires H.H > 0, got %s" % g)
+            raise DomainError("frame requires H.H > 0, got %s" % Fraction(2 * n * gN, kd * d * d))
         lN = L0 * d + L1 * n
         if A0 == 0 and A1 == 0:
             # the wall is the locus s = l/g, so s = 0 is all or nothing

@@ -3,6 +3,7 @@ import hashlib
 import io as stdio
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -727,6 +728,69 @@ def test_volume_section_errors_keep_exit_code_and_line(tmp_path, capsys):
     ]
     for args, message in cases:
         assert run(capsys, base + args) == (2, "", "error: %s\n" % message), args
+
+
+# Input files of the rows below, named by the {placeholder} of their argv.
+_RAISE_FILES = {
+    "ch": {"ch0": "1", "ch1": ["0", "1"], "ch2": "0"},
+    "target": {"ch0": "3", "ch1": ["0", "20"], "ch2": "-2"},
+    "minus_f": {"ch0": "3", "ch1": ["0", "-1"], "ch2": "-2"},
+    "theta": {"e": 2, "m": "3", "sections": [{"theta": -1}]},
+    # rank 4 with Theta_1.Theta_2 = 50: H^perp = -6f + Theta_1 + Theta_2 has square 74 > 0
+    "non_hyperbolic": {"e": 1, "m": "3", "sections": [{"theta": 0}, {"theta": 0, "cross": [50]}]},
+    "ch4": {"ch0": "1", "ch1": ["0", "0", "0", "0"], "ch2": "0"},
+}
+_ENUMERATE = ["destab", "enumerate", "--target", "{target}", "--alpha", "5"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(["surface", "check"], 1, "provide --config or both --e and --m", id="no-surface"),
+    pytest.param(["charge-sq", "--ch", "{ch}", "--s", "0", "--q", "1"] + CFG, 1,
+                 "provide --lambda or both --frame-h and --frame-hperp", id="no-frame"),
+    pytest.param(["plot", "volume-section", "--alpha", "3", "--v-from", "1", "--v-to", "2",
+                  "--v-step", "0"] + CFG, 1, "range step must be positive", id="v-step-0"),
+    pytest.param(["plot", "lambda-q", "--alpha", "3", "--lambda-from", "1/4", "--lambda-to", "1/2",
+                  "--samples", "1"] + CFG, 1, "--samples must be >= 2", id="samples-1"),
+    pytest.param(_ENUMERATE + ["--u0", "1/2", "--ch2-denominator", "0"] + CFG, 2,
+                 "ch2 denominator must be a positive integer", id="ch2-denominator-0"),
+    pytest.param(["destab", "enumerate", "--target", "{minus_f}", "--alpha", "5", "--u0", "1/2"]
+                 + CFG, 2, "target needs ch1 = lam*f with lam a positive integer",
+                 id="target-minus-f"),
+    pytest.param(_ENUMERATE + ["--u0", "0"] + CFG, 2, "u0 must be positive", id="u0-0"),
+    # K = 1 + 3 - 2 = 2 and u0 = 1 put the section point at v0 = (K - 2*u0^2)/u0 = 0
+    pytest.param(["destab", "enumerate", "--target", "{target}", "--alpha", "1", "--u0", "1"]
+                 + CFG, 2, "u0 too large: the volume section point has v0 <= 0", id="v0-0"),
+    pytest.param(["surface", "check", "--config", "{theta}"], 2,
+                 "Theta.Theta_i must be >= 0, got -1", id="theta-negative"),
+    pytest.param(["surface", "check", "--genus-base", "-1"] + CFG, 2, "base genus must be >= 0",
+                 id="genus-negative"),
+    # a lattice that is not hyperbolic is a precondition on the input, not a bug
+    pytest.param(["charge-sq", "--config", "{non_hyperbolic}", "--ch", "{ch4}",
+                  "--frame-h", "1,3,0,0", "--frame-hperp", "0,-6,1,1", "--s", "0", "--q", "1"], 2,
+                 "Hodge index violated: -(H^perp)^2 = -74 < 0", id="hodge-index"),
+])
+def test_user_facing_raise_exit_code_and_message(tmp_path, capsys, argv, code, message):
+    paths = {name: tmp_path / (name + ".json") for name in _RAISE_FILES}
+    for name, path in paths.items():
+        path.write_text(json.dumps(_RAISE_FILES[name]))
+    argv = [a.format(**paths) for a in argv]
+    assert run(capsys, argv) == (code, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [
+    # one v past 2^53: x0 + 1.0 == x0, so the x axis needs the next float up
+    pytest.param(["plot", "volume-section", "--alpha", "3", "--v-from", "10000000000000000",
+                  "--v-to", "10000000000000000"], id="x-axis"),
+    # q_section and q_asym both round to 2e20 at lambda = 1/10^20: the same for y
+    pytest.param(["plot", "lambda-q", "--alpha", "3", "--lambda-from", "1/100000000000000000000",
+                  "--lambda-to", "1/100000000000000000000", "--samples", "2"], id="y-axis"),
+])
+def test_svg_of_a_degenerate_axis_past_2_53(capsys, argv):
+    code, out, err = run(capsys, argv + ["--format", "svg"] + CFG)
+    assert code == 0 and err == ""
+    # every point sits on the y axis, inside the plot area
+    points = [p.split(",") for ps in re.findall(r'points="([^"]*)"', out) for p in ps.split()]
+    assert points and all(x == "60.000" and 60 <= float(y) <= 420 for x, y in points)
 
 
 def test_input_error_message_is_bounded(tmp_path, capsys):
