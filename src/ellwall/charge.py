@@ -15,7 +15,6 @@ rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -35,7 +34,7 @@ from .nslattice import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class ChargeValue:
     """Exact complex value -ch2^B + (omega^2/2)*ch0 + i*omega.ch1^B."""
 
@@ -113,7 +112,7 @@ def limit_charge(
     )
 
 
-@dataclass(frozen=True)
+@record
 class PhaseLimit:
     """Limit of the phase as v' -> infinity: 0, 1/2 or 1; `attained` marks
     phases that are constant rather than only limiting.  The case tag

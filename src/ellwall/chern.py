@@ -4,7 +4,6 @@ twisted Euler characteristics and Bogomolov-type bounds."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
@@ -78,7 +77,7 @@ def line_bundle_twist(ch: ChernCharacter, L: DivisorClass, cfg: SurfaceConfig) -
 
 @functools.total_ordering
 class _PosInfinity:
-    """Slope of rank-zero characters; compares above every rational."""
+    """Slope of rank-zero characters, above every rational; it has no fields, so no record."""
 
     def __repr__(self):
         return "+inf"
@@ -108,7 +107,7 @@ def slope(ch: ChernCharacter, omega: DivisorClass, B: DivisorClass, cfg: Surface
     return intersect(omega, tw, cfg) / ch.ch0
 
 
-@dataclass(frozen=True)
+@record
 class DiscriminantReport:
     delta: Fraction
     delta_bar: Fraction
@@ -161,7 +160,7 @@ def twisted_euler(ch: ChernCharacter, cfg: SurfaceConfig) -> Fraction:
     return ch.ch2 - Fraction(cfg.e) / 2 * ch.d(cfg) + ch.ch0 * cfg.euler_char
 
 
-@dataclass(frozen=True)
+@record
 class GiesekerSlope:
     """Twisted Gieseker slope of a 1-dimensional character, plus the
     beta-free normalisation (beta cancels in comparisons)."""

@@ -20,7 +20,6 @@ claim of Bridgeland-wall actuality is made.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .chern import ChernCharacter, character
@@ -66,7 +65,7 @@ class EnumerationRequest:
             raise DomainError("ch2 denominator must be a positive integer")
 
 
-@dataclass(frozen=True)
+@record
 class CandidateReport:
     candidate: ChernCharacter
     complement: ChernCharacter
@@ -74,7 +73,7 @@ class CandidateReport:
     checks: dict
 
 
-@dataclass(frozen=True)
+@record
 class _Context:
     """Everything the per-candidate checker needs, precomputed.  D clears
     the denominators of u0 and Theta.omega_0, so that D*ch1(A).omega_0 =
@@ -148,7 +147,7 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     )
 
 
-@dataclass(frozen=True)
+@record
 class _Pair:
     """The part of the inequality chain fixed by (r, ch2 = j/den): the
     checks ch1(A) does not enter, and integer thresholds for the others.
@@ -364,7 +363,7 @@ def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list
     ]
 
 
-@dataclass(frozen=True)
+@record
 class LineBundleReport:
     """Chamber data for the line bundle of class a_L*Theta: the unique
     wall's asymptote constant D, the section constant K, which side of the

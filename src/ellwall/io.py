@@ -464,10 +464,10 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _svg_plot(series, xlabel: str, ylabel: str, width=640, height=480) -> str:
+def _svg_plot(series, xlabel: str, ylabel: str) -> str:
     """Self-contained SVG 1.1: one polyline per series, simple axes with
     extremal tick labels, legend in the top-right corner."""
-    margin = 60
+    width, height, margin = 640, 480, 60
     pts_all = [p for _, pts, _ in series for p in pts]
     if not pts_all:
         raise DomainError("nothing to plot")
@@ -480,12 +480,15 @@ def _svg_plot(series, xlabel: str, ylabel: str, width=640, height=480) -> str:
         x1 = max(x0 + 1.0, math.nextafter(x0, math.inf))
     if y1 == y0:
         y1 = max(y0 + 1.0, math.nextafter(y0, math.inf))
+    # halve a span past the float range (halves of normal floats are exact); a finite one is used as is
+    hx = 0.5 if x1 - x0 == math.inf else 1.0
+    hy = 0.5 if y1 - y0 == math.inf else 1.0
 
-    def sx(x):
-        return margin + (x - x0) / (x1 - x0) * (width - 2 * margin)
+    def sx(x, a=hx * x0, span=hx * x1 - hx * x0):  # the defaults are taken once
+        return margin + (hx * x - a) / span * (width - 2 * margin)
 
-    def sy(y):
-        return height - margin - (y - y0) / (y1 - y0) * (height - 2 * margin)
+    def sy(y, a=hy * y0, span=hy * y1 - hy * y0):
+        return height - margin - (hy * y - a) / span * (height - 2 * margin)
 
     out = []
     out.append(

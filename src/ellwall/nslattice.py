@@ -71,15 +71,15 @@ def _converter(tp):
 
 
 def record(cls):
-    """@dataclass(frozen=True) with one exactness rule for every field, read
-    off its annotation when the class is created: Fraction and
-    Optional[Fraction] take an int or a Fraction and store a Fraction; int
-    takes only an int; tuple[X, ...] takes a tuple or list and converts
-    each element as X; a dataclass type takes only an instance (an
-    ExtraSection also takes a dict of its fields).  Anything
-    else (a float, a bool, a string) is a DomainError naming the field.
-    The class's own __post_init__, if any, runs after and only checks
-    ranges and invariants."""
+    """The one maker of ellwall's value classes: @dataclass(frozen=True) with
+    one exactness rule for every field, read off its annotation when the
+    class is created: Fraction and Optional[Fraction] take an int or a
+    Fraction and store a Fraction; int takes only an int; tuple[X, ...]
+    takes a tuple or list and converts each element as X; a dataclass type
+    takes only an instance (an ExtraSection also takes a dict of its
+    fields).  Anything else (a float, a bool, a string) is a DomainError
+    naming the field.  The class's own __post_init__, if any, runs after
+    and only checks ranges and invariants."""
     check = cls.__dict__.get("__post_init__")
     steps = ()
 
@@ -285,7 +285,7 @@ def pairings(D: DivisorClass, cfg: SurfaceConfig) -> tuple:
     return tuple(Fraction(sum(map(operator.mul, nums, row)), den) for row in cfg._gram)
 
 
-@dataclass(frozen=True)
+@record
 class ConeMembership:
     nef: bool
     ample: bool
@@ -357,7 +357,7 @@ def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
     return fr
 
 
-@dataclass(frozen=True)
+@record
 class FrameDecomposition:
     """D = l1*H + l2*H^perp + residual with residual orthogonal to both."""
 
@@ -575,9 +575,9 @@ class QuadraticRoot:
 
 
 class _SectionRoot(tuple):
-    """(A, B, C, disc): an irrational u of the volume section, the root of
-    A*u^2 + B*u - C = 0 (A, B, C > 0, disc = B^2 + 4AC) that QuadraticRoot(A, B,
-    -C, 0, C/B) brackets, with f(0) = -C < 0 < A*C^2/B^2 = f(C/B) by construction."""
+    """(A, B, C, disc), a tuple for plot-row speed, not a record: an irrational u of the
+    volume section, the root of A*u^2 + B*u - C = 0 (A, B, C > 0, disc = B^2 + 4AC) that
+    QuadraticRoot(A, B, -C, 0, C/B) brackets: f(0) = -C < 0 < A*C^2/B^2 = f(C/B) by construction."""
 
     __slots__ = ()
 

@@ -32,7 +32,7 @@ All wall logic is exact rational arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from typing import Optional
 
@@ -219,7 +219,7 @@ NO_WALL = "no-wall"
 POLE = "pole"
 
 
-@dataclass(frozen=True)
+@record
 class WallValue:
     """Outcome of evaluating a wall at one lambda: an exact q, the
     everywhere/no-wall degeneracies, or a pole marker at a denominator
@@ -229,7 +229,7 @@ class WallValue:
     q: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
+@record
 class AsymptoteClass:
     """lambda -> 0+ behaviour of a wall: family 'dim2' or 'dim1', the case
     tag, the exactly computed constants, and a readable leading term."""

@@ -119,6 +119,11 @@ def test_phase_limit_table():
     assert (res.value, res.attained, res.case_tag) == (1, True, "4/5-sign")
     res = pl(1, [0, 1], 4)  # rank-carrying, f.ch1 = 0, im_lo = K > 0, re < 0
     assert (res.value, res.attained, res.case_tag) == (1, False, "4/5-sign")
+    # a LimitCharge built without a rank can only be tagged by its signs
+    res = ew.phase_limit(ew.LimitCharge(re_const=0, im_hi=1, im_lo=0, K=3))
+    assert (res.value, res.attained, res.case_tag) == (Fraction(1, 2), True, "sign")
+    res = ew.phase_limit(ew.LimitCharge(re_const=-1, im_hi=2, im_lo=5, K=3))
+    assert (res.value, res.attained, res.case_tag) == (Fraction(1, 2), False, "sign")
 
 
 def test_phase_limit_rejections():

@@ -14,6 +14,8 @@ def test_twist_pins():
     out = ew.twist(ch, f, cfg)
     assert out == ew.character(1, [1, -1], -1, cfg)
     assert ew.twist(ch, cfg.zero(), cfg) == ch
+    assert (out - out).is_zero() and not ch.is_zero()
+    assert not ew.character(0, [0, 0], 1, cfg).is_zero() and not (ch - out).is_zero()
 
 
 def test_twist_exponential_law():
@@ -52,6 +54,10 @@ def test_infinity_sentinel_ordering():
     assert not inf < Fraction(-5)
     assert inf >= inf and inf <= inf and inf == inf
     assert Fraction(3) < inf and Fraction(3) <= inf
+    # every instance is the one +inf: same repr, equal, one hash
+    other = type(inf)()
+    assert repr(inf) == repr(other) == "+inf"
+    assert other == inf and hash(other) == hash(inf) and len({inf, other}) == 1
 
 
 def test_slope_decomposition():

@@ -793,6 +793,21 @@ def test_svg_of_a_degenerate_axis_past_2_53(capsys, argv):
     assert points and all(x == "60.000" and 60 <= float(y) <= 420 for x, y in points)
 
 
+def test_svg_of_a_span_past_the_float_range(tmp_path, capsys):
+    # q runs from about -1.67e308 to 1e308: each value is a float, the span is not
+    wall = tmp_path / "w.json"
+    wall.write_text(json.dumps({"dim": 2, "x": "1", "z": str(-25 * 10**307), "L": ["0", "0"],
+                                "r": "1", "k": "0", "p": "1", "chi": "0"}))
+    code, out, err = run(capsys, ["plot", "lambda-q", "--alpha", str(10**308), "--lambda-from", "1/2",
+                                  "--lambda-to", "3/4", "--samples", "3", "--wall", str(wall),
+                                  "--format", "svg"] + CFG)
+    assert code == 0 and err == "" and "nan" not in out
+    points = [tuple(map(float, p.split(","))) for ps in re.findall(r'points="([^"]*)"', out)
+              for p in ps.split()]
+    assert len(points) == 9 and {x for x, _ in points} == {60.0, 320.0, 580.0}
+    assert min(y for _, y in points) == 60.0 and max(y for _, y in points) == 420.0
+
+
 def test_input_error_message_is_bounded(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"ch0": list(range(200_000)), "ch1": ["0", "0"], "ch2": "0"}))

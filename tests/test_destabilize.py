@@ -149,6 +149,22 @@ def test_oracle_equivalence_second_instance():
     assert len(got) > 0
 
 
+def test_oracle_equivalence_with_an_infeasible_pair():
+    # at (r, ch2) = (1, 2/3) the rounded-up 6.8 bound exceeds lam^2/a, so the
+    # discriminant bound holds for no gamma, not even 0: _gamma_bound is -1,
+    # the pair gives no row, and the oracle finds no candidate lost
+    from ellwall import destabilize
+
+    cfg = ew.SurfaceConfig(e=1, m=3)
+    req = ew.EnumerationRequest(ew.character(2, [0, 3], -1, cfg), ew.volume_params(1, cfg),
+                                Fraction(1), 3)
+    ctx = destabilize._build_context(req, cfg)
+    assert destabilize._gamma_bound(ctx, destabilize._pair(ctx, 1, 2)) == -1
+    got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
+    expected = brute_force(cfg, Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(1), den=3)
+    assert got == expected and len(got) == 145
+
+
 def test_rank_positive_empty_for_large_K():
     # (6.6)+(6.5) squeeze rank-positive ch2 into a lattice-free interval
     cfg = cfg_e2m3()

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,10 +106,12 @@ def test_gram_is_derived_not_given():
 
 def _record_cases():
     """(record, its exact fields with valid values, its other fields): ints
-    wherever the field allows one, so that storing them can be checked."""
+    wherever the field allows one, so that storing them can be checked.
+    ConeMembership and AsymptoteClass have no exact field."""
     cfg = cfg_e2m3()
     D = cfg.divisor([1, 3])
     vp = ew.volume_params(2, cfg)
+    ch = ew.character(2, [0, 3], -1, cfg)
     return [
         (ew.ChernCharacter, dict(ch0=1, ch1=D, ch2=0), {}),
         (ew.EnumerationRequest,
@@ -132,18 +135,29 @@ def _record_cases():
         (ew.WallSQ, dict(point=(0, 1), slope=1, s=0), dict(kind="line")),
         (ew.LambdaQWall, dict(alpha=1, beta=0, a0=1, a1=0, l0=0, l1=0, kappa=0),
          dict(family="dim2")),
+        # results
+        (ew.ChargeValue, dict(re=1, im=0), {}),
+        (ew.PhaseLimit, dict(value=1), dict(attained=True, case_tag="1")),
+        (ew.DiscriminantReport, dict(delta=1, delta_bar=0, delta_C=1, constant_used=0), {}),
+        (ew.GiesekerSlope, dict(slope=1, beta_free=2), {}),
+        (ew.FrameDecomposition, dict(l1=1, l2=0, residual=D), {}),
+        (ew.WallValue, dict(q=1), dict(kind="value")),
+        (ew.CandidateReport, dict(candidate=ch, complement=ch, S=1), dict(checks={})),
+        (ew.LineBundleReport, dict(a_L=3, D=6, K=1, transform_rank=3),
+         dict(generic=True, side="below", case_tag="C1")),
     ]
 
 
 # the fields the record rule keeps as int; every other int above is a Fraction field
-_INT_FIELDS = {"theta", "cross", "e", "genus_base", "a", "b", "c", "ch2_denominator"}
+_INT_FIELDS = {"theta", "cross", "e", "genus_base", "a", "b", "c", "ch2_denominator", "a_L",
+               "transform_rank"}
 
 
 def test_record_rule_takes_only_exact_values():
-    # every public input record: a float, a bool, a decimal or a non-numeric
-    # string in an exact field is a DomainError, a list is no DivisorClass
-    # and no number is a tuple, and an int is stored as a Fraction in a
-    # Fraction field
+    # every public record: a float, a bool, a decimal or a non-numeric
+    # string in an exact field is a DomainError naming the field, a list is
+    # no DivisorClass and no number is a tuple, and an int is stored as a
+    # Fraction in a Fraction field
     for cls, exact, other in _record_cases():
         obj = cls(**exact, **other)
         assert obj == cls(**exact, **other) and repr(obj).startswith(cls.__name__ + "(")
@@ -163,8 +177,21 @@ def test_record_rule_takes_only_exact_values():
             elif not isinstance(good, (int, Fraction)):  # a record instance
                 bad += [[1, 2], 5]
             for value in bad:
-                with pytest.raises(ew.DomainError):
+                with pytest.raises(ew.DomainError, match="^%s: " % re.escape(name.replace("_", " "))):
                     cls(**dict(exact, **{name: value}), **other)
+
+
+_VALUE_CLASSES = [v for v in vars(ew).values() if isinstance(v, type) and dataclasses.is_dataclass(v)]
+
+
+@pytest.mark.parametrize(
+    "cls", _VALUE_CLASSES + [ew.destabilize._Context, ew.destabilize._Pair], ids=lambda c: c.__name__
+)
+def test_every_value_class_is_a_record(cls):
+    # one class maker: every dataclass ellwall exports, and the enumerator's
+    # two private ones, are frozen and checked by record's exactness rule
+    assert cls.__post_init__.__qualname__ == "record.<locals>.__post_init__"
+    assert cls.__dataclass_params__.frozen and cls.__dataclass_params__.eq
 
 
 def test_cross_longer_than_index_rejected():
@@ -239,6 +266,11 @@ def test_decompose_pins():
     assert dec.residual.is_zero()
     zero = ew.decompose(cfg.zero(), fr, cfg)
     assert zero.l1 == 0 and zero.l2 == 0 and zero.residual.is_zero()
+    # H^perp = 0 (delta = 0): no H^perp part, the rest is orthogonal to H
+    fr0 = ew.make_frame(th + 3 * f, cfg.zero(), 0, cfg)
+    dec = ew.decompose(th, fr0, cfg)
+    assert (dec.l1, dec.l2) == (Fraction(1, 4), 0) and type(dec.l2) is Fraction
+    assert dec.residual == cfg.divisor([Fraction(3, 4), Fraction(-3, 4)])
 
 
 def test_decompose_extra_section_lambda_independent():

@@ -51,6 +51,11 @@ def test_bertram_vertical():
     # a vertical wall holds every point with its s, whatever q
     assert wall.passes_through(0, 5) and wall.passes_through(Fraction(0), Fraction(1, 3))
     assert not wall.passes_through(Fraction(1, 2), 5)
+    # walls of different kinds are different subsets, whatever their fields
+    assert wall.same_wall(ew.WallSQ(kind="vertical", s=0))
+    assert not wall.same_wall(ew.WallSQ(kind="line", point=(0, 1), slope=0, s=0))
+    assert not wall.same_wall(ew.WallSQ(kind="everywhere"))
+    assert not ew.WallSQ(kind="nowhere").same_wall(wall)
 
 
 def test_nested_walls_random():
