@@ -218,12 +218,12 @@ def _wall_inputs(args, cfg):
 
 
 def _cmd_wall_lambda_q(args, cfg):
-    wv = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).at(eio.parse_rational(args.lam))
+    wv = walls.wall_lambda_q(*_wall_inputs(args, cfg), eio.parse_rational(args.lam), cfg)
     return _document({"wall_value": wv})
 
 
 def _cmd_wall_asymptote(args, cfg):
-    ac = walls.lambda_q_wall(*_wall_inputs(args, cfg), cfg).asymptote()
+    ac = walls.classify_asymptote_dim2(*_wall_inputs(args, cfg), cfg)
     return _document({"asymptote": ac})
 
 

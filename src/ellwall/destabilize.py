@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chern import ChernCharacter, character
+from .chern import ChernCharacter, bogomolov_constant, character
 from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError
 from .fmtransform import phi_hat
 from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _shear_constant, record
@@ -136,7 +136,7 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
         z=z,
         u0=u0,
         den=req.ch2_denominator,
-        bog=(Fraction(cfg.e) / (cfg.m - cfg.e) ** 2).as_integer_ratio(),
+        bog=bogomolov_constant(1, cfg).as_integer_ratio(),
         D=D,
         f_om=f_om,
         th_om=int(th_om * D),
@@ -315,26 +315,26 @@ def _survivors(ctx: _Context, p: _Pair, gamma: int, etas: range) -> range:
     return range(lo, hi + 1)
 
 
-def _sorted_cells(ctx: _Context) -> list:
-    """(r, gamma, eta, j, (ch2(A), ch2(B), S)) for every cell passing the
+def _sorted_cells(ctx: _Context) -> tuple:
+    """(cells, pairs): a cell (r, gamma, eta, j) for every cell passing the
     gating checks, in (rank, gamma, eta, ch2) order, walking eta over the
-    rows of each (rank, gamma), which come in ch2 order.  The rationals are
-    built once for each pair with a survivor."""
-    groups, rationals = {}, {}
+    rows of each (rank, gamma), which come in ch2 order; and pairs[r, j] =
+    (ch2(A), ch2(B), S), built once for each pair with a survivor."""
+    groups, pairs = {}, {}
     for r, j, p, gamma, etas in _rows(ctx):
         etas = _survivors(ctx, p, gamma, etas)
         if etas:
-            if (r, j) not in rationals:
+            if (r, j) not in pairs:
                 c2 = Fraction(j, ctx.den)
                 S = Fraction(j * (ctx.N // ctx.den) - r * ctx.Kn, ctx.wall)
-                rationals[r, j] = (c2, ctx.z - c2, S)
-            groups.setdefault((r, gamma), []).append((j, etas, rationals[r, j]))
-    out = []
+                pairs[r, j] = (c2, ctx.z - c2, S)
+            groups.setdefault((r, gamma), []).append((j, etas))
+    cells = []
     for (r, gamma), group in sorted(groups.items()):
-        windows = [etas for _, etas, _ in group]
+        windows = [etas for _, etas in group]
         for eta in range(min(w.start for w in windows), max(w.stop for w in windows)):
-            out.extend((r, gamma, eta, j, q) for j, etas, q in group if eta in etas)
-    return out
+            cells.extend((r, gamma, eta, j) for j, etas in group if eta in etas)
+    return cells, pairs
 
 
 def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list:
@@ -344,9 +344,9 @@ def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list
     Reports share their immutable parts: one Fraction per integer value
     and the rationals of their (rank, ch2) pair."""
     ctx = _build_context(req, cfg)
-    cells = _sorted_cells(ctx)
+    cells, pairs = _sorted_cells(ctx)
     x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
-    ints = {v for r, gamma, eta, _, _ in cells for v in (r, x - r, gamma, -gamma, eta, lam - eta)}
+    ints = {v for r, gamma, eta, _ in cells for v in (r, x - r, gamma, -gamma, eta, lam - eta)}
     frac = {v: Fraction(v) for v in ints}
     passed = dict.fromkeys(GATING_CHECKS, True)  # a survivor passed every gating check
     return [
@@ -358,8 +358,8 @@ def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list
             S=S,
             checks={**passed, "6.1_strict_lower": 0 < t, "6.1_strict_upper": t < lam_om},
         )
-        for r, gamma, eta, _, (c2, c2B, S) in cells
-        for t in (eta * f_om + gamma * th_om,)
+        for r, gamma, eta, j in cells
+        for (c2, c2B, S), t in ((pairs[r, j], eta * f_om + gamma * th_om),)
     ]
 
 

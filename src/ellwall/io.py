@@ -213,7 +213,7 @@ def record_to_obj(v):
         obj = {}
         for f in fields(v):
             key, x = _KEYS.get(f.name, f.name), getattr(v, f.name)
-            if f.init and key is not None and x is not None:
+            if key is not None and x is not None:
                 obj[key] = record_to_obj(x)
         return obj
     return v
@@ -313,16 +313,15 @@ def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
     The kernel runs and each pair's rationals are formatted before this
     returns, so an error leaves nothing written."""
     ctx = _build_context(req, cfg)
-    cells = _sorted_cells(ctx)
+    cells, pairs = _sorted_cells(ctx)
     if not cells:
         return [_document({"candidates": []})]
     head, sep, tail, block, pick = _candidate_template()
-    pairs = {(r, j): q for r, _, _, j, q in cells}
     rationals = {pair: tuple(map(format_rational, q)) for pair, q in pairs.items()}
     x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
 
     def blocks(part):
-        for r, gamma, eta, j, _ in part:
+        for r, gamma, eta, j in part:
             c2, c2B, S = rationals[r, j]
             t = eta * f_om + gamma * th_om
             yield block % pick((r, gamma, eta, c2, x - r, -gamma, lam - eta, c2B, S,

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .errors import (
@@ -141,7 +142,6 @@ class SurfaceConfig:
     m: Fraction = Fraction(0)
     euler_char: Optional[Fraction] = None
     sections: tuple[ExtraSection, ...] = ()
-    _gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.e < 0:
@@ -163,13 +163,13 @@ class SurfaceConfig:
             )
         if self.euler_char is None:
             object.__setattr__(self, "euler_char", Fraction(self.e))
-        object.__setattr__(self, "_gram", self._build_gram())
 
     @property
     def rank(self) -> int:
         return 2 + len(self.sections)
 
-    def _build_gram(self):
+    @cached_property
+    def _gram(self) -> tuple:
         # integer entries: the form is integral
         n = self.rank
         g = [[0] * n for _ in range(n)]

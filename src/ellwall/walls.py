@@ -32,8 +32,8 @@ All wall logic is exact rational arithmetic; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .charge import _sq_parts
@@ -254,18 +254,21 @@ class LambdaQWall:
     l0: Fraction
     l1: Fraction
     kappa: Fraction
-    _ints: tuple = field(init=False, repr=False, compare=False)  # the constants of _q
 
-    def __post_init__(self):
-        # cleared once: a0, a1, l0, l1 over one denominator, alpha, beta over cd
+    @cached_property
+    def _ints(self) -> tuple:
+        # the constants of _q: a0, a1, l0, l1 over one denominator, alpha, beta over cd, kappa
         (A0, A1, L0, L1), _ = _cleared((self.a0, self.a1, self.l0, self.l1))
         (Al, Be), cd = _cleared((self.alpha, self.beta))
         positive = self.family != "dim1" or A0 > 0 or (A0 == 0 and A1 > 0)
-        object.__setattr__(self, "_ints", (positive, A0, A1, L0, L1, Al, Be, cd))
+        return positive, A0, A1, L0, L1, Al, Be, cd, self.kappa.numerator, self.kappa.denominator
 
-    def _require_positive(self):
-        if not self._ints[0]:
+    def _require_positive(self) -> tuple:
+        """_ints, once the precondition of a one-dimensional character holds."""
+        ints = self._ints  # read once: a cached_property is a slower attribute
+        if not ints[0]:
             raise DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
+        return ints
 
     def at(self, lam: Rational) -> WallValue:
         """Exact q-value of the wall at this lambda in (0,1)."""
@@ -280,9 +283,7 @@ class LambdaQWall:
         an outcome word.  With kappa = kn/kd, aN = A0*d + A1*n, lN = L0*d + L1*n
         and gN = kd*d + kn*n, the q = (alpha*a - beta*l)/(g*a) of the module
         docstring is (Al*aN - Be*lN)*kd*d^2/(cd*2n*gN*aN)."""
-        self._require_positive()
-        _, A0, A1, L0, L1, Al, Be, cd = self._ints
-        kn, kd = self.kappa.numerator, self.kappa.denominator
+        _, A0, A1, L0, L1, Al, Be, cd, kn, kd = self._require_positive()
         gN = kd * d + kn * n  # g = 2n*gN/(kd*d^2)
         if gN <= 0:
             raise DomainError("frame requires H.H > 0, got %s" % Fraction(2 * n * gN, kd * d * d))
@@ -351,29 +352,18 @@ def lambda_q_wall(ch, partner, cfg: SurfaceConfig) -> LambdaQWall:
     )
 
 
-def classify_asymptote_dim2(
-    fc: FactoredCharacter, pc: PartnerCharacter, cfg: SurfaceConfig
-) -> AsymptoteClass:
-    return lambda_q_wall(fc, pc, cfg).asymptote()
+def classify_asymptote_dim2(ch, partner, cfg: SurfaceConfig) -> AsymptoteClass:
+    """The lambda -> 0+ class of a wall of either family of lambda_q_wall:
+    e^L.(x,0,z) against (r, P, chi) (dim 2), (0, C, z) against e^L.(r,0,chi) (dim 1)."""
+    return lambda_q_wall(ch, partner, cfg).asymptote()
 
 
-def classify_asymptote_dim1(
-    od: OneDimCharacter, pc: OneDimPartner, cfg: SurfaceConfig
-) -> AsymptoteClass:
-    return lambda_q_wall(od, pc, cfg).asymptote()
+def wall_lambda_q(ch, partner, lam: Rational, cfg: SurfaceConfig) -> WallValue:
+    """Exact q-value at this lambda in the (lambda,0,0,q)-plane (s = w = 0
+    throughout) of a wall of either family, as for classify_asymptote_dim2."""
+    return lambda_q_wall(ch, partner, cfg).at(lam)
 
 
-def wall_lambda_q(
-    fc: FactoredCharacter, pc: PartnerCharacter, lam: Rational, cfg: SurfaceConfig
-) -> WallValue:
-    """Exact q-value of the wall W(e^L.(x,0,z), e^L.ch') at this lambda in
-    the (lambda,0,0,q)-plane (s = w = 0 throughout)."""
-    return lambda_q_wall(fc, pc, cfg).at(lam)
-
-
-def wall_lambda_q_dim1(
-    od: OneDimCharacter, pc: OneDimPartner, lam: Rational, cfg: SurfaceConfig
-) -> WallValue:
-    """Exact q-value at this lambda of the wall of a one-dimensional
-    character against e^L.(r, 0, chi)."""
-    return lambda_q_wall(od, pc, cfg).at(lam)
+# lambda_q_wall tells the families apart, so the dim-1 names are the same functions
+classify_asymptote_dim1 = classify_asymptote_dim2
+wall_lambda_q_dim1 = wall_lambda_q

@@ -739,6 +739,12 @@ _RAISE_FILES = {
     # rank 4 with Theta_1.Theta_2 = 50: H^perp = -6f + Theta_1 + Theta_2 has square 74 > 0
     "non_hyperbolic": {"e": 1, "m": "3", "sections": [{"theta": 0}, {"theta": 0, "cross": [50]}]},
     "ch4": {"ch0": "1", "ch1": ["0", "0", "0", "0"], "ch2": "0"},
+    "rank3": {"e": 2, "m": "3", "sections": [{"theta": 1}]},
+    "long_e": {"e": 10**1000, "m": "3"},  # 1,001 digits
+    # e = 0 and Theta.Theta_1 = 0: Theta - Theta_1 pairs to 0 with every class, so
+    # H^perp = Theta - Theta_1 is nonzero, orthogonal to H and of square 0
+    "degenerate": {"e": 0, "m": "1", "sections": [{"theta": 0}]},
+    "ch3": {"ch0": "1", "ch1": ["0", "0", "0"], "ch2": "0"},
 }
 _ENUMERATE = ["destab", "enumerate", "--target", "{target}", "--alpha", "5"]
 
@@ -768,6 +774,13 @@ _ENUMERATE = ["destab", "enumerate", "--target", "{target}", "--alpha", "5"]
     pytest.param(["charge-sq", "--config", "{non_hyperbolic}", "--ch", "{ch4}",
                   "--frame-h", "1,3,0,0", "--frame-hperp", "0,-6,1,1", "--s", "0", "--q", "1"], 2,
                  "Hodge index violated: -(H^perp)^2 = -74 < 0", id="hodge-index"),
+    pytest.param(["charge-sq", "--config", "{degenerate}", "--ch", "{ch3}", "--frame-h", "1,1,0",
+                  "--frame-hperp", "1,0,-1", "--s", "0", "--q", "1"], 2,
+                 "delta = 0 must coincide with H^perp = 0", id="frame-delta-0"),
+    pytest.param(["linebundle", "analyze", "--aL", "3", "--alpha", "5/2", "--config", "{rank3}"], 2,
+                 "line-bundle analysis requires Picard rank 2", id="linebundle-rank-3"),
+    pytest.param(["surface", "check", "--config", "{long_e}"], 1, "e has more than 1000 digits",
+                 id="e-1001-digits"),
 ])
 def test_user_facing_raise_exit_code_and_message(tmp_path, capsys, argv, code, message):
     paths = {name: tmp_path / (name + ".json") for name in _RAISE_FILES}

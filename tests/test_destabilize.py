@@ -46,22 +46,33 @@ def oracle_check(cfg, K, x, lam, z, u0, r, gamma, eta, c2):
     return True
 
 
-def brute_force(cfg, alpha, x, lam, z, u0, den=2, r_box=3, gamma_scan=25):
-    """Box sweep + independent checker.  The gamma box is derived by a
-    feasibility scan of the discriminant bound (no closed-form roots), the
-    eta window follows the category bound widened by a safety margin."""
+def brute_force(cfg, alpha, x, lam, z, u0, den=2, r_margin=3):
+    """Box sweep + independent checker, over a box derived from the target
+    by the checker's own inequalities: 6.3 and 6.6 put ch2 in
+    (z - (x - r)*K, min(r*K, lam^2)), which is empty once
+    r >= (lam^2 - z + x*K)/K, and r_margin negative ranks keep rank_nonneg
+    exercised.  The gamma box is derived by a feasibility scan of the
+    discriminant bound (no closed-form roots) below a cap that bound implies,
+    the eta window follows the category bound widened by a safety margin."""
     K = alpha + cfg.m - cfg.e
     bog = Fraction(cfg.e) / (cfg.m - cfg.e) ** 2
     a2 = 2 * K / (u0 * u0)
+    r_top = math.ceil((lam * lam - z + x * K) / K) - 1
+
+    def ch2_box(r):
+        # the ch2 range of rank r, widened by one lattice step at each end
+        lo, hi = z - (x - r) * K, min(r * K, lam * lam)
+        return [Fraction(j, den) for j in range(math.floor(lo * den) - 1, math.ceil(hi * den) + 2)]
+
     gmax = 0
-    for r in range(0, r_box + 1):
-        for j in range(-10 * den, 10 * den + 1):
-            c2 = Fraction(j, den)
+    for r in range(0, r_top + 1):
+        for c2 in ch2_box(r):
             if not (z - x * K < c2 - r * K < 0):
                 continue
             S = (c2 - r * K) / (z - x * K)
             c8 = 2 * r * c2 - bog * S * S * lam * lam
-            for g in range(gamma_scan, 0, -1):
+            # for g >= 1, a2*g^2 - 2*g*lam + c8 >= g*(a2*g - 2*lam - |c8|) > 0 past the cap
+            for g in range(math.floor((2 * lam + abs(c8)) / a2), 0, -1):
                 # feasible iff a2*g^2 - 2*g*theta + c8 <= 0 for some theta in [0, lam]
                 best = min(a2 * g * g + c8, a2 * g * g - 2 * g * lam + c8)
                 if best <= 0:
@@ -69,9 +80,8 @@ def brute_force(cfg, alpha, x, lam, z, u0, den=2, r_box=3, gamma_scan=25):
                     break
     T = K / (u0 * u0) - Fraction(cfg.e, 2)
     found = set()
-    for r in range(-r_box, r_box + 1):
-        for j in range(-10 * den, 10 * den + 1):
-            c2 = Fraction(j, den)
+    for r in range(-r_margin, r_top + 1):
+        for c2 in ch2_box(r):
             for gamma in range(-gmax - 1, gmax + 2):
                 lo = math.ceil(-gamma * T) - 2
                 hi = math.floor(lam - gamma * T) + 2
@@ -163,6 +173,18 @@ def test_oracle_equivalence_with_an_infeasible_pair():
     got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
     expected = brute_force(cfg, Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(1), den=3)
     assert got == expected and len(got) == 145
+
+
+def test_oracle_equivalence_past_a_fixed_box():
+    # 8 of the 374 candidates have ch2 = -31/3 or -32/3, outside ch2 in [-10, 10]:
+    # the box must come from the target to hold them
+    cfg = ew.SurfaceConfig(e=1, m=3)
+    req = ew.EnumerationRequest(ew.character(3, [0, 3], -2, cfg), ew.volume_params(1, cfg),
+                                Fraction(1), 3)
+    got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
+    expected = brute_force(cfg, Fraction(1), Fraction(3), Fraction(3), Fraction(-2), Fraction(1), den=3)
+    assert got == expected and len(got) == 374
+    assert sum(c2 < -10 for _, _, _, c2 in got) == 8
 
 
 def test_rank_positive_empty_for_large_K():
@@ -417,15 +439,15 @@ def _check_row_bounds(ctx, seen):
     every cell of the 6.1 windows of _rows passing _ch1_gates, sorted."""
     from ellwall import destabilize
 
-    rows, cells = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
+    rows, (cells, pairs) = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
     assert [cell[:4] for cell in cells] == sorted(
         (r, gamma, eta, j)
         for r, j, p, gamma, etas in rows
         for eta in etas
         if all(destabilize._ch1_gates(ctx, p, gamma, eta))
     )
-    for r, gamma, eta, j, rationals in cells:
-        c2 = Fraction(j, ctx.den)
+    for r, gamma, eta, j in cells:
+        c2, rationals = Fraction(j, ctx.den), pairs[r, j]
         assert rationals == (c2, ctx.z - c2, (c2 - r * ctx.K) / (ctx.z - ctx.x * ctx.K))
         seen.add(("survivor", (gamma > 0) - (gamma < 0), min(r, 1)))
     for r, j, p, gamma, etas in rows:

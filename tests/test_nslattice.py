@@ -476,6 +476,43 @@ def test_volume_section_domain_checks():
         ew.volume_params(1, cfg, beta=0)
 
 
+def _enumeration(candidate=None, K=None):
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg) if K is None else ew.VolumeSectionParams(1, 1, K)
+    req = ew.EnumerationRequest(ew.character(2, [0, 3], -1, cfg), vp, Fraction(1, 2))
+    if candidate is None:
+        return ew.enumerate_destabilizers(req, cfg)
+    return ew.candidate_checks(req, cfg, ew.character(*candidate, cfg))
+
+
+@pytest.mark.parametrize("call, cls, message", [
+    pytest.param(lambda: _enumeration(candidate=(1, [Fraction(1, 2), 0], -1)), ew.DomainError,
+                 "candidate needs integer rank and ch1 coefficients", id="candidate-non-integer"),
+    pytest.param(lambda: _enumeration(candidate=(1, [0, 1], Fraction(-1, 3))), ew.DomainError,
+                 "candidate ch2 not on the configured lattice", id="candidate-off-lattice"),
+    # volume_params gives K = alpha + m - e > 0 on rank 2; a hand-built one need not
+    pytest.param(lambda: _enumeration(K=0), ew.DomainError,
+                 "enumeration needs K = alpha+m-e > 0, got 0", id="enumerate-K-0"),
+    pytest.param(lambda: cfg_e2m3().extra_section(1), ew.DimensionError,
+                 "no extra section Theta_1", id="extra-section-out-of-range"),
+    pytest.param(lambda: cfg_e2m3().theta() + cfg_rank3().fiber(), ew.DimensionError,
+                 "mixed bases: 2 vs 3 coefficients", id="divisor-mixed-bases"),
+    pytest.param(lambda: ew.UV(0, 1), ew.DomainError, "UV point requires u, v > 0", id="uv-u-0"),
+    pytest.param(lambda: ew.LambdaT(1, 1), ew.DomainError, "lambda must lie in (0,1)",
+                 id="lambda-t-lambda-1"),
+    pytest.param(lambda: ew.LambdaT(Fraction(1, 2), 0), ew.DomainError, "t must be positive",
+                 id="lambda-t-t-0"),
+    pytest.param(lambda: ew.uv_on_section(0, ew.volume_params(2, cfg_e2m3()), cfg_e2m3()),
+                 ew.DomainError, "u must be positive", id="uv-on-section-u-0"),
+    pytest.param(lambda: ew.WallSQ(kind="vertical", s=1).q_at(0), ew.DomainError,
+                 "q_at is only defined for line walls", id="q-at-vertical"),
+])
+def test_library_raise_class_and_message(call, cls, message):
+    with pytest.raises(ew.EllwallError) as info:
+        call()
+    assert type(info.value) is cls and str(info.value) == message
+
+
 def test_frac_takes_only_ints_and_fractions():
     # library inputs go through _frac: a decimal string, a bool, a float or
     # an unparsable string is a DomainError, never a silent conversion
