@@ -84,7 +84,6 @@ class _Context:
     x: int
     lam: int
     z: Fraction
-    u0: Fraction
     den: int
     bog: tuple     # e/(m-e)^2 as (numerator, denominator)
     D: int
@@ -134,7 +133,6 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
         x=int(x),
         lam=int(lam),
         z=z,
-        u0=u0,
         den=req.ch2_denominator,
         bog=bogomolov_constant(1, cfg).as_integer_ratio(),
         D=D,
@@ -316,9 +314,9 @@ def _survivors(ctx: _Context, p: _Pair, gamma: int, etas: range) -> range:
 
 
 def _sorted_cells(ctx: _Context) -> tuple:
-    """(cells, pairs): a cell (r, gamma, eta, j) for every cell passing the
-    gating checks, in (rank, gamma, eta, ch2) order, walking eta over the
-    rows of each (rank, gamma), which come in ch2 order; and pairs[r, j] =
+    """(runs, pairs): a run (r, gamma, eta, js) for each (rank, gamma, eta)
+    with a cell passing the gating checks, in that order, where js holds the
+    ch2 indices j of its cells in increasing order; and pairs[r, j] =
     (ch2(A), ch2(B), S), built once for each pair with a survivor."""
     groups, pairs = {}, {}
     for r, j, p, gamma, etas in _rows(ctx):
@@ -328,39 +326,38 @@ def _sorted_cells(ctx: _Context) -> tuple:
                 c2 = Fraction(j, ctx.den)
                 S = Fraction(j * (ctx.N // ctx.den) - r * ctx.Kn, ctx.wall)
                 pairs[r, j] = (c2, ctx.z - c2, S)
-            groups.setdefault((r, gamma), []).append((j, etas))
-    cells = []
-    for (r, gamma), group in sorted(groups.items()):
-        windows = [etas for _, etas in group]
-        for eta in range(min(w.start for w in windows), max(w.stop for w in windows)):
-            cells.extend((r, gamma, eta, j) for j, etas in group if eta in etas)
-    return cells, pairs
+            by_eta = groups.setdefault((r, gamma), {})
+            for eta in etas:  # the rows of each (rank, gamma) come in ch2 order
+                by_eta.setdefault(eta, []).append(j)
+    runs = [(r, gamma, eta, by_eta[eta])
+            for (r, gamma), by_eta in sorted(groups.items()) for eta in sorted(by_eta)]
+    return runs, pairs
 
 
 def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list:
     """The complete finite list of candidate destabilizers, sorted
     lexicographically by (rank, gamma, eta, ch2).  Every gamma row is gated
     by exact integer bounds on eta from thresholds fixed per (rank, ch2).
-    Reports share their immutable parts: one Fraction per integer value
-    and the rationals of their (rank, ch2) pair."""
+    Reports share their immutable parts: the ch0 and ch1 values of their
+    (rank, gamma, eta) run and the rationals of their (rank, ch2) pair."""
     ctx = _build_context(req, cfg)
-    cells, pairs = _sorted_cells(ctx)
-    x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
-    ints = {v for r, gamma, eta, _ in cells for v in (r, x - r, gamma, -gamma, eta, lam - eta)}
-    frac = {v: Fraction(v) for v in ints}
+    runs, pairs = _sorted_cells(ctx)
     passed = dict.fromkeys(GATING_CHECKS, True)  # a survivor passed every gating check
-    return [
-        CandidateReport(
-            candidate=ChernCharacter(frac[r], DivisorClass((frac[gamma], frac[eta])), c2),
-            complement=ChernCharacter(
-                frac[x - r], DivisorClass((frac[-gamma], frac[lam - eta])), c2B
-            ),
-            S=S,
-            checks={**passed, "6.1_strict_lower": 0 < t, "6.1_strict_upper": t < lam_om},
-        )
-        for r, gamma, eta, j in cells
-        for (c2, c2B, S), t in ((pairs[r, j], eta * f_om + gamma * th_om),)
-    ]
+    reports = []
+    for r, gamma, eta, js in runs:
+        rank, rank_b = Fraction(r), Fraction(ctx.x - r)
+        ch1, ch1_b = DivisorClass((gamma, eta)), DivisorClass((-gamma, ctx.lam - eta))
+        t = eta * ctx.f_om + gamma * ctx.th_om
+        strict = {"6.1_strict_lower": 0 < t, "6.1_strict_upper": t < ctx.lam_om}
+        for j in js:
+            c2, c2B, S = pairs[r, j]
+            reports.append(CandidateReport(
+                candidate=ChernCharacter(rank, ch1, c2),
+                complement=ChernCharacter(rank_b, ch1_b, c2B),
+                S=S,
+                checks={**passed, **strict},
+            ))
+    return reports
 
 
 @record

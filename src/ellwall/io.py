@@ -12,8 +12,8 @@ from __future__ import annotations
 import csv
 import functools
 import io as _stdio
+import itertools
 import math
-import operator
 import re
 import sys
 from dataclasses import fields, is_dataclass
@@ -229,6 +229,9 @@ def emit_document(obj) -> str:
     return _json_text(obj, "\n")
 
 
+_JSON_BOOL = ("false", "true")
+
+
 def _json_text(v, nl: str) -> str:
     # each container joins its own items: a finished subtree is one string,
     # not many small ones, which halves the peak memory of a large document
@@ -248,10 +251,8 @@ def _json_text(v, nl: str) -> str:
             return "[]"
         inner = nl + "  "
         return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + nl + "]"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
+    if v is True or v is False:
+        return _JSON_BOOL[v]
     if v is None:
         return "null"
     if isinstance(v, int):
@@ -269,71 +270,72 @@ def _document(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the enumerate document, written from the kernel's cells
-
-_CHUNK = 1024  # candidates per chunk of text
-_JSON_BOOL = ("false", "true")
+# the enumerate document, written from the kernel's runs
 
 
 @functools.cache
 def _candidate_template() -> tuple:
-    """(head, separator, tail, block, pick) of an enumerate document with
+    """(head, separator, tail, pieces) of an enumerate document with
     candidates: head, the blocks joined by separator, then tail.  A block
-    is block % pick(values) for the eleven values of one candidate in the
-    order of CandidateReport: the candidate's ch0, ch1 and ch2, the
-    complement's, S, then the strict checks as JSON literals; pick puts
-    them in the order of the text.  All of it is cut from documents that
-    _document renders with marks for the values, so the text has one
-    source."""
+    is five pieces, each a tuple of steps (i, text): value i, as JSON, of
+    the candidate's (rank, ch2) pair (ch2(A), ch2(B), S) in the first, third
+    and fifth, of its (rank, gamma, eta) run (r, gamma, eta, x - r, -gamma,
+    lam - eta, the strict checks) in the others, then text.  All of it is
+    cut from documents that _document renders with marks for the values,
+    so the text has one source."""
     texts = [str(10**40 + i) for i in range(11)]  # unlike any text of the layout
-    v = [Fraction(text) for text in texts]
+    v = [Fraction(text) for text in texts]  # pair values 0..2, then run values 3..10
     rep = CandidateReport(
-        candidate=ChernCharacter(v[0], DivisorClass((v[1], v[2])), v[3]),
-        complement=ChernCharacter(v[4], DivisorClass((v[5], v[6])), v[7]),
-        S=v[8],
+        candidate=ChernCharacter(v[3], DivisorClass((v[4], v[5])), v[0]),
+        complement=ChernCharacter(v[6], DivisorClass((v[7], v[8])), v[1]),
+        S=v[2],
         checks=dict.fromkeys(GATING_CHECKS, True) | dict(zip(STRICT_CHECKS, texts[9:])),
     )
     marks = [_json_str(text) for text in texts]
     head, sep, tail = _document({"candidates": texts[:1] * 2}).split(marks[0])
     block = _document({"candidates": [rep]})[len(head):-len(tail)]
     order = sorted(range(11), key=lambda i: block.index(marks[i]))
-    block = block.replace("%", "%%")
-    for i, mark in enumerate(marks):
-        # a rational is a JSON string, a check a JSON literal
-        block = block.replace(mark, '"%s"' if i < 9 else "%s")
-    return head, sep, tail, block, operator.itemgetter(*order)
+    lead, *after = re.split("|".join(marks), block)
+    groups = [(pair, tuple((i if pair else i - 3, text) for i, text in steps))
+              for pair, steps in itertools.groupby(zip(order, after), lambda s: s[0] < 3)]
+    if [pair for pair, _ in groups] != [True, False, True, False, True]:
+        raise InvariantError("an enumerate block no longer alternates pair and run values")
+    return head + lead, sep + lead, tail, tuple(steps for _, steps in groups)
+
+
+def _fill(piece: tuple, values: list) -> str:
+    return "".join([values[i] + text for i, text in piece])
 
 
 def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
-    """The document of `destab enumerate` as chunks of text: the bytes of
-    _document({"candidates": enumerate_destabilizers(req, cfg)}), from the
-    same sorted cells.  A cell passed every gating check, so a candidate
-    varies only in its integers, the rationals of its (rank, ch2) pair and
-    the strict checks.
-    The kernel runs and each pair's rationals are formatted before this
+    """The document of `destab enumerate` as its head, one text per (rank,
+    gamma, eta) run and its tail: the bytes of _document({"candidates":
+    enumerate_destabilizers(req, cfg)}), whose candidates passed every
+    gating check.  The kernel runs and each pair's text is made before this
     returns, so an error leaves nothing written."""
     ctx = _build_context(req, cfg)
-    cells, pairs = _sorted_cells(ctx)
-    if not cells:
+    runs, pairs = _sorted_cells(ctx)
+    if not runs:
         return [_document({"candidates": []})]
-    head, sep, tail, block, pick = _candidate_template()
-    rationals = {pair: tuple(map(format_rational, q)) for pair, q in pairs.items()}
-    x, lam, f_om, th_om, lam_om = ctx.x, ctx.lam, ctx.f_om, ctx.th_om, ctx.lam_om
+    head, sep, tail, (p0, r1, p2, r3, p4) = _candidate_template()
+    quoted = {pair: ['"%s"' % format_rational(c) for c in q] for pair, q in pairs.items()}
+    texts = {pair: (sep + _fill(p0, q), _fill(p2, q), _fill(p4, q)) for pair, q in quoted.items()}
 
-    def blocks(part):
-        for r, gamma, eta, j in part:
-            c2, c2B, S = rationals[r, j]
-            t = eta * f_om + gamma * th_om
-            yield block % pick((r, gamma, eta, c2, x - r, -gamma, lam - eta, c2B, S,
-                                _JSON_BOOL[0 < t], _JSON_BOOL[t < lam_om]))
-
-    def chunks():
+    def pieces():
         yield head
-        for start in range(0, len(cells), _CHUNK):
-            yield (sep if start else "") + sep.join(blocks(cells[start:start + _CHUNK]))
+        for k, (r, gamma, eta, js) in enumerate(runs):
+            t = eta * ctx.f_om + gamma * ctx.th_om
+            v = ['"%d"' % n for n in (r, gamma, eta, ctx.x - r, -gamma, ctx.lam - eta)]
+            v += _JSON_BOOL[0 < t], _JSON_BOOL[t < ctx.lam_om]
+            a, b = _fill(r1, v), _fill(r3, v)
+            parts = []
+            for j in js:
+                first, c2, c2B = texts[r, j]
+                parts += first, a, c2, b, c2B
+            yield "".join(parts)[0 if k else len(sep):]  # the first block follows the head
         yield tail
 
-    return chunks()
+    return pieces()
 
 
 # ---------------------------------------------------------------------------

@@ -855,13 +855,39 @@ def test_flags_take_ascii_digits_only(tmp_path, capsys):
     assert code == 0 and json.loads(out)["config"]["e"] == 2
 
 
-def _generic_enumerate_text(x, lam, z, alpha, u0, den, cfg):
+def _generic_enumerate_text(req, cfg):
     """The enumerate document through the report objects and emit_document."""
-    req = ew.EnumerationRequest(
-        ew.character(x, [0, lam], z, cfg), ew.volume_params(alpha, cfg), Fraction(u0), den
-    )
     reports = ew.enumerate_destabilizers(req, cfg)
     return eio._document({"candidates": [eio.record_to_obj(r) for r in reports]})
+
+
+def _check_direct_bytes(tmp_path, capsys, x, lam, z, alpha, u0, den, m):
+    """The direct writer against the generic text, built once: its pieces
+    are the head, one per (rank, gamma, eta) run and the tail, and stdout
+    and --out both carry its bytes.  Returns the runs and the text."""
+    from ellwall import destabilize
+
+    cfg = ew.SurfaceConfig(e=2, m=Fraction(m))
+    req = ew.EnumerationRequest(
+        ew.character(x, [0, lam], z, cfg), ew.volume_params(Fraction(alpha), cfg), Fraction(u0), den
+    )
+    expected = _generic_enumerate_text(req, cfg)
+    runs, _ = destabilize._sorted_cells(destabilize._build_context(req, cfg))
+    pieces = list(eio._enumeration_chunks(req, cfg))
+    if runs:
+        head, _, tail, _ = eio._candidate_template()
+        assert len(pieces) == len(runs) + 2 and pieces[0] == head and pieces[-1] == tail
+    else:
+        assert pieces == [expected]
+    assert "".join(pieces) == expected
+    tgt = write_character(tmp_path, "t.json", x, [0, lam], z)
+    argv = ["destab", "enumerate", "--target", tgt, "--alpha", str(alpha), "--u0", u0,
+            "--ch2-denominator", str(den), "--e", "2", "--m", m]
+    assert run(capsys, argv) == (0, expected, "")
+    out_path = tmp_path / "out.json"
+    assert run(capsys, argv + ["--out", str(out_path)]) == (0, "", "")
+    assert out_path.read_bytes() == expected.encode("ascii")
+    return runs, expected, argv
 
 
 @pytest.mark.parametrize(
@@ -877,17 +903,35 @@ def _generic_enumerate_text(x, lam, z, alpha, u0, den, cfg):
 @pytest.mark.parametrize("chunk", [1024, 7])
 def test_enumerate_direct_bytes_match_generic(tmp_path, capsys, monkeypatch, x, lam, z, alpha,
                                               u0, den, m, chunk):
-    monkeypatch.setattr(eio, "_CHUNK", chunk)
-    cfg = ew.SurfaceConfig(e=2, m=Fraction(m))
-    expected = _generic_enumerate_text(x, lam, z, Fraction(alpha), u0, den, cfg)
-    assert ('"candidates": []' in expected) == (alpha == "1/100")
-    tgt = write_character(tmp_path, "t.json", x, [0, lam], z)
-    argv = ["destab", "enumerate", "--target", tgt, "--alpha", str(alpha), "--u0", u0,
-            "--ch2-denominator", str(den), "--e", "2", "--m", m]
-    assert run(capsys, argv) == (0, expected, "")
-    out_path = tmp_path / "out.json"
-    assert run(capsys, argv + ["--out", str(out_path)]) == (0, "", "")
-    assert out_path.read_bytes() == expected.encode("ascii")
+    runs, expected, argv = _check_direct_bytes(tmp_path, capsys, x, lam, z, alpha, u0, den, m)
+    assert ('"candidates": []' in expected) == (alpha == "1/100") == (not runs)
+    # stdout as a text stream over a byte buffer of `chunk` bytes: the per-run
+    # writes, whether they fit the buffer or overrun it, arrive whole and in order
+    raw = stdio.BytesIO()
+    stream = stdio.TextIOWrapper(stdio.BufferedWriter(raw, buffer_size=chunk), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(argv) == 0
+    assert raw.getvalue() == expected.encode("ascii")
+
+
+def test_enumerate_direct_bytes_match_generic_on_the_benchmark_target(tmp_path, capsys):
+    # the enumerate-large target (3, 20f, -2) at alpha = 5, u0 = 1/2: far more
+    # runs, and runs of more pairs, than the instances above (lam <= 7)
+    runs, expected, _ = _check_direct_bytes(tmp_path, capsys, 3, 20, -2, 5, "1/2", 2, "3")
+    assert (len(runs), sum(len(js) for *_, js in runs)) == (428, 6288)
+    assert len(expected) == 3_668_158
+
+
+def test_candidate_template_refuses_a_layout_out_of_turn(monkeypatch):
+    # with S written after the complement, the block ends pair, pair: the
+    # per-run writer cannot cut it, and says so instead of writing other bytes
+    monkeypatch.setitem(eio._KEYS, "S", "zS")
+    eio._candidate_template.cache_clear()
+    try:
+        with pytest.raises(ew.InvariantError, match="alternates pair and run values"):
+            eio._candidate_template()
+    finally:
+        eio._candidate_template.cache_clear()
 
 
 def test_unwritable_out_is_exit_1(tmp_path, capsys):

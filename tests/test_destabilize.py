@@ -397,7 +397,33 @@ def test_candidate_checks_6_5_boundary():
         assert ew.candidate_checks(req, cfg, ew.character(1, [0, 1], c2, cfg))["6.5"] is holds
 
 
-def _pairs_every_rank(ctx):
+def test_candidate_checks_6_6_boundaries():
+    # K = 3: at r = 1, 6.6 is z - (x - r)*K = -4 < ch2 < lam^2 = 16, strict at both ends
+    cfg = cfg_e2m3()
+    req = ew.EnumerationRequest(
+        target=ew.character(2, [0, 4], -1, cfg), vp=ew.volume_params(2, cfg), u0=Fraction(1, 2)
+    )
+    for c2, holds in ((-4, False), (Fraction(-7, 2), True), (Fraction(31, 2), True), (16, False)):
+        assert ew.candidate_checks(req, cfg, ew.character(1, [0, 1], c2, cfg))["6.6"] is holds
+
+
+def test_candidate_checks_6_12_boundaries():
+    # 6.12 for gamma >= 1 is min12 <= ch1(B)^2 <= 0; at r = 0, ch2 = -3 and
+    # gamma = 1, ch1(B)^2 = 2*eta - 10 steps by 2 and min12 = -2, so eta = 4
+    # sits on the lower end and eta = 5 on the upper one
+    from ellwall import destabilize
+
+    cfg = cfg_e2m3()
+    req = ew.EnumerationRequest(
+        target=ew.character(2, [0, 4], -1, cfg), vp=ew.volume_params(2, cfg), u0=Fraction(1, 2)
+    )
+    assert destabilize._pair(destabilize._build_context(req, cfg), 0, -6).min12 == -2
+    for eta, holds in ((3, False), (4, True), (5, True), (6, False)):
+        checks = ew.candidate_checks(req, cfg, ew.character(0, [1, eta], -3, cfg))
+        assert checks["6.12"] is holds, eta
+
+
+def _pairs_every_rank(ctx, u0):
     """The (r, j) pairs scanned over every rank r with z - x*K + r*K < lam^2,
     as the kernel did before it stopped at the first empty rank r >= 1."""
     K, x, lam, z, den = ctx.K, ctx.x, ctx.lam, ctx.z, ctx.den
@@ -407,7 +433,7 @@ def _pairs_every_rank(ctx):
         lo = z - x * K + r * K
         hi = min(r * K, lam * lam)
         if r >= 1:
-            hi = min(hi, lam * lam * ctx.u0 * ctx.u0 / (4 * K * r))
+            hi = min(hi, lam * lam * u0 * u0 / (4 * K * r))
         out.extend((r, j) for j in range(math.floor(lo * den) + 1, math.ceil(hi * den)))
         r += 1
     return out
@@ -429,7 +455,7 @@ def test_pairs_stop_at_first_empty_rank():
                             ctx = destabilize._build_context(req, cfg)
                         except ew.DomainError:
                             continue
-                        assert destabilize._pairs(ctx) == _pairs_every_rank(ctx)
+                        assert destabilize._pairs(ctx) == _pairs_every_rank(ctx, u0)
                         checked += 1
     assert checked > 200
 
@@ -439,7 +465,10 @@ def _check_row_bounds(ctx, seen):
     every cell of the 6.1 windows of _rows passing _ch1_gates, sorted."""
     from ellwall import destabilize
 
-    rows, (cells, pairs) = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
+    rows, (runs, pairs) = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
+    for *_, js in runs:  # each run holds cells, in increasing ch2 order
+        assert js and all(j < k for j, k in zip(js, js[1:]))
+    cells = [(r, gamma, eta, j) for r, gamma, eta, js in runs for j in js]
     assert [cell[:4] for cell in cells] == sorted(
         (r, gamma, eta, j)
         for r, j, p, gamma, etas in rows
@@ -518,3 +547,20 @@ def test_enumeration_cell_budget(monkeypatch):
     monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 12_326)
     with pytest.raises(ew.DomainError, match="budget"):
         ew.enumerate_destabilizers(req, cfg)
+
+
+def test_pairs_budget_counts_ranks_and_pairs_exactly(monkeypatch):
+    # the same target has 101 pairs over ranks 0..3: its last rank with pairs
+    # is scanned after 3 others, so 3 + 101 fills a budget of 104 exactly
+    from ellwall import destabilize
+
+    cfg = cfg_e2m3()
+    req = _pinned_request(cfg, u0=Fraction(1, 2), alpha=5, lam=20, z=-2, x=3)
+    ctx = destabilize._build_context(req, cfg)
+    pairs = destabilize._pairs(ctx)
+    assert (len(pairs), max(r for r, _ in pairs)) == (101, 3)
+    monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 104)
+    assert destabilize._pairs(ctx) == pairs
+    monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 103)
+    with pytest.raises(ew.DomainError, match="budget"):
+        destabilize._pairs(ctx)
