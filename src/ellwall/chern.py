@@ -109,6 +109,8 @@ def slope(ch: ChernCharacter, omega: DivisorClass, B: DivisorClass, cfg: Surface
 
 @record
 class DiscriminantReport:
+    """Delta, Delta-bar and Delta^C of a character, and the C used for Delta^C."""
+
     delta: Fraction
     delta_bar: Fraction
     delta_C: Fraction
@@ -142,14 +144,12 @@ def is_bogomolov_type(ch: ChernCharacter, cfg: SurfaceConfig) -> bool:
 
 def bogomolov_constant(u0: Rational, cfg: SurfaceConfig) -> Fraction:
     """Effective-divisor constant C for omega_0 = u0*(Theta+mf)+v0*f on a
-    rank-2 surface: C = e/(u0^2*(m-e)^2), valid for every v0 >= 0."""
+    rank-2 surface, where m > e: C = e/(u0^2*(m-e)^2), valid for every v0 >= 0."""
     if cfg.rank != 2:
         raise DomainError("the constant is only derived for Picard rank 2")
     u0 = _frac(u0)
     if u0 <= 0:
         raise DomainError("u0 must be positive")
-    if cfg.m <= cfg.e:
-        raise DomainError("requires m > e")
     if cfg.e == 0:
         return Fraction(0)
     return Fraction(cfg.e) / (u0 * u0 * (cfg.m - cfg.e) ** 2)

@@ -158,11 +158,8 @@ def _cmd_transform(args, cfg):
 def _cmd_twist(args, cfg):
     ch = _load_character(args.ch, cfg)
     D = _parse_coeffs(args.divisor, cfg)
-    if args.line_bundle:
-        out = chern.line_bundle_twist(ch, D, cfg)
-    else:
-        out = chern.twist(ch, D, cfg)
-    return _document({"character": out})
+    fn = chern.line_bundle_twist if args.line_bundle else chern.twist
+    return _document({"character": fn(ch, D, cfg)})
 
 
 def _cmd_charge(args, cfg):

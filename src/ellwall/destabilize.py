@@ -67,6 +67,8 @@ class EnumerationRequest:
 
 @record
 class CandidateReport:
+    """A candidate A, its complement B, the wall ratio S of A, and every check."""
+
     candidate: ChernCharacter
     complement: ChernCharacter
     S: Fraction
@@ -80,7 +82,6 @@ class _Context:
     eta*f_om + gamma*th_om is an integer; N clears those of ch2, K and z."""
 
     e: int
-    K: Fraction
     x: int
     lam: int
     z: Fraction
@@ -129,7 +130,6 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     N = math.lcm(req.ch2_denominator, K.denominator)
     return _Context(
         e=cfg.e,
-        K=K,
         x=int(x),
         lam=int(lam),
         z=z,

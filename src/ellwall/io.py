@@ -465,32 +465,26 @@ def _xml_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _axis(values, start: int, length: int) -> tuple:
+    """(lo, hi, to) of a plot axis over values, where to maps [lo, hi] onto
+    [start, start + length].  A degenerate axis is widened: past 2^53, lo + 1.0
+    rounds back to lo.  A span past the float range is halved first (halves of
+    normal floats are exact); a finite one is used as is."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        hi = max(lo + 1.0, math.nextafter(lo, math.inf))
+    h = 0.5 if hi - lo == math.inf else 1.0
+    a, span = h * lo, h * hi - h * lo
+    return lo, hi, lambda v: start + (h * v - a) / span * length
+
+
 def _svg_plot(series, xlabel: str, ylabel: str) -> str:
     """Self-contained SVG 1.1: one polyline per series, simple axes with
     extremal tick labels, legend in the top-right corner."""
     width, height, margin = 640, 480, 60
     pts_all = [p for _, pts, _ in series for p in pts]
-    if not pts_all:
-        raise DomainError("nothing to plot")
-    xs = [p[0] for p in pts_all]
-    ys = [p[1] for p in pts_all]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    # widen a degenerate axis; past 2^53, x0 + 1.0 rounds back to x0
-    if x1 == x0:
-        x1 = max(x0 + 1.0, math.nextafter(x0, math.inf))
-    if y1 == y0:
-        y1 = max(y0 + 1.0, math.nextafter(y0, math.inf))
-    # halve a span past the float range (halves of normal floats are exact); a finite one is used as is
-    hx = 0.5 if x1 - x0 == math.inf else 1.0
-    hy = 0.5 if y1 - y0 == math.inf else 1.0
-
-    def sx(x, a=hx * x0, span=hx * x1 - hx * x0):  # the defaults are taken once
-        return margin + (hx * x - a) / span * (width - 2 * margin)
-
-    def sy(y, a=hy * y0, span=hy * y1 - hy * y0):
-        return height - margin - (hy * y - a) / span * (height - 2 * margin)
-
+    x0, x1, sx = _axis([p[0] for p in pts_all], margin, width - 2 * margin)
+    y0, y1, sy = _axis([p[1] for p in pts_all], height - margin, 2 * margin - height)
     out = []
     out.append(
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -55,53 +55,94 @@ def _sequence(v):
     return v if isinstance(v, (tuple, list)) else _reject("a tuple", v)
 
 
-def _converter(tp):
-    """The function that makes a value exact to the field annotation tp, or
-    None when the annotation is not one of the exact kinds of `record`."""
+def _rule(tp, x: str, names: dict):
+    """(test, convert) for a field annotated tp, or None when tp is not an
+    exact kind: test, an expression in x, holds when x is exact as it is, and
+    convert makes a value exact or raises.  The names test reads go into names;
+    each starts with two underscores, which a class body mangles in a field name."""
     origin, args = get_origin(tp), get_args(tp)
-    inner = _converter(args[0]) if args else None
+    inner = _rule(args[0], "y" if origin is tuple else x, names) if args else None
     if origin is Union and args[1:] == (type(None),) and inner:  # Optional[X]
-        return lambda v: v if v is None else inner(v)
+        return "(%s is None or %s)" % (x, inner[0]), lambda v: v if v is None else inner[1](v)
     if origin is tuple and args[1:] == (Ellipsis,) and inner:  # tuple[X, ...]
-        return lambda v: tuple(map(inner, _sequence(v)))
-    if is_dataclass(tp):
-        if tp is ExtraSection:  # an entry of SurfaceConfig.sections
-            return _extra_section
-        return lambda v: v if isinstance(v, tp) else _reject("a " + tp.__name__, v)
-    return {Fraction: _frac, int: _int_field}.get(tp)
+        return ("(__type(%s) is __tuple and not [y for y in %s if not %s])" % (x, x, inner[0]),
+                lambda v: tuple(map(inner[1], _sequence(v))))
+    if is_dataclass(tp):  # a subclass instance takes the path of convert
+        convert = _extra_section if tp is ExtraSection else (
+            lambda v: v if isinstance(v, tp) else _reject("a " + tp.__name__, v))
+    else:
+        convert = {Fraction: _frac, int: _int_field}.get(tp)
+    if convert:
+        names["__t_" + tp.__name__] = tp
+        return "__type(%s) is __t_%s" % (x, tp.__name__), convert
+    return None
+
+
+class _RecordMethods:
+    """What every record shares, as @dataclass(frozen=True) defines it."""
+
+    def _field_values(self):
+        return tuple([getattr(self, name) for name in self.__dataclass_fields__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._field_values())
+
+    def __repr__(self):
+        pairs = zip(self.__dataclass_fields__, self._field_values())
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(["%s=%r" % p for p in pairs]))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % name)
 
 
 def record(cls):
-    """The one maker of ellwall's value classes: @dataclass(frozen=True) with
-    one exactness rule for every field, read off its annotation when the
-    class is created: Fraction and Optional[Fraction] take an int or a
-    Fraction and store a Fraction; int takes only an int; tuple[X, ...]
-    takes a tuple or list and converts each element as X; a dataclass type
-    takes only an instance (an ExtraSection also takes a dict of its
-    fields).  Anything else (a float, a bool, a string) is a DomainError
-    naming the field.  The class's own __post_init__, if any, runs after
-    and only checks ranges and invariants."""
+    """The one maker of ellwall's value classes: frozen, with eq, hash and
+    repr as under @dataclass(frozen=True), and one exactness rule for every
+    field, read off its annotation when the class is created: Fraction and
+    Optional[Fraction] take an int or a Fraction and store a Fraction; int
+    takes only an int; tuple[X, ...] takes a tuple or list and converts
+    each element as X; a dataclass type takes only an instance (an
+    ExtraSection also takes a dict of its fields).  Anything else (a float,
+    a bool, a string) is a DomainError naming the field.  The class's own
+    __post_init__, if any, runs after and only checks ranges and
+    invariants.  A value that is already exact is kept without a call."""
     check = cls.__dict__.get("__post_init__")
-    steps = ()
 
-    def __post_init__(self):
-        for name, tp, convert in steps:
-            value = getattr(self, name)
-            if type(value) is tp:  # a value of exactly the annotated class stays
-                continue
+    def __post_init__(self):  # __init__ comes here when a value is not exact as it is
+        for name, (_, convert) in rules:
             try:
-                object.__setattr__(self, name, convert(value))
+                object.__setattr__(self, name, convert(getattr(self, name)))
             except DomainError as exc:
                 raise DomainError("%s: %s" % (name.replace("_", " "), exc)) from None
         if check is not None:
             check(self)
 
     cls.__post_init__ = __post_init__
-    cls = dataclass(frozen=True)(cls)
-    hints = get_type_hints(cls)
-    steps = tuple(
-        (f.name, hints[f.name], c) for f in fields(cls) if (c := _converter(hints[f.name]))
-    )
+    cls = dataclass(init=False, repr=False, eq=False)(cls)  # generates no code
+    params = cls.__dataclass_params__  # as __init__ and _RecordMethods make the class
+    params.init = params.repr = params.eq = params.frozen = True
+    hints, flds = get_type_hints(cls), fields(cls)
+    ns = {"__set": object.__setattr__, "__check": check, "__type": type, "__tuple": tuple}
+    rules = [(f.name, r) for f in flds if (r := _rule(hints[f.name], f.name, ns))]
+    ns.update(("__d_" + f.name, f.default) for f in flds)
+    args = ", ".join(f.name if f.default is MISSING else "{0}=__d_{0}".format(f.name) for f in flds)
+    sets = "".join("    __set(self, %r, %s)\n" % (f.name, f.name) for f in flds)
+    exact = " and ".join([test for _, (test, _) in rules] or ["True"])
+    exec("def __init__(self, %s):\n%s    if not (%s): return self.__post_init__()\n    %s"
+         % (args, sets, exact, "__check(self)" if check else ""), ns)
+    ns["__init__"].__qualname__ = cls.__qualname__ + ".__init__"
+    ns["__init__"].__annotations__ = {f.name: f.type for f in flds} | {"return": None}
+    for name, method in {**vars(_RecordMethods), "__init__": ns["__init__"]}.items():
+        if callable(method) and name not in cls.__dict__:  # a method the class defines stays
+            setattr(cls, name, method)
     return cls
 
 
@@ -287,6 +328,8 @@ def pairings(D: DivisorClass, cfg: SurfaceConfig) -> tuple:
 
 @record
 class ConeMembership:
+    """Whether a class is nef, ample and in the cone of effective curves."""
+
     nef: bool
     ample: bool
     effective_curve_cone: bool

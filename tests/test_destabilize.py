@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,46 @@ def test_oracle_equivalence_past_a_fixed_box():
     expected = brute_force(cfg, Fraction(1), Fraction(3), Fraction(3), Fraction(-2), Fraction(1), den=3)
     assert got == expected and len(got) == 374
     assert sum(c2 < -10 for _, _, _, c2 in got) == 8
+
+
+def test_oracle_equivalence_at_a_zero_discriminant():
+    # e = 0, K = 1, u0 = 1: a = 2K/u0^2 = 2, and at (r, ch2) = (3, 1/4) the
+    # 6.8 bound min8 = lam^2/a = 2 puts the discriminant of _gamma_bound at 0,
+    # where gamma = lam/a = 1 with eta = 1 still holds a candidate
+    from ellwall import destabilize
+
+    cfg = ew.SurfaceConfig(e=0, m=Fraction(1, 2))
+    req = ew.EnumerationRequest(ew.character(4, [0, 2], Fraction(-3, 2), cfg),
+                                ew.volume_params(Fraction(1, 2), cfg), Fraction(1), 4)
+    ctx = destabilize._build_context(req, cfg)
+    a_num, a_den = 2 * ctx.Kn * ctx.D**2, ctx.N * ctx.f_om**2
+    assert ctx.lam**2 * a_den == a_num * destabilize._pair(ctx, 3, 1).min8
+    got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
+    expected = brute_force(cfg, Fraction(1, 2), Fraction(4), Fraction(2), Fraction(-3, 2), Fraction(1), den=4)
+    assert got == expected and len(got) == 311 and (3, 1, 1, Fraction(1, 4)) in got
+
+
+def test_oracle_equivalence_on_seeded_random_targets():
+    # 12 valid targets drawn from e 0..3, m - e 1..3, rank 1..3, lam 1..4,
+    # z -3..1, three alphas, five u0 and den 1..3; a draw the request
+    # refuses (z = 1, u0 too large) is skipped.  Seed 5 keeps it near 2.5 s
+    rng = random.Random(5)
+    u0s = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+    checked = candidates = 0
+    while checked < 12:
+        e, me, x, lam, z = (rng.randint(0, 3), rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4),
+                            rng.randint(-3, 1))
+        alpha, u0, den = rng.choice((Fraction(1, 2), Fraction(1), Fraction(2))), rng.choice(u0s), rng.randint(1, 3)
+        cfg = ew.SurfaceConfig(e=e, m=e + me)
+        try:
+            req = ew.EnumerationRequest(ew.character(x, [0, lam], z, cfg), ew.volume_params(alpha, cfg), u0, den)
+            got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
+        except ew.DomainError:
+            continue
+        expected = brute_force(cfg, alpha, Fraction(x), Fraction(lam), Fraction(z), u0, den=den)
+        assert got == expected, (e, me, x, lam, z, alpha, u0, den)
+        checked, candidates = checked + 1, candidates + len(got)
+    assert candidates > 0
 
 
 def test_rank_positive_empty_for_large_K():
@@ -423,10 +464,11 @@ def test_candidate_checks_6_12_boundaries():
         assert checks["6.12"] is holds, eta
 
 
-def _pairs_every_rank(ctx, u0):
+def _pairs_every_rank(ctx, K, u0):
     """The (r, j) pairs scanned over every rank r with z - x*K + r*K < lam^2,
-    as the kernel did before it stopped at the first empty rank r >= 1."""
-    K, x, lam, z, den = ctx.K, ctx.x, ctx.lam, ctx.z, ctx.den
+    as the kernel did before it stopped at the first empty rank r >= 1; K is
+    the request's, not read back from ctx."""
+    x, lam, z, den = ctx.x, ctx.lam, ctx.z, ctx.den
     out = []
     r = 0
     while z - x * K + r * K < lam * lam:
@@ -455,14 +497,15 @@ def test_pairs_stop_at_first_empty_rank():
                             ctx = destabilize._build_context(req, cfg)
                         except ew.DomainError:
                             continue
-                        assert destabilize._pairs(ctx) == _pairs_every_rank(ctx, u0)
+                        assert destabilize._pairs(ctx) == _pairs_every_rank(ctx, req.vp.K, u0)
                         checked += 1
     assert checked > 200
 
 
-def _check_row_bounds(ctx, seen):
+def _check_row_bounds(ctx, K, seen):
     """The survivors of the row bounds against a per-cell loop kept here:
-    every cell of the 6.1 windows of _rows passing _ch1_gates, sorted."""
+    every cell of the 6.1 windows of _rows passing _ch1_gates, sorted; K is
+    the request's, so the pair rationals are checked against it."""
     from ellwall import destabilize
 
     rows, (runs, pairs) = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
@@ -477,7 +520,7 @@ def _check_row_bounds(ctx, seen):
     )
     for r, gamma, eta, j in cells:
         c2, rationals = Fraction(j, ctx.den), pairs[r, j]
-        assert rationals == (c2, ctx.z - c2, (c2 - r * ctx.K) / (ctx.z - ctx.x * ctx.K))
+        assert rationals == (c2, ctx.z - c2, (c2 - r * K) / (ctx.z - ctx.x * K))
         seen.add(("survivor", (gamma > 0) - (gamma < 0), min(r, 1)))
     for r, j, p, gamma, etas in rows:
         assert all(p.fixed.values())  # the pair bounds are the fixed checks
@@ -502,7 +545,7 @@ def test_row_bounds_match_per_cell_loop():
                             ctx = destabilize._build_context(req, cfg)
                         except ew.DomainError:
                             continue
-                        _check_row_bounds(ctx, seen)
+                        _check_row_bounds(ctx, req.vp.K, seen)
                         checked += 1
     assert checked >= 200
     # K = 3/2, D = 2 on the (1/24)Z lattice: 4K*r*ch2*D^2 = 1 at r = 1,
@@ -511,7 +554,7 @@ def test_row_bounds_match_per_cell_loop():
     fine = ew.EnumerationRequest(
         ew.character(2, [0, 4], -1, cfg), ew.volume_params(Fraction(1, 2), cfg), Fraction(1, 2), 24
     )
-    _check_row_bounds(destabilize._build_context(fine, cfg), seen)
+    _check_row_bounds(destabilize._build_context(fine, cfg), fine.vp.K, seen)
     # rows and survivors of every gamma sign at rank 0 and rank >= 1, and
     # rank-positive pairs with min4 <= 0, min4 = 1 and min4 >= 2
     assert seen == {(k, g, r) for k in ("row", "survivor") for g in (-1, 0, 1) for r in (0, 1)} | {
@@ -564,3 +607,27 @@ def test_pairs_budget_counts_ranks_and_pairs_exactly(monkeypatch):
     monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 103)
     with pytest.raises(ew.DomainError, match="budget"):
         destabilize._pairs(ctx)
+
+
+def test_pairs_budget_does_not_count_the_6_5_stop(monkeypatch):
+    # K = 3/2, lam = 4, u0 = 3/4 on the Z lattice: at r = 3 the 6.6 lower end
+    # z - (x - r)*K = 1/2 meets the 6.5 bound lam^2*u0^2/(4K*r) = 1/2, so rank
+    # 3 has no room and ends the scan uncounted; the last rank with pairs, 2,
+    # is scanned after 2 others, so 2 + 8 fills a budget of 10 exactly
+    from ellwall import destabilize
+
+    cfg = cfg_e2m3()
+    req = ew.EnumerationRequest(ew.character(2, [0, 4], -1, cfg),
+                                ew.volume_params(Fraction(1, 2), cfg), Fraction(3, 4), 1)
+    ctx = destabilize._build_context(req, cfg)
+    pairs = destabilize._pairs(ctx)
+    assert (len(pairs), max(r for r, _ in pairs)) == (8, 2)
+    monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 10)
+    assert destabilize._pairs(ctx) == pairs
+    monkeypatch.setattr(destabilize, "MAX_ENUMERATE_CELLS", 9)
+    with pytest.raises(ew.DomainError, match="budget"):
+        destabilize._pairs(ctx)
+    monkeypatch.undo()
+    got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
+    assert got == brute_force(cfg, Fraction(1, 2), Fraction(2), Fraction(4), Fraction(-1), Fraction(3, 4), den=1)
+    assert len(got) == 61

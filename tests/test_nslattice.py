@@ -1,7 +1,9 @@
 import dataclasses
+import inspect
 import random
 import re
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,90 @@ def test_every_value_class_is_a_record(cls):
     # two private ones, are frozen and checked by record's exactness rule
     assert cls.__post_init__.__qualname__ == "record.<locals>.__post_init__"
     assert cls.__dataclass_params__.frozen and cls.__dataclass_params__.eq
+
+
+def _record_samples():
+    """One instance of every class of test_every_value_class_is_a_record."""
+    from ellwall import destabilize
+
+    samples = [cls(**exact, **other) for cls, exact, other in _record_cases()]
+    samples.append(ew.ConeMembership(nef=True, ample=False, effective_curve_cone=True))
+    samples.append(ew.AsymptoteClass("dim2", "C1", {"D": Fraction(3, 2)}, "q ~ D/(2*lambda)"))
+    cfg = cfg_e2m3()
+    req = ew.EnumerationRequest(ew.character(3, [0, 20], -2, cfg), ew.volume_params(5, cfg),
+                                Fraction(1, 2))
+    ctx = destabilize._build_context(req, cfg)
+    samples += [ctx, destabilize._pair(ctx, 1, 3)]
+    return samples
+
+
+def test_records_keep_the_frozen_dataclass_contract():
+    # the oracle of record's hand-made methods: a @dataclass(frozen=True) made
+    # here from the same annotations, defaults and stored values agrees on
+    # repr, the __init__ signature, ==, hash, fields, replace and the frozen
+    # errors
+    samples = _record_samples()
+    classes = {type(obj) for obj in samples}
+    assert classes == set(_VALUE_CLASSES) | {ew.destabilize._Context, ew.destabilize._Pair}
+    assert len(classes) == len(samples)
+    for obj in samples:
+        cls, flds = type(obj), dataclasses.fields(obj)
+        ref_cls = dataclasses.make_dataclass(
+            cls.__name__, [(f.name, f.type, dataclasses.field(default=f.default)) for f in flds],
+            frozen=True)
+        values = {f.name: getattr(obj, f.name) for f in flds}
+        ref = ref_cls(**values)
+        assert [(f.name, f.default) for f in flds] == [
+            (f.name, f.default) for f in dataclasses.fields(ref_cls)]
+        assert repr(obj) == repr(ref) and inspect.signature(cls) == inspect.signature(ref_cls)
+        twin = cls(**values)
+        assert twin is not obj and (obj == twin) is (ref == ref_cls(**values)) is True
+        assert (obj != twin) is False
+        # another class never equals a record, whatever its fields hold
+        assert obj != ref and ref != obj and obj != tuple(values.values())
+        assert obj.__eq__(ref) is NotImplemented
+        try:
+            expected = hash(ref)
+        except TypeError:  # a dict field: CandidateReport, AsymptoteClass and _Pair
+            with pytest.raises(TypeError):
+                hash(obj)
+        else:
+            assert hash(obj) == expected == hash(twin)
+        assert dataclasses.replace(obj) == obj
+        name = flds[0].name
+        moved = dataclasses.replace(obj, **{name: values[name]})
+        assert type(moved) is cls and moved == obj
+        for act in (lambda o: setattr(o, name, values[name]), lambda o: delattr(o, name)):
+            errors = []
+            for o in (obj, ref):
+                with pytest.raises(dataclasses.FrozenInstanceError) as info:
+                    act(o)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+        assert getattr(obj, name) is values[name]
+
+
+def test_record_keeps_an_exact_value_as_it_is():
+    # a Fraction or int of exactly the field's class, a tuple of them and a
+    # None or exact Optional are stored as given; anything else is converted
+    coeffs = (Fraction(1), Fraction(3))
+    assert ew.DivisorClass(coeffs).coeffs is coeffs
+    assert ew.DivisorClass([1, 3]).coeffs == coeffs
+    q = Fraction(5, 2)
+    assert ew.WallValue("value", q).q is q and ew.WallValue("pole").q is None
+    point = (Fraction(0), Fraction(1))
+    wall = ew.WallSQ("line", point=point, slope=q)
+    assert wall.point is point and wall.slope is q and wall.s is None
+    assert ew.WallSQ("line", point=[0, 1], slope=1).point == point
+    cross = (4, 1)
+    assert ew.ExtraSection(theta=2, cross=cross).cross is cross
+    sections = (ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=(4,)))
+    assert ew.SurfaceConfig(e=2, m=Fraction(3), sections=sections).sections is sections
+    # a subclass of the annotated class is converted, as before
+    class Half(Fraction):
+        pass
+    stored = ew.SQ(s=Half(1, 2), q=1).s
+    assert type(stored) is Fraction and stored == Fraction(1, 2)
 
 
 def test_cross_longer_than_index_rejected():
@@ -553,3 +639,52 @@ def test_integer_config_fields_take_only_ints():
         ew.SurfaceConfig(e=2, m=3, sections=(ew.ExtraSection(1), ew.ExtraSection(1, cross=(2.7,))))
     cfg = ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1}, {"theta": 2, "cross": [3]}))
     assert cfg._gram[2][3] == 3 and all(type(v) is int for row in cfg._gram for v in row)
+
+
+def test_record_keeps_the_methods_a_class_defines():
+    from ellwall.nslattice import record
+
+    @record
+    class Tagged:
+        n: int
+        tag: str = "t"
+
+        def __repr__(self):
+            return "%s%d" % (self.tag, self.n)
+
+        def __eq__(self, other):
+            return isinstance(other, Tagged) and other.n == self.n
+
+        def __hash__(self):
+            return self.n
+
+    assert repr(Tagged(2)) == "t2" and Tagged(2, "a") == Tagged(2, "b") and hash(Tagged(7)) == 7
+    assert Tagged.__init__.__qualname__.endswith("Tagged.__init__")
+    with pytest.raises(ew.DomainError, match="^n: "):
+        Tagged(True)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Tagged(2).n = 3
+    assert dataclasses.replace(Tagged(2), tag="b").tag == "b"
+
+
+def test_record_fields_may_take_the_names_of_classes():
+    # the __init__ that record makes reads its helpers under names no field
+    # can take, so a field named after a builtin or an annotation class
+    # neither breaks the exactness rule nor hides it
+    from ellwall.nslattice import record
+
+    @record
+    class Shadow:
+        type: Fraction
+        int: int
+        tuple: tuple[Fraction, ...]
+        Fraction: Optional[Fraction]
+
+    q, qs = Fraction(1, 2), (Fraction(3),)
+    s = Shadow(q, 2, qs, q)
+    assert s.type is q and s.tuple is qs and s.Fraction is q
+    assert Shadow(1, 2, [3], None) == Shadow(Fraction(1), 2, (Fraction(3),), None)
+    for bad, field in (((1.5, 2, (), None), "type"), ((1, True, (), None), "int"),
+                       ((1, 2, (0.5,), None), "tuple"), ((1, 2, (), "1"), "Fraction")):
+        with pytest.raises(ew.DomainError, match="^%s: " % field):
+            Shadow(*bad)
