@@ -141,20 +141,92 @@ def _vp(args, cfg):
     return volume_params(eio.parse_rational(args.alpha), cfg)
 
 
+_SURFACE = ("--config", "--e", "--m", "--genus-base", "--euler-char")
+_FRAME = ("--lambda:frame", "--frame-h", "--frame-hperp", "--frame-w")
+_WALL = ("--dim", "--x", "--z", "--L", "--r", "--k", "--p", "--xi", "--chi")
+
+# The add_argument keywords of each flag, by option.  An option that two
+# commands read differently carries a tag: "--ch:stdin", "--lambda:frame".
+_FLAGS = {
+    "--config": dict(help="surface config JSON file ('-' for stdin)"),
+    "--e": dict(type=_int, help="e = -Theta^2 (rank-2 shorthand)"),
+    "--m": dict(help="ample offset m as 'p/q'"),
+    "--genus-base": dict(type=_int, default=0),
+    "--euler-char": dict(help="chi(O_X) as 'p/q' (default e)"),
+    "--functor": dict(choices=["phi", "phihat"], required=True),
+    "--ch": dict(),
+    "--ch:stdin": dict(help="character JSON file ('-' for stdin)"),
+    "--ch:file": dict(help="character JSON file"),
+    "--divisor": dict(required=True, help="comma-separated coefficients"),
+    "--line-bundle": dict(action="store_true", help="apply e^{L} instead of e^{-B}"),
+    "--omega": dict(required=True, help="comma-separated coefficients"),
+    "--b-field": dict(help="comma-separated coefficients (default 0)"),
+    "--lambda:frame": dict(dest="lam", help="elliptic frame parameter in (0,1)"),
+    "--frame-h": dict(help="H coefficients"),
+    "--frame-hperp": dict(help="H-perp coefficients"),
+    "--frame-w": dict(help="frame w (default 0)"),
+    "--s": dict(required=True),
+    "--q": dict(required=True),
+    "--alpha": dict(required=True),
+    "--first": dict(required=True, help="character JSON file"),
+    "--second": dict(required=True, help="character JSON file"),
+    "--ch-prime": dict(required=True, help="partner character JSON file"),
+    "--shift": dict(help="line bundle L coefficients for the shifted wall"),
+    "--lambda": dict(dest="lam", required=True),
+    "--dim": dict(type=_int, choices=[1, 2], default=2),
+    "--x": dict(help="dim 2: rank of the factored character"),
+    "--z": dict(help="ch2 of the factored/one-dimensional character"),
+    "--L": dict(help="line bundle coefficients"),
+    "--r": dict(required=True, help="partner rank"),
+    "--k": dict(help="Theta coefficient of ch1"),
+    "--p": dict(help="f coefficient of ch1"),
+    "--xi": dict(help="comma-separated extra-section coefficients"),
+    "--chi": dict(required=True, help="partner ch2"),
+    "--target": dict(required=True, help="target character JSON file"),
+    "--u0": dict(required=True),
+    "--ch2-denominator": dict(type=_int, default=2),
+    "--aL": dict(type=_int, required=True),
+    "--v-from": dict(required=True),
+    "--v-to": dict(required=True),
+    "--v-step": dict(),
+    "--format": dict(choices=["csv", "svg"], default="csv"),
+    "--lambda-from": dict(required=True),
+    "--lambda-to": dict(required=True),
+    "--samples": dict(type=_int, default=50),
+    "--wall": dict(action="append", help="wall spec JSON file (repeatable)"),
+}
+_GROUPS = {"surface": "surface config operations", "wall": "potential wall computations",
+           "destab": "destabilizer enumeration", "linebundle": "line bundle chamber analysis",
+           "plot": "plot data emission"}
+_COMMANDS = []  # (command words, help, flags, handler), in the order of --help
+
+
+def _command(words: str, help: str, *flags: str):
+    """Register the decorated handler as command words, taking the flags of these _FLAGS keys."""
+    def register(fn):
+        _COMMANDS.append((words, help, flags, fn))
+        return fn
+    return register
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
+@_command("surface check", "validate a surface config")
 def _cmd_surface_check(args, cfg):
     return _document({"config": cfg, "rank": cfg.rank, "ok": True})
 
 
+@_command("transform", "apply a cohomological transform", "--functor", "--ch:stdin")
 def _cmd_transform(args, cfg):
     ch = _load_character(args.ch, cfg)
     fn = fmtransform.phi if args.functor == "phi" else fmtransform.phi_hat
     return _document({"character": fn(ch, cfg)})
 
 
+@_command("twist", "B-field twist e^{-B} or line-bundle twist e^{L}",
+          "--ch", "--divisor", "--line-bundle")
 def _cmd_twist(args, cfg):
     ch = _load_character(args.ch, cfg)
     D = _parse_coeffs(args.divisor, cfg)
@@ -162,6 +234,7 @@ def _cmd_twist(args, cfg):
     return _document({"character": fn(ch, D, cfg)})
 
 
+@_command("charge", "central charge at an ample omega", "--ch", "--omega", "--b-field")
 def _cmd_charge(args, cfg):
     ch = _load_character(args.ch, cfg)
     omega = _parse_coeffs(args.omega, cfg)
@@ -170,6 +243,7 @@ def _cmd_charge(args, cfg):
     return _document({"charge": cv})
 
 
+@_command("charge-sq", "central charge in (s,q)-coordinates", "--ch", *_FRAME, "--s", "--q")
 def _cmd_charge_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     fr = _frame_from_args(args, cfg)
@@ -178,6 +252,7 @@ def _cmd_charge_sq(args, cfg):
     return _document({"charge": cv})
 
 
+@_command("limit-phase", "phase limit along the volume section", "--ch", "--alpha")
 def _cmd_limit_phase(args, cfg):
     ch = _load_character(args.ch, cfg)
     vp = _vp(args, cfg)
@@ -186,6 +261,7 @@ def _cmd_limit_phase(args, cfg):
     return _document({**eio.record_to_obj(pl), "limit_charge": lc})
 
 
+@_command("limit-compare", "order of limit phases", "--first", "--second", "--alpha")
 def _cmd_limit_compare(args, cfg):
     vp = _vp(args, cfg)
     m_lc = charge_mod.limit_charge(_load_character(args.first, cfg), vp, cfg)
@@ -194,6 +270,8 @@ def _cmd_limit_compare(args, cfg):
     return _document({"order": order, "cross_coeffs": charge_mod.cross_coefficients(m_lc, n_lc)})
 
 
+@_command("wall sq", "wall in the (s,q)-plane of a frame",
+          "--ch:file", "--ch-prime", *_FRAME, "--shift")
 def _cmd_wall_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     chp = _load_character(args.ch_prime, cfg)
@@ -214,16 +292,20 @@ def _wall_inputs(args, cfg):
     return eio.wall_spec_from_obj(obj, cfg, "")[1:]
 
 
+@_command("wall lambda-q", "exact wall value at one lambda", "--lambda", *_WALL)
 def _cmd_wall_lambda_q(args, cfg):
     wv = walls.wall_lambda_q(*_wall_inputs(args, cfg), eio.parse_rational(args.lam), cfg)
     return _document({"wall_value": wv})
 
 
+@_command("wall asymptote", "lambda -> 0+ wall classification", *_WALL)
 def _cmd_wall_asymptote(args, cfg):
     ac = walls.classify_asymptote_dim2(*_wall_inputs(args, cfg), cfg)
     return _document({"asymptote": ac})
 
 
+@_command("destab enumerate", "enumerate candidate destabilizers",
+          "--target", "--alpha", "--u0", "--ch2-denominator")
 def _cmd_destab_enumerate(args, cfg):
     target = _load_character(args.target, cfg)
     vp = _vp(args, cfg)
@@ -236,6 +318,7 @@ def _cmd_destab_enumerate(args, cfg):
     return eio._enumeration_chunks(req, cfg)
 
 
+@_command("linebundle analyze", "wall/section comparison for O(a_L*Theta)", "--aL", "--alpha")
 def _cmd_linebundle_analyze(args, cfg):
     vp = _vp(args, cfg)
     rep = destabilize.line_bundle_analysis(args.aL, vp, cfg)
@@ -261,6 +344,8 @@ def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
     return [Fraction(a + i * p, den) for i in range(n)]
 
 
+@_command("plot volume-section", "the (v,u) volume section and asymptote",
+          "--alpha", "--v-from", "--v-to", "--v-step", "--format")
 def _cmd_plot_volume_section(args, cfg):
     vp = _vp(args, cfg)
     lo, hi = eio.parse_rational(args.v_from), eio.parse_rational(args.v_to)
@@ -268,6 +353,8 @@ def _cmd_plot_volume_section(args, cfg):
     return eio.emit_volume_section_plot(vp, cfg, vals, fmt=args.format)
 
 
+@_command("plot lambda-q", "the section, asymptote and walls in (lambda,q)",
+          "--alpha", "--lambda-from", "--lambda-to", "--samples", "--wall", "--format")
 def _cmd_plot_lambda_q(args, cfg):
     vp = _vp(args, cfg)
     lo, hi = eio.parse_rational(args.lambda_from), eio.parse_rational(args.lambda_to)
@@ -290,121 +377,18 @@ def _cmd_plot_lambda_q(args, cfg):
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellwall", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def group(name, help):
-        sp = sub.add_parser(name, help=help)
-        return sp.add_subparsers(dest=name + "_command", required=True)
-
-    def cmd(parent, name, fn, help):
-        sp = parent.add_parser(name, help=help)
+    parents = {"": sub}  # the subparsers of the top level and of each group of _GROUPS
+    for words, help, flags, fn in _COMMANDS:
+        group, _, name = words.rpartition(" ")
+        if group not in parents:  # made at the group's first command
+            gp = sub.add_parser(group, help=_GROUPS[group])
+            parents[group] = gp.add_subparsers(dest=group + "_command", required=True)
+        sp = parents[group].add_parser(name, help=help)
         sp.set_defaults(func=fn)
         # only the top-level commands describe --out
-        out_help = "write output here instead of stdout" if parent is sub else None
-        sp.add_argument("--out", help=out_help)
-        # main loads the surface config for every command
-        sp.add_argument("--config", help="surface config JSON file ('-' for stdin)")
-        sp.add_argument("--e", type=_int, help="e = -Theta^2 (rank-2 shorthand)")
-        sp.add_argument("--m", help="ample offset m as 'p/q'")
-        sp.add_argument("--genus-base", type=_int, default=0)
-        sp.add_argument("--euler-char", help="chi(O_X) as 'p/q' (default e)")
-        return sp
-
-    def frame_args(sp):
-        sp.add_argument("--lambda", dest="lam", help="elliptic frame parameter in (0,1)")
-        sp.add_argument("--frame-h", help="H coefficients")
-        sp.add_argument("--frame-hperp", help="H-perp coefficients")
-        sp.add_argument("--frame-w", help="frame w (default 0)")
-
-    surface = group("surface", "surface config operations")
-    cmd(surface, "check", _cmd_surface_check, "validate a surface config")
-
-    sp = cmd(sub, "transform", _cmd_transform, "apply a cohomological transform")
-    sp.add_argument("--functor", choices=["phi", "phihat"], required=True)
-    sp.add_argument("--ch", help="character JSON file ('-' for stdin)")
-
-    sp = cmd(sub, "twist", _cmd_twist, "B-field twist e^{-B} or line-bundle twist e^{L}")
-    sp.add_argument("--ch")
-    sp.add_argument("--divisor", required=True, help="comma-separated coefficients")
-    sp.add_argument("--line-bundle", action="store_true", help="apply e^{L} instead of e^{-B}")
-
-    sp = cmd(sub, "charge", _cmd_charge, "central charge at an ample omega")
-    sp.add_argument("--ch")
-    sp.add_argument("--omega", required=True, help="comma-separated coefficients")
-    sp.add_argument("--b-field", help="comma-separated coefficients (default 0)")
-
-    sp = cmd(sub, "charge-sq", _cmd_charge_sq, "central charge in (s,q)-coordinates")
-    sp.add_argument("--ch")
-    frame_args(sp)
-    sp.add_argument("--s", required=True)
-    sp.add_argument("--q", required=True)
-
-    sp = cmd(sub, "limit-phase", _cmd_limit_phase, "phase limit along the volume section")
-    sp.add_argument("--ch")
-    sp.add_argument("--alpha", required=True)
-
-    sp = cmd(sub, "limit-compare", _cmd_limit_compare, "order of limit phases")
-    sp.add_argument("--first", required=True, help="character JSON file")
-    sp.add_argument("--second", required=True, help="character JSON file")
-    sp.add_argument("--alpha", required=True)
-
-    wall = group("wall", "potential wall computations")
-    sp = cmd(wall, "sq", _cmd_wall_sq, "wall in the (s,q)-plane of a frame")
-    sp.add_argument("--ch", help="character JSON file")
-    sp.add_argument("--ch-prime", required=True, help="partner character JSON file")
-    frame_args(sp)
-    sp.add_argument("--shift", help="line bundle L coefficients for the shifted wall")
-
-    def wall_data_args(spp):
-        spp.add_argument("--dim", type=_int, choices=[1, 2], default=2)
-        spp.add_argument("--x", help="dim 2: rank of the factored character")
-        spp.add_argument("--z", help="ch2 of the factored/one-dimensional character")
-        spp.add_argument("--L", help="line bundle coefficients")
-        spp.add_argument("--r", required=True, help="partner rank")
-        spp.add_argument("--k", help="Theta coefficient of ch1")
-        spp.add_argument("--p", help="f coefficient of ch1")
-        spp.add_argument("--xi", help="comma-separated extra-section coefficients")
-        spp.add_argument("--chi", required=True, help="partner ch2")
-
-    sp = cmd(wall, "lambda-q", _cmd_wall_lambda_q, "exact wall value at one lambda")
-    sp.add_argument("--lambda", dest="lam", required=True)
-    wall_data_args(sp)
-
-    wall_data_args(cmd(wall, "asymptote", _cmd_wall_asymptote, "lambda -> 0+ wall classification"))
-
-    destab = group("destab", "destabilizer enumeration")
-    sp = cmd(destab, "enumerate", _cmd_destab_enumerate, "enumerate candidate destabilizers")
-    sp.add_argument("--target", required=True, help="target character JSON file")
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--u0", required=True)
-    sp.add_argument("--ch2-denominator", type=_int, default=2)
-
-    linebundle = group("linebundle", "line bundle chamber analysis")
-    sp = cmd(
-        linebundle, "analyze", _cmd_linebundle_analyze, "wall/section comparison for O(a_L*Theta)"
-    )
-    sp.add_argument("--aL", type=_int, required=True)
-    sp.add_argument("--alpha", required=True)
-
-    plot = group("plot", "plot data emission")
-    sp = cmd(
-        plot, "volume-section", _cmd_plot_volume_section, "the (v,u) volume section and asymptote"
-    )
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--v-from", required=True)
-    sp.add_argument("--v-to", required=True)
-    sp.add_argument("--v-step")
-    sp.add_argument("--format", choices=["csv", "svg"], default="csv")
-
-    sp = cmd(
-        plot, "lambda-q", _cmd_plot_lambda_q, "the section, asymptote and walls in (lambda,q)"
-    )
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--lambda-from", required=True)
-    sp.add_argument("--lambda-to", required=True)
-    sp.add_argument("--samples", type=_int, default=50)
-    sp.add_argument("--wall", action="append", help="wall spec JSON file (repeatable)")
-    sp.add_argument("--format", choices=["csv", "svg"], default="csv")
-
+        sp.add_argument("--out", help=None if group else "write output here instead of stdout")
+        for key in _SURFACE + flags:  # main loads the surface config for every command
+            sp.add_argument(key.split(":")[0], **_FLAGS[key])
     return parser
 
 

@@ -68,8 +68,8 @@ def _rule(tp, x: str, names: dict):
         return ("(__type(%s) is __tuple and not [y for y in %s if not %s])" % (x, x, inner[0]),
                 lambda v: tuple(map(inner[1], _sequence(v))))
     if is_dataclass(tp):  # a subclass instance takes the path of convert
-        convert = _extra_section if tp is ExtraSection else (
-            lambda v: v if isinstance(v, tp) else _reject("a " + tp.__name__, v))
+        kind = ("an " if tp.__name__[0] in "AEIOU" else "a ") + tp.__name__
+        convert = lambda v: v if isinstance(v, tp) else _reject(kind, v)
     else:
         convert = {Fraction: _frac, int: _int_field}.get(tp)
     if convert:
@@ -103,41 +103,40 @@ class _RecordMethods:
         raise FrozenInstanceError("cannot delete field %r" % name)
 
 
+def _named(name: str, convert, v):
+    """convert(v), with the field name in front of the DomainError it raises."""
+    try:
+        return convert(v)
+    except DomainError as exc:
+        raise DomainError("%s: %s" % (name.replace("_", " "), exc)) from None
+
+
 def record(cls):
     """The one maker of ellwall's value classes: frozen, with eq, hash and
     repr as under @dataclass(frozen=True), and one exactness rule for every
     field, read off its annotation when the class is created: Fraction and
     Optional[Fraction] take an int or a Fraction and store a Fraction; int
     takes only an int; tuple[X, ...] takes a tuple or list and converts
-    each element as X; a dataclass type takes only an instance (an
-    ExtraSection also takes a dict of its fields).  Anything else (a float,
-    a bool, a string) is a DomainError naming the field.  The class's own
-    __post_init__, if any, runs after and only checks ranges and
-    invariants.  A value that is already exact is kept without a call."""
-    check = cls.__dict__.get("__post_init__")
-
-    def __post_init__(self):  # __init__ comes here when a value is not exact as it is
-        for name, (_, convert) in rules:
-            try:
-                object.__setattr__(self, name, convert(getattr(self, name)))
-            except DomainError as exc:
-                raise DomainError("%s: %s" % (name.replace("_", " "), exc)) from None
-        if check is not None:
-            check(self)
-
-    cls.__post_init__ = __post_init__
+    each element as X; a dataclass type takes only an instance.  Anything
+    else (a float, a bool, a string) is a DomainError naming the field.  A
+    value that is already exact is kept without a call; only a field whose
+    value is not is converted.  The class's own __post_init__, if any, runs
+    after and only checks ranges and invariants."""
     cls = dataclass(init=False, repr=False, eq=False)(cls)  # generates no code
     params = cls.__dataclass_params__  # as __init__ and _RecordMethods make the class
     params.init = params.repr = params.eq = params.frozen = True
     hints, flds = get_type_hints(cls), fields(cls)
-    ns = {"__set": object.__setattr__, "__check": check, "__type": type, "__tuple": tuple}
+    ns = {"__set": object.__setattr__, "__named": _named, "__type": type, "__tuple": tuple,
+          "__check": cls.__dict__.get("__post_init__")}
     rules = [(f.name, r) for f in flds if (r := _rule(hints[f.name], f.name, ns))]
+    ns.update(("__c_" + name, convert) for name, (_, convert) in rules)
     ns.update(("__d_" + f.name, f.default) for f in flds)
     args = ", ".join(f.name if f.default is MISSING else "{0}=__d_{0}".format(f.name) for f in flds)
+    converts = "".join("    if not {1}: {0} = __named({0!r}, __c_{0}, {0})\n".format(name, test)
+                       for name, (test, _) in rules)
     sets = "".join("    __set(self, %r, %s)\n" % (f.name, f.name) for f in flds)
-    exact = " and ".join([test for _, (test, _) in rules] or ["True"])
-    exec("def __init__(self, %s):\n%s    if not (%s): return self.__post_init__()\n    %s"
-         % (args, sets, exact, "__check(self)" if check else ""), ns)
+    exec("def __init__(self, %s):\n%s%s    %s"
+         % (args, converts, sets, "__check(self)" if ns["__check"] else "pass"), ns)
     ns["__init__"].__qualname__ = cls.__qualname__ + ".__init__"
     ns["__init__"].__annotations__ = {f.name: f.type for f in flds} | {"return": None}
     for name, method in {**vars(_RecordMethods), "__init__": ns["__init__"]}.items():
@@ -158,15 +157,6 @@ class ExtraSection:
     def __post_init__(self):
         if self.theta < 0:
             raise DomainError("Theta.Theta_i must be >= 0, got %d" % self.theta)
-
-
-def _extra_section(s) -> ExtraSection:
-    """An entry of SurfaceConfig.sections: an ExtraSection or a dict of its fields."""
-    if isinstance(s, ExtraSection):
-        return s
-    if isinstance(s, dict) and {"theta"} <= s.keys() <= {"theta", "cross"}:
-        return ExtraSection(**s)
-    _reject("an ExtraSection or a dict of its fields", s)
 
 
 @record
@@ -292,9 +282,6 @@ class DivisorClass:
                 "mixed bases: %d vs %d coefficients"
                 % (len(self.coeffs), len(other.coeffs))
             )
-
-    def dot(self, other: "DivisorClass", cfg: SurfaceConfig) -> Fraction:
-        return intersect(self, other, cfg)
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple:

@@ -257,18 +257,13 @@ class LambdaQWall:
 
     @cached_property
     def _ints(self) -> tuple:
-        # the constants of _q: a0, a1, l0, l1 over one denominator, alpha, beta over cd, kappa
+        # the constants of _q: a0, a1, l0, l1 over one denominator, alpha, beta over cd, kappa;
+        # a dim-1 wall whose precondition fails raises here, and is never cached
         (A0, A1, L0, L1), _ = _cleared((self.a0, self.a1, self.l0, self.l1))
-        (Al, Be), cd = _cleared((self.alpha, self.beta))
-        positive = self.family != "dim1" or A0 > 0 or (A0 == 0 and A1 > 0)
-        return positive, A0, A1, L0, L1, Al, Be, cd, self.kappa.numerator, self.kappa.denominator
-
-    def _require_positive(self) -> tuple:
-        """_ints, once the precondition of a one-dimensional character holds."""
-        ints = self._ints  # read once: a cached_property is a slower attribute
-        if not ints[0]:
+        if self.family == "dim1" and not (A0 > 0 or (A0 == 0 and A1 > 0)):
             raise DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
-        return ints
+        (Al, Be), cd = _cleared((self.alpha, self.beta))
+        return A0, A1, L0, L1, Al, Be, cd, self.kappa.numerator, self.kappa.denominator
 
     def at(self, lam: Rational) -> WallValue:
         """Exact q-value of the wall at this lambda in (0,1)."""
@@ -283,7 +278,7 @@ class LambdaQWall:
         an outcome word.  With kappa = kn/kd, aN = A0*d + A1*n, lN = L0*d + L1*n
         and gN = kd*d + kn*n, the q = (alpha*a - beta*l)/(g*a) of the module
         docstring is (Al*aN - Be*lN)*kd*d^2/(cd*2n*gN*aN)."""
-        _, A0, A1, L0, L1, Al, Be, cd, kn, kd = self._require_positive()
+        A0, A1, L0, L1, Al, Be, cd, kn, kd = self._ints
         gN = kd * d + kn * n  # g = 2n*gN/(kd*d^2)
         if gN <= 0:
             raise DomainError("frame requires H.H > 0, got %s" % Fraction(2 * n * gN, kd * d * d))
@@ -299,7 +294,7 @@ class LambdaQWall:
     def asymptote(self) -> AsymptoteClass:
         """lambda -> 0+ class from the Laurent expansion at 0: q ~ D/(2*lambda)
         when a0 != 0, else q ~ A/(2*lambda^2) + B/(2*lambda)."""
-        self._require_positive()
+        self._ints  # the precondition of a one-dimensional character
         dim2 = self.family == "dim2"
         if self.a0 == 0 and self.a1 == 0:
             if self.l0 == 0 and self.l1 == 0:

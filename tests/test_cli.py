@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io as stdio
@@ -1275,3 +1276,100 @@ def test_document_bytes_pins(tmp_path, capsys):
             entry = entry.get("kind", entry.get("case"))
         assert entry == shape, name
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == _DOCUMENT_PINS[name], name
+
+
+# ---------------------------------------------------------------------------
+# the parser contract: help text and the lines of malformed calls
+
+
+def _parsers(parser, words=()):
+    """(command words, parser) of the top level, each group and each command."""
+    yield " ".join(words), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _parsers(sub, words + (name,))
+
+
+# sha256 of format_help() at 80 columns (Python 3.11's argparse)
+_HELP_PINS = {
+    "": "a8f49a0e7e2620d991a69f35308d353c194b2895e2330352340f4b364fcbad4f",
+    "surface": "8d1c3579f6e4fa01eaa2e828d91782fdc9df65b5e2f0b343c75ad7f1b52685fb",
+    "surface check": "283d746eeebc398bcda289339ad395d4b79b33d046339948c7dfe24eb8d73b38",
+    "transform": "1506f427341cdcec032b4c161c8b513c9f101c76bda60202e04155c836c2b1e6",
+    "twist": "6fb1802761b5b3afb23733d463bbb1cc5d2e548daf61c28d32de9483658974de",
+    "charge": "b366ca2ba58f93d291714f83196be18b1addead3f5c11158fb25cfff84009f46",
+    "charge-sq": "e94d590d2d6632cf07a89c403a9fa42c25696f917a0d78792fb612654a38fc5d",
+    "limit-phase": "3e88f9410e56b2578f584259bfc58ba59b7e980edd58606e564f31ffc46c0447",
+    "limit-compare": "e66f0aa42a80bed2d77803df6c68634f63ea1e2e69bf2906f4d17252b4250e4d",
+    "wall": "27027e17b4eb899aaf4d10e19686bfcd6ea6bcf4ac91978f27a830faa6ad270e",
+    "wall sq": "33498f3a0fbc108642b7ffce6bffe8645c713c86446e2c4fea9aa8f9f73e5709",
+    "wall lambda-q": "c32ec3d0dd091a015da6b473e239363f18ea792e082add642daa00bf1a519556",
+    "wall asymptote": "cb62114675a98ea05877dac801e196c0bcee21818fd13cd1be96516b045df032",
+    "destab": "bd7e8525adfcb5ad166a1c314b4fd777078128134eca504464f0a3e58f61937a",
+    "destab enumerate": "5872b21e7414b434d463be37fae4a49d9e55c2cf1dded4d55718c83372105243",
+    "linebundle": "3209525eba95b9732838f2c1c0e0c413a56b703dcd0b86668b0b6b0d543d5592",
+    "linebundle analyze": "e0976e65ae58436e4e34f5ac3d57f75c0481bffc5cad58d801707528da10d367",
+    "plot": "96169a09ddc36063b8843bb6c734e63428a640c5d58d9b0936b8a19d2a139849",
+    "plot volume-section": "9248c0ce65292f1840e3c034a54ed19c0134294bc91eea4df621c3c95da95ef0",
+    "plot lambda-q": "d8ede3ea0a229809cc79c9615d4cc17aade90dd60f4c6d11bee4d7195a5c11fe",
+}
+
+
+def test_help_text_pins(monkeypatch):
+    # every parser's help, flag order and wording included, is the same text
+    monkeypatch.setenv("COLUMNS", "80")
+    digests = {words: hashlib.sha256(parser.format_help().encode()).hexdigest()
+               for words, parser in _parsers(cli.build_parser())}
+    assert digests == _HELP_PINS
+
+
+_REQUIRED = {  # the flags argparse requires of each command, with valid values
+    "surface check": [],
+    "transform": ["--functor", "phi"],
+    "twist": ["--divisor", "0,1"],
+    "charge": ["--omega", "1,3"],
+    "charge-sq": ["--s", "0", "--q", "1"],
+    "limit-phase": ["--alpha", "3"],
+    "limit-compare": ["--first", "a.json", "--second", "b.json", "--alpha", "3"],
+    "wall sq": ["--ch-prime", "b.json"],
+    "wall lambda-q": ["--lambda", "1/2", "--r", "1", "--chi", "0"],
+    "wall asymptote": ["--r", "1", "--chi", "0"],
+    "destab enumerate": ["--target", "t.json", "--alpha", "3", "--u0", "1/2"],
+    "linebundle analyze": ["--aL", "3", "--alpha", "3"],
+    "plot volume-section": ["--alpha", "3", "--v-from", "1", "--v-to", "2"],
+    "plot lambda-q": ["--alpha", "3", "--lambda-from", "1/4", "--lambda-to", "1/2"],
+}
+_REQUIRED_MESSAGE = "the following arguments are required: "
+
+
+def _malformed_calls():
+    """(argv, the stderr message of its exit 1) of calls the parser rejects
+    (or, for a bare surface check, the surface flags): no command, no flags,
+    each required flag left out, an unknown flag, a bad value of a flag."""
+    for group in ["", "surface", "wall", "destab", "linebundle", "plot"]:
+        yield group.split(), _REQUIRED_MESSAGE + (group + "_command" if group else "command")
+    for words, required in _REQUIRED.items():
+        cmd, flags = words.split(), required[::2]
+        yield cmd, (_REQUIRED_MESSAGE + ", ".join(flags) if flags
+                    else "provide --config or both --e and --m")
+        for i in range(0, len(required), 2):
+            yield cmd + required[:i] + required[i + 2:] + CFG, _REQUIRED_MESSAGE + required[i]
+        yield cmd + required + CFG + ["--bogus", "1"], "unrecognized arguments: --bogus 1"
+        yield cmd + required + ["--e", "2.5", "--m", "3"], "argument --e: invalid int value: '2.5'"
+    choose = "invalid choice: %s (choose from %s)"
+    for words, flag, value, message in [
+        ("transform", "--functor", "phi-hat", choose % ("'phi-hat'", "'phi', 'phihat'")),
+        ("wall lambda-q", "--dim", "3", choose % (3, "1, 2")),
+        ("wall asymptote", "--dim", "0", choose % (0, "1, 2")),
+        ("plot volume-section", "--format", "png", choose % ("'png'", "'csv', 'svg'")),
+        ("plot lambda-q", "--format", "json", choose % ("'json'", "'csv', 'svg'")),
+        ("plot lambda-q", "--samples", "2.5", "invalid int value: '2.5'"),
+    ]:
+        argv = words.split() + _REQUIRED[words] + CFG + [flag, value]
+        yield argv, "argument %s: %s" % (flag, message)
+
+
+@pytest.mark.parametrize("argv, message", list(_malformed_calls()), ids=" ".join)
+def test_malformed_call_exit_1_and_line(capsys, argv, message):
+    assert run(capsys, argv) == (1, "", "error: %s\n" % message)

@@ -76,7 +76,8 @@ def test_short_cross_data_rejected():
     # a config that leaves out some Theta_i.Theta_j defines no lattice
     for sections in (
         (ew.ExtraSection(theta=1), ew.ExtraSection(theta=2)),
-        ({"theta": 1}, {"theta": 2, "cross": [4]}, {"theta": 0, "cross": [1]}),
+        (ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=[4]),
+         ew.ExtraSection(theta=0, cross=[1])),
     ):
         with pytest.raises(ew.DimensionError, match="at least"):
             ew.SurfaceConfig(e=2, m=3, sections=sections)
@@ -90,16 +91,21 @@ def test_short_cross_data_rejected():
     assert ew.intersect(zero.extra_section(1), zero.extra_section(2), zero) == 0
 
 
-def test_sections_take_only_extra_sections_or_their_fields():
-    for sections in (5, ("x",), ({"theta": 1, "bogus": 2},), ({"cross": []},), (None,)):
+def test_sections_take_only_extra_sections():
+    # a dict of an ExtraSection's fields is parsed at the JSON boundary only
+    for sections in (5, ("x",), ({"theta": 1},), ({"theta": 1, "bogus": 2},), ({"cross": []},),
+                     (None,)):
         with pytest.raises(ew.DomainError, match="^sections: "):
             ew.SurfaceConfig(e=2, m=3, sections=sections)
+    with pytest.raises(ew.DomainError, match=re.escape("expected an ExtraSection, got {'theta'")):
+        ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1},))
 
 
 def test_gram_is_derived_not_given():
     with pytest.raises(TypeError):
         ew.SurfaceConfig(e=2, m=3, _gram=((9,),))
-    cfg = ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1}, {"theta": 2, "cross": [4]}))
+    cfg = ew.SurfaceConfig(
+        e=2, m=3, sections=(ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=[4])))
     moved = dataclasses.replace(cfg, m=4, sections=cfg.sections[:1])
     assert moved._gram == ((-2, 1, 1), (1, 0, 1), (1, 1, -2))
     assert dataclasses.replace(cfg, m=4)._gram == cfg._gram
@@ -191,9 +197,22 @@ _VALUE_CLASSES = [v for v in vars(ew).values() if isinstance(v, type) and datacl
 )
 def test_every_value_class_is_a_record(cls):
     # one class maker: every dataclass ellwall exports, and the enumerator's
-    # two private ones, are frozen and checked by record's exactness rule
-    assert cls.__post_init__.__qualname__ == "record.<locals>.__post_init__"
+    # two private ones, are frozen and checked by record's exactness rule,
+    # in the __init__ that record made (it converts through nslattice._named)
+    from ellwall import nslattice
+
+    assert cls.__init__.__globals__.get("__named") is nslattice._named
+    assert cls.__init__.__qualname__ == cls.__qualname__ + ".__init__"
     assert cls.__dataclass_params__.frozen and cls.__dataclass_params__.eq
+
+
+def test_record_converts_only_fields_that_are_not_exact():
+    # an exact value is stored as given, even when another field of the same
+    # call needs converting
+    xs = (Fraction(1),)
+    obj = ew.PartnerCharacter(r=1, k=0, p=1, xis=xs, chi=0)
+    assert obj.xis is xs
+    assert type(obj.r) is Fraction and obj.r == 1
 
 
 def _record_samples():
@@ -283,7 +302,7 @@ def test_record_keeps_an_exact_value_as_it_is():
 def test_cross_longer_than_index_rejected():
     # cross lists one entry per earlier extra section, so the first has none
     for sections in (
-        ({"theta": 1, "cross": [1, 5, 7]},),
+        (ew.ExtraSection(theta=1, cross=[1, 5, 7]),),
         (ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=(4, 1))),
     ):
         with pytest.raises(ew.DimensionError, match="at most"):
@@ -633,11 +652,13 @@ def test_integer_config_fields_take_only_ints():
         with pytest.raises(ew.DomainError):
             ew.ExtraSection(theta=1, cross=(bad,))
         with pytest.raises(ew.DomainError):
-            ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1}, {"theta": bad}))
+            ew.SurfaceConfig(
+                e=2, m=3, sections=(ew.ExtraSection(theta=1), ew.ExtraSection(theta=bad)))
     # cross entries are kept as given, not truncated
     with pytest.raises(ew.DomainError):
         ew.SurfaceConfig(e=2, m=3, sections=(ew.ExtraSection(1), ew.ExtraSection(1, cross=(2.7,))))
-    cfg = ew.SurfaceConfig(e=2, m=3, sections=({"theta": 1}, {"theta": 2, "cross": [3]}))
+    cfg = ew.SurfaceConfig(
+        e=2, m=3, sections=(ew.ExtraSection(theta=1), ew.ExtraSection(theta=2, cross=[3])))
     assert cfg._gram[2][3] == 3 and all(type(v) is int for row in cfg._gram for v in row)
 
 

@@ -69,7 +69,7 @@ def test_nested_walls_random():
                 chp = rnd_character(rng, cfg)
                 wall = ew.bertram_wall(ch, chp, fr, cfg)
                 if wall.kind == "vertical":
-                    assert wall.s == ch.ch1.dot(fr.H, cfg) / fr.g / ch.ch0
+                    assert wall.s == ew.intersect(ch.ch1, fr.H, cfg) / fr.g / ch.ch0
                     continue
                 assert wall.kind == "line"
                 if anchor is None:
