@@ -68,14 +68,14 @@ def _write_text(path, chunks):
     """Write chunks to the file path, or to stdout when there is none.  A
     file that cannot be opened, or a stream that cannot be written (a full
     disk, a pipe closed by its reader), is an InputError: exit 1."""
-    name = path or "stdout"
+    name = "stdout" if path is None else path
     try:
         # stdout is looked up on each call: callers may redirect it
-        fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+        fh = sys.stdout if path is None else open(path, "w", encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL character in path
         raise InputError("cannot write %s: %s" % (name, exc)) from exc
     try:
-        with fh if path else contextlib.nullcontext():
+        with contextlib.nullcontext() if path is None else fh:
             fh.writelines(chunks)
             fh.flush()  # a closed pipe fails here, not at exit
     except OSError as exc:
@@ -107,17 +107,16 @@ def _read_json(path: str):
 
 
 def _load_config(args) -> SurfaceConfig:
-    if args.config:
+    if args.config is not None:
         return eio.config_from_obj(_read_json(args.config))
     if args.e is None or args.m is None:
         raise InputError("provide --config or both --e and --m")
-    return eio.config_from_obj(
-        {"e": args.e, "m": args.m, "genus_base": args.genus_base, "euler_char": args.euler_char}
-    )
+    surface = ("e", "m", "genus_base", "euler_char")
+    return eio.config_from_obj({key: getattr(args, key) for key in surface})
 
 
 def _load_character(path, cfg):
-    return eio.character_from_obj(_read_json(path or "-"), cfg)
+    return eio.character_from_obj(_read_json(path), cfg)
 
 
 def _parse_coeffs(text: str, cfg):
@@ -129,12 +128,8 @@ def _frame_from_args(args, cfg):
         return elliptic_frame(eio.parse_rational(args.lam), cfg)
     if args.frame_h is None or args.frame_hperp is None:
         raise InputError("provide --lambda or both --frame-h and --frame-hperp")
-    return make_frame(
-        _parse_coeffs(args.frame_h, cfg),
-        _parse_coeffs(args.frame_hperp, cfg),
-        eio.parse_rational(args.frame_w or "0"),
-        cfg,
-    )
+    H, Hperp = _parse_coeffs(args.frame_h, cfg), _parse_coeffs(args.frame_hperp, cfg)
+    return make_frame(H, Hperp, eio.parse_rational(args.frame_w), cfg)
 
 
 def _vp(args, cfg):
@@ -148,15 +143,17 @@ _WALL = ("--dim", "--x", "--z", "--L", "--r", "--k", "--p", "--xi", "--chi")
 # The add_argument keywords of each flag, by option.  An option that two
 # commands read differently carries a tag: "--ch:stdin", "--lambda:frame".
 _FLAGS = {
+    "--out": dict(help="write output here instead of stdout"),
+    "--out:group": dict(),  # only the top-level commands describe --out
     "--config": dict(help="surface config JSON file ('-' for stdin)"),
     "--e": dict(type=_int, help="e = -Theta^2 (rank-2 shorthand)"),
     "--m": dict(help="ample offset m as 'p/q'"),
     "--genus-base": dict(type=_int, default=0),
     "--euler-char": dict(help="chi(O_X) as 'p/q' (default e)"),
     "--functor": dict(choices=["phi", "phihat"], required=True),
-    "--ch": dict(),
-    "--ch:stdin": dict(help="character JSON file ('-' for stdin)"),
-    "--ch:file": dict(help="character JSON file"),
+    "--ch": dict(default="-"),
+    "--ch:stdin": dict(default="-", help="character JSON file ('-' for stdin)"),
+    "--ch:file": dict(default="-", help="character JSON file"),
     "--divisor": dict(required=True, help="comma-separated coefficients"),
     "--line-bundle": dict(action="store_true", help="apply e^{L} instead of e^{-B}"),
     "--omega": dict(required=True, help="comma-separated coefficients"),
@@ -164,12 +161,7 @@ _FLAGS = {
     "--lambda:frame": dict(dest="lam", help="elliptic frame parameter in (0,1)"),
     "--frame-h": dict(help="H coefficients"),
     "--frame-hperp": dict(help="H-perp coefficients"),
-    "--frame-w": dict(help="frame w (default 0)"),
-    "--s": dict(required=True),
-    "--q": dict(required=True),
-    "--alpha": dict(required=True),
-    "--first": dict(required=True, help="character JSON file"),
-    "--second": dict(required=True, help="character JSON file"),
+    "--frame-w": dict(default="0", help="frame w (default 0)"),
     "--ch-prime": dict(required=True, help="partner character JSON file"),
     "--shift": dict(help="line bundle L coefficients for the shifted wall"),
     "--lambda": dict(dest="lam", required=True),
@@ -183,17 +175,15 @@ _FLAGS = {
     "--xi": dict(help="comma-separated extra-section coefficients"),
     "--chi": dict(required=True, help="partner ch2"),
     "--target": dict(required=True, help="target character JSON file"),
-    "--u0": dict(required=True),
     "--ch2-denominator": dict(type=_int, default=2),
     "--aL": dict(type=_int, required=True),
-    "--v-from": dict(required=True),
-    "--v-to": dict(required=True),
-    "--v-step": dict(),
+    "--v-step": dict(default="1"),
     "--format": dict(choices=["csv", "svg"], default="csv"),
-    "--lambda-from": dict(required=True),
-    "--lambda-to": dict(required=True),
     "--samples": dict(type=_int, default=50),
     "--wall": dict(action="append", help="wall spec JSON file (repeatable)"),
+    **dict.fromkeys(("--first", "--second"), dict(required=True, help="character JSON file")),
+    **dict.fromkeys(("--s", "--q", "--alpha", "--u0", "--v-from", "--v-to", "--lambda-from",
+                     "--lambda-to"), dict(required=True)),
 }
 _GROUPS = {"surface": "surface config operations", "wall": "potential wall computations",
            "destab": "destabilizer enumeration", "linebundle": "line bundle chamber analysis",
@@ -238,7 +228,7 @@ def _cmd_twist(args, cfg):
 def _cmd_charge(args, cfg):
     ch = _load_character(args.ch, cfg)
     omega = _parse_coeffs(args.omega, cfg)
-    B = _parse_coeffs(args.b_field, cfg) if args.b_field else cfg.zero()
+    B = cfg.zero() if args.b_field is None else _parse_coeffs(args.b_field, cfg)
     cv = charge_mod.central_charge(ch, omega, B, cfg)
     return _document({"charge": cv})
 
@@ -276,19 +266,14 @@ def _cmd_wall_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     chp = _load_character(args.ch_prime, cfg)
     fr = _frame_from_args(args, cfg)
-    if args.shift:
-        wall = walls.shift_wall(ch, chp, _parse_coeffs(args.shift, cfg), fr, cfg)
-    else:
-        wall = walls.bertram_wall(ch, chp, fr, cfg)
-    return _document({"wall": wall})
+    L = cfg.zero() if args.shift is None else _parse_coeffs(args.shift, cfg)  # no shift: L = 0
+    return _document({"wall": walls.shift_wall(ch, chp, L, fr, cfg)})
 
 
 def _wall_inputs(args, cfg):
-    obj = {key: getattr(args, key) for key in ("dim", "x", "z", "r", "k", "p", "chi")
+    obj = {key: getattr(args, key) for key in ("dim", "x", "z", "r", "k", "p", "chi", "xi", "L")
            if getattr(args, key) is not None}
-    obj["xi"] = [v for v in (args.xi or "").split(",") if v]
-    if args.L is not None:
-        obj["L"] = args.L.split(",")
+    obj.update((key, obj[key].split(",")) for key in ("xi", "L") if key in obj)  # coefficient lists
     return eio.wall_spec_from_obj(obj, cfg, "")[1:]
 
 
@@ -349,7 +334,7 @@ def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
 def _cmd_plot_volume_section(args, cfg):
     vp = _vp(args, cfg)
     lo, hi = eio.parse_rational(args.v_from), eio.parse_rational(args.v_to)
-    vals = _rational_range(lo, hi, eio.parse_rational(args.v_step or "1"))
+    vals = _rational_range(lo, hi, eio.parse_rational(args.v_step))
     return eio.emit_volume_section_plot(vp, cfg, vals, fmt=args.format)
 
 
@@ -376,6 +361,7 @@ def _cmd_plot_lambda_q(args, cfg):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellwall", description=__doc__)
+    parser.commands = {}  # command words -> (namespace of a call with no flag, actions by option)
     sub = parser.add_subparsers(dest="command", required=True)
     parents = {"": sub}  # the subparsers of the top level and of each group of _GROUPS
     for words, help, flags, fn in _COMMANDS:
@@ -385,10 +371,12 @@ def build_parser() -> _Parser:
             parents[group] = gp.add_subparsers(dest=group + "_command", required=True)
         sp = parents[group].add_parser(name, help=help)
         sp.set_defaults(func=fn)
-        # only the top-level commands describe --out
-        sp.add_argument("--out", help=None if group else "write output here instead of stdout")
-        for key in _SURFACE + flags:  # main loads the surface config for every command
-            sp.add_argument(key.split(":")[0], **_FLAGS[key])
+        keys = ("--out:group" if group else "--out",) + _SURFACE + flags  # main loads the config
+        actions = {key.split(":")[0]: sp.add_argument(key.split(":")[0], **_FLAGS[key])
+                   for key in keys}
+        values = {"command": group, group + "_command": name} if group else {"command": name}
+        values.update({a.dest: a.default for a in actions.values()}, func=fn)
+        parser.commands[tuple(words.split())] = values, actions
     return parser
 
 
@@ -397,10 +385,38 @@ def build_parser() -> _Parser:
 _PARSER = build_parser()
 
 
+def _plain_args(argv):
+    """The namespace _PARSER.parse_args(argv) makes of a plain call: the command words, then
+    only that command's flags in full, "--flag value" or "--flag=value", each value valid and
+    every required flag given.  None for any other call, which argparse reads instead."""
+    n = 2 if argv[:1] and argv[0] in _GROUPS else 1
+    try:  # KeyError: unknown words or flag; StopIteration: no value; ArgumentTypeError: bad int
+        values, actions = _PARSER.commands[tuple(argv[:n])]
+        args, tokens = argparse.Namespace(**values), iter(argv[n:])
+        for token in tokens:
+            option, eq, value = token.partition("=")
+            action = actions[option]
+            if action.nargs != 0:  # the value after "=", or the next token
+                value = value if eq else next(tokens)
+                if not value or value[0] == "-" and not eq:  # which argparse reads as an option
+                    return None
+                value = action.type(value) if action.type else value
+                if value not in (action.choices or [value]):
+                    return None
+            elif eq:  # a flag that takes no value, given one
+                return None
+            action(_PARSER, args, value)  # stored, or appended to a list of this call's own
+    except (KeyError, StopIteration, argparse.ArgumentTypeError):
+        return None
+    if any(a.required and getattr(args, a.dest) is None for a in actions.values()):
+        return None
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        argv = sys.argv[1:] if argv is None else argv
-        args = _PARSER.parse_args(_join_negative_values(argv))
+        argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
+        args = _plain_args(argv) or _PARSER.parse_args(argv)
         document = args.func(args, _load_config(args))  # its text, or its chunks of text
         _write_text(args.out, [document] if isinstance(document, str) else document)
         return 0

@@ -48,6 +48,7 @@ STRICT_CHECKS = ("6.1_strict_lower", "6.1_strict_upper")
 # counted before any cell is visited.  The ranks and (rank, ch2) pairs
 # scanned before are bounded by it too.
 MAX_ENUMERATE_CELLS = 1_000_000
+_OVER_BUDGET = "enumeration would visit more than the budget of %d cells"
 
 
 @record
@@ -213,22 +214,13 @@ def candidate_checks(
     p = _pair(ctx, int(r), int(j))
     gamma, eta = int(gamma), int(eta)
     t = eta * ctx.f_om + gamma * ctx.th_om
-    c4, c8, c9, c12 = _ch1_gates(ctx, p, gamma, eta)
     return {
         "6.1": 0 <= t <= ctx.lam_om,
         "6.1_strict_lower": 0 < t,
         "6.1_strict_upper": t < ctx.lam_om,
         **p.fixed,
-        "6.4": c4,
-        "6.8": c8,
-        "6.9": c9,
-        "6.12": c12,
+        **dict(zip(("6.4", "6.8", "6.9", "6.12"), _ch1_gates(ctx, p, gamma, eta))),
     }
-
-
-def _over_budget():
-    return DomainError("enumeration would visit more than the budget of %d cells"
-                       % MAX_ENUMERATE_CELLS)
 
 
 def _pairs(ctx: _Context):
@@ -248,7 +240,7 @@ def _pairs(ctx: _Context):
             end = min(end, -(-q5 // (c5 * r * step)))
         first = lo // step + 1  # lo < N*j/den < hi
         if r + len(out) + end - first > MAX_ENUMERATE_CELLS:  # ranks scanned and pairs
-            raise _over_budget()
+            raise DomainError(_OVER_BUDGET % MAX_ENUMERATE_CELLS)
         out.extend((r, j) for j in range(first, end))
         r += 1
     return out
@@ -285,7 +277,7 @@ def _rows(ctx: _Context) -> list:
             lo, end = -(base // f_om), (lam_om - base) // f_om + 1
             cells += end - lo
             if cells > MAX_ENUMERATE_CELLS:
-                raise _over_budget()
+                raise DomainError(_OVER_BUDGET % MAX_ENUMERATE_CELLS)
             rows.append((r, j, p, gamma, range(lo, end)))
     return rows
 

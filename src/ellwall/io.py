@@ -432,8 +432,7 @@ def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
         buf = _stdio.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns + [c + _TWIN for c in twinned])
-        for row, tw in zip(rows, twins):
-            writer.writerow([_exact(c) for c in row] + tw)
+        writer.writerows([_exact(c) for c in row] + tw for row, tw in zip(rows, twins))
         return buf.getvalue()
     if fmt == "svg":
         curves = []
@@ -485,37 +484,29 @@ def _svg_plot(series, xlabel: str, ylabel: str) -> str:
     pts_all = [p for _, pts, _ in series for p in pts]
     x0, x1, sx = _axis([p[0] for p in pts_all], margin, width - 2 * margin)
     y0, y1, sy = _axis([p[1] for p in pts_all], height - margin, 2 * margin - height)
-    out = []
-    out.append(
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'width="%d" height="%d" viewBox="0 0 %d %d">' % (width, height, width, height)
-    )
-    out.append('<rect width="%d" height="%d" fill="white"/>' % (width, height))
     ax = '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="black" stroke-width="1"/>'
-    out.append(ax % (margin, height - margin, width - margin, height - margin))
-    out.append(ax % (margin, margin, margin, height - margin))
     label = '<text x="%.2f" y="%.2f" font-size="12" font-family="monospace"%s>%s</text>'
-    out.append(label % (width / 2, height - margin / 3, "", _xml_text(xlabel)))
-    out.append(
-        label
-        % (margin / 3, height / 2, ' transform="rotate(-90 %.2f %.2f)"' % (margin / 3, height / 2),
-           _xml_text(ylabel))
-    )
-    out.append(label % (margin, height - margin / 2, "", "%.6g" % x0))
-    out.append(label % (width - margin, height - margin / 2, "", "%.6g" % x1))
-    out.append(label % (5, height - margin, "", "%.6g" % y0))
-    out.append(label % (5, margin, "", "%.6g" % y1))
+    rotate = ' transform="rotate(-90 %.2f %.2f)"' % (margin / 3, height / 2)
+    poly = '<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>'
+    legend = '<text x="%.2f" y="%.2f" font-size="11" font-family="monospace" fill="%s">%s</text>'
+    out = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'width="%d" height="%d" viewBox="0 0 %d %d">' % (width, height, width, height),
+        '<rect width="%d" height="%d" fill="white"/>' % (width, height),
+        ax % (margin, height - margin, width - margin, height - margin),
+        ax % (margin, margin, margin, height - margin),
+        label % (width / 2, height - margin / 3, "", _xml_text(xlabel)),
+        label % (margin / 3, height / 2, rotate, _xml_text(ylabel)),
+        label % (margin, height - margin / 2, "", "%.6g" % x0),
+        label % (width - margin, height - margin / 2, "", "%.6g" % x1),
+        label % (5, height - margin, "", "%.6g" % y0),
+        label % (5, margin, "", "%.6g" % y1),
+    ]
     for i, (name, pts, color) in enumerate(series):
         if not pts:
             continue
         coords = " ".join("%.3f,%.3f" % (sx(x), sy(y)) for x, y in pts)
-        out.append(
-            '<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>'
-            % (color, coords)
-        )
-        out.append(
-            '<text x="%.2f" y="%.2f" font-size="11" font-family="monospace" fill="%s">%s</text>'
-            % (width - margin - 200, margin + 14 * (i + 1), color, _xml_text(name))
-        )
+        out.append(poly % (color, coords))
+        out.append(legend % (width - margin - 200, margin + 14 * (i + 1), color, _xml_text(name)))
     out.append("</svg>")
     return "\n".join(out) + "\n"

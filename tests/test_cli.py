@@ -483,20 +483,45 @@ def test_enumerate_second_bytes_pin(tmp_path, capsys):
 
 
 def test_parser_reused_across_calls(tmp_path, capsys):
-    assert cli.build_parser() is not cli.build_parser()
+    # main reads a plain call from the command table and any other call with
+    # argparse, and keeps both across calls: interleaved, every call gives the
+    # output it gives alone, so no list of repeated flags outlives its call
     ch = write_character(tmp_path, "ch.json", 1, [1, 0], -1)
+    walls = []
+    for label in ("a", "b"):
+        walls.append(tmp_path / (label + ".json"))
+        walls[-1].write_text(json.dumps({"label": label, "x": "1", "z": "0", "L": ["2", "0"],
+                                         "r": "1", "k": "-1", "p": "0", "chi": "-1"}))
+    plot = ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/100", "--lambda-to", "1/10",
+            "--samples", "3"] + CFG
     good = ["transform", "--functor", "phihat", "--ch", ch] + CFG
-    first = run(capsys, good)
-    assert first[0] == 0
-    assert run(capsys, good) == first
-    code, out, err = run(capsys, good + ["--bogus", "1"])
+    calls = {
+        "one wall": plot + ["--wall", str(walls[1])],
+        "plain": good,
+        "abbreviated": ["transform", "--func", "phihat", "--ch", ch] + CFG,
+        "bogus": good + ["--bogus", "1"],
+        "two walls": plot + ["--wall", str(walls[0]), "--wall", str(walls[1])],
+    }
+    plain = {name: cli._plain_args(cli._join_negative_values(argv)) is not None
+             for name, argv in calls.items()}
+    assert plain == {"one wall": True, "plain": True, "abbreviated": False, "bogus": False,
+                     "two walls": True}
+    alone = {name: run(capsys, argv) for name, argv in calls.items()}
+    assert alone["plain"][0] == 0 and alone["abbreviated"] == alone["plain"]
+    code, out, err = alone["bogus"]
     assert code == 1 and out == "" and "--bogus" in err
-    assert run(capsys, good) == first
+    for name, columns in (("one wall", ["q_wall_b"]), ("two walls", ["q_wall_a", "q_wall_b"])):
+        assert alone[name][0] == 0 and alone[name][1].split("\n")[0].split(",")[3:] == (
+            columns + ["lambda_float_lossy", "q_section_float_lossy", "q_asym_float_lossy"]
+            + [c + "_float_lossy" for c in columns])
+    for name in ["two walls", "one wall", "bogus", "plain", "two walls", "abbreviated",
+                 "one wall", "one wall", "plain", "two walls"]:
+        assert run(capsys, calls[name]) == alone[name], name
     for name in ("a.json", "b.json"):
-        out_path = tmp_path / name
+        out_path = tmp_path / ("out_" + name)
         assert run(capsys, good + ["--out", str(out_path)]) == (0, "", "")
-        assert out_path.read_text() == first[1]
-    assert run(capsys, good) == first
+        assert out_path.read_text() == alone["plain"][1]
+    assert run(capsys, good) == alone["plain"]
 
 
 def test_document_with_a_float_exit_3(capsys, monkeypatch):
@@ -1373,3 +1398,108 @@ def _malformed_calls():
 @pytest.mark.parametrize("argv, message", list(_malformed_calls()), ids=" ".join)
 def test_malformed_call_exit_1_and_line(capsys, argv, message):
     assert run(capsys, argv) == (1, "", "error: %s\n" % message)
+
+
+# ---------------------------------------------------------------------------
+# the plain-call reader: argparse, built anew, is its oracle
+
+_ORACLE = cli.build_parser()  # a parser of its own, which the reader never reads
+
+
+def test_plain_calls_take_the_fast_path():
+    # every command's call with its required flags is read from the command
+    # table, flags written "--flag value", "--flag=value" or with a separate
+    # negative value, and gives argparse's namespace
+    for words, required in _REQUIRED.items():
+        pairs = list(zip(required[::2], required[1::2]))
+        for surface in ([("--e", "2"), ("--m", "3")], [("--e", "-2"), ("--m", "-7/3")]):
+            form = pairs + surface
+            separate = [token for pair in form for token in pair]
+            for argv in (separate, [flag + "=" + value for flag, value in form]):
+                argv = cli._join_negative_values(words.split() + argv)
+                args = cli._plain_args(argv)
+                assert args is not None, argv
+                assert vars(args) == vars(_ORACLE.parse_args(argv)), argv
+
+
+_ODD_FLAGS = ["--alph", "--frame-hp", "--bogus", "-h", "--"]
+_ODD_VALUES = ["", "-", "-1/2", "0.5", "1,3", "a.json"]
+
+
+def _flag_values(key):
+    """Values to give the flag of the _FLAGS key: some it takes, some it does not."""
+    kw = cli._FLAGS.get(key, {})
+    if "choices" in kw:  # half the time a value that converts but is no choice
+        return [str(c) for c in kw["choices"]] * 3 + ["psi", "png", "3"] * 3 + _ODD_VALUES
+    return ["1", "2", "1/2"] + _ODD_VALUES
+
+
+@st.composite
+def _parser_calls(draw):
+    """argv of a call that is plain or nearly so: command words (or a bare
+    group, an unknown word, none), mostly with the command's required flags,
+    then flags of that command or of any other, abbreviated, unknown, bare,
+    repeated or given "=", with values it takes and values it does not."""
+    words = draw(st.sampled_from(list(_REQUIRED) + ["wall", "bogus", ""]))
+    argv = words.split()
+    if draw(st.integers(0, 4)):
+        argv += _REQUIRED.get(words, []) + CFG
+    own = [("--out",) + cli._SURFACE + flags for w, _, flags, _ in cli._COMMANDS if w == words]
+    anything = st.sampled_from(sorted(cli._FLAGS) + _ODD_FLAGS)
+    for _ in range(draw(st.integers(0, 4))):
+        key = draw(_mostly(st.sampled_from(own[0]), anything) if own else anything)
+        option, value = key.split(":")[0], draw(st.sampled_from(_flag_values(key)))
+        argv += draw(st.sampled_from([[option, value], [option + "=" + value], [option]]))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_parser_calls())
+def test_plain_reader_matches_argparse(argv):
+    # whenever the reader takes a call, argparse reads it to the same namespace
+    argv = cli._join_negative_values(argv)
+    args = cli._plain_args(argv)
+    if args is not None:
+        assert vars(args) == vars(_ORACLE.parse_args(argv))
+
+
+_EMPTY = "error: not an exact rational 'p/q' (decimals are rejected): ''\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["charge", "--ch", "{a}", "--omega", "1,3", "--b-field", ""] + CFG, _EMPTY,
+                 id="b-field"),
+    pytest.param(["charge", "--ch", "{a}", "--omega", "1,3", "--b-field="] + CFG, _EMPTY,
+                 id="b-field="),
+    pytest.param(["wall", "sq", "--ch", "{a}", "--ch-prime", "{b}", "--lambda", "1/2",
+                  "--shift", ""] + CFG, _EMPTY, id="shift"),
+    pytest.param(["wall", "sq", "--ch", "{a}", "--ch-prime", "{b}", "--frame-h", "1,3",
+                  "--frame-hperp", "1,-1", "--frame-w", ""] + CFG, _EMPTY, id="frame-w"),
+    pytest.param(["plot", "volume-section", "--alpha", "5", "--v-from", "1", "--v-to", "2",
+                  "--v-step", ""] + CFG, _EMPTY, id="v-step"),
+    pytest.param(["wall", "asymptote", "--x", "1", "--z", "-1", "--L", "0,0,0", "--r", "1",
+                  "--k", "0", "--p", "1", "--chi", "0", "--config", "{rank3}", "--xi", "1,,"],
+                 _EMPTY, id="xi-entry"),
+    pytest.param(["wall", "asymptote", "--x", "1", "--z", "-1", "--L", "0,0,0", "--r", "1",
+                  "--k", "0", "--p", "1", "--chi", "0", "--config", "{rank3}", "--xi", ""],
+                 _EMPTY, id="xi"),
+    pytest.param(["twist", "--ch", "{a}", "--divisor", ""] + CFG, _EMPTY, id="divisor"),
+    pytest.param(["twist", "--ch", "{a}", "--divisor", "1,,3"] + CFG, _EMPTY, id="divisor-entry"),
+    pytest.param(["wall", "asymptote", "--x", "1", "--z", "-1", "--L", "0,,0", "--r", "1",
+                  "--k", "0", "--p", "1", "--chi", "0"] + CFG, _EMPTY, id="L-entry"),
+    pytest.param(["transform", "--functor", "phi", "--ch", ""] + CFG,
+                 "error: cannot read : [Errno 2] No such file or directory: ''\n", id="ch"),
+    pytest.param(["surface", "check", "--config", ""] + CFG,
+                 "error: cannot read : [Errno 2] No such file or directory: ''\n", id="config"),
+    pytest.param(["surface", "check", "--out", ""] + CFG,
+                 "error: cannot write : [Errno 2] No such file or directory: ''\n", id="out"),
+])
+def test_explicit_empty_value_is_malformed(tmp_path, capsys, monkeypatch, argv, message):
+    # an empty value given to a flag is read as given, never as the flag left
+    # out (no B-field, no shift, w = 0, step 1, no xi, stdin, stdout)
+    files = {"a": write_character(tmp_path, "a.json", 2, [1, 3], -1),
+             "b": write_character(tmp_path, "b.json", 1, [1, 2], 5),
+             "rank3": tmp_path / "rank3.json"}
+    files["rank3"].write_text(json.dumps({"e": 2, "m": "3", "sections": [{"theta": 2}]}))
+    monkeypatch.setattr("sys.stdin", stdio.StringIO('{"ch0":"1","ch1":["0","0"],"ch2":"0"}'))
+    assert run(capsys, [a.format(**files) for a in argv]) == (1, "", message)
