@@ -66,8 +66,9 @@ def _int(text: str) -> int:
 
 def _write_text(path, chunks):
     """Write chunks to the file path, or to stdout when there is none.  A
-    file that cannot be opened, or a stream that cannot be written (a full
-    disk, a pipe closed by its reader), is an InputError: exit 1."""
+    file that cannot be opened, or a stream that cannot take the text (a
+    full disk, a pipe closed by its reader, an encoding that lacks one of its
+    characters), is an InputError: exit 1."""
     name = "stdout" if path is None else path
     try:
         # stdout is looked up on each call: callers may redirect it
@@ -78,7 +79,7 @@ def _write_text(path, chunks):
         with contextlib.nullcontext() if path is None else fh:
             fh.writelines(chunks)
             fh.flush()  # a closed pipe fails here, not at exit
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # not ValueError: a chunk's own keeps its code
         if fh is sys.__stdout__:  # flushed again at exit: let the rest go to os.devnull
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), fh.fileno())
@@ -314,19 +315,18 @@ def _cmd_linebundle_analyze(args, cfg):
 MAX_PLOT_ROWS = 100_000
 
 
-def _check_rows(n: int):
+def _grid(start: Fraction, step: Fraction, n: int) -> list:
+    """start + i*step for i < n over one denominator, once n is within the row budget."""
     if n > MAX_PLOT_ROWS:
         raise DomainError("plot would have %d rows, above the budget of %d" % (n, MAX_PLOT_ROWS))
+    (a, p), den = _cleared((start, step))
+    return [Fraction(a + i * p, den) for i in range(n)]
 
 
 def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
     if step <= 0:
         raise InputError("range step must be positive")
-    n = (hi - lo) // step + 1 if hi >= lo else 0
-    _check_rows(n)
-    # lo + i*step over the one denominator of lo and step
-    (a, p), den = _cleared((lo, step))
-    return [Fraction(a + i * p, den) for i in range(n)]
+    return _grid(lo, step, (hi - lo) // step + 1 if hi >= lo else 0)
 
 
 @_command("plot volume-section", "the (v,u) volume section and asymptote",
@@ -346,10 +346,7 @@ def _cmd_plot_lambda_q(args, cfg):
     n = args.samples
     if n < 2:
         raise InputError("--samples must be >= 2")
-    _check_rows(n)
-    # lo + (hi - lo)*i/(n-1) over the one denominator den
-    (a, b), den = _cleared((lo, hi))
-    vals = [Fraction(a * (n - 1) + (b - a) * i, den * (n - 1)) for i in range(n)]
+    vals = _grid(lo, (hi - lo) / (n - 1), n)
     wall_specs = [
         eio.wall_spec_from_obj(_read_json(path), cfg, i) for i, path in enumerate(args.wall or ())
     ]
@@ -420,12 +417,9 @@ def main(argv=None) -> int:
         document = args.func(args, _load_config(args))  # its text, or its chunks of text
         _write_text(args.out, [document] if isinstance(document, str) else document)
         return 0
-    except (InputError, DimensionError) as exc:
+    except (InputError, DimensionError, DomainError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, DomainError) else 1
     except Exception as exc:  # InvariantError, or a bug: never "malformed input"
         print("internal error: %s" % exc, file=sys.stderr)
         return 3

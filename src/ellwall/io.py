@@ -60,10 +60,15 @@ _INT_LIMIT = 10**MAX_DIGITS
 
 
 def format_rational(x: Fraction) -> str:
+    return _pair_text(x.numerator, x.denominator)
+
+
+def _pair_text(n: int, d: int) -> str:
+    """n/d, d != 0, as "p" or "p/q" in lowest terms with q > 0: one gcd reduces it."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    n, d = n // g, d // g
     try:
-        if x.denominator == 1:
-            return str(x.numerator)
-        return "%d/%d" % (x.numerator, x.denominator)
+        return str(n) if d == 1 else "%d/%d" % (n, d)
     except ValueError:  # more digits than the int-string conversion limit
         raise DomainError(
             "result too large to write: a number has more than %d digits"
@@ -363,8 +368,8 @@ def emit_volume_section_plot(
     for v in v_values:
         n, d = v.numerator, v.denominator
         u = u_at(n, d)
-        u_asym = Fraction(K.numerator * d, K.denominator * n)  # K/v
-        rows.append([v, u, int(isinstance(u, Fraction)), u_asym])
+        u_asym = (K.numerator * d, K.denominator * n)  # K/v
+        rows.append([(n, d), u, int(type(u) is tuple), u_asym])
     series = [("section", "u", "#000000"), ("asymptote K/v", "u_asym", "#999999")]
     return _write_plot(fmt, ["v", "u", "u_is_exact", "u_asym"], ["v", "u", "u_asym"], rows,
                        series, "u")
@@ -411,7 +416,7 @@ def emit_lambda_q_plot(
     rows = []
     for lam in lambda_values:
         n, d = lam.numerator, lam.denominator
-        row = [lam, _section_at(n, d, vp, kappa), Fraction(K.numerator * d, 2 * K.denominator * n)]
+        row = [(n, d), _section_at(n, d, vp, kappa), (K.numerator * d, 2 * K.denominator * n)]
         rows.append(row + [wall._q(n, d) for _, _, wall in walls])
     series = [("section", "q_section", "#000000"), ("asymptote K/(2*lambda)", "q_asym", "#999999")]
     series += [("wall %s" % label, key, _PALETTE[i % len(_PALETTE)])
@@ -420,12 +425,13 @@ def emit_lambda_q_plot(
 
 
 def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
-    """Rows of exact cells as CSV or SVG.  The CSV writes a Fraction as p/q,
-    an irrational root as its enclosure midpoint and anything else (a flag, a
-    wall outcome) as is, then a float twin of each column in twinned:
-    float(cell), or "" for an outcome.  Each SVG series (name, column,
-    colour) draws the twins of its column against those of the first
-    column, which is twinned; outcomes are left out."""
+    """Rows of exact cells as CSV or SVG.  The CSV writes an exact value, an
+    integer pair (num, den) not reduced, as p/q in lowest terms, an irrational
+    root as its enclosure midpoint and anything else (a flag, a wall outcome)
+    as is, then a float twin of each column in twinned: num/den, correctly
+    rounded, float(root), or "" for an outcome.  Each SVG series (name, column,
+    colour) draws the twins of its column against those of the first column,
+    which is twinned; outcomes are left out."""
     at = {c: i for i, c in enumerate(columns)}
     twins = [[_twin(row[at[c]], c) for c in twinned] for row in rows]
     if fmt == "csv":
@@ -444,18 +450,16 @@ def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
 
 
 def _exact(cell):
-    if isinstance(cell, Fraction):
-        return format_rational(cell)
-    if isinstance(cell, _SectionRoot):
-        return format_rational(cell.midpoint())
-    return cell
+    if type(cell) is _SectionRoot:
+        cell = cell.midpoint()
+    return _pair_text(*cell) if type(cell) is tuple else cell
 
 
 def _twin(cell, column: str):
     if isinstance(cell, str):
         return ""
-    try:
-        return float(cell)
+    try:  # n/d is correctly rounded, as float(Fraction(n, d)); + 0.0 makes -0.0 read 0.0
+        return cell[0] / cell[1] + 0.0 if type(cell) is tuple else float(cell)
     except OverflowError:
         raise DomainError("plot column %s holds a value outside the float range" % column) from None
 

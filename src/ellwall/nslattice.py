@@ -546,8 +546,8 @@ def _bisection_cell(a: int, b: int, d: int, ln: int, ld: int, sn: int, sd: int, 
     return ln * hd + k * sn * ld, sn * ld, g
 
 
-def _midpoint(n: int, h: int, den: int) -> Fraction:
-    return Fraction(2 * n + h, 2 * den)  # of the cell (n/den, (n+h)/den)
+def _midpoint(n: int, h: int, den: int) -> tuple:
+    return 2 * n + h, 2 * den  # of the cell (n/den, (n+h)/den), not reduced
 
 
 def _root_float(a: int, b: int, d: int) -> float:
@@ -587,7 +587,7 @@ class QuadraticRoot:
         return Fraction(n, den), Fraction(n + h, den)
 
     def midpoint(self, width: Rational = _WIDTH) -> Fraction:
-        return _midpoint(*self._cell(width))
+        return Fraction(*_midpoint(*self._cell(width)))
 
     def _cell(self, width: Rational) -> tuple:
         """(n, h, den) with enclosure(width) = (n/den, (n+h)/den)."""
@@ -611,7 +611,8 @@ class _SectionRoot(tuple):
 
     __slots__ = ()
 
-    def midpoint(self) -> Fraction:
+    def midpoint(self) -> tuple:
+        """(num, den) of the midpoint that QuadraticRoot.midpoint() gives, not reduced."""
         A, B, C, disc = self
         return _midpoint(*_bisection_cell(A, B, disc, 0, 1, C, B, _WIDTH))
 
@@ -622,8 +623,9 @@ class _SectionRoot(tuple):
 def _section_u(vp: VolumeSectionParams, cfg: SurfaceConfig):
     """volume_section_u at v = n/d in lowest terms, on integers, with K > 0 checked
     and a = m - e/2 = an/ad, K = Kn/Kd fixed once: K/v when a = 0, else the root of
-    A*u^2 + B*u - C = 0 cleared over lcm(ad, d, Kd), one isqrt deciding whether it
-    is rational (a Fraction; s > B, so u > 0) or irrational (a _SectionRoot)."""
+    A*u^2 + B*u - C = 0 cleared over lcm(ad, d, Kd), one isqrt deciding whether it is
+    rational (a pair (num, den), den > 0 and not reduced; s > B, so u > 0) or
+    irrational (a _SectionRoot)."""
     _require_section(vp)
     a, K = _shear_constant(cfg), vp.K
     an, ad, Kn, Kd = a.numerator, a.denominator, K.numerator, K.denominator
@@ -632,14 +634,14 @@ def _section_u(vp: VolumeSectionParams, cfg: SurfaceConfig):
         if n <= 0:
             raise DomainError("v must be positive")
         if an == 0:
-            return Fraction(Kn * d, Kd * n)
+            return Kn * d, Kd * n
         if an < 0:
             raise DomainError("volume section requires m >= e/2 for a unique positive root")
         den = math.lcm(ad, d, Kd)
         A, B, C = an * (den // ad), n * (den // d), Kn * (den // Kd)
         disc = B * B + 4 * A * C
         s = math.isqrt(disc)
-        return Fraction(s - B, 2 * A) if s * s == disc else _SectionRoot((A, B, C, disc))
+        return (s - B, 2 * A) if s * s == disc else _SectionRoot((A, B, C, disc))
 
     return u_at
 
@@ -655,18 +657,19 @@ def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
     if isinstance(u, _SectionRoot):  # bracket [0, K/v]
         A, B, C, _ = u
         return QuadraticRoot(a=A, b=B, c=-C, lo=Fraction(0), hi=Fraction(C, B))
-    return u
+    return Fraction(*u)
 
 
 def section_q(lam: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> Fraction:
     """Exact q with (lambda, q) on the volume section: 2q*(lam+(m-e/2-1)*lam^2) = K."""
     lam = _frac(lam)
-    return _section_at(lam.numerator, lam.denominator, vp, _shear_constant(cfg) - 1)
+    return Fraction(*_section_at(lam.numerator, lam.denominator, vp, _shear_constant(cfg) - 1))
 
 
-def _section_at(n: int, d: int, vp: VolumeSectionParams, kappa: Fraction) -> Fraction:
+def _section_at(n: int, d: int, vp: VolumeSectionParams, kappa: Fraction) -> tuple:
     """section_q at lambda = n/d in lowest terms, on integers: with kappa = kn/kd
-    and gN = kd*d + kn*n, g = 2n*gN/(kd*d^2) and q = K/g = K*kd*d^2/(2n*gN)."""
+    and gN = kd*d + kn*n, g = 2n*gN/(kd*d^2) and q = K/g = K*kd*d^2/(2n*gN),
+    returned as the pair (num, den), den > 0 and not reduced."""
     if not 0 < n < d:
         raise DomainError("lambda must lie in (0,1)")
     _require_section(vp)
@@ -675,7 +678,7 @@ def _section_at(n: int, d: int, vp: VolumeSectionParams, kappa: Fraction) -> Fra
     if gN <= 0:
         raise DomainError("H_lambda fails to be positive at lambda=%s" % Fraction(n, d))
     K = vp.K
-    return Fraction(K.numerator * kd * d * d, K.denominator * 2 * n * gN)
+    return K.numerator * kd * d * d, K.denominator * 2 * n * gN
 
 
 def uv_on_section(u: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> UV:

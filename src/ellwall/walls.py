@@ -271,13 +271,14 @@ class LambdaQWall:
         if not 0 < lam < 1:
             raise DomainError("lambda must lie in (0,1), got %s" % lam)
         q = self._q(lam.numerator, lam.denominator)
-        return WallValue(VALUE, q) if type(q) is Fraction else WallValue(q)
+        return WallValue(VALUE, Fraction(*q)) if type(q) is tuple else WallValue(q)
 
     def _q(self, n: int, d: int):
-        """The wall at lambda = n/d in lowest terms, on integers: an exact q or
-        an outcome word.  With kappa = kn/kd, aN = A0*d + A1*n, lN = L0*d + L1*n
-        and gN = kd*d + kn*n, the q = (alpha*a - beta*l)/(g*a) of the module
-        docstring is (Al*aN - Be*lN)*kd*d^2/(cd*2n*gN*aN)."""
+        """The wall at lambda = n/d in lowest terms, on integers: an exact q as
+        the pair (num, den), not reduced, or an outcome word.  With kappa = kn/kd,
+        aN = A0*d + A1*n, lN = L0*d + L1*n and gN = kd*d + kn*n, the
+        q = (alpha*a - beta*l)/(g*a) of the module docstring is
+        (Al*aN - Be*lN)*kd*d^2/(cd*2n*gN*aN); den = cd*2n*gN*aN may be negative."""
         A0, A1, L0, L1, Al, Be, cd, kn, kd = self._ints
         gN = kd * d + kn * n  # g = 2n*gN/(kd*d^2)
         if gN <= 0:
@@ -289,7 +290,7 @@ class LambdaQWall:
         aN = A0 * d + A1 * n
         if aN == 0:
             return POLE
-        return Fraction((Al * aN - Be * lN) * kd * d * d, cd * 2 * n * gN * aN)
+        return (Al * aN - Be * lN) * kd * d * d, cd * 2 * n * gN * aN
 
     def asymptote(self) -> AsymptoteClass:
         """lambda -> 0+ class from the Laurent expansion at 0: q ~ D/(2*lambda)

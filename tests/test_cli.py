@@ -620,10 +620,12 @@ def test_config_cross_longer_than_index_exit_1(tmp_path, capsys):
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(ew.__file__)))
 
 
-def _python(args, **kwargs):
-    """A new interpreter that finds this ellwall, with buffered stdout."""
+def _python(args, env_extra=None, **kwargs):
+    """A new interpreter that finds this ellwall, with buffered stdout and
+    the environment variables of env_extra."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)
+    env.update(env_extra or {})
     return subprocess.run([sys.executable] + args, env=env, stderr=subprocess.PIPE, **kwargs)
 
 
@@ -680,6 +682,37 @@ def test_closed_stdout_pipe_exits_1_once():
     assert len(err) == 1 and err[0].startswith("error: cannot write stdout: ")
 
 
+def test_stdout_that_cannot_encode_the_text_is_exit_1(tmp_path, capsys, monkeypatch):
+    # a wall label outside ASCII cannot go to an ASCII stream: malformed
+    # input for this stream, not an internal error
+    wall = tmp_path / "accent.json"
+    wall.write_text(json.dumps({"dim": 2, "label": "é", "x": "2", "z": "-1", "L": ["1", "-1"],
+                                "r": "1", "k": "2", "p": "1", "chi": "1/2"}))
+    argv = ["plot", "lambda-q", "--alpha", "5/2", "--lambda-from", "1/20", "--lambda-to", "1/2",
+            "--wall", str(wall)] + CFG
+    monkeypatch.setattr(sys, "stdout", stdio.TextIOWrapper(stdio.BytesIO(), encoding="ascii"))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("error: cannot write stdout: 'ascii' codec can't encode character '\\xe9'")
+    # the same call through a real ASCII stdout, in a new interpreter
+    proc = _python(["-m", "ellwall.cli"] + argv, stdout=subprocess.PIPE,
+                   env_extra={"PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert proc.stderr.decode().startswith("error: cannot write stdout: 'ascii' codec")
+
+
+def test_write_keeps_the_exit_code_of_a_chunks_own_error(capsys):
+    # only the stream's errors become "cannot write": an error raised while a
+    # lazy document makes its next chunk is the document's own
+    def chunks():
+        yield "head"
+        raise ValueError("a chunk's own error")
+
+    with pytest.raises(ValueError, match="a chunk's own error"):
+        cli._write_text(None, chunks())
+
+
 def test_plot_bytes_pin(tmp_path, capsys):
     # sizes and digests of both plots in both formats: the lambda-q walls
     # give no-wall (dim 2, ch1 of the partner zero), value and pole rows
@@ -708,6 +741,26 @@ def test_plot_bytes_pin(tmp_path, capsys):
     code, out, _ = run(capsys, lambda_q + CFG)
     kinds = {row.split(",")[4] for row in out.splitlines()[1:]}
     assert "no-wall" in out and "pole" in kinds and len(kinds) > 2
+
+
+def test_plot_twin_of_a_zero_wall_value_is_positive_zero(tmp_path, capsys):
+    # this wall is q = 0 at every lambda, where its cleared denominator is
+    # negative: the twin is float(0) = 0.0, in the CSV and on the SVG's axis
+    wall = tmp_path / "zero.json"
+    wall.write_text(json.dumps({"dim": 2, "label": "z", "x": "1", "z": "0", "L": ["0", "-1"],
+                                "r": "1", "k": "-1", "p": "-2", "chi": "-1"}))
+    argv = ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/20", "--lambda-to", "1/2",
+            "--samples", "10", "--wall", str(wall)] + CFG
+    pins = {"csv": (576, "78641d3ea05bd525deb1ee6d0bcc352fc1416a37df025a058a25560f2b5c0606"),
+            "svg": (1809, "61319f02aadd4e8e2b6a13ff7951f106d597089dcbca32e88b5cf3a5f3396802")}
+    for fmt, pin in pins.items():
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert (code, err) == (0, "")
+        data = out.encode("ascii")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == pin
+        assert "-0" not in out
+        if fmt == "csv":
+            assert {row.split(",")[-1] for row in out.splitlines()[1:]} == {"0.0"}
 
 
 def test_plot_value_outside_float_range_exit_2(tmp_path, capsys):
@@ -1037,6 +1090,28 @@ def test_digit_bound_input_exit_1_result_exit_2(tmp_path, capsys):
     code, out, err = run(capsys, ["transform", "--functor", "phi", "--ch", str(big)] + CFG)
     assert code == 1 and out == "" and "more than %d digits" % eio.MAX_DIGITS in err
     assert len(err.encode()) < 200
+
+
+def test_plot_cell_past_the_digit_limit(tmp_path, capsys):
+    # inputs within the bound whose wall cell has more digits than the
+    # int-string limit: the CSV, which writes the exact cell, is exit 2; the
+    # SVG of the same call draws only float twins and is written
+    n = 10**999
+    q = lambda a, b: "%d/%d" % (n + a, n + b)
+    wall = tmp_path / "w.json"
+    wall.write_text(json.dumps({"dim": 2, "x": q(1, 3), "z": "-" + q(5, 7), "L": [q(9, 11), q(13, 17)],
+                                "r": "1", "k": q(19, 21), "p": q(23, 27), "chi": q(29, 31)}))
+    argv = ["plot", "lambda-q", "--alpha", q(41, 43), "--lambda-from", "%d/%d" % (n - 1, n + 1),
+            "--lambda-to", "%d/%d" % (n, n + 1), "--samples", "2", "--wall", str(wall)] + CFG
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert (code, out) == (2, "")
+    assert err == ("error: result too large to write: a number has more than %d digits\n"
+                   % sys.get_int_max_str_digits())
+    code, out, err = run(capsys, argv + ["--format", "svg"])
+    assert (code, err) == (0, "")
+    data = out.encode("ascii")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (
+        1420, "08fac1a69fffc20044547fb487e0299befb3bbff2e4a75edaba1efb1e15f98b1")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ with the plain bisection of tests/test_nslattice.py.
 import csv
 import io
 import math
+import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -316,3 +317,63 @@ def test_volume_section_rows_match_the_paper_quadratic(grid):
             assert (u if row[2] else u.midpoint()) == row[1]
             assert float(u) == row[4][1]
 
+
+
+# The writer takes each exact cell as an integer pair (num, den), not reduced,
+# with den of either sign; its text and float twin must be those of Fraction(num, den).
+_LIMIT = sys.get_int_max_str_digits()
+_ints = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.integers(2**53 - 2**10, 2**53 + 2**10),  # where a float stops holding every int
+    st.integers(-2**80, 2**80),
+    st.integers(10**300, 10**320),  # over a small den: past the float range
+    st.integers(10**_LIMIT - 10, 10**_LIMIT + 10),  # past the int-string limit
+)
+_dens = st.one_of(st.sampled_from([1, -1, 2, -2, 3, -6]), st.integers(-10**30, 10**30)).filter(bool)
+
+
+@st.composite
+def _cell_pairs(draw):
+    """(num, den) with a drawn common factor, so most are not in lowest terms."""
+    g = draw(st.one_of(st.integers(1, 12), st.integers(-10**20, 10**20).filter(bool)))
+    return draw(_ints) * g, draw(_dens) * g
+
+
+def _expected_text(x):
+    if max(abs(x.numerator), x.denominator) >= 10**_LIMIT:
+        return ("raised", ew.DomainError,
+                "result too large to write: a number has more than %d digits" % _LIMIT)
+    return ("ok", str(x))
+
+
+def _expected_twin(x, column):
+    try:
+        return ("ok", float(x))
+    except OverflowError:
+        return ("raised", ew.DomainError,
+                "plot column %s holds a value outside the float range" % column)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_cell_pairs())
+@example((0, -7))  # 0/-7 is 0 and its twin 0.0, where the int division gives -0.0
+@example((6, -4))
+@example((-5, -1))
+@example((2**53 + 1, 1))  # rounds to even
+@example((-(2**53 + 3) * 5, -5))
+@example((10**400, 3))  # beyond the float range
+@example((-(10**400), 10**80))  # within it
+@example((10**_LIMIT * 3, 3))  # one digit past the int-string limit, in lowest terms
+@example((10**(_LIMIT - 1) * 7, 7))  # at the limit
+def test_pair_writer_matches_the_fraction_writer(pair):
+    n, d = pair
+    x = Fraction(n, d)
+    text = _expected_text(x)
+    assert _outcome(eio._pair_text, n, d) == text
+    assert _outcome(eio.format_rational, x) == text
+    assert _outcome(eio._exact, pair) == text
+    twin = _expected_twin(x, "q_wall_a")
+    got = _outcome(eio._twin, pair, "q_wall_a")
+    assert got == twin == _outcome(eio._twin, x, "q_wall_a")
+    if got[0] == "ok":  # the same float to the bit, sign of zero included
+        assert math.copysign(1.0, got[1]) == math.copysign(1.0, twin[1])
