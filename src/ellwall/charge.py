@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chern import ChernCharacter, twist
-from .errors import DomainError, NotInHeartError
+from .errors import DomainError, NotInHeartError, _shown
 from .fmtransform import phi
 from .nslattice import (
     SQ,
@@ -101,7 +101,7 @@ def limit_charge(
     ch: ChernCharacter, vp: VolumeSectionParams, cfg: SurfaceConfig
 ) -> LimitCharge:
     if vp.K <= 0:
-        raise DomainError("limit charge needs K = alpha+m-e > 0, got %s" % vp.K)
+        raise DomainError("limit charge needs K = alpha+m-e > 0, got %s" % _shown(vp.K, str))
     d = ch.d(cfg)
     return LimitCharge(
         re_const=-ch.ch2 + vp.K * ch.ch0,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .nslattice import DivisorClass, Rational, SurfaceConfig, _frac, _omega_bar, intersect, record
 
 
@@ -190,6 +190,6 @@ def torsion_free_threshold(ch: ChernCharacter, m0: Rational, cfg: SurfaceConfig)
     m0 = _frac(m0)
     d = ch.d(cfg)
     if d <= 0:
-        raise DomainError("threshold needs ch1.f > 0, got %s" % d)
+        raise DomainError("threshold needs ch1.f > 0, got %s" % _shown(d, str))
     chi = twisted_euler(ch, cfg)
     return ch.c(cfg) / d * (chi - 1) + m0 * chi

@@ -318,7 +318,8 @@ MAX_PLOT_ROWS = 100_000
 def _grid(start: Fraction, step: Fraction, n: int) -> list:
     """start + i*step for i < n over one denominator, once n is within the row budget."""
     if n > MAX_PLOT_ROWS:
-        raise DomainError("plot would have %d rows, above the budget of %d" % (n, MAX_PLOT_ROWS))
+        raise DomainError("plot would have %s rows, above the budget of %d"
+                          % (_shown(n, str), MAX_PLOT_ROWS))
     (a, p), den = _cleared((start, step))
     return [Fraction(a + i * p, den) for i in range(n)]
 

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .chern import ChernCharacter, bogomolov_constant, character
-from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError
+from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError, _shown
 from .fmtransform import phi_hat
 from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _shear_constant, record
 from .walls import FactoredCharacter, PartnerCharacter, classify_asymptote_dim2
@@ -103,7 +103,7 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     t = req.target
     x, z = t.ch0, t.ch2
     if x <= 0 or x.denominator != 1:
-        raise DomainError("target needs ch0 a positive integer, got %s" % x)
+        raise DomainError("target needs ch0 a positive integer, got %s" % _shown(x, str))
     coeffs = t.ch1.coeffs
     if coeffs[0] != 0 or any(c != 0 for c in coeffs[2:]):
         raise DomainError("target needs ch1 a positive multiple of the fiber class")
@@ -111,12 +111,12 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     if lam <= 0 or lam.denominator != 1:
         raise DomainError("target needs ch1 = lam*f with lam a positive integer")
     if z > 0:
-        raise DomainError("target needs ch2 <= 0, got %s" % z)
+        raise DomainError("target needs ch2 <= 0, got %s" % _shown(z, str))
     if (z * req.ch2_denominator).denominator != 1:
         raise DomainError("target ch2 not on the configured lattice")
     K = req.vp.K
     if K <= 0:
-        raise DomainError("enumeration needs K = alpha+m-e > 0, got %s" % K)
+        raise DomainError("enumeration needs K = alpha+m-e > 0, got %s" % _shown(K, str))
     u0 = req.u0
     if u0 <= 0:
         raise DomainError("u0 must be positive")
@@ -306,10 +306,11 @@ def _survivors(ctx: _Context, p: _Pair, gamma: int, etas: range) -> range:
 
 
 def _sorted_cells(ctx: _Context) -> tuple:
-    """(runs, pairs): a run (r, gamma, eta, js) for each (rank, gamma, eta)
-    with a cell passing the gating checks, in that order, where js holds the
-    ch2 indices j of its cells in increasing order; and pairs[r, j] =
-    (ch2(A), ch2(B), S), built once for each pair with a survivor."""
+    """(runs, pairs): a run (r, gamma, eta, x - r, -gamma, lam - eta, the
+    strict 6.1 checks, js) for each (rank, gamma, eta) with a cell passing
+    the gating checks, in that order, where js holds the ch2 indices j of its
+    cells in increasing order; and pairs[r, j] = (ch2(A), ch2(B), S), built
+    once for each pair with a survivor."""
     groups, pairs = {}, {}
     for r, j, p, gamma, etas in _rows(ctx):
         etas = _survivors(ctx, p, gamma, etas)
@@ -321,35 +322,39 @@ def _sorted_cells(ctx: _Context) -> tuple:
             by_eta = groups.setdefault((r, gamma), {})
             for eta in etas:  # the rows of each (rank, gamma) come in ch2 order
                 by_eta.setdefault(eta, []).append(j)
-    runs = [(r, gamma, eta, by_eta[eta])
-            for (r, gamma), by_eta in sorted(groups.items()) for eta in sorted(by_eta)]
+    runs = []
+    for (r, gamma), by_eta in sorted(groups.items()):
+        for eta in sorted(by_eta):
+            t = eta * ctx.f_om + gamma * ctx.th_om  # D*ch1(A).omega_0
+            runs.append((r, gamma, eta, ctx.x - r, -gamma, ctx.lam - eta, 0 < t, t < ctx.lam_om,
+                         by_eta[eta]))
     return runs, pairs
+
+
+def _reports(runs, pairs):
+    """The CandidateReport of each cell of _sorted_cells' (runs, pairs), in
+    order.  Reports share the ch0 and ch1 values of their run and the
+    rationals of their pair; each has its own checks dict."""
+    passed = dict.fromkeys(GATING_CHECKS, True)  # a survivor passed every gating check
+    for r, gamma, eta, r_b, gamma_b, eta_b, lower, upper, js in runs:
+        rank, rank_b = Fraction(r), Fraction(r_b)
+        ch1, ch1_b = DivisorClass((gamma, eta)), DivisorClass((gamma_b, eta_b))
+        strict = {"6.1_strict_lower": lower, "6.1_strict_upper": upper}
+        for j in js:
+            c2, c2B, S = pairs[r, j]
+            yield CandidateReport(
+                candidate=ChernCharacter(rank, ch1, c2),
+                complement=ChernCharacter(rank_b, ch1_b, c2B),
+                S=S,
+                checks={**passed, **strict},
+            )
 
 
 def enumerate_destabilizers(req: EnumerationRequest, cfg: SurfaceConfig) -> list:
     """The complete finite list of candidate destabilizers, sorted
     lexicographically by (rank, gamma, eta, ch2).  Every gamma row is gated
-    by exact integer bounds on eta from thresholds fixed per (rank, ch2).
-    Reports share their immutable parts: the ch0 and ch1 values of their
-    (rank, gamma, eta) run and the rationals of their (rank, ch2) pair."""
-    ctx = _build_context(req, cfg)
-    runs, pairs = _sorted_cells(ctx)
-    passed = dict.fromkeys(GATING_CHECKS, True)  # a survivor passed every gating check
-    reports = []
-    for r, gamma, eta, js in runs:
-        rank, rank_b = Fraction(r), Fraction(ctx.x - r)
-        ch1, ch1_b = DivisorClass((gamma, eta)), DivisorClass((-gamma, ctx.lam - eta))
-        t = eta * ctx.f_om + gamma * ctx.th_om
-        strict = {"6.1_strict_lower": 0 < t, "6.1_strict_upper": t < ctx.lam_om}
-        for j in js:
-            c2, c2B, S = pairs[r, j]
-            reports.append(CandidateReport(
-                candidate=ChernCharacter(rank, ch1, c2),
-                complement=ChernCharacter(rank_b, ch1_b, c2B),
-                S=S,
-                checks={**passed, **strict},
-            ))
-    return reports
+    by exact integer bounds on eta from thresholds fixed per (rank, ch2)."""
+    return list(_reports(*_sorted_cells(_build_context(req, cfg))))
 
 
 @record

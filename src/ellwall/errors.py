@@ -8,10 +8,10 @@ exception from outside this hierarchy -> 3.
 _SHOWN_CHARS = 80
 
 
-def _shown(v) -> str:
-    """repr(v) cut to _SHOWN_CHARS characters: a message names bad input
-    without echoing all of it."""
-    text = repr(v)
+def _shown(v, show=repr) -> str:
+    """show(v), repr(v) by default, cut to _SHOWN_CHARS characters: a
+    message names a value without echoing all of it."""
+    text = show(v)
     return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 

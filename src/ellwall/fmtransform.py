@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .chern import ChernCharacter
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .nslattice import SurfaceConfig
 
 
@@ -60,8 +60,8 @@ def wit_sign(ch: ChernCharacter, which: str, functor: str, cfg: SurfaceConfig) -
     not characters.
     """
     if which not in ("W0", "W1"):
-        raise DomainError("which must be 'W0' or 'W1', got %r" % (which,))
+        raise DomainError("which must be 'W0' or 'W1', got %s" % _shown(which))
     if functor not in ("phi", "phi_hat"):
-        raise DomainError("functor must be 'phi' or 'phi_hat', got %r" % (functor,))
+        raise DomainError("functor must be 'phi' or 'phi_hat', got %s" % _shown(functor))
     d = ch.d(cfg)
     return d >= 0 if which == "W0" else d <= 0

@@ -22,14 +22,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
 from .chern import ChernCharacter
-from .destabilize import (
-    GATING_CHECKS,
-    STRICT_CHECKS,
-    CandidateReport,
-    EnumerationRequest,
-    _build_context,
-    _sorted_cells,
-)
+from .destabilize import EnumerationRequest, _build_context, _reports, _sorted_cells
 from .errors import DomainError, InputError, InvariantError, _shown
 from .nslattice import (
     DivisorClass,
@@ -284,18 +277,14 @@ def _candidate_template() -> tuple:
     candidates: head, the blocks joined by separator, then tail.  A block
     is five pieces, each a tuple of steps (i, text): value i, as JSON, of
     the candidate's (rank, ch2) pair (ch2(A), ch2(B), S) in the first, third
-    and fifth, of its (rank, gamma, eta) run (r, gamma, eta, x - r, -gamma,
-    lam - eta, the strict checks) in the others, then text.  All of it is
-    cut from documents that _document renders with marks for the values,
-    so the text has one source."""
+    and fifth, of its (rank, gamma, eta) run (the values of a run of
+    _sorted_cells before js) in the others, then text.  All of it is cut
+    from documents that _document renders with marks for the values, the
+    block from the report that the kernel's _reports builds of a run and a
+    pair of marks, so the text and the candidate have one source."""
     texts = [str(10**40 + i) for i in range(11)]  # unlike any text of the layout
-    v = [Fraction(text) for text in texts]  # pair values 0..2, then run values 3..10
-    rep = CandidateReport(
-        candidate=ChernCharacter(v[3], DivisorClass((v[4], v[5])), v[0]),
-        complement=ChernCharacter(v[6], DivisorClass((v[7], v[8])), v[1]),
-        S=v[2],
-        checks=dict.fromkeys(GATING_CHECKS, True) | dict(zip(STRICT_CHECKS, texts[9:])),
-    )
+    run = (*map(int, texts[3:9]), *texts[9:], [0])  # int marks, the strict checks as text
+    rep = next(_reports([run], {(run[0], 0): tuple(map(Fraction, texts[:3]))}))
     marks = [_json_str(text) for text in texts]
     head, sep, tail = _document({"candidates": texts[:1] * 2}).split(marks[0])
     block = _document({"candidates": [rep]})[len(head):-len(tail)]
@@ -316,10 +305,10 @@ def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
     """The document of `destab enumerate` as its head, one text per (rank,
     gamma, eta) run and its tail: the bytes of _document({"candidates":
     enumerate_destabilizers(req, cfg)}), whose candidates passed every
-    gating check.  The kernel runs and each pair's text is made before this
-    returns, so an error leaves nothing written."""
-    ctx = _build_context(req, cfg)
-    runs, pairs = _sorted_cells(ctx)
+    gating check.  Each run comes from the kernel with its values, so this
+    only formats them.  The kernel runs and each pair's text is made before
+    this returns, so an error leaves nothing written."""
+    runs, pairs = _sorted_cells(_build_context(req, cfg))
     if not runs:
         return [_document({"candidates": []})]
     head, sep, tail, (p0, r1, p2, r3, p4) = _candidate_template()
@@ -328,10 +317,9 @@ def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
 
     def pieces():
         yield head
-        for k, (r, gamma, eta, js) in enumerate(runs):
-            t = eta * ctx.f_om + gamma * ctx.th_om
-            v = ['"%d"' % n for n in (r, gamma, eta, ctx.x - r, -gamma, ctx.lam - eta)]
-            v += _JSON_BOOL[0 < t], _JSON_BOOL[t < ctx.lam_om]
+        for k, (r, gamma, eta, r_b, gamma_b, eta_b, lower, upper, js) in enumerate(runs):
+            v = ['"%d"' % n for n in (r, gamma, eta, r_b, gamma_b, eta_b)]
+            v += _JSON_BOOL[lower], _JSON_BOOL[upper]
             a, b = _fill(r1, v), _fill(r3, v)
             parts = []
             for j in js:
@@ -461,7 +449,8 @@ def _twin(cell, column: str):
     try:  # n/d is correctly rounded, as float(Fraction(n, d)); + 0.0 makes -0.0 read 0.0
         return cell[0] / cell[1] + 0.0 if type(cell) is tuple else float(cell)
     except OverflowError:
-        raise DomainError("plot column %s holds a value outside the float range" % column) from None
+        raise DomainError("plot column %s holds a value outside the float range"
+                          % _shown(column, str)) from None
 
 
 def _xml_text(text: str) -> str:

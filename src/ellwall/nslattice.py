@@ -156,7 +156,7 @@ class ExtraSection:
 
     def __post_init__(self):
         if self.theta < 0:
-            raise DomainError("Theta.Theta_i must be >= 0, got %d" % self.theta)
+            raise DomainError("Theta.Theta_i must be >= 0, got %s" % _shown(self.theta, str))
 
 
 @record
@@ -176,11 +176,11 @@ class SurfaceConfig:
 
     def __post_init__(self):
         if self.e < 0:
-            raise DomainError("e must be a nonnegative integer, got %r" % (self.e,))
+            raise DomainError("e must be a nonnegative integer, got %s" % _shown(self.e))
         if self.genus_base < 0:
             raise DomainError("base genus must be >= 0")
         if self.m <= 0:
-            raise DomainError("m must be positive, got %s" % (self.m,))
+            raise DomainError("m must be positive, got %s" % _shown(self.m, str))
         for i, sec in enumerate(self.sections):
             # Theta_i.Theta_j for every earlier j: the lattice needs all of them
             if len(sec.cross) != i:
@@ -190,7 +190,8 @@ class SurfaceConfig:
                 )
         if self.rank == 2 and self.m <= self.e:
             raise DomainError(
-                "rank-2 ampleness of Theta+mf requires m > e (m=%s, e=%d)" % (self.m, self.e)
+                "rank-2 ampleness of Theta+mf requires m > e (m=%s, e=%s)"
+                % (_shown(self.m, str), _shown(self.e, str))
             )
         if self.euler_char is None:
             object.__setattr__(self, "euler_char", Fraction(self.e))
@@ -377,7 +378,7 @@ def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
     H_lam = lam*(Theta+mf) + (1-lam)*f, with g = delta = 2*lam*(1+(m-e/2-1)*lam)."""
     lam = _frac(lam)
     if not 0 < lam < 1:
-        raise DomainError("lambda must lie in (0,1), got %s" % lam)
+        raise DomainError("lambda must lie in (0,1), got %s" % _shown(lam, str))
     H = cfg.theta_f(lam, lam * cfg.m + 1 - lam)
     Hperp = cfg.theta_f(-lam, 1 + (cfg.m - cfg.e - 1) * lam)
     fr = make_frame(H, Hperp, 0, cfg)
@@ -516,7 +517,7 @@ def _omega_bar(vp: VolumeSectionParams, cfg: SurfaceConfig) -> "DivisorClass":
 
 def _require_section(vp: VolumeSectionParams):
     if vp.K <= 0:
-        raise EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
+        raise EmptySectionError("empty volume section: K = %s <= 0" % _shown(vp.K, str))
 
 
 _WIDTH = Fraction(1, 10**24)  # of the bracket whose midpoint stands for an irrational root
@@ -676,7 +677,8 @@ def _section_at(n: int, d: int, vp: VolumeSectionParams, kappa: Fraction) -> tup
     kn, kd = kappa.numerator, kappa.denominator
     gN = kd * d + kn * n
     if gN <= 0:
-        raise DomainError("H_lambda fails to be positive at lambda=%s" % Fraction(n, d))
+        raise DomainError("H_lambda fails to be positive at lambda=%s"
+                          % _shown(Fraction(n, d), str))
     K = vp.K
     return K.numerator * kd * d * d, K.denominator * 2 * n * gN
 
@@ -689,5 +691,5 @@ def uv_on_section(u: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> U
     _require_section(vp)
     v = (vp.K - _shear_constant(cfg) * u * u) / u
     if v <= 0:
-        raise DomainError("u=%s lies beyond the v > 0 part of the section" % u)
+        raise DomainError("u=%s lies beyond the v > 0 part of the section" % _shown(u, str))
     return UV(u=u, v=v)

@@ -38,7 +38,7 @@ from typing import Optional
 
 from .charge import _sq_parts
 from .chern import ChernCharacter, line_bundle_twist
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .nslattice import (
     DivisorClass,
     Frame,
@@ -120,7 +120,7 @@ def bertram_wall(
             return WallSQ(kind=VERTICAL, s=s0)
     else:
         if B <= 0:
-            raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % (B,))
+            raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % _shown(B, str))
         if r == 0:
             return EVERYWHERE_WALL if c == 0 else NOWHERE_WALL
         s0 = Bp / (g * r)
@@ -269,7 +269,7 @@ class LambdaQWall:
         """Exact q-value of the wall at this lambda in (0,1)."""
         lam = _frac(lam)
         if not 0 < lam < 1:
-            raise DomainError("lambda must lie in (0,1), got %s" % lam)
+            raise DomainError("lambda must lie in (0,1), got %s" % _shown(lam, str))
         q = self._q(lam.numerator, lam.denominator)
         return WallValue(VALUE, Fraction(*q)) if type(q) is tuple else WallValue(q)
 

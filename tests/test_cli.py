@@ -940,16 +940,21 @@ def _generic_enumerate_text(req, cfg):
     return eio._document({"candidates": [eio.record_to_obj(r) for r in reports]})
 
 
+def _direct_request(x, lam, z, alpha, u0, den, m):
+    cfg = ew.SurfaceConfig(e=2, m=Fraction(m))
+    req = ew.EnumerationRequest(
+        ew.character(x, [0, lam], z, cfg), ew.volume_params(Fraction(alpha), cfg), Fraction(u0), den
+    )
+    return req, cfg
+
+
 def _check_direct_bytes(tmp_path, capsys, x, lam, z, alpha, u0, den, m):
     """The direct writer against the generic text, built once: its pieces
     are the head, one per (rank, gamma, eta) run and the tail, and stdout
     and --out both carry its bytes.  Returns the runs and the text."""
     from ellwall import destabilize
 
-    cfg = ew.SurfaceConfig(e=2, m=Fraction(m))
-    req = ew.EnumerationRequest(
-        ew.character(x, [0, lam], z, cfg), ew.volume_params(Fraction(alpha), cfg), Fraction(u0), den
-    )
+    req, cfg = _direct_request(x, lam, z, alpha, u0, den, m)
     expected = _generic_enumerate_text(req, cfg)
     runs, _ = destabilize._sorted_cells(destabilize._build_context(req, cfg))
     pieces = list(eio._enumeration_chunks(req, cfg))
@@ -969,16 +974,18 @@ def _check_direct_bytes(tmp_path, capsys, x, lam, z, alpha, u0, den, m):
     return runs, expected, argv
 
 
-@pytest.mark.parametrize(
-    "x, lam, z, alpha, u0, den, m",
-    [
-        (2, 7, -1, 3, "1/2", 2, "3"),
-        (2, 7, -1, 3, "1/3", 2, "3"),
-        (3, 6, -1, 2, "1/2", 3, "3"),
-        (1, 5, 0, 2, "1/3", 4, "3"),
-        (1, 1, 0, "1/100", "1/10", 2, "201/100"),  # no candidates
-    ],
-)
+_DIRECT_INSTANCES = [
+    (2, 7, -1, 3, "1/2", 2, "3"),
+    (2, 7, -1, 3, "1/3", 2, "3"),
+    (3, 6, -1, 2, "1/2", 3, "3"),
+    (1, 5, 0, 2, "1/3", 4, "3"),
+    (1, 1, 0, "1/100", "1/10", 2, "201/100"),  # no candidates
+]
+# the enumerate-large target (3, 20f, -2) at alpha = 5, u0 = 1/2
+_BENCHMARK_INSTANCE = (3, 20, -2, 5, "1/2", 2, "3")
+
+
+@pytest.mark.parametrize("x, lam, z, alpha, u0, den, m", _DIRECT_INSTANCES)
 @pytest.mark.parametrize("chunk", [1024, 7])
 def test_enumerate_direct_bytes_match_generic(tmp_path, capsys, monkeypatch, x, lam, z, alpha,
                                               u0, den, m, chunk):
@@ -996,9 +1003,21 @@ def test_enumerate_direct_bytes_match_generic(tmp_path, capsys, monkeypatch, x, 
 def test_enumerate_direct_bytes_match_generic_on_the_benchmark_target(tmp_path, capsys):
     # the enumerate-large target (3, 20f, -2) at alpha = 5, u0 = 1/2: far more
     # runs, and runs of more pairs, than the instances above (lam <= 7)
-    runs, expected, _ = _check_direct_bytes(tmp_path, capsys, 3, 20, -2, 5, "1/2", 2, "3")
+    runs, expected, _ = _check_direct_bytes(tmp_path, capsys, *_BENCHMARK_INSTANCE)
     assert (len(runs), sum(len(js) for *_, js in runs)) == (428, 6288)
     assert len(expected) == 3_668_158
+
+
+@pytest.mark.parametrize("instance", _DIRECT_INSTANCES + [_BENCHMARK_INSTANCE])
+def test_enumerated_reports_match_the_per_candidate_checks(instance):
+    # the checks and complement of every report, built from the values of
+    # its run, against candidate_checks and ChernCharacter subtraction
+    req, cfg = _direct_request(*instance)
+    reports = ew.enumerate_destabilizers(req, cfg)
+    assert reports or instance == _DIRECT_INSTANCES[-1]  # the one with no candidates
+    for rep in reports:
+        assert rep.checks == ew.candidate_checks(req, cfg, rep.candidate)
+        assert rep.complement == req.target - rep.candidate
 
 
 def test_candidate_template_refuses_a_layout_out_of_turn(monkeypatch):
@@ -1112,6 +1131,52 @@ def test_plot_cell_past_the_digit_limit(tmp_path, capsys):
     data = out.encode("ascii")
     assert (len(data), hashlib.sha256(data).hexdigest()) == (
         1420, "08fac1a69fffc20044547fb487e0299befb3bbff2e4a75edaba1efb1e15f98b1")
+
+
+def test_error_lines_bound_the_values_they_echo(tmp_path, capsys):
+    # each value below has ~1,000 digits, within the input bound; the line
+    # names it by its first 80 characters, as _shown cuts bad input
+    n, b = 10**999, 10**999 + 1
+    ch = write_character(tmp_path, "ch.json", 1, [0, 1], 0)
+    ch3 = write_character(tmp_path, "ch3.json", 1, [0, 1, 0], 0)
+    ch2 = write_character(tmp_path, "ch2.json", 3, [0, 20], n)
+    ch0 = write_character(tmp_path, "ch0.json", -n, [0, 20], -2)
+    theta, rank3 = tmp_path / "theta.json", tmp_path / "rank3.json"
+    theta.write_text('{"e": 2, "m": "3", "sections": [{"theta": -%d}]}' % n)
+    rank3.write_text('{"e": 2, "m": "1/%d", "sections": [{"theta": 1}]}' % b)
+    lam = ["--lambda", "%d/%d" % (b, n // 10)]
+    enum = ["destab", "enumerate", "--alpha", "5", "--u0", "1/2"] + CFG
+    for argv, prefix in (
+        (["plot", "volume-section", "--alpha", "3", "--v-from", "1", "--v-to", str(n)] + CFG,
+         "plot would have 1%s..." % ("0" * 79)),
+        (["plot", "lambda-q", "--alpha", "3", "--lambda-from", "1/3", "--lambda-to", "1/2",
+          "--samples", str(n)] + CFG, "plot would have "),
+        (["wall", "lambda-q", "--x", "1", "--z", "0", "--L", "0,0", "--r", "1", "--k", "0",
+          "--p", "1", "--chi", "0"] + lam + CFG, "lambda must lie in (0,1), got "),
+        (["charge-sq", "--ch", ch, "--s", "0", "--q", "1"] + lam + CFG,
+         "lambda must lie in (0,1), got "),
+        (["surface", "check", "--e", str(-b), "--m", "3"], "e must be a nonnegative integer"),
+        (["surface", "check", "--e", "2", "--m", str(-b)], "m must be positive, got "),
+        (["surface", "check", "--e", "2", "--m", "1/%d" % b],
+         "rank-2 ampleness of Theta+mf requires m > e (m=1/"),
+        (enum + ["--target", ch2], "target needs ch2 <= 0, got "),
+        (enum + ["--target", ch0], "target needs ch0 a positive integer, got "),
+        (["surface", "check", "--config", str(theta)], "Theta.Theta_i must be >= 0, got "),
+        (["limit-phase", "--config", str(rank3), "--ch", ch3, "--alpha", "1"],
+         "limit charge needs K = alpha+m-e > 0, got "),
+        (["plot", "volume-section", "--config", str(rank3), "--alpha", "1", "--v-from", "1",
+          "--v-to", "2"], "empty volume section: K = "),
+        (["plot", "lambda-q", "--config", str(rank3), "--alpha", "3", "--lambda-from", "1/2",
+          "--lambda-to", "%d/%d" % (n, b), "--samples", "2"],
+         "H_lambda fails to be positive at lambda="),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: " + prefix) and err.count("\n") == 1, err[:120]
+        assert len(err.encode()) < 200 and "..." in err, err
+    # a value that fits is echoed in full, as before
+    code, _, err = run(capsys, ["surface", "check", "--e", "2", "--m", "1/2"])
+    assert (code, err) == (2, "error: rank-2 ampleness of Theta+mf requires m > e (m=1/2, e=2)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -509,9 +509,11 @@ def _check_row_bounds(ctx, K, seen):
     from ellwall import destabilize
 
     rows, (runs, pairs) = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
-    for *_, js in runs:  # each run holds cells, in increasing ch2 order
+    for r, gamma, eta, r_b, gamma_b, eta_b, *_, js in runs:
+        # ch0 and ch1 of the complement, and cells in increasing ch2 order
+        assert (r_b, gamma_b, eta_b) == (ctx.x - r, -gamma, ctx.lam - eta)
         assert js and all(j < k for j, k in zip(js, js[1:]))
-    cells = [(r, gamma, eta, j) for r, gamma, eta, js in runs for j in js]
+    cells = [(r, gamma, eta, j) for r, gamma, eta, *_, js in runs for j in js]
     assert [cell[:4] for cell in cells] == sorted(
         (r, gamma, eta, j)
         for r, j, p, gamma, etas in rows
