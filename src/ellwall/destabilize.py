@@ -309,16 +309,16 @@ def _sorted_cells(ctx: _Context) -> tuple:
     """(runs, pairs): a run (r, gamma, eta, x - r, -gamma, lam - eta, the
     strict 6.1 checks, js) for each (rank, gamma, eta) with a cell passing
     the gating checks, in that order, where js holds the ch2 indices j of its
-    cells in increasing order; and pairs[r, j] = (ch2(A), ch2(B), S), built
-    once for each pair with a survivor."""
+    cells in increasing order; and pairs[r, j] = (ch2(A), ch2(B), S) of each
+    pair with a survivor, as integer pairs (num, den), not reduced."""
     groups, pairs = {}, {}
+    zn, zd = ctx.z.numerator, ctx.z.denominator
     for r, j, p, gamma, etas in _rows(ctx):
         etas = _survivors(ctx, p, gamma, etas)
         if etas:
             if (r, j) not in pairs:
-                c2 = Fraction(j, ctx.den)
-                S = Fraction(j * (ctx.N // ctx.den) - r * ctx.Kn, ctx.wall)
-                pairs[r, j] = (c2, ctx.z - c2, S)
+                pairs[r, j] = ((j, ctx.den), (zn * ctx.den - j * zd, zd * ctx.den),
+                               (j * (ctx.N // ctx.den) - r * ctx.Kn, ctx.wall))
             by_eta = groups.setdefault((r, gamma), {})
             for eta in etas:  # the rows of each (rank, gamma) come in ch2 order
                 by_eta.setdefault(eta, []).append(j)
@@ -334,14 +334,15 @@ def _sorted_cells(ctx: _Context) -> tuple:
 def _reports(runs, pairs):
     """The CandidateReport of each cell of _sorted_cells' (runs, pairs), in
     order.  Reports share the ch0 and ch1 values of their run and the
-    rationals of their pair; each has its own checks dict."""
+    Fractions of their pair, made once; each has its own checks dict."""
     passed = dict.fromkeys(GATING_CHECKS, True)  # a survivor passed every gating check
+    rationals = {pair: tuple(Fraction(*q) for q in qs) for pair, qs in pairs.items()}
     for r, gamma, eta, r_b, gamma_b, eta_b, lower, upper, js in runs:
         rank, rank_b = Fraction(r), Fraction(r_b)
         ch1, ch1_b = DivisorClass((gamma, eta)), DivisorClass((gamma_b, eta_b))
         strict = {"6.1_strict_lower": lower, "6.1_strict_upper": upper}
         for j in js:
-            c2, c2B, S = pairs[r, j]
+            c2, c2B, S = rationals[r, j]
             yield CandidateReport(
                 candidate=ChernCharacter(rank, ch1, c2),
                 complement=ChernCharacter(rank_b, ch1_b, c2B),

@@ -280,11 +280,11 @@ def _candidate_template() -> tuple:
     and fifth, of its (rank, gamma, eta) run (the values of a run of
     _sorted_cells before js) in the others, then text.  All of it is cut
     from documents that _document renders with marks for the values, the
-    block from the report that the kernel's _reports builds of a run and a
-    pair of marks, so the text and the candidate have one source."""
+    block from the report that _reports builds of a run and of marks
+    (mark, 1) for a pair, so the text and the candidate have one source."""
     texts = [str(10**40 + i) for i in range(11)]  # unlike any text of the layout
     run = (*map(int, texts[3:9]), *texts[9:], [0])  # int marks, the strict checks as text
-    rep = next(_reports([run], {(run[0], 0): tuple(map(Fraction, texts[:3]))}))
+    rep = next(_reports([run], {(run[0], 0): tuple((int(text), 1) for text in texts[:3])}))
     marks = [_json_str(text) for text in texts]
     head, sep, tail = _document({"candidates": texts[:1] * 2}).split(marks[0])
     block = _document({"candidates": [rep]})[len(head):-len(tail)]
@@ -305,14 +305,14 @@ def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
     """The document of `destab enumerate` as its head, one text per (rank,
     gamma, eta) run and its tail: the bytes of _document({"candidates":
     enumerate_destabilizers(req, cfg)}), whose candidates passed every
-    gating check.  Each run comes from the kernel with its values, so this
+    gating check.  The kernel hands over runs and pairs in integers, so this
     only formats them.  The kernel runs and each pair's text is made before
     this returns, so an error leaves nothing written."""
     runs, pairs = _sorted_cells(_build_context(req, cfg))
     if not runs:
         return [_document({"candidates": []})]
     head, sep, tail, (p0, r1, p2, r3, p4) = _candidate_template()
-    quoted = {pair: ['"%s"' % format_rational(c) for c in q] for pair, q in pairs.items()}
+    quoted = {pair: ['"%s"' % _pair_text(*c) for c in q] for pair, q in pairs.items()}
     texts = {pair: (sep + _fill(p0, q), _fill(p2, q), _fill(p4, q)) for pair, q in quoted.items()}
 
     def pieces():

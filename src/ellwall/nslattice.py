@@ -358,9 +358,9 @@ def make_frame(
     if intersect(H, Hperp, cfg) != 0:
         raise DomainError("frame requires H.H^perp = 0")
     if g <= 0:
-        raise DomainError("frame requires H.H > 0, got %s" % g)
+        raise DomainError("frame requires H.H > 0, got %s" % _shown(g, str))
     if delta < 0:
-        raise DomainError("Hodge index violated: -(H^perp)^2 = %s < 0" % delta)
+        raise DomainError("Hodge index violated: -(H^perp)^2 = %s < 0" % _shown(delta, str))
     if (delta == 0) != Hperp.is_zero():
         raise DomainError("delta = 0 must coincide with H^perp = 0")
     if cfg.rank == 2 and not cone_membership(H, cfg).ample:

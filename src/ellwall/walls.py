@@ -282,7 +282,8 @@ class LambdaQWall:
         A0, A1, L0, L1, Al, Be, cd, kn, kd = self._ints
         gN = kd * d + kn * n  # g = 2n*gN/(kd*d^2)
         if gN <= 0:
-            raise DomainError("frame requires H.H > 0, got %s" % Fraction(2 * n * gN, kd * d * d))
+            raise DomainError("frame requires H.H > 0, got %s"
+                              % _shown(Fraction(2 * n * gN, kd * d * d), str))
         lN = L0 * d + L1 * n
         if A0 == 0 and A1 == 0:
             # the wall is the locus s = l/g, so s = 0 is all or nothing

@@ -1146,6 +1146,13 @@ def test_error_lines_bound_the_values_they_echo(tmp_path, capsys):
     rank3.write_text('{"e": 2, "m": "1/%d", "sections": [{"theta": 1}]}' % b)
     lam = ["--lambda", "%d/%d" % (b, n // 10)]
     enum = ["destab", "enumerate", "--alpha", "5", "--u0", "1/2"] + CFG
+    # kappa = m - e/2 - 1 = -3/2 on this rank-3 surface: H_lambda.H_lambda <= 0
+    # for lambda >= 2/3, here at 9/10 + 1/10^999
+    kappa, rank4 = tmp_path / "kappa.json", tmp_path / "rank4.json"
+    kappa.write_text('{"e": 4, "m": "3/2", "sections": [{"theta": 2}]}')
+    rank4.write_text('{"e": 1, "m": "3", "sections": [{"theta": 0}, {"theta": 0, "cross": [50]}]}')
+    ch4 = write_character(tmp_path, "ch4.json", 1, [0, 0, 0, 0], 0)
+    past = ["--config", str(kappa), "--lambda", "%d/%d" % (9 * n // 10 + 1, n)]
     for argv, prefix in (
         (["plot", "volume-section", "--alpha", "3", "--v-from", "1", "--v-to", str(n)] + CFG,
          "plot would have 1%s..." % ("0" * 79)),
@@ -1169,6 +1176,16 @@ def test_error_lines_bound_the_values_they_echo(tmp_path, capsys):
         (["plot", "lambda-q", "--config", str(rank3), "--alpha", "3", "--lambda-from", "1/2",
           "--lambda-to", "%d/%d" % (n, b), "--samples", "2"],
          "H_lambda fails to be positive at lambda="),
+        (["wall", "lambda-q", "--x", "1", "--z", "0", "--L", "0,0,0", "--r", "1", "--k", "0",
+          "--p", "1", "--chi", "0"] + past, "frame requires H.H > 0, got -63"),
+        (["charge-sq", "--ch", ch3, "--s", "0", "--q", "1"] + past,
+         "frame requires H.H > 0, got -63"),
+        (["wall", "sq", "--ch", ch3, "--ch-prime", ch3] + past, "frame requires H.H > 0, got -63"),
+        (["charge-sq", "--ch", ch, "--s", "0", "--q", "1", "--frame-h", "%d,0" % n,
+          "--frame-hperp", "0,0"] + CFG, "frame requires H.H > 0, got -2"),
+        (["charge-sq", "--config", str(rank4), "--ch", ch4, "--frame-h", "1,3,0,0",
+          "--frame-hperp", "0,%d,%d,%d" % (-6 * n // 10, n // 10, n // 10), "--s", "0",
+          "--q", "1"], "Hodge index violated: -(H^perp)^2 = -74"),
     ):
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, ""), argv
@@ -1441,6 +1458,54 @@ def test_document_bytes_pins(tmp_path, capsys):
             entry = entry.get("kind", entry.get("case"))
         assert entry == shape, name
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == _DOCUMENT_PINS[name], name
+
+
+# the input files of the console-script step of .github/workflows/tests.yml,
+# byte for byte as its printf writes them
+_CI_FILES = {
+    "a.json": '{"ch0":"2","ch1":["1","3"],"ch2":"-1"}',
+    "b.json": '{"ch0":"1","ch1":["1","2"],"ch2":"5"}',
+    "r.json": '{"ch0":"1","ch1":["0","1"],"ch2":"0"}',
+    "pole.json": '{"dim":1,"label":"pl","k":"1","p":"-4","z":"-3","r":"1","chi":"0","L":["1","0"]}',
+    "wall2.json": ('{"dim":2,"label":"v","x":"2","z":"-1","L":["1","-1"],"r":"1","k":"2","p":"1",'
+                   '"chi":"1/2"}'),
+}
+_CI_LQ = ("plot lambda-q --alpha 5/2 --lambda-from 1/20 --lambda-to 19/20 --samples 19"
+          " --wall pole.json --wall wall2.json")
+_CI_VS = "plot volume-section --alpha 5/2 --v-from 1/2 --v-to 20 --v-step 1/7"
+
+
+@pytest.mark.parametrize("call, stdin, digest", [
+    pytest.param("wall sq --ch a.json --ch-prime b.json --frame-h 1,3 --frame-hperp 1,-1"
+                 " --frame-w 1/2 --shift 2,-1/2", None,
+                 "1a87580eacdfc9f8d908e8d791a46b0abfbb0f65952e63eceeae24ad9ac54ee5", id="wall.json"),
+    pytest.param("transform --functor phi --ch -", "r.json",
+                 "c2ae90dcb9e20a69a3fed54a571c026b79073c82f83ea63d10ed0ba46895b123",
+                 id="transform-stdin"),
+    pytest.param(_CI_LQ + " --format csv", None,
+                 "b90df42c6d1f769e7367e6b1795c25dbba8f2302059e4a60d27c2ef23e3d99d7", id="lq.csv"),
+    pytest.param(_CI_LQ + " --format svg", None,
+                 "4d014c9f50a1edd246a737259a6a33e5fa3ea2927c88ee18b9479aa0ae03a316", id="lq.svg"),
+    pytest.param(_CI_VS, None,
+                 "9b88c5fb75737b63682173ccd80394e3cae97109520441bbcc939385a3cdf1e5", id="vs.csv"),
+    pytest.param(_CI_VS + " --format svg", None,
+                 "00d9cae74505756f2652128ec6c4613aab1db44fedd302b5cd5755a95845ee49", id="vs.svg"),
+    pytest.param("plot volume-section --alpha 3 --v-from 100000000 --v-to 100000000", None,
+                 "9270314026fe8726b38ba0276d75d5d215520e7070e992faca913f8276998286",
+                 id="lossy.csv"),
+])
+def test_console_script_step_pins(tmp_path, capsys, monkeypatch, call, stdin, digest):
+    # the sha256 pins of the console-script step that no other test holds,
+    # with its arguments and files, in-process: a byte change shows without
+    # CI, which still runs the installed entry point
+    for name, text in _CI_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    if stdin:
+        monkeypatch.setattr("sys.stdin", stdio.StringIO(_CI_FILES[stdin]))
+    code, out, err = run(capsys, call.split() + CFG)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

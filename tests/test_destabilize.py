@@ -521,7 +521,7 @@ def _check_row_bounds(ctx, K, seen):
         if all(destabilize._ch1_gates(ctx, p, gamma, eta))
     )
     for r, gamma, eta, j in cells:
-        c2, rationals = Fraction(j, ctx.den), pairs[r, j]
+        c2, rationals = Fraction(j, ctx.den), tuple(Fraction(*q) for q in pairs[r, j])
         assert rationals == (c2, ctx.z - c2, (c2 - r * K) / (ctx.z - ctx.x * K))
         seen.add(("survivor", (gamma > 0) - (gamma < 0), min(r, 1)))
     for r, j, p, gamma, etas in rows:

@@ -41,8 +41,10 @@ def _paper_wall(wall, lam):
     if wall.family == "dim1" and not (wall.a0 > 0 or (wall.a0 == 0 and wall.a1 > 0)):
         raise ew.DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
     g = 2 * lam * (1 + wall.kappa * lam)
-    if g <= 0:
-        raise ew.DomainError("frame requires H.H > 0, got %s" % g)
+    if g <= 0:  # an error line shows the first 80 characters of the value it echoes
+        text = str(g)
+        raise ew.DomainError("frame requires H.H > 0, got %s"
+                             % (text if len(text) <= 80 else text[:80] + "..."))
     a, l = wall.a0 + wall.a1 * lam, wall.l0 + wall.l1 * lam
     if wall.a0 == 0 and wall.a1 == 0:
         return ("everywhere" if l == 0 else "no-wall"), None
@@ -100,6 +102,7 @@ def _walls(draw):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_walls(), _lam)
 @example(ew.LambdaQWall("dim2", 1, 1, 1, 1, 0, 0, -2), Fraction(1, 2))  # g = 0
+@example(ew.LambdaQWall("dim2", 1, 1, 1, 1, 0, 0, -2), Fraction(10**30 - 1, 10**30))  # g < 0, long
 def test_wall_at_matches_the_paper_formula(wall, lam):
     assert _outcome(_at, wall, lam) == _outcome(_paper_wall, wall, lam)
 

@@ -14,19 +14,26 @@ with the decorators of a definition, or the whole of a simple statement.
 Docstrings do not count.  Code that a test runs in a subprocess is not seen.
 
 Tracing makes every call into ellwall slower, so a test with a wall-clock
-budget can fail under it.  The report keeps pytest's own summary and exits
-with pytest's status: a failure is shown as it is, and no test is skipped
-or changed.
+budget can fail under it.  The report keeps pytest's own summary, failures
+included, and no test is skipped or changed.  The tests that failed under
+the tracer run again untraced, in one subprocess with PYTHONPATH=src from
+the rootdir of the traced run; those that pass there are listed as failed
+only under tracing.  The tool exits with the status of that untraced run,
+or with pytest's status when no test failed or pytest stopped otherwise.
 """
 
 import ast
+import json
 import os
+import subprocess
 import sys
+import tempfile
 import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PACKAGE = os.path.join(SRC, "ellwall")
+UNTRACED = "--untraced-rerun"  # the first argument of rerun's subprocess
 
 
 def statements(source: str) -> dict:
@@ -111,6 +118,49 @@ def report(hits) -> list:
     return out
 
 
+class Failures:
+    """A pytest plugin that keeps the rootdir of the run and the nodeid of
+    each test that failed, in setup, call or teardown, in order."""
+
+    def __init__(self):
+        self.rootdir, self.nodeids = None, []
+
+    def pytest_sessionstart(self, session):
+        self.rootdir = str(session.config.rootpath)
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed and report.nodeid not in self.nodeids:
+            self.nodeids.append(report.nodeid)
+
+
+def rerun(rootdir: str, nodeids: list) -> tuple:
+    """Run nodeids again in a subprocess with no tracer, from rootdir with
+    PYTHONPATH=src: returns (its pytest status, the nodeids that failed)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "failed.json")
+        status = subprocess.call(
+            [sys.executable, os.path.abspath(__file__), UNTRACED, out, *nodeids], cwd=rootdir, env=env
+        )
+        if not os.path.exists(out):  # the subprocess stopped before its report
+            return status, list(nodeids)
+        with open(out, encoding="utf-8") as fh:
+            return status, json.load(fh)
+
+
+def untraced(out: str, nodeids: list) -> int:
+    """The subprocess of rerun: pytest on nodeids, the failed ones to out.
+    It keeps no cache, so the traced run's record of its failures stays."""
+    import pytest
+
+    failures = Failures()
+    status = pytest.main(["-q", "-p", "no:cacheprovider", *nodeids], plugins=[failures])
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(failures.nodeids, fh)
+    return int(status)
+
+
 def main(argv) -> int:
     import pytest
 
@@ -118,12 +168,23 @@ def main(argv) -> int:
     paths = sorted(
         os.path.realpath(os.path.join(PACKAGE, f)) for f in os.listdir(PACKAGE) if f.endswith(".py")
     )
-    status, hits = trace_lines(lambda: pytest.main(argv), paths)
+    failures = Failures()
+    status, hits = trace_lines(lambda: pytest.main(argv, plugins=[failures]), paths)
     print("\n".join(["", "line reach of src/ellwall under pytest %s" % " ".join(argv)]
                     + report(hits)))
     print("pytest exit status: %d" % status)
-    return int(status)
+    if status != pytest.ExitCode.TESTS_FAILED or not failures.nodeids:
+        return int(status)
+    print("\nrunning the %d failed tests again, untraced:" % len(failures.nodeids), flush=True)
+    status, failed = rerun(failures.rootdir, failures.nodeids)
+    traced_only = [nodeid for nodeid in failures.nodeids if nodeid not in failed]
+    print("\n".join(["failed only under tracing: %d" % len(traced_only)]
+                    + ["  " + nodeid for nodeid in traced_only]))
+    print("untraced pytest exit status: %d" % status)
+    return status
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == [UNTRACED]:
+        sys.exit(untraced(sys.argv[2], sys.argv[3:]))
     sys.exit(main(sys.argv[1:]))
