@@ -235,19 +235,18 @@ def _json_text(v, nl: str) -> str:
     # not many small ones, which halves the peak memory of a large document
     if isinstance(v, str):
         return _json_str(v)
+    inner = nl + "  "  # the indent of a container's items
     if isinstance(v, dict):
         if not v:
             return "{}"
         for k in v:
             if not isinstance(k, str):
                 raise InvariantError("document keys must be strings, got %s" % _shown(k))
-        inner = nl + "  "
         items = [_json_str(k) + ": " + _json_text(v[k], inner) for k in sorted(v)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        inner = nl + "  "
         return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in v]) + nl + "]"
     if v is True or v is False:
         return _JSON_BOOL[v]
@@ -275,55 +274,57 @@ def _document(obj) -> str:
 def _candidate_template() -> tuple:
     """(head, separator, tail, pieces) of an enumerate document with
     candidates: head, the blocks joined by separator, then tail.  A block
-    is five pieces, each a tuple of steps (i, text): value i, as JSON, of
-    the candidate's (rank, ch2) pair (ch2(A), ch2(B), S) in the first, third
-    and fifth, of its (rank, gamma, eta) run (the values of a run of
-    _sorted_cells before js) in the others, then text.  All of it is cut
-    from documents that _document renders with marks for the values, the
-    block from the report that _reports builds of a run and of marks
-    (mark, 1) for a pair, so the text and the candidate have one source."""
-    texts = [str(10**40 + i) for i in range(11)]  # unlike any text of the layout
-    run = (*map(int, texts[3:9]), *texts[9:], [0])  # int marks, the strict checks as text
-    rep = next(_reports([run], {(run[0], 0): tuple((int(text), 1) for text in texts[:3])}))
-    marks = [_json_str(text) for text in texts]
-    head, sep, tail = _document({"candidates": texts[:1] * 2}).split(marks[0])
+    is five pieces, each a (format, order) for _fill: the layout, "%" as
+    "%%", with a %s slot per value, and the index of each slot's value among
+    the three texts of the candidate's (rank, ch2) pair in the first, third
+    and fifth, among the values v of its run in _enumeration_chunks in the
+    others.  All of it is cut from documents that _document renders with int
+    marks for the values, the block from the report _reports builds of a run
+    and of pair marks (mark, 1), so the text and the candidate have one source."""
+    marks = [str(10**40 + i) for i in range(11)]  # unlike any text of the layout
+    run = (*map(int, marks[3:]), [0])  # int marks, checks too: quotes around a mark are layout
+    rep = next(_reports([run], {(run[0], 0): tuple((int(mark), 1) for mark in marks[:3])}))
+    head, sep, tail = _document({"candidates": [run[0]] * 2}).split(marks[3])
     block = _document({"candidates": [rep]})[len(head):-len(tail)]
-    order = sorted(range(11), key=lambda i: block.index(marks[i]))
-    lead, *after = re.split("|".join(marks), block)
-    groups = [(pair, tuple((i if pair else i - 3, text) for i, text in steps))
-              for pair, steps in itertools.groupby(zip(order, after), lambda s: s[0] < 3)]
+    lead, *after = re.split("(%s)" % "|".join(marks), block)
+    found = zip(map(marks.index, after[::2]), after[1::2])  # (value, the layout after it)
+    groups = [(pair, [(i if pair else i - 3, "%s" + text.replace("%", "%%")) for i, text in steps])
+              for pair, steps in itertools.groupby(found, lambda s: s[0] < 3)]
     if [pair for pair, _ in groups] != [True, False, True, False, True]:
         raise InvariantError("an enumerate block no longer alternates pair and run values")
-    return head + lead, sep + lead, tail, tuple(steps for _, steps in groups)
+    return head + lead, sep + lead, tail, tuple(
+        ("".join([text for _, text in steps]), tuple([i for i, _ in steps])) for _, steps in groups)
 
 
-def _fill(piece: tuple, values: list) -> str:
-    return "".join([values[i] + text for i, text in piece])
+def _fill(piece: tuple, values: Sequence) -> str:
+    return piece[0] % tuple([values[i] for i in piece[1]])
 
 
 def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):
     """The document of `destab enumerate` as its head, one text per (rank,
     gamma, eta) run and its tail: the bytes of _document({"candidates":
-    enumerate_destabilizers(req, cfg)}), whose candidates passed every
-    gating check.  The kernel hands over runs and pairs in integers, so this
-    only formats them.  The kernel runs and each pair's text is made before
-    this returns, so an error leaves nothing written."""
+    enumerate_destabilizers(req, cfg)}).  Each pair's three texts and each
+    run's two are one % of the template; a run's cells find their pairs by
+    ch2 index j among its rank's texts.  The kernel runs and each pair's
+    text is made before this returns, so an error leaves nothing written."""
     runs, pairs = _sorted_cells(_build_context(req, cfg))
     if not runs:
         return [_document({"candidates": []})]
     head, sep, tail, (p0, r1, p2, r3, p4) = _candidate_template()
-    quoted = {pair: ['"%s"' % _pair_text(*c) for c in q] for pair, q in pairs.items()}
-    texts = {pair: (sep + _fill(p0, q), _fill(p2, q), _fill(p4, q)) for pair, q in quoted.items()}
+    texts = {}  # texts[r][j]: the pieces of pair (r, j), the first after a separator
+    for (r, j), q in pairs.items():
+        q = [_pair_text(*c) for c in q]
+        texts.setdefault(r, {})[j] = sep + _fill(p0, q), _fill(p2, q), _fill(p4, q)
 
     def pieces():
         yield head
         for k, (r, gamma, eta, r_b, gamma_b, eta_b, lower, upper, js) in enumerate(runs):
-            v = ['"%d"' % n for n in (r, gamma, eta, r_b, gamma_b, eta_b)]
-            v += _JSON_BOOL[lower], _JSON_BOOL[upper]
+            v = r, gamma, eta, r_b, gamma_b, eta_b, _JSON_BOOL[lower], _JSON_BOOL[upper]
             a, b = _fill(r1, v), _fill(r3, v)
+            by_j = texts[r]  # the pairs of the run's rank, by ch2 index
             parts = []
             for j in js:
-                first, c2, c2B = texts[r, j]
+                first, c2, c2B = by_j[j]
                 parts += first, a, c2, b, c2B
             yield "".join(parts)[0 if k else len(sep):]  # the first block follows the head
         yield tail

@@ -1032,6 +1032,49 @@ def test_candidate_template_refuses_a_layout_out_of_turn(monkeypatch):
         eio._candidate_template.cache_clear()
 
 
+def test_candidate_template_writes_a_percent_of_the_layout_as_is(monkeypatch):
+    # the template's text is a % format: a "%" of the layout itself, here in
+    # a key that keeps its sorted place, must reach the document unchanged
+    monkeypatch.setitem(eio._KEYS, "complement", "compl%dement")
+    eio._candidate_template.cache_clear()
+    try:
+        for instance in (_DIRECT_INSTANCES[0], _BENCHMARK_INSTANCE):
+            req, cfg = _direct_request(*instance)
+            text = "".join(eio._enumeration_chunks(req, cfg))
+            assert '"compl%dement": {' in text
+            assert text == _generic_enumerate_text(req, cfg)
+    finally:
+        eio._candidate_template.cache_clear()
+
+
+def test_candidate_template_fills_hand_made_runs_as_the_reports_read():
+    # no kernel: runs with negative integers and both strict checks either
+    # way, and pairs whose integer pairs are not reduced, S's denominator
+    # negative as the kernel hands it over
+    from ellwall.destabilize import _reports
+
+    runs = [(2, -3, -5, 1, 3, 12, False, True, [-4, 6]),
+            (-1, 0, 7, 4, -2, 0, True, False, [6])]
+    pairs = {(2, -4): ((-4, 2), (21, 6), (10, -4)),
+             (2, 6): ((6, 2), (-9, 6), (-3, -9)),
+             (-1, 6): ((6, 4), (0, 6), (14, -21))}
+    head, sep, tail, (p0, r1, p2, r3, p4) = eio._candidate_template()
+    blocks = []
+    for *ints, lower, upper, js in runs:
+        v = (*ints, eio._JSON_BOOL[lower], eio._JSON_BOOL[upper])
+        for j in js:
+            q = [eio._pair_text(*c) for c in pairs[ints[0], j]]
+            blocks.append(eio._fill(p0, q) + eio._fill(r1, v) + eio._fill(p2, q)
+                          + eio._fill(r3, v) + eio._fill(p4, q))
+    expected = eio._document({"candidates": list(_reports(runs, pairs))})
+    assert head + sep.join(blocks) + tail == expected
+    # the cases named above reach the document: a sign moved to the
+    # numerator, a negative rank and each strict check both ways
+    assert '"S": "-5/2"' in expected and '"ch0": "-1"' in expected
+    for check in ("lower", "upper"):
+        assert all('"6.1_strict_%s": %s' % (check, b) in expected for b in ("true", "false"))
+
+
 def test_unwritable_out_is_exit_1(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "x.json"
     code, out, err = run(capsys, ["surface", "check", "--out", str(missing)] + CFG)
