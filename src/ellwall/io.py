@@ -401,11 +401,10 @@ def emit_lambda_q_plot(
             raise InputError("wall label %s repeats a plot column" % _shown(label))
     # each row on the integers of lambda = n/d, by the evaluators of section_q
     # and LambdaQWall.at, which take the same checks in the same order
-    kappa, K = _shear_constant(cfg) - 1, vp.K
-    rows = []
+    q_at, K, rows = _section_at(vp, _shear_constant(cfg) - 1), vp.K, []
     for lam in lambda_values:
         n, d = lam.numerator, lam.denominator
-        row = [(n, d), _section_at(n, d, vp, kappa), (K.numerator * d, 2 * K.denominator * n)]
+        row = [(n, d), q_at(n, d), (K.numerator * d, 2 * K.denominator * n)]
         rows.append(row + [wall._q(n, d) for _, _, wall in walls])
     series = [("section", "q_section", "#000000"), ("asymptote K/(2*lambda)", "q_asym", "#999999")]
     series += [("wall %s" % label, key, _PALETTE[i % len(_PALETTE)])
@@ -414,41 +413,45 @@ def emit_lambda_q_plot(
 
 
 def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
-    """Rows of exact cells as CSV or SVG.  The CSV writes an exact value, an
-    integer pair (num, den) not reduced, as p/q in lowest terms, an irrational
-    root as its enclosure midpoint and anything else (a flag, a wall outcome)
-    as is, then a float twin of each column in twinned: num/den, correctly
-    rounded, float(root), or "" for an outcome.  Each SVG series (name, column,
-    colour) draws the twins of its column against those of the first column,
-    which is twinned; outcomes are left out."""
-    at = {c: i for i, c in enumerate(columns)}
-    twins = [[_twin(row[at[c]], c) for c in twinned] for row in rows]
+    """Rows of exact cells as CSV or SVG, a column at a time: the twins of the
+    columns in twinned (_twins) before any text (_texts).  Only the CSV header goes
+    through csv, as a wall label may need quoting; the data rows, which never do,
+    fill one % template.  Each SVG series (name, column, colour) draws the twins of
+    its column against those of the first column, which is twinned; outcomes are
+    left out."""
+    cols, at = list(zip(*rows)), {c: i for i, c in enumerate(columns)}
+    try:
+        twins = [_twins(cols[at[c]], c) for c in twinned]
+    except DomainError:  # the error names the first cell in row order outside the float range
+        for row, c in itertools.product(rows, twinned):
+            _twins([row[at[c]]], c)
+        raise
     if fmt == "csv":
         buf = _stdio.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns + [c + _TWIN for c in twinned])
-        writer.writerows([_exact(c) for c in row] + tw for row, tw in zip(rows, twins))
-        return buf.getvalue()
+        csv.writer(buf, lineterminator="\n").writerow(columns + [c + _TWIN for c in twinned])
+        line = ",".join(["%s"] * (len(columns) + len(twinned))) + "\n"
+        cells = [_texts(col) for col in cols] + twins
+        return buf.getvalue() + "".join([line % row for row in zip(*cells)])
     if fmt == "svg":
         curves = []
         for name, column, colour in series:
-            k = twinned.index(column)
-            curves.append((name, [(tw[0], tw[k]) for tw in twins if tw[k] != ""], colour))
+            ys = twins[twinned.index(column)]
+            curves.append((name, [(x, y) for x, y in zip(twins[0], ys) if y != ""], colour))
         return _svg_plot(curves, xlabel=columns[0], ylabel=ylabel)
     raise InputError("unknown plot format %s" % _shown(fmt))
 
 
-def _exact(cell):
-    if type(cell) is _SectionRoot:
-        cell = cell.midpoint()
-    return _pair_text(*cell) if type(cell) is tuple else cell
+def _texts(cells) -> list:
+    """A column's texts: p/q in lowest terms of a pair or of a root's midpoint, else the cell."""
+    return [_pair_text(*c) if type(c) is tuple else
+            _pair_text(*c.midpoint()) if type(c) is _SectionRoot else c for c in cells]
 
 
-def _twin(cell, column: str):
-    if isinstance(cell, str):
-        return ""
+def _twins(cells, column: str) -> list:
+    """A column's float twins: num/den of a pair, float(root) of a root, "" of an outcome."""
     try:  # n/d is correctly rounded, as float(Fraction(n, d)); + 0.0 makes -0.0 read 0.0
-        return cell[0] / cell[1] + 0.0 if type(cell) is tuple else float(cell)
+        return [c[0] / c[1] + 0.0 if type(c) is tuple else "" if type(c) is str else float(c)
+                for c in cells]
     except OverflowError:
         raise DomainError("plot column %s holds a value outside the float range"
                           % _shown(column, str)) from None

@@ -205,13 +205,11 @@ class SurfaceConfig:
         # integer entries: the form is integral
         n = self.rank
         g = [[0] * n for _ in range(n)]
-        g[0][0] = -self.e
-        g[0][1] = g[1][0] = 1
-        for i, sec in enumerate(self.sections):
-            k = 2 + i
-            g[0][k] = g[k][0] = sec.theta
-            g[1][k] = g[k][1] = 1
+        for k in (0, *range(2, n)):  # Theta and each Theta_i: square -e, one point on f
             g[k][k] = -self.e
+            g[k][1] = g[1][k] = 1
+        for k, sec in enumerate(self.sections, 2):
+            g[0][k] = g[k][0] = sec.theta
             for j, val in enumerate(sec.cross):
                 g[k][2 + j] = g[2 + j][k] = val
         return tuple(tuple(row) for row in g)
@@ -257,12 +255,15 @@ class DivisorClass:
     coeffs: tuple[Fraction, ...]
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
+        if len(self.coeffs) != len(other.coeffs):
+            raise DimensionError(
+                "mixed bases: %d vs %d coefficients"
+                % (len(self.coeffs), len(other.coeffs))
+            )
         return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + -other
 
     def __neg__(self) -> "DivisorClass":
         return DivisorClass(tuple(-a for a in self.coeffs))
@@ -271,18 +272,10 @@ class DivisorClass:
         k = _frac(k)
         return DivisorClass(tuple(k * a for a in self.coeffs))
 
-    def __rmul__(self, k):
-        return self.scale(k)
+    __rmul__ = scale
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def _check(self, other: "DivisorClass"):
-        if len(self.coeffs) != len(other.coeffs):
-            raise DimensionError(
-                "mixed bases: %d vs %d coefficients"
-                % (len(self.coeffs), len(other.coeffs))
-            )
 
 
 def _cleared(values: Sequence[Fraction]) -> tuple:
@@ -664,23 +657,27 @@ def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
 def section_q(lam: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> Fraction:
     """Exact q with (lambda, q) on the volume section: 2q*(lam+(m-e/2-1)*lam^2) = K."""
     lam = _frac(lam)
-    return Fraction(*_section_at(lam.numerator, lam.denominator, vp, _shear_constant(cfg) - 1))
+    return Fraction(*_section_at(vp, _shear_constant(cfg) - 1)(lam.numerator, lam.denominator))
 
 
-def _section_at(n: int, d: int, vp: VolumeSectionParams, kappa: Fraction) -> tuple:
-    """section_q at lambda = n/d in lowest terms, on integers: with kappa = kn/kd
-    and gN = kd*d + kn*n, g = 2n*gN/(kd*d^2) and q = K/g = K*kd*d^2/(2n*gN),
-    returned as the pair (num, den), den > 0 and not reduced."""
-    if not 0 < n < d:
-        raise DomainError("lambda must lie in (0,1)")
-    _require_section(vp)
-    kn, kd = kappa.numerator, kappa.denominator
-    gN = kd * d + kn * n
-    if gN <= 0:
-        raise DomainError("H_lambda fails to be positive at lambda=%s"
-                          % _shown(Fraction(n, d), str))
-    K = vp.K
-    return K.numerator * kd * d * d, K.denominator * 2 * n * gN
+def _section_at(vp: VolumeSectionParams, kappa: Fraction):
+    """q_at(n, d): section_q at lambda = n/d in lowest terms, on integers, kappa = kn/kd and
+    K fixed once.  With gN = kd*d + kn*n, g = 2n*gN/(kd*d^2) and q = K/g = K*kd*d^2/(2n*gN),
+    the pair (num, den), den > 0 and not reduced, after the checks 0 < n < d, K > 0, gN > 0."""
+    kn, kd, Kn, Kd = kappa.numerator, kappa.denominator, vp.K.numerator, vp.K.denominator
+
+    def q_at(n: int, d: int) -> tuple:
+        if not 0 < n < d:
+            raise DomainError("lambda must lie in (0,1)")
+        if Kn <= 0:
+            _require_section(vp)
+        gN = kd * d + kn * n
+        if gN <= 0:
+            raise DomainError("H_lambda fails to be positive at lambda=%s"
+                              % _shown(Fraction(n, d), str))
+        return Kn * kd * d * d, Kd * 2 * n * gN
+
+    return q_at
 
 
 def uv_on_section(u: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> UV:

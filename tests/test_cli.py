@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import hashlib
 import io as stdio
 import json
@@ -773,6 +774,56 @@ def test_plot_value_outside_float_range_exit_2(tmp_path, capsys):
             code, out, err = run(capsys, argv + ["--format", fmt] + CFG)
             assert code == 2 and out == ""
             assert err.startswith("error: plot column") and "outside the float range" in err
+
+
+def test_plot_overflow_names_the_first_cell_in_row_order(tmp_path, capsys):
+    # the wall overflows at lambda = 1/2, row 0; q_section and q_asym only at
+    # lambda = 1/10^10, row 1: the error names the wall, though its column
+    # comes after q_section's
+    wall = tmp_path / "w.json"
+    wall.write_text(json.dumps({"dim": 2, "label": "w", "x": "1", "z": str(-10**320),
+                                "L": ["0", "0"], "r": "1", "k": "0", "p": "1", "chi": "0"}))
+    argv = ["plot", "lambda-q", "--alpha", str(10**300), "--lambda-from", "1/2",
+            "--lambda-to", "1/10000000000", "--samples", "2", "--wall", str(wall)] + CFG
+    for fmt in ("csv", "svg"):
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert (code, out) == (2, "")
+        assert err == "error: plot column q_wall_w holds a value outside the float range\n"
+    # the same rows through the library, one row at a time: each overflows on its own
+    cfg = ew.SurfaceConfig(e=2, m=3)
+    vp = ew.volume_params(10**300, cfg)
+    spec = ("w", ew.FactoredCharacter(x=1, z=-10**320, L=cfg.zero()),
+            ew.PartnerCharacter(r=1, k=0, p=1, chi=0))
+    for lam, column in ((Fraction(1, 2), "q_wall_w"), (Fraction(1, 10**10), "q_section")):
+        with pytest.raises(ew.DomainError, match="plot column %s holds" % column):
+            eio.emit_lambda_q_plot(vp, cfg, [lam], walls=[spec])
+
+
+def test_plot_header_quotes_a_wall_label_as_csv_does(tmp_path, capsys):
+    # only the header goes through csv: a label with a comma and quotes is
+    # quoted there as csv.writer quotes it, and the data rows do not move
+    headers, rows = {}, {}
+    for label in ('a,"b"', "plain"):
+        wall = tmp_path / "wall.json"
+        wall.write_text(json.dumps({"dim": 2, "label": label, "x": "2", "z": "-1",
+                                    "L": ["1", "-1"], "r": "1", "k": "2", "p": "1",
+                                    "chi": "1/2"}))
+        code, out, err = run(capsys, ["plot", "lambda-q", "--alpha", "5/2", "--lambda-from",
+                                      "1/20", "--lambda-to", "19/20", "--samples", "19",
+                                      "--wall", str(wall), "--format", "csv"] + CFG)
+        assert (code, err) == (0, "")
+        header, rows[label] = out.split("\n", 1)
+        columns = ["lambda", "q_section", "q_asym", "q_wall_" + label]
+        columns += [c + "_float_lossy" for c in columns]
+        buf = stdio.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(columns)
+        assert header + "\n" == buf.getvalue()
+        table = list(csv.reader(stdio.StringIO(out)))
+        assert table[0] == columns and len(table) == 20
+        assert all(len(row) == len(columns) for row in table)
+        headers[label] = header
+    assert rows['a,"b"'] == rows["plain"]
+    assert headers['a,"b"'].split(",")[3:5] == ['"q_wall_a', '""b"""']
 
 
 def test_plot_float_twin_of_a_root_whose_discriminant_overflows(capsys):

@@ -119,11 +119,13 @@ def _sections(draw):
 
 
 _G_ZERO = ew.SurfaceConfig(e=4, m=1, sections=(ew.ExtraSection(theta=0),))  # kappa = -2
+_EMPTY = ew.SurfaceConfig(e=8, m=1, sections=(ew.ExtraSection(theta=0),))  # K = alpha - 7
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_sections(), _lam)
 @example((ew.volume_params(5, _G_ZERO), _G_ZERO), Fraction(1, 2))  # g = 0
+@example((ew.volume_params(1, _EMPTY), _EMPTY), Fraction(0))  # lambda is checked before K <= 0
 def test_section_q_matches_the_paper_formula(section, lam):
     vp, cfg = section
     assert _outcome(ew.section_q, lam, vp, cfg) == _outcome(_paper_section, lam, vp, cfg)
@@ -163,6 +165,7 @@ def _plot_rows(vp, cfg, lams, walls):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_sections(), st.lists(_lam, min_size=1, max_size=6), st.integers(-2, 2))
+@example((ew.volume_params(1, _EMPTY), _EMPTY), [Fraction(0), Fraction(1, 2)], 0)  # as in section_q
 def test_plot_rows_match_the_paper_formulas(section, lams, xi):
     vp, cfg = section
     walls = _spec_walls(cfg, xi)
@@ -357,6 +360,12 @@ def _expected_twin(x, column):
                 "plot column %s holds a value outside the float range" % column)
 
 
+def _one_cell(column_helper, cell, *args):
+    """The one result of a plot writer's column helper on the column [cell]."""
+    (out,) = column_helper([cell], *args)
+    return out
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_cell_pairs())
 @example((0, -7))  # 0/-7 is 0 and its twin 0.0, where the int division gives -0.0
@@ -374,9 +383,67 @@ def test_pair_writer_matches_the_fraction_writer(pair):
     text = _expected_text(x)
     assert _outcome(eio._pair_text, n, d) == text
     assert _outcome(eio.format_rational, x) == text
-    assert _outcome(eio._exact, pair) == text
+    assert _outcome(_one_cell, eio._texts, pair) == text
     twin = _expected_twin(x, "q_wall_a")
-    got = _outcome(eio._twin, pair, "q_wall_a")
-    assert got == twin == _outcome(eio._twin, x, "q_wall_a")
+    got = _outcome(_one_cell, eio._twins, pair, "q_wall_a")
+    assert got == twin == _outcome(_one_cell, eio._twins, x, "q_wall_a")
     if got[0] == "ok":  # the same float to the bit, sign of zero included
         assert math.copysign(1.0, got[1]) == math.copysign(1.0, twin[1])
+
+
+_OUTCOMES = ("pole", "no-wall", "everywhere")
+_small_pairs = st.builds(lambda n, d, g: (n * g, d * g), st.integers(-10**6, 10**6),
+                         st.integers(-10**6, 10**6).filter(bool), st.integers(-12, 12).filter(bool))
+
+
+@st.composite
+def _plot_tables(draw):
+    """(columns, twinned, rows) of a plot: a first column of pairs, then columns
+    of pairs, of pairs and outcome words (as a wall's) and of flags, which are
+    not twinned.  Pairs are not reduced and take denominators of either sign;
+    in half the tables they reach past the float range and the int-string limit."""
+    pairs = _cell_pairs() if draw(st.booleans()) else _small_pairs
+    cells = {"pair": pairs, "wall": st.one_of(pairs, st.sampled_from(_OUTCOMES)),
+             "flag": st.sampled_from((0, 1))}
+    kinds = ["pair"] + draw(st.lists(st.sampled_from(sorted(cells)), max_size=4))
+    columns = ["c%d" % i for i in range(len(kinds))]
+    rows = draw(st.lists(st.tuples(*[cells[k] for k in kinds]).map(list), min_size=1, max_size=6))
+    return columns, [c for c, k in zip(columns, kinds) if k != "flag"], rows
+
+
+def _fraction_csv(columns, twinned, rows):
+    """The CSV of a plot written by csv.writer from Fractions: str(Fraction(n, d))
+    and float(Fraction(n, d)) of a pair, a word or a flag as it is, "" as the
+    twin of a word.  The first twin in row order outside the float range
+    raises, then a text past the int-string limit."""
+    twins = []
+    for row in rows:
+        twins.append([])
+        for c in twinned:
+            cell = row[columns.index(c)]
+            try:
+                twins[-1].append(float(Fraction(*cell)) if type(cell) is tuple else "")
+            except OverflowError:
+                raise ew.DomainError("plot column %s holds a value outside the float range" % c)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns + [c + "_float_lossy" for c in twinned])
+    for row, tw in zip(rows, twins):
+        try:
+            writer.writerow([str(Fraction(*c)) if type(c) is tuple else c for c in row] + tw)
+        except ValueError:
+            raise ew.DomainError("result too large to write: a number has more than %d digits"
+                                 % _LIMIT) from None
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_plot_tables())
+@example((["lambda", "q"], ["lambda", "q"], [[(1, 2), (0, -7)], [(2, -4), "pole"]]))
+@example((["v", "u", "flag"], ["v", "u"], [[(6, -4), (10**400, 3), 1], [(1, 1), (10**400, -1), 0]]))
+@example((["a", "b"], ["a", "b"], [[(1, 1), (1, 1)], [(1, 1), (10**400, 1)], [(10**400, 1), (1, 1)]]))
+def test_csv_writer_matches_the_fraction_writer(table):
+    # the whole CSV, cell for cell, and the error line when a cell cannot be written
+    columns, twinned, rows = table
+    got = _outcome(eio._write_plot, "csv", columns, twinned, rows, [], "q")
+    assert got == _outcome(_fraction_csv, columns, twinned, rows)
