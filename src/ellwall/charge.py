@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chern import ChernCharacter, twist
-from .errors import DomainError, NotInHeartError, _shown
+from .errors import DomainError, NotInHeartError
 from .fmtransform import phi
 from .nslattice import (
     SQ,
@@ -28,6 +28,7 @@ from .nslattice import (
     SurfaceConfig,
     VolumeSectionParams,
     _omega_bar,
+    _require_section,
     cone_membership,
     intersect,
     record,
@@ -100,8 +101,7 @@ class LimitCharge:
 def limit_charge(
     ch: ChernCharacter, vp: VolumeSectionParams, cfg: SurfaceConfig
 ) -> LimitCharge:
-    if vp.K <= 0:
-        raise DomainError("limit charge needs K = alpha+m-e > 0, got %s" % _shown(vp.K, str))
+    _require_section(vp)
     d = ch.d(cfg)
     return LimitCharge(
         re_const=-ch.ch2 + vp.K * ch.ch0,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .errors import DomainError, _shown
+from .errors import DomainError, UnsupportedRankError, _shown
 from .nslattice import DivisorClass, Rational, SurfaceConfig, _frac, _omega_bar, intersect, record
 
 
@@ -15,7 +15,7 @@ class ChernCharacter:
     """Triple (ch0, ch1, ch2) over exact rationals.
 
     ch2 is an arbitrary rational; lattice constraints (ch2 in Z/2 on a
-    surface) are imposed only where enumeration needs discreteness.
+    surface) are imposed only where enumeration requires discreteness.
     """
 
     ch0: Fraction
@@ -146,7 +146,7 @@ def bogomolov_constant(u0: Rational, cfg: SurfaceConfig) -> Fraction:
     """Effective-divisor constant C for omega_0 = u0*(Theta+mf)+v0*f on a
     rank-2 surface, where m > e: C = e/(u0^2*(m-e)^2), valid for every v0 >= 0."""
     if cfg.rank != 2:
-        raise DomainError("the constant is only derived for Picard rank 2")
+        raise UnsupportedRankError("the constant is only derived for Picard rank 2")
     u0 = _frac(u0)
     if u0 <= 0:
         raise DomainError("u0 must be positive")

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .chern import ChernCharacter, bogomolov_constant, character
 from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError, _shown
 from .fmtransform import phi_hat
-from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _shear_constant, record
+from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _require_section, record, uv_on_section
 from .walls import FactoredCharacter, PartnerCharacter, classify_asymptote_dim2
 
 # checks that gate emission; the strict variants of the category bound are
@@ -114,17 +114,14 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
         raise DomainError("target needs ch2 <= 0, got %s" % _shown(z, str))
     if (z * req.ch2_denominator).denominator != 1:
         raise DomainError("target ch2 not on the configured lattice")
+    _require_section(req.vp)
     K = req.vp.K
-    if K <= 0:
-        raise DomainError("enumeration needs K = alpha+m-e > 0, got %s" % _shown(K, str))
     u0 = req.u0
     if u0 <= 0:
         raise DomainError("u0 must be positive")
     if u0 * u0 >= 4 * K:
         raise DomainError("u0^2 >= 4K")
-    v0 = (K - _shear_constant(cfg) * u0 * u0) / u0
-    if v0 <= 0:
-        raise DomainError("u0 too large: the volume section point has v0 <= 0")
+    v0 = uv_on_section(u0, req.vp, cfg).v
     th_om = u0 * (cfg.m - cfg.e) + v0
     D = math.lcm(u0.denominator, th_om.denominator)
     f_om = int(u0 * D)

@@ -33,7 +33,6 @@ from .nslattice import (
     _section_at,
     _section_u,
     _SectionRoot,
-    _shear_constant,
 )
 from .walls import (
     FactoredCharacter,
@@ -401,7 +400,7 @@ def emit_lambda_q_plot(
             raise InputError("wall label %s repeats a plot column" % _shown(label))
     # each row on the integers of lambda = n/d, by the evaluators of section_q
     # and LambdaQWall.at, which take the same checks in the same order
-    q_at, K, rows = _section_at(vp, _shear_constant(cfg) - 1), vp.K, []
+    q_at, K, rows = _section_at(vp, cfg), vp.K, []
     for lam in lambda_values:
         n, d = lam.numerator, lam.denominator
         row = [(n, d), q_at(n, d), (K.numerator * d, 2 * K.denominator * n)]

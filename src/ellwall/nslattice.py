@@ -425,7 +425,7 @@ class LambdaT:
 
     def __post_init__(self):
         if not 0 < self.lam < 1:
-            raise DomainError("lambda must lie in (0,1)")
+            raise DomainError("lambda must lie in (0,1), got %s" % _shown(self.lam, str))
         if self.t <= 0:
             raise DomainError("t must be positive")
 
@@ -657,24 +657,25 @@ def volume_section_u(v: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig):
 def section_q(lam: Rational, vp: VolumeSectionParams, cfg: SurfaceConfig) -> Fraction:
     """Exact q with (lambda, q) on the volume section: 2q*(lam+(m-e/2-1)*lam^2) = K."""
     lam = _frac(lam)
-    return Fraction(*_section_at(vp, _shear_constant(cfg) - 1)(lam.numerator, lam.denominator))
+    return Fraction(*_section_at(vp, cfg)(lam.numerator, lam.denominator))
 
 
-def _section_at(vp: VolumeSectionParams, kappa: Fraction):
+def _section_at(vp: VolumeSectionParams, cfg: SurfaceConfig):
     """q_at(n, d): section_q at lambda = n/d in lowest terms, on integers, kappa = kn/kd and
     K fixed once.  With gN = kd*d + kn*n, g = 2n*gN/(kd*d^2) and q = K/g = K*kd*d^2/(2n*gN),
     the pair (num, den), den > 0 and not reduced, after the checks 0 < n < d, K > 0, gN > 0."""
+    kappa = _shear_constant(cfg) - 1
     kn, kd, Kn, Kd = kappa.numerator, kappa.denominator, vp.K.numerator, vp.K.denominator
 
     def q_at(n: int, d: int) -> tuple:
         if not 0 < n < d:
-            raise DomainError("lambda must lie in (0,1)")
+            raise DomainError("lambda must lie in (0,1), got %s" % _shown(Fraction(n, d), str))
         if Kn <= 0:
             _require_section(vp)
         gN = kd * d + kn * n
         if gN <= 0:
-            raise DomainError("H_lambda fails to be positive at lambda=%s"
-                              % _shown(Fraction(n, d), str))
+            raise DomainError("frame requires H.H > 0, got %s"
+                              % _shown(Fraction(2 * n * gN, kd * d * d), str))
         return Kn * kd * d * d, Kd * 2 * n * gN
 
     return q_at

@@ -895,7 +895,7 @@ _ENUMERATE = ["destab", "enumerate", "--target", "{target}", "--alpha", "5"]
     pytest.param(_ENUMERATE + ["--u0", "0"] + CFG, 2, "u0 must be positive", id="u0-0"),
     # K = 1 + 3 - 2 = 2 and u0 = 1 put the section point at v0 = (K - 2*u0^2)/u0 = 0
     pytest.param(["destab", "enumerate", "--target", "{target}", "--alpha", "1", "--u0", "1"]
-                 + CFG, 2, "u0 too large: the volume section point has v0 <= 0", id="v0-0"),
+                 + CFG, 2, "u=1 lies beyond the v > 0 part of the section", id="v0-0"),
     pytest.param(["surface", "check", "--config", "{theta}"], 2,
                  "Theta.Theta_i must be >= 0, got -1", id="theta-negative"),
     pytest.param(["surface", "check", "--genus-base", "-1"] + CFG, 2, "base genus must be >= 0",
@@ -1264,12 +1264,16 @@ def test_error_lines_bound_the_values_they_echo(tmp_path, capsys):
         (enum + ["--target", ch0], "target needs ch0 a positive integer, got "),
         (["surface", "check", "--config", str(theta)], "Theta.Theta_i must be >= 0, got "),
         (["limit-phase", "--config", str(rank3), "--ch", ch3, "--alpha", "1"],
-         "limit charge needs K = alpha+m-e > 0, got "),
+         "empty volume section: K = "),
+        (["limit-compare", "--config", str(rank3), "--first", ch3, "--second", ch3, "--alpha", "1"],
+         "empty volume section: K = "),
         (["plot", "volume-section", "--config", str(rank3), "--alpha", "1", "--v-from", "1",
           "--v-to", "2"], "empty volume section: K = "),
         (["plot", "lambda-q", "--config", str(rank3), "--alpha", "3", "--lambda-from", "1/2",
           "--lambda-to", "%d/%d" % (n, b), "--samples", "2"],
-         "H_lambda fails to be positive at lambda="),
+         "frame requires H.H > 0, got "),
+        (["plot", "lambda-q", "--alpha", "3", "--lambda-from", "1/2", "--lambda-to", lam[1],
+          "--samples", "2"] + CFG, "lambda must lie in (0,1), got "),
         (["wall", "lambda-q", "--x", "1", "--z", "0", "--L", "0,0,0", "--r", "1", "--k", "0",
           "--p", "1", "--chi", "0"] + past, "frame requires H.H > 0, got -63"),
         (["charge-sq", "--ch", ch3, "--s", "0", "--q", "1"] + past,

@@ -596,14 +596,14 @@ def _enumeration(candidate=None, K=None):
     pytest.param(lambda: _enumeration(candidate=(1, [0, 1], Fraction(-1, 3))), ew.DomainError,
                  "candidate ch2 not on the configured lattice", id="candidate-off-lattice"),
     # volume_params gives K = alpha + m - e > 0 on rank 2; a hand-built one need not
-    pytest.param(lambda: _enumeration(K=0), ew.DomainError,
-                 "enumeration needs K = alpha+m-e > 0, got 0", id="enumerate-K-0"),
+    pytest.param(lambda: _enumeration(K=0), ew.EmptySectionError,
+                 "empty volume section: K = 0 <= 0", id="enumerate-K-0"),
     pytest.param(lambda: cfg_e2m3().extra_section(1), ew.DimensionError,
                  "no extra section Theta_1", id="extra-section-out-of-range"),
     pytest.param(lambda: cfg_e2m3().theta() + cfg_rank3().fiber(), ew.DimensionError,
                  "mixed bases: 2 vs 3 coefficients", id="divisor-mixed-bases"),
     pytest.param(lambda: ew.UV(0, 1), ew.DomainError, "UV point requires u, v > 0", id="uv-u-0"),
-    pytest.param(lambda: ew.LambdaT(1, 1), ew.DomainError, "lambda must lie in (0,1)",
+    pytest.param(lambda: ew.LambdaT(1, 1), ew.DomainError, "lambda must lie in (0,1), got 1",
                  id="lambda-t-lambda-1"),
     pytest.param(lambda: ew.LambdaT(Fraction(1, 2), 0), ew.DomainError, "t must be positive",
                  id="lambda-t-t-0"),
@@ -611,6 +611,8 @@ def _enumeration(candidate=None, K=None):
                  ew.DomainError, "u must be positive", id="uv-on-section-u-0"),
     pytest.param(lambda: ew.WallSQ(kind="vertical", s=1).q_at(0), ew.DomainError,
                  "q_at is only defined for line walls", id="q-at-vertical"),
+    pytest.param(lambda: ew.bogomolov_constant(1, cfg_rank3()), ew.UnsupportedRankError,
+                 "the constant is only derived for Picard rank 2", id="bogomolov-rank-3"),
 ])
 def test_library_raise_class_and_message(call, cls, message):
     with pytest.raises(ew.EllwallError) as info:

@@ -56,12 +56,14 @@ def _paper_wall(wall, lam):
 def _paper_section(lam, vp, cfg):
     """q with 2q*g = K on the section, g = 2*lam*(1 + (m - e/2 - 1)*lam)."""
     if not 0 < lam < 1:
-        raise ew.DomainError("lambda must lie in (0,1)")
+        raise ew.DomainError("lambda must lie in (0,1), got %s" % lam)
     if vp.K <= 0:
         raise ew.EmptySectionError("empty volume section: K = %s <= 0" % vp.K)
     g = 2 * lam * (1 + (cfg.m - Fraction(cfg.e, 2) - 1) * lam)
-    if g <= 0:
-        raise ew.DomainError("H_lambda fails to be positive at lambda=%s" % lam)
+    if g <= 0:  # as in _paper_wall
+        text = str(g)
+        raise ew.DomainError("frame requires H.H > 0, got %s"
+                             % (text if len(text) <= 80 else text[:80] + "..."))
     return vp.K / g
 
 
@@ -186,7 +188,9 @@ def test_plot_rows_cover_every_outcome():
     steep = ew.SurfaceConfig(e=4, m=Fraction(3, 2), sections=(ew.ExtraSection(theta=2),))
     for lams in ([Fraction(1, 2), Fraction(2, 3)], [Fraction(9, 10)]):
         got = _outcome(_plot_rows, ew.volume_params(5, steep), steep, lams, _spec_walls(steep, 0))
-        assert got == ("raised", ew.DomainError, "H_lambda fails to be positive at lambda=%s" % lams[-1])
+        g = str(2 * lams[-1] * (1 - Fraction(3, 2) * lams[-1]))  # kappa = 3/2 - 4/2 - 1
+        assert got == ("raised", ew.DomainError, "frame requires H.H > 0, got %s"
+                       % (g if len(g) <= 80 else g[:80] + "..."))
 
 
 def _root(e, m, alpha, v):
