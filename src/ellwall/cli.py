@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -316,27 +317,23 @@ MAX_PLOT_ROWS = 100_000
 
 
 def _grid(start: Fraction, step: Fraction, n: int) -> list:
-    """start + i*step for i < n over one denominator, once n is within the row budget."""
+    """start + i*step for i < n as (num, den) in lowest terms, once n is within the row budget."""
     if n > MAX_PLOT_ROWS:
         raise DomainError("plot would have %s rows, above the budget of %d"
                           % (_shown(n, str), MAX_PLOT_ROWS))
     (a, p), den = _cleared((start, step))
-    return [Fraction(a + i * p, den) for i in range(n)]
-
-
-def _rational_range(lo: Fraction, hi: Fraction, step: Fraction):
-    if step <= 0:
-        raise InputError("range step must be positive")
-    return _grid(lo, step, (hi - lo) // step + 1 if hi >= lo else 0)
+    return [(x // g, den // g) for i in range(n) for x in [a + i * p] for g in [math.gcd(x, den)]]
 
 
 @_command("plot volume-section", "the (v,u) volume section and asymptote",
           "--alpha", "--v-from", "--v-to", "--v-step", "--format")
 def _cmd_plot_volume_section(args, cfg):
     vp = _vp(args, cfg)
-    lo, hi = eio.parse_rational(args.v_from), eio.parse_rational(args.v_to)
-    vals = _rational_range(lo, hi, eio.parse_rational(args.v_step))
-    return eio.emit_volume_section_plot(vp, cfg, vals, fmt=args.format)
+    lo, hi, step = map(eio.parse_rational, (args.v_from, args.v_to, args.v_step))
+    if step <= 0:
+        raise InputError("range step must be positive")
+    vs = _grid(lo, step, (hi - lo) // step + 1 if hi >= lo else 0)
+    return eio._volume_section_plot(vp, cfg, vs, args.format)
 
 
 @_command("plot lambda-q", "the section, asymptote and walls in (lambda,q)",
@@ -347,11 +344,11 @@ def _cmd_plot_lambda_q(args, cfg):
     n = args.samples
     if n < 2:
         raise InputError("--samples must be >= 2")
-    vals = _grid(lo, (hi - lo) / (n - 1), n)
+    lams = _grid(lo, (hi - lo) / (n - 1), n)
     wall_specs = [
         eio.wall_spec_from_obj(_read_json(path), cfg, i) for i, path in enumerate(args.wall or ())
     ]
-    return eio.emit_lambda_q_plot(vp, cfg, vals, walls=wall_specs, fmt=args.format)
+    return eio._lambda_q_plot(vp, cfg, lams, wall_specs, args.format)
 
 
 # ---------------------------------------------------------------------------

@@ -347,14 +347,17 @@ def emit_volume_section_plot(
     """Sampled (v, u(v)) rows of the volume section plus the asymptote
     u = K/v.  The u column is exact whenever the root is rational
     (u_is_exact = 1); otherwise it is an enclosure midpoint."""
-    v_values = [_frac(v) for v in v_values]
-    if not v_values:
+    vs = [(v.numerator, v.denominator) for v in map(_frac, v_values)]
+    return _volume_section_plot(vp, cfg, vs, fmt)
+
+
+def _volume_section_plot(vp, cfg, vs: list, fmt: str) -> str:
+    """emit_volume_section_plot on each v = n/d as its pair (n, d) in lowest terms: each
+    row by the evaluator of volume_section_u, which takes the same checks in the same order."""
+    if not vs:
         raise DomainError("empty v range")
-    # each row on the integers of v = n/d, by the evaluator of volume_section_u,
-    # which takes the same checks in the same order
     u_at, K, rows = _section_u(vp, cfg), vp.K, []
-    for v in v_values:
-        n, d = v.numerator, v.denominator
+    for n, d in vs:
         u = u_at(n, d)
         u_asym = (K.numerator * d, K.denominator * n)  # K/v
         rows.append([(n, d), u, int(type(u) is tuple), u_asym])
@@ -388,8 +391,14 @@ def emit_lambda_q_plot(
     with optional wall curves.  Walls are (label, character, partner)
     triples, dimension read off the character type; labels name columns,
     so they must be distinct."""
-    lambda_values = [_frac(l) for l in lambda_values]
-    if not lambda_values:
+    lams = [(lam.numerator, lam.denominator) for lam in map(_frac, lambda_values)]
+    return _lambda_q_plot(vp, cfg, lams, walls, fmt)
+
+
+def _lambda_q_plot(vp, cfg, lams: list, walls: Iterable, fmt: str) -> str:
+    """emit_lambda_q_plot on each lambda = n/d as its pair (n, d) in lowest terms: each row by
+    the evaluators of section_q and LambdaQWall.at, which take the same checks in the same order."""
+    if not lams:
         raise DomainError("empty lambda range")
     walls = [(label, "q_wall_%s" % label, lambda_q_wall(ch, partner, cfg))
              for label, ch, partner in walls]
@@ -398,11 +407,8 @@ def emit_lambda_q_plot(
     for label, key, _ in walls:
         if columns.count(key) > 1 or columns.count(key + _TWIN) > 1:
             raise InputError("wall label %s repeats a plot column" % _shown(label))
-    # each row on the integers of lambda = n/d, by the evaluators of section_q
-    # and LambdaQWall.at, which take the same checks in the same order
     q_at, K, rows = _section_at(vp, cfg), vp.K, []
-    for lam in lambda_values:
-        n, d = lam.numerator, lam.denominator
+    for n, d in lams:
         row = [(n, d), q_at(n, d), (K.numerator * d, 2 * K.denominator * n)]
         rows.append(row + [wall._q(n, d) for _, _, wall in walls])
     series = [("section", "q_section", "#000000"), ("asymptote K/(2*lambda)", "q_asym", "#999999")]

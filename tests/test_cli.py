@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io as stdio
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ellwall as ew
@@ -408,9 +409,18 @@ def test_plot_lambda_q_rejects_duplicate_wall_labels(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0].split(",")[3:5] == ["q_wall_a", "q_wall_b"]
 
 
-def test_plot_row_budget_exit_2(capsys):
-    from ellwall import cli
+def _volume_grid(monkeypatch, capsys, lo, hi, step):
+    """(exit code, the v grid as the CLI hands it to the row builder, stderr) of
+    `plot volume-section`, whose handler holds the range; the builder is stubbed
+    so that a grid with v <= 0 or no row reaches the test."""
+    grids = []
+    monkeypatch.setattr(eio, "_volume_section_plot", lambda vp, cfg, vs, fmt: grids.append(vs) or "")
+    code, _, err = run(capsys, ["plot", "volume-section", "--alpha", "2", "--v-from", str(lo),
+                                "--v-to", str(hi), "--v-step", str(step)] + CFG)
+    return code, (grids[0] if grids else None), err
 
+
+def test_plot_row_budget_exit_2(capsys, monkeypatch):
     for argv in (
         ["plot", "lambda-q", "--alpha", "2", "--lambda-from", "1/100", "--lambda-to", "1/2",
          "--samples", "1000000000000"],
@@ -422,14 +432,15 @@ def test_plot_row_budget_exit_2(capsys):
     # the row count is exact: MAX_PLOT_ROWS rows pass, one more does not
     step = Fraction(1, 3)
     top = Fraction(1, 2) + (cli.MAX_PLOT_ROWS - 1) * step
-    assert len(cli._rational_range(Fraction(1, 2), top, step)) == cli.MAX_PLOT_ROWS
-    with pytest.raises(ew.DomainError):
-        cli._rational_range(Fraction(1, 2), top + step, step)
+    code, grid, _ = _volume_grid(monkeypatch, capsys, Fraction(1, 2), top, step)
+    assert code == 0 and len(grid) == cli.MAX_PLOT_ROWS
+    code, grid, err = _volume_grid(monkeypatch, capsys, Fraction(1, 2), top + step, step)
+    assert code == 2 and grid is None
+    assert err == "error: plot would have %d rows, above the budget of %d\n" % (
+        cli.MAX_PLOT_ROWS + 1, cli.MAX_PLOT_ROWS)
 
 
-def test_rational_range_matches_accumulation():
-    from ellwall import cli
-
+def test_rational_range_matches_accumulation(capsys, monkeypatch):
     for lo, hi, step in ((1, 30, 1), (Fraction(1, 2), 7, Fraction(2, 3)), (3, 1, 1), (2, 2, 5),
                          (Fraction(-7, 3), Fraction(5, 4), Fraction(1, 7))):
         lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
@@ -437,7 +448,76 @@ def test_rational_range_matches_accumulation():
         while v <= hi:
             expected.append(v)
             v += step
-        assert cli._rational_range(lo, hi, step) == expected
+        code, grid, err = _volume_grid(monkeypatch, capsys, lo, hi, step)
+        assert code == 0, err
+        assert grid == [(v.numerator, v.denominator) for v in expected]
+
+
+def _emit_outcome(emit, *args, **kwargs):
+    """What main makes of a public emitter's result: (exit code, stdout, stderr)."""
+    try:
+        return 0, emit(*args, **kwargs), ""
+    except (ew.InputError, ew.DomainError) as exc:
+        return 2 if isinstance(exc, ew.DomainError) else 1, "", "error: %s\n" % exc
+
+
+_PLOT_WALLS = (  # a dim-1 wall with a pole at lambda = 1/4, and a dim-2 wall
+    {"dim": 1, "label": "pl", "k": "1", "p": "-4", "z": "-3", "r": "1", "chi": "0", "L": ["1", "0"]},
+    {"dim": 2, "label": "v", "x": "2", "z": "-1", "L": ["1", "-1"], "r": "1", "k": "2", "p": "1",
+     "chi": "1/2"},
+)
+# n/d with 0 < n <= d: lambda = 1 is outside (0,1)
+_lambda_end = st.integers(2, 20).flatmap(lambda d: st.builds(Fraction, st.integers(1, d), st.just(d)))
+_grid_rational = st.builds(Fraction, st.integers(-12, 60), st.sampled_from([1, 2, 3, 7, 20]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(alpha=st.sampled_from([Fraction(5, 2), Fraction(3), Fraction(7, 3)]),
+       lam=st.tuples(_lambda_end, _lambda_end),
+       samples=st.integers(2, 12),
+       v=st.tuples(_grid_rational, _grid_rational, st.builds(Fraction, st.integers(1, 9),
+                                                             st.sampled_from([1, 3, 4, 7]))))
+# descending and ascending lambda grids; a v range from v <= 0, its start and
+# step over different denominators; an empty v range
+@example(alpha=Fraction(5, 2), lam=(Fraction(19, 20), Fraction(1, 20)), samples=19,
+         v=(Fraction(-1, 3), Fraction(5, 2), Fraction(1, 4)))
+@example(alpha=Fraction(5, 2), lam=(Fraction(1, 20), Fraction(19, 20)), samples=19,
+         v=(Fraction(1, 2), Fraction(20), Fraction(1, 7)))
+@example(alpha=Fraction(3), lam=(Fraction(1, 3), Fraction(6, 7)), samples=5,
+         v=(Fraction(3), Fraction(1), Fraction(1)))
+def test_plot_cli_and_public_emitters_are_one_path(tmp_path, capsys, alpha, lam, samples, v):
+    """The CLI hands each plot grid to the row builders as pairs; the public
+    emitters take Fractions.  Both give the same bytes, or the same error."""
+    cfg = ew.SurfaceConfig(e=2, m=3)
+    vp = ew.volume_params(alpha, cfg)
+    (lo, hi), (v_lo, v_hi, v_step) = lam, v
+    lams = [lo + i * (hi - lo) / (samples - 1) for i in range(samples)]
+    vs, x = [], v_lo
+    while x <= v_hi:
+        vs.append(x)
+        x += v_step
+    # every grid pair is made of ints, in lowest terms with a positive denominator
+    for grid, values in ((cli._grid(lo, (hi - lo) / (samples - 1), samples), lams),
+                         (cli._grid(v_lo, v_step, len(vs)), vs)):
+        assert grid == [(x.numerator, x.denominator) for x in values]
+        for n, d in grid:
+            assert type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+    walls, wall_args = [], []
+    for i, obj in enumerate(_PLOT_WALLS):
+        walls.append(eio.wall_spec_from_obj(obj, cfg, i))
+        path = tmp_path / ("wall%d.json" % i)
+        path.write_text(json.dumps(obj))
+        wall_args += ["--wall", str(path)]
+    for fmt in ("csv", "svg"):
+        argv = ["plot", "lambda-q", "--alpha", str(alpha), "--lambda-from", str(lo),
+                "--lambda-to", str(hi), "--samples", str(samples), "--format", fmt]
+        assert run(capsys, argv + wall_args + CFG) == _emit_outcome(
+            eio.emit_lambda_q_plot, vp, cfg, lams, walls=walls, fmt=fmt)
+        argv = ["plot", "volume-section", "--alpha", str(alpha), "--v-from", str(v_lo),
+                "--v-to", str(v_hi), "--v-step", str(v_step), "--format", fmt]
+        assert run(capsys, argv + CFG) == _emit_outcome(
+            eio.emit_volume_section_plot, vp, cfg, vs, fmt=fmt)
 
 
 def test_wall_flags_xi_of_wrong_length_exit_1(capsys):
@@ -1584,6 +1664,10 @@ _CI_VS = "plot volume-section --alpha 5/2 --v-from 1/2 --v-to 20 --v-step 1/7"
                  "b90df42c6d1f769e7367e6b1795c25dbba8f2302059e4a60d27c2ef23e3d99d7", id="lq.csv"),
     pytest.param(_CI_LQ + " --format svg", None,
                  "4d014c9f50a1edd246a737259a6a33e5fa3ea2927c88ee18b9479aa0ae03a316", id="lq.svg"),
+    pytest.param("plot lambda-q --alpha 5/2 --lambda-from 19/20 --lambda-to 1/20 --samples 19"
+                 " --format csv", None,
+                 "821f8cfa10219478a7a5b412ede25ec78bb2bde7228364317556a447fccf43d1",
+                 id="lq_desc.csv"),
     pytest.param(_CI_VS, None,
                  "9b88c5fb75737b63682173ccd80394e3cae97109520441bbcc939385a3cdf1e5", id="vs.csv"),
     pytest.param(_CI_VS + " --format svg", None,
