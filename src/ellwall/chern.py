@@ -7,7 +7,7 @@ import functools
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedRankError, _shown
-from .nslattice import DivisorClass, Rational, SurfaceConfig, _frac, _omega_bar, intersect, record
+from .nslattice import DivisorClass, Rational, SurfaceConfig, _frac, _omega_bar, intersect, pairings, record
 
 
 @record
@@ -44,10 +44,10 @@ class ChernCharacter:
         return self.ch0
 
     def d(self, cfg: SurfaceConfig) -> Fraction:
-        return intersect(cfg.fiber(), self.ch1, cfg)
+        return pairings(self.ch1, cfg)[1]
 
     def c(self, cfg: SurfaceConfig) -> Fraction:
-        return intersect(cfg.theta(), self.ch1, cfg)
+        return pairings(self.ch1, cfg)[0]
 
     def s(self) -> Fraction:
         return self.ch2
@@ -64,7 +64,7 @@ def twist(ch: ChernCharacter, B: DivisorClass, cfg: SurfaceConfig) -> ChernChara
     """B-field twist ch^B = e^{-B}.ch."""
     return ChernCharacter(
         ch.ch0,
-        ch.ch1 - ch.ch0 * B,
+        ch.ch1 + B.scale(-ch.ch0),  # ch1 - ch0*B by one scale and one add, with no negated copy
         ch.ch2 - intersect(B, ch.ch1, cfg) + intersect(B, B, cfg) / 2 * ch.ch0,
     )
 

@@ -16,7 +16,6 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
@@ -44,7 +43,7 @@ from .walls import (
 
 SCHEMA = "ellwall/1"
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
 # Most digits an input integer, or the numerator or denominator of an
 # input rational, may have: far below the interpreter's int-string limit.
 MAX_DIGITS = 1000
@@ -83,7 +82,7 @@ def parse_rational(s) -> Fraction:
     if not isinstance(s, str):
         raise InputError("expected an exact rational string, got %s" % _shown(s))
     text = s.strip()
-    if not _RATIONAL_RE.match(text):
+    if not (match := _RATIONAL_RE.match(text)):
         raise InputError(
             "not an exact rational 'p/q' (decimals are rejected): %s" % _shown(s)
         )
@@ -91,7 +90,7 @@ def parse_rational(s) -> Fraction:
         len(part) > MAX_DIGITS for part in text.lstrip("+-").split("/")
     ):
         raise InputError("more than %d digits in p or q: %s" % (MAX_DIGITS, _shown(s)))
-    return Fraction(text)
+    return Fraction(int(match[1]), int(match[2] or 1))  # the regex's groups, not a second parse
 
 
 _ABSENT = object()  # an optional key that a JSON object leaves out
@@ -206,10 +205,10 @@ def record_to_obj(v):
         return [record_to_obj(x) for x in v]
     if isinstance(v, dict):
         return {k: record_to_obj(x) for k, x in v.items()}
-    if is_dataclass(v):
+    if hasattr(v, "__dataclass_fields__"):  # a record, or any dataclass
         obj = {}
-        for f in fields(v):
-            key, x = _KEYS.get(f.name, f.name), getattr(v, f.name)
+        for name in v.__dataclass_fields__:
+            key, x = _KEYS.get(name, name), getattr(v, name)
             if key is not None and x is not None:
                 obj[key] = record_to_obj(x)
         return obj
@@ -430,7 +429,7 @@ def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
     except DomainError:  # the error names the first cell in row order outside the float range
         for row, c in itertools.product(rows, twinned):
             _twins([row[at[c]]], c)
-        raise
+        raise InvariantError("a plot column refused a value that none of its cells refuses")
     if fmt == "csv":
         buf = _stdio.StringIO()
         csv.writer(buf, lineterminator="\n").writerow(columns + [c + _TWIN for c in twinned])

@@ -323,7 +323,7 @@ def cone_membership(D: DivisorClass, cfg: SurfaceConfig) -> ConeMembership:
         raise UnsupportedRankError(
             "cone tests are only available for Picard rank 2 surfaces"
         )
-    a, b = D.coeffs  # D = a*Theta + b*f
+    (a, b), _ = _scaled(D, cfg)  # D = (a*Theta + b*f)/den with den > 0: same signs
     e = cfg.e
     nef = a >= 0 and b >= a * e
     ample = a > 0 and b > a * e
@@ -363,7 +363,7 @@ def make_frame(
 
 def _shear_constant(cfg: SurfaceConfig) -> Fraction:
     """m - e/2: the shear slope, and the u^2 coefficient of the volume section."""
-    return cfg.m - Fraction(cfg.e) / 2
+    return Fraction(2 * cfg.m.numerator - cfg.e * cfg.m.denominator, 2 * cfg.m.denominator)
 
 
 def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
@@ -375,7 +375,8 @@ def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
     H = cfg.theta_f(lam, lam * cfg.m + 1 - lam)
     Hperp = cfg.theta_f(-lam, 1 + (cfg.m - cfg.e - 1) * lam)
     fr = make_frame(H, Hperp, 0, cfg)
-    expected = 2 * lam * (1 + (_shear_constant(cfg) - 1) * lam)
+    (n, d), (mn, md) = lam.as_integer_ratio(), cfg.m.as_integer_ratio()  # g and delta above:
+    expected = Fraction(n * (2 * d * md + (2 * mn - (cfg.e + 2) * md) * n), d * d * md)
     if fr.g != expected or fr.delta != expected:
         raise InvariantError("elliptic frame norm mismatch at lambda=%s" % lam)
     return fr

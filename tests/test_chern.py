@@ -201,6 +201,24 @@ def test_torsion_free_threshold():
         ew.torsion_free_threshold(ew.character(1, [0, 1], 0, cfg), 1, cfg)
 
 
+def test_d_and_c_are_the_fiber_and_theta_pairings():
+    # d = f.ch1 and c = Theta.ch1, against intersect with the basis classes
+    rng = random.Random(33)
+    configs = [cfg_e0(), cfg_e2m3(), ew.SurfaceConfig(e=3, m=Fraction(7, 2)),
+               ew.SurfaceConfig(e=2, m=3, sections=(ew.ExtraSection(theta=2),)),
+               ew.SurfaceConfig(e=1, m=2, sections=(ew.ExtraSection(theta=0),
+                                                    ew.ExtraSection(theta=3, cross=(5,))))]
+    for cfg in configs:
+        for _ in range(40):
+            ch = rnd_character(rng, cfg, span_tf=False)
+            assert ch.d(cfg) == ew.intersect(cfg.fiber(), ch.ch1, cfg)
+            assert ch.c(cfg) == ew.intersect(cfg.theta(), ch.ch1, cfg)
+            assert type(ch.d(cfg)) is Fraction and type(ch.c(cfg)) is Fraction
+    for accessor in (ew.ChernCharacter.d, ew.ChernCharacter.c):  # a class of another basis
+        with pytest.raises(ew.DimensionError, match="2 coefficients vs rank 3"):
+            accessor(ew.ChernCharacter(1, cfg_e2m3().theta(), 0), configs[3])
+
+
 def test_character_module_structure():
     cfg = cfg_e2m3()
     rng = random.Random(41)

@@ -879,6 +879,35 @@ def test_plot_overflow_names_the_first_cell_in_row_order(tmp_path, capsys):
             eio.emit_lambda_q_plot(vp, cfg, [lam], walls=[spec])
 
 
+def test_plot_column_refusal_no_cell_repeats_is_internal(monkeypatch, capsys):
+    # a column call that refuses what every one-cell call accepts contradicts
+    # _twins itself: exit 3 with an internal error, never a domain error
+    real = eio._twins
+
+    def column_only(cells, column):
+        if len(cells) > 1:
+            raise ew.DomainError("plot column %s holds a value outside the float range" % column)
+        return real(cells, column)
+
+    monkeypatch.setattr(eio, "_twins", column_only)
+    argv = ["plot", "lambda-q", "--alpha", "5/2", "--lambda-from", "1/4", "--lambda-to", "1/2",
+            "--samples", "2"] + CFG
+    for fmt in ("csv", "svg"):
+        code, out, err = run(capsys, argv + ["--format", fmt])
+        assert (code, out) == (3, "")
+        assert err == "internal error: a plot column refused a value that none of its cells refuses\n"
+
+
+@pytest.mark.parametrize("text", ["2.25", "1e3", "1/0", "1/-2", "3/04", "1_000", "+-1", "", "\u0663"])
+def test_inexact_alpha_error_line(text, tmp_path, capsys):
+    # the regex alone decides: int()'s wider grammar (underscores, other
+    # digits, an empty string's error) never gets a say
+    ch = write_character(tmp_path, "r.json", 1, [0, 1], 0)
+    code, out, err = run(capsys, ["limit-phase", "--alpha", text, "--ch", ch] + CFG)
+    assert (code, out) == (1, "")
+    assert err == "error: not an exact rational 'p/q' (decimals are rejected): %r\n" % text
+
+
 def test_plot_header_quotes_a_wall_label_as_csv_does(tmp_path, capsys):
     # only the header goes through csv: a label with a comma and quotes is
     # quoted there as csv.writer quotes it, and the data rows do not move

@@ -28,6 +28,35 @@ def test_rational_format_and_parse():
             assert eio.parse_rational(eio.format_rational(x)) == x
 
 
+def _digits(min_size):
+    # mostly short digit strings, some up to MAX_DIGITS long; leading zeros included
+    return st.one_of(st.text("0123456789", min_size=min_size, max_size=6),
+                     st.text("0123456789", min_size=eio.MAX_DIGITS - 2, max_size=eio.MAX_DIGITS))
+
+
+_spelt = st.builds(
+    lambda pad, sign, p, q, trail: pad + sign + p + ("/" + q if q else "") + trail,
+    st.sampled_from(["", " ", "\t", "\n "]), st.sampled_from(["", "+", "-"]), _digits(1),
+    st.one_of(st.just(""), st.builds(str.__add__, st.sampled_from("123456789"), _digits(0))),
+    st.sampled_from(["", " ", "\n", " \t\n"]),
+)
+
+
+@given(st.one_of(_spelt, st.from_regex(eio._RATIONAL_RE), st.sampled_from(["-0", "+0", "-0/7", "007/10", "-000/1"])))
+@settings(max_examples=300, deadline=None)
+def test_parse_rational_matches_fraction(s):
+    # the two integers of the regex's groups make the Fraction that a second
+    # parse of the whole text, Fraction(text), would make
+    text = s.strip()
+    assert eio._RATIONAL_RE.match(text)
+    if any(len(part) > eio.MAX_DIGITS for part in text.lstrip("+-").split("/")):
+        with pytest.raises(ew.InputError, match="more than 1000 digits"):
+            eio.parse_rational(s)
+    else:
+        got = eio.parse_rational(s)
+        assert type(got) is Fraction and got == Fraction(text)
+
+
 def test_config_json_roundtrip():
     cfg = cfg_rank3()
     obj = eio.record_to_obj(cfg)

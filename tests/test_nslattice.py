@@ -322,6 +322,32 @@ def test_cone_membership():
         ew.cone_membership(cfg_rank3().theta(), cfg_rank3())
 
 
+def _coefficient():
+    # small values over mixed denominators, negatives, and ~1,000-digit parts
+    big = st.integers(-10**1000, 10**1000)
+    return st.one_of(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                     st.builds(Fraction, big, st.integers(1, 10**6)),
+                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 10**1000)))
+
+
+@given(a=_coefficient(), b=_coefficient(), e=st.integers(0, 5), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cone_membership_matches_the_cone_inequalities(a, b, e, data):
+    # the oracle reads the Fractions a, b of D = a*Theta + b*f as they are
+    if data.draw(st.booleans()):  # on the nef boundary b = a*e
+        b = a * e
+    cfg = ew.SurfaceConfig(e=e, m=e + data.draw(st.sampled_from([Fraction(1, 3), 1, 4])))
+    got = ew.cone_membership(ew.DivisorClass((a, b)), cfg)
+    assert (got.nef, got.ample, got.effective_curve_cone) == (
+        a >= 0 and b >= a * e, a > 0 and b > a * e, a >= 0 and b >= 0)
+    assert all(type(v) is bool for v in (got.nef, got.ample, got.effective_curve_cone))
+
+
+def test_cone_membership_wrong_length_is_a_dimension_error():
+    with pytest.raises(ew.DimensionError, match="3 coefficients vs rank 2"):
+        ew.cone_membership(ew.DivisorClass((1, 2, 3)), cfg_e2m3())
+
+
 def test_elliptic_frame_pins():
     cfg = cfg_e2m3()
     fr = ew.elliptic_frame(Fraction(1, 2), cfg)
