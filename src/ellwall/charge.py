@@ -27,6 +27,8 @@ from .nslattice import (
     Frame,
     SurfaceConfig,
     VolumeSectionParams,
+    _cleared,
+    _form,
     _omega_bar,
     _require_section,
     cone_membership,
@@ -48,25 +50,29 @@ def central_charge(
 ) -> ChargeValue:
     if cfg.rank == 2 and not cone_membership(omega, cfg).ample:
         raise DomainError("central charge requires an ample omega")
-    tw = twist(ch, B, cfg)
-    omega2 = intersect(omega, omega, cfg)
-    return ChargeValue(
-        re=-tw.ch2 + omega2 / 2 * tw.ch0,
-        im=intersect(omega, tw.ch1, cfg),
-    )
+    ch.ch1._same_basis(B)  # re and im below: -ch2^B + omega^2/2*ch0 and omega.ch1^B, as in twist
+    den, n, s, b, x, w = _cleared((ch.ch0, ch.ch2), B, ch.ch1, omega, cfg=cfg)
+    bb, bx = _form(b, cfg, b, x)
+    ww, wx, wb = _form(w, cfg, w, x, b)
+    return ChargeValue(re=Fraction(2 * den * (bx - den * s) + n * (ww - bb), 2 * den**3),
+                       im=Fraction(den * wx - n * wb, den**3))
 
 
 def _sq_parts(ch: ChernCharacter, fr: Frame, cfg: SurfaceConfig) -> tuple:
-    """(A, B) with Z(s,q) = (A + ch0*g*q) + i*(B - ch0*g*s) in the frame."""
-    A = -ch.ch2 + ch.ch0 * fr.delta * fr.w * fr.w / 2 + fr.w * intersect(ch.ch1, fr.Hperp, cfg)
-    return A, intersect(ch.ch1, fr.H, cfg)
+    """(N, A, B, den), integers with ch0 = N/den and Z(s,q) = ((A + N*g*q) + i*(B - N*g*s))/den."""
+    D, n, s, w, dl, x, p, h = _cleared((ch.ch0, ch.ch2, fr.w, fr.delta), ch.ch1, fr.Hperp, fr.H,
+                                       cfg=cfg)
+    xp, xh = _form(x, cfg, p, h)
+    return 2 * n * D**3, n * dl * w * w + 2 * D * (w * xp - D * D * s), 2 * D * D * xh, 2 * D**4
 
 
 def charge_sq(ch: ChernCharacter, pt: SQ, fr: Frame, cfg: SurfaceConfig) -> ChargeValue:
     """Central charge in (s,q)-coordinates of a frame (H, H^perp, w):
     (-ch2 + ch0*g*q + ch0*delta*w^2/2 + w*ch1.H^perp) + i*(ch1.H - ch0*g*s)."""
-    A, B = _sq_parts(ch, fr, cfg)
-    return ChargeValue(re=A + ch.ch0 * fr.g * pt.q, im=B - ch.ch0 * fr.g * pt.s)
+    N, A, B, den = _sq_parts(ch, fr, cfg)
+    c, g, q, s = _cleared((fr.g, pt.q, pt.s))
+    return ChargeValue(re=Fraction(A * c * c + N * g * q, den * c * c),
+                       im=Fraction(B * c * c - N * g * s, den * c * c))
 
 
 @record
@@ -102,14 +108,10 @@ def limit_charge(
     ch: ChernCharacter, vp: VolumeSectionParams, cfg: SurfaceConfig
 ) -> LimitCharge:
     _require_section(vp)
-    d = ch.d(cfg)
-    return LimitCharge(
-        re_const=-ch.ch2 + vp.K * ch.ch0,
-        im_hi=d,
-        im_lo=vp.K * (ch.c(cfg) + Fraction(cfg.e) * d / 2),
-        K=vp.K,
-        rank=ch.ch0,
-    )
+    den, n, s, k, x = _cleared((ch.ch0, ch.ch2, vp.K), ch.ch1, cfg=cfg)
+    c, d = _form(x, cfg)[:2]  # Theta.ch1 and f.ch1 over den
+    return LimitCharge(re_const=Fraction(k * n - den * s, den * den), im_hi=Fraction(d, den),
+                       im_lo=Fraction(k * (2 * c + cfg.e * d), 2 * den * den), K=vp.K, rank=ch.ch0)
 
 
 @record

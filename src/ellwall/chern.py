@@ -7,7 +7,8 @@ import functools
 from fractions import Fraction
 
 from .errors import DomainError, UnsupportedRankError, _shown
-from .nslattice import DivisorClass, Rational, SurfaceConfig, _frac, _omega_bar, intersect, pairings, record
+from .nslattice import (DivisorClass, Rational, SurfaceConfig, _cleared, _form, _frac, _omega_bar,
+                        intersect, pairings, record)
 
 
 @record
@@ -38,8 +39,7 @@ class ChernCharacter:
     def is_zero(self) -> bool:
         return self.ch0 == 0 and self.ch2 == 0 and self.ch1.is_zero()
 
-    # the coordinates (n, d, c, s) = (ch0, f.ch1, Theta.ch1, ch2); d and c
-    # are defined here only
+    # the coordinates (n, d, c, s) = (ch0, f.ch1, Theta.ch1, ch2)
     def n(self) -> Fraction:
         return self.ch0
 
@@ -61,12 +61,12 @@ def character(ch0: Rational, ch1, ch2: Rational, cfg: SurfaceConfig) -> ChernCha
 
 
 def twist(ch: ChernCharacter, B: DivisorClass, cfg: SurfaceConfig) -> ChernCharacter:
-    """B-field twist ch^B = e^{-B}.ch."""
-    return ChernCharacter(
-        ch.ch0,
-        ch.ch1 + B.scale(-ch.ch0),  # ch1 - ch0*B by one scale and one add, with no negated copy
-        ch.ch2 - intersect(B, ch.ch1, cfg) + intersect(B, B, cfg) / 2 * ch.ch0,
-    )
+    """B-field twist ch^B = e^{-B}.ch = (ch0, ch1 - ch0*B, ch2 - B.ch1 + ch0*B^2/2)."""
+    ch.ch1._same_basis(B)
+    den, n, s, b, x = _cleared((ch.ch0, ch.ch2), B, ch.ch1, cfg=cfg)
+    bb, bx = _form(b, cfg, b, x)
+    ch1 = DivisorClass(tuple([Fraction(den * xi - n * bi, den * den) for xi, bi in zip(x, b)]))
+    return ChernCharacter(ch.ch0, ch1, Fraction(2 * den * (den * s - bx) + n * bb, 2 * den**3))
 
 
 def line_bundle_twist(ch: ChernCharacter, L: DivisorClass, cfg: SurfaceConfig) -> ChernCharacter:

@@ -268,8 +268,9 @@ def _cmd_wall_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     chp = _load_character(args.ch_prime, cfg)
     fr = _frame_from_args(args, cfg)
-    L = cfg.zero() if args.shift is None else _parse_coeffs(args.shift, cfg)  # no shift: L = 0
-    return _document({"wall": walls.shift_wall(ch, chp, L, fr, cfg)})
+    if args.shift is None:  # the pair's own wall: a twist by L = 0 would change nothing
+        return _document({"wall": walls.bertram_wall(ch, chp, fr, cfg)})
+    return _document({"wall": walls.shift_wall(ch, chp, _parse_coeffs(args.shift, cfg), fr, cfg)})
 
 
 def _wall_inputs(args, cfg):
@@ -321,7 +322,7 @@ def _grid(start: Fraction, step: Fraction, n: int) -> list:
     if n > MAX_PLOT_ROWS:
         raise DomainError("plot would have %s rows, above the budget of %d"
                           % (_shown(n, str), MAX_PLOT_ROWS))
-    (a, p), den = _cleared((start, step))
+    den, a, p = _cleared((start, step))
     return [(x // g, den // g) for i in range(n) for x in [a + i * p] for g in [math.gcd(x, den)]]
 
 

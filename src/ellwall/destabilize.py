@@ -291,9 +291,9 @@ def _survivors(ctx: _Context, p: _Pair, gamma: int, etas: range) -> range:
     m8 = p.min8 + eg2  # 6.8: g2*eta >= m8
     n9 = p.num9 + p.den9 * e * gamma  # 6.9: g2*den9*eta <= gamma*n9
     if gamma > 0:
-        # 6.12: min12 + g2*lam + eg2 <= g2*eta <= g2*lam + eg2
+        # 6.12: min12 + g2*lam + eg2 <= g2*eta, and <= g2*lam + eg2 holds as 6.1 gives eta < lam
         lo = max(lo, -(-m8 // g2), -(-(p.min12 + g2 * lam + eg2) // g2))
-        hi = min(hi, n9 // (2 * p.den9), (2 * lam + e * gamma) // 2)
+        hi = min(hi, n9 // (2 * p.den9))
     elif gamma < 0:
         lo = max(lo, -(-n9 // (2 * p.den9)))
         hi = min(hi, m8 // g2)

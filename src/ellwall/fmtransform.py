@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .chern import ChernCharacter
 from .errors import DomainError, _shown
-from .nslattice import SurfaceConfig
+from .nslattice import SurfaceConfig, _cleared, _form
 
 
 def _transform(ch: ChernCharacter, cfg: SurfaceConfig, sigma: int) -> ChernCharacter:
@@ -31,10 +31,11 @@ def _transform(ch: ChernCharacter, cfg: SurfaceConfig, sigma: int) -> ChernChara
             "transform is only defined for ch1 in span{Theta, f}; "
             "components along extra sections present"
         )
-    e = Fraction(cfg.e)
-    n, d, c, s = ch.n(), ch.d(cfg), ch.c(cfg), ch.s()
-    ch1 = -sigma * ch.ch1 + cfg.theta_f(sigma * d - n, s + sigma * (c + e * d / 2))
-    return ChernCharacter(d, ch1, -c - e * d + sigma * n * e / 2)
+    den, n, s, x = _cleared((ch.ch0, ch.ch2), ch.ch1, cfg=cfg)  # the map above, over 2*den
+    (c, d), e = _form(x, cfg)[:2], cfg.e  # ch1 = (x[0]*Theta + x[1]*f)/den
+    theta, fiber = 2 * (sigma * (d - x[0]) - n), 2 * (s - sigma * x[1]) + sigma * (2 * c + e * d)
+    ch1 = cfg.theta_f(Fraction(theta, 2 * den), Fraction(fiber, 2 * den))
+    return ChernCharacter(Fraction(d, den), ch1, Fraction(sigma * n * e - 2 * (c + e * d), 2 * den))
 
 
 def phi(ch: ChernCharacter, cfg: SurfaceConfig) -> ChernCharacter:

@@ -255,12 +255,14 @@ class DivisorClass:
     coeffs: tuple[Fraction, ...]
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        if len(self.coeffs) != len(other.coeffs):
-            raise DimensionError(
-                "mixed bases: %d vs %d coefficients"
-                % (len(self.coeffs), len(other.coeffs))
-            )
+        self._same_basis(other)
         return DivisorClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def _same_basis(self, other: "DivisorClass"):
+        """Raise the DimensionError of a sum of classes of two bases."""
+        if len(self.coeffs) != len(other.coeffs):
+            raise DimensionError("mixed bases: %d vs %d coefficients"
+                                 % (len(self.coeffs), len(other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         return self + -other
@@ -278,33 +280,34 @@ class DivisorClass:
         return all(c == 0 for c in self.coeffs)
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple:
-    """(integer numerators, common denominator) of the Fractions in values."""
-    den = math.lcm(*[c.denominator for c in values])
-    return [c.numerator * (den // c.denominator) for c in values], den
+def _cleared(values: Sequence, *classes: DivisorClass, cfg: SurfaceConfig = None) -> tuple:
+    """(den, *values, *each class's coefficients as a list) as integers over one denominator."""
+    for D in classes:
+        if len(D.coeffs) != cfg.rank:
+            raise DimensionError("divisor/config basis mismatch: %d coefficients vs rank %d"
+                                 % (len(D.coeffs), cfg.rank))
+    ratios = [c.as_integer_ratio() for c in [*values, *[c for D in classes for c in D.coeffs]]]
+    den = math.lcm(*[d for _, d in ratios])
+    nums = iter([n * (den // d) for n, d in ratios])
+    return (den, *[next(nums) for _ in values], *[[next(nums) for _ in D.coeffs] for D in classes])
 
 
-def _scaled(D: DivisorClass, cfg: SurfaceConfig) -> tuple:
-    """(integer numerators, common denominator) of D's coefficients."""
-    if len(D.coeffs) != cfg.rank:
-        raise DimensionError(
-            "divisor/config basis mismatch: %d coefficients vs rank %d" % (len(D.coeffs), cfg.rank)
-        )
-    return _cleared(D.coeffs)
+def _form(x: Sequence[int], cfg: SurfaceConfig, *ys: Sequence[int]) -> list:
+    """x.y for each of ys by the integral form, or with none (x.Theta, x.f, x.Theta_1, ...)."""
+    gx = [sum(map(operator.mul, x, row)) for row in cfg._gram]
+    return [sum(map(operator.mul, gx, y)) for y in ys] if ys else gx
 
 
 def intersect(a: DivisorClass, b: DivisorClass, cfg: SurfaceConfig) -> Fraction:
-    """Symmetric bilinear intersection pairing on NS(X), summed over the
-    integers of the integral form and the scaled coefficients."""
-    (na, da), (nb, db) = _scaled(a, cfg), _scaled(b, cfg)
-    total = sum(x * sum(map(operator.mul, row, nb)) for x, row in zip(na, cfg._gram) if x)
-    return Fraction(total, da * db)
+    """Symmetric bilinear intersection pairing on NS(X), by _form on the cleared coefficients."""
+    den, x, y = _cleared((), a, b, cfg=cfg)
+    return Fraction(_form(x, cfg, y)[0], den * den)
 
 
 def pairings(D: DivisorClass, cfg: SurfaceConfig) -> tuple:
     """(D.Theta, D.f, D.Theta_1, ...): D paired with each basis class."""
-    nums, den = _scaled(D, cfg)
-    return tuple(Fraction(sum(map(operator.mul, nums, row)), den) for row in cfg._gram)
+    den, x = _cleared((), D, cfg=cfg)
+    return tuple([Fraction(p, den) for p in _form(x, cfg)])
 
 
 @record
@@ -323,7 +326,7 @@ def cone_membership(D: DivisorClass, cfg: SurfaceConfig) -> ConeMembership:
         raise UnsupportedRankError(
             "cone tests are only available for Picard rank 2 surfaces"
         )
-    (a, b), _ = _scaled(D, cfg)  # D = (a*Theta + b*f)/den with den > 0: same signs
+    _, (a, b) = _cleared((), D, cfg=cfg)  # D = (a*Theta + b*f)/den with den > 0: same signs
     e = cfg.e
     nef = a >= 0 and b >= a * e
     ample = a > 0 and b > a * e
@@ -346,15 +349,15 @@ class Frame:
 def make_frame(
     H: DivisorClass, Hperp: DivisorClass, w: Rational, cfg: SurfaceConfig
 ) -> Frame:
-    g = intersect(H, H, cfg)
-    delta = -intersect(Hperp, Hperp, cfg)
-    if intersect(H, Hperp, cfg) != 0:
+    den, h, p = _cleared((), H, Hperp, cfg=cfg)
+    g, delta = Fraction(_form(h, cfg, h)[0], den * den), Fraction(-_form(p, cfg, p)[0], den * den)
+    if _form(h, cfg, p)[0] != 0:
         raise DomainError("frame requires H.H^perp = 0")
     if g <= 0:
         raise DomainError("frame requires H.H > 0, got %s" % _shown(g, str))
     if delta < 0:
         raise DomainError("Hodge index violated: -(H^perp)^2 = %s < 0" % _shown(delta, str))
-    if (delta == 0) != Hperp.is_zero():
+    if (delta == 0) == any(p):
         raise DomainError("delta = 0 must coincide with H^perp = 0")
     if cfg.rank == 2 and not cone_membership(H, cfg).ample:
         raise DomainError("frame requires H ample")
@@ -370,12 +373,12 @@ def elliptic_frame(lam: Rational, cfg: SurfaceConfig) -> Frame:
     """Frame (H_lam, H_lam^perp, 0) spanned by the polarising direction:
     H_lam = lam*(Theta+mf) + (1-lam)*f, with g = delta = 2*lam*(1+(m-e/2-1)*lam)."""
     lam = _frac(lam)
-    if not 0 < lam < 1:
+    (n, d), (mn, md) = lam.as_integer_ratio(), cfg.m.as_integer_ratio()  # lam = n/d, m = mn/md
+    if not 0 < n < d:
         raise DomainError("lambda must lie in (0,1), got %s" % _shown(lam, str))
-    H = cfg.theta_f(lam, lam * cfg.m + 1 - lam)
-    Hperp = cfg.theta_f(-lam, 1 + (cfg.m - cfg.e - 1) * lam)
-    fr = make_frame(H, Hperp, 0, cfg)
-    (n, d), (mn, md) = lam.as_integer_ratio(), cfg.m.as_integer_ratio()  # g and delta above:
+    H = cfg.theta_f(lam, Fraction(n * mn + (d - n) * md, d * md))
+    Hperp = cfg.theta_f(-lam, Fraction(d * md + (mn - (cfg.e + 1) * md) * n, d * md))
+    fr = make_frame(H, Hperp, Fraction(0), cfg)  # and g and delta above, in closed form:
     expected = Fraction(n * (2 * d * md + (2 * mn - (cfg.e + 2) * md) * n), d * d * md)
     if fr.g != expected or fr.delta != expected:
         raise InvariantError("elliptic frame norm mismatch at lambda=%s" % lam)

@@ -45,10 +45,10 @@ from .nslattice import (
     Rational,
     SurfaceConfig,
     _cleared,
+    _form,
     _frac,
-    _shear_constant,
     intersect,
-    pairings,
+    pairings,  # unused here, but walls.pairings is part of the pinned public surface
     record,
 )
 
@@ -109,23 +109,21 @@ def bertram_wall(
     x = 0 (requires ch1.H > 0) walls share the slope determined by ch and
     run through the nesting point of ch'.
     """
-    g, x, r = fr.g, ch.ch0, ch_prime.ch0
-    A, B = _sq_parts(ch, fr, cfg)
-    Ap, Bp = _sq_parts(ch_prime, fr, cfg)
-    # Re Z.Im Z' - Re Z'.Im Z = g*q*a - g*s*b + c
+    x, A, B, den = _sq_parts(ch, fr, cfg)  # the integers of _sq_parts, and of ch' below
+    r, Ap, Bp, _ = _sq_parts(ch_prime, fr, cfg)
+    # Re Z.Im Z' - Re Z'.Im Z = g*q*a - g*s*b + c, with a, b, c over the product of the denominators
     a, b, c = x * Bp - r * B, r * A - x * Ap, A * Bp - Ap * B
-    if x != 0:
-        s0 = B / (g * x)
-        if a == 0:
-            return WallSQ(kind=VERTICAL, s=s0)
-    else:
-        if B <= 0:
-            raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % _shown(B, str))
-        if r == 0:
-            return EVERYWHERE_WALL if c == 0 else NOWHERE_WALL
-        s0 = Bp / (g * r)
-    slope = b / a
-    return WallSQ(kind=LINE, point=(s0, slope * s0 - c / (g * a)), slope=slope)
+    if x == 0 and B <= 0:
+        raise DomainError("rank-zero wall needs ch1.H > 0, got %s" % _shown(Fraction(B, den), str))
+    if x == 0 and r == 0:
+        return EVERYWHERE_WALL if c == 0 else NOWHERE_WALL
+    t, T = (x, B) if x != 0 else (r, Bp)  # s0 = T/(g*t): the nesting point of ch, else of ch'
+    gn, gd = fr.g.numerator, fr.g.denominator
+    if a == 0:  # only when x != 0: for x = 0, a = -r*B
+        return WallSQ(kind=VERTICAL, s=Fraction(T * gd, gn * t))
+    # slope = b/a, and q0 = slope*s0 - c/(g*a) = (b*T - c*t)/(g*t*a)
+    s0, q0 = Fraction(T * gd, gn * t), Fraction((b * T - c * t) * gd, gn * t * a)
+    return WallSQ(kind=LINE, point=(s0, q0), slope=Fraction(b, a))
 
 
 def shift_wall(
@@ -259,10 +257,10 @@ class LambdaQWall:
     def _ints(self) -> tuple:
         # the constants of _q: a0, a1, l0, l1 over one denominator, alpha, beta over cd, kappa;
         # a dim-1 wall whose precondition fails raises here, and is never cached
-        (A0, A1, L0, L1), _ = _cleared((self.a0, self.a1, self.l0, self.l1))
+        _, A0, A1, L0, L1 = _cleared((self.a0, self.a1, self.l0, self.l1))
         if self.family == "dim1" and not (A0 > 0 or (A0 == 0 and A1 > 0)):
             raise DomainError("one-dimensional character needs ch1.H_lambda > 0 for small lambda")
-        (Al, Be), cd = _cleared((self.alpha, self.beta))
+        cd, Al, Be = _cleared((self.alpha, self.beta))
         return A0, A1, L0, L1, Al, Be, cd, self.kappa.numerator, self.kappa.denominator
 
     def at(self, lam: Rational) -> WallValue:
@@ -323,30 +321,25 @@ def lambda_q_wall(ch, partner, cfg: SurfaceConfig) -> LambdaQWall:
     the characters are checked when the wall is used, not here."""
     if isinstance(ch, FactoredCharacter) and isinstance(partner, PartnerCharacter):
         family, L, C = "dim2", ch.L, partner.ch1(cfg)
-        alpha = ch.z / ch.x
-        beta = partner.chi - partner.r * alpha
+        den, z, x, chi, r, c, l = _cleared((ch.z, ch.x, partner.chi, partner.r), C, L, cfg=cfg)
+        an, ad, bn, bd = z, x, chi * x - r * z, den * x  # alpha = z/x, beta = chi - r*z/x
     elif isinstance(ch, OneDimCharacter) and isinstance(partner, OneDimPartner):
         family, L, C = "dim1", partner.L, ch.ch1(cfg)
-        alpha = partner.chi / partner.r
-        beta = ch.z
+        den, chi, r, z, c, l = _cleared((partner.chi, partner.r, ch.z), C, L, cfg=cfg)
+        an, ad, bn, bd = chi, r, z, den  # alpha = chi/r, beta = z
     else:
         raise DomainError(
             "a wall pairs a FactoredCharacter with a PartnerCharacter or a OneDimCharacter"
             " with a OneDimPartner, got %s and %s" % (type(ch).__name__, type(partner).__name__)
         )
-    pC, pL = pairings(C, cfg), pairings(L, cfg)
-    # D.H_lambda = D.f + lambda*(D.Theta + (m-1)*D.f) for D = C and D = L
-    m1 = cfg.m - 1
-    return LambdaQWall(
-        family,
-        alpha + intersect(L, L, cfg) / 2,
-        beta + intersect(L, C, cfg),
-        pC[1],
-        pC[0] + m1 * pC[1],
-        pL[1],
-        pL[0] + m1 * pL[1],
-        _shear_constant(cfg) - 1,
-    )
+    (ct, cf), (lt, lf), (ll, lc) = _form(c, cfg)[:2], _form(l, cfg)[:2], _form(l, cfg, l, c)
+    # D.H_lambda = D.f + lambda*(D.Theta + (m-1)*D.f) for D = C and D = L, over den*md
+    mn, md = cfg.m.numerator, cfg.m.denominator
+    return LambdaQWall(family, Fraction(2 * an * den * den + ad * ll, 2 * ad * den * den),
+                       Fraction(bn * den * den + bd * lc, bd * den * den),  # alpha+L^2/2, beta+L.C
+                       Fraction(cf, den), Fraction(md * ct + (mn - md) * cf, md * den),  # a0, a1
+                       Fraction(lf, den), Fraction(md * lt + (mn - md) * lf, md * den),  # l0, l1
+                       Fraction(2 * mn - (cfg.e + 2) * md, 2 * md))  # kappa = m - e/2 - 1
 
 
 def classify_asymptote_dim2(ch, partner, cfg: SurfaceConfig) -> AsymptoteClass:

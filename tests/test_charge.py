@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import ellwall as ew
-from helpers import cfg_e2m3, rnd_character, rnd_fraction
+from ellwall.nslattice import _require_section
+from helpers import (cfg_e2m3, characters, classes, outcome, rationals, ref_ample, ref_intersect,
+                     ref_pairings, rnd_character, rnd_fraction, surfaces)
+from test_chern import ref_twist
 
 
 def test_central_charge_pins():
@@ -186,3 +191,140 @@ def test_re_z_identity():
     rng = random.Random(53)
     for _ in range(200):
         assert ew.re_z_identity_check(rnd_character(rng, cfg), vp, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the integer formula layer against Fraction references: each ref_ function
+# is the body the library had before it cleared its inputs to integers, with
+# the intersection form of helpers.ref_intersect
+
+
+def ref_central_charge(ch, omega, B, cfg):
+    if cfg.rank == 2 and not ref_ample(omega, cfg):
+        raise ew.DomainError("central charge requires an ample omega")
+    tw = ref_twist(ch, B, cfg)
+    omega2 = ref_intersect(omega, omega, cfg)
+    return ew.ChargeValue(re=-tw.ch2 + omega2 / 2 * tw.ch0, im=ref_intersect(omega, tw.ch1, cfg))
+
+
+def ref_sq_parts(ch, fr, cfg):
+    A = -ch.ch2 + ch.ch0 * fr.delta * fr.w * fr.w / 2 + fr.w * ref_intersect(ch.ch1, fr.Hperp, cfg)
+    return A, ref_intersect(ch.ch1, fr.H, cfg)
+
+
+def ref_charge_sq(ch, pt, fr, cfg):
+    A, B = ref_sq_parts(ch, fr, cfg)
+    return ew.ChargeValue(re=A + ch.ch0 * fr.g * pt.q, im=B - ch.ch0 * fr.g * pt.s)
+
+
+def ref_limit_charge(ch, vp, cfg):
+    _require_section(vp)
+    c, d = ref_pairings(ch.ch1, cfg)[:2]
+    return ew.LimitCharge(re_const=-ch.ch2 + vp.K * ch.ch0, im_hi=d,
+                          im_lo=vp.K * (c + Fraction(cfg.e) * d / 2), K=vp.K, rank=ch.ch0)
+
+
+def ref_make_frame(H, Hperp, w, cfg):
+    g = ref_intersect(H, H, cfg)
+    delta = -ref_intersect(Hperp, Hperp, cfg)
+    if ref_intersect(H, Hperp, cfg) != 0:
+        raise ew.DomainError("frame requires H.H^perp = 0")
+    if g <= 0:
+        raise ew.DomainError("frame requires H.H > 0, got %s" % ew.errors._shown(g, str))
+    if delta < 0:
+        raise ew.DomainError("Hodge index violated: -(H^perp)^2 = %s < 0"
+                             % ew.errors._shown(delta, str))
+    if (delta == 0) != Hperp.is_zero():
+        raise ew.DomainError("delta = 0 must coincide with H^perp = 0")
+    if cfg.rank == 2 and not ref_ample(H, cfg):
+        raise ew.DomainError("frame requires H ample")
+    return ew.Frame(H=H, Hperp=Hperp, w=w, g=g, delta=delta)
+
+
+def ref_elliptic_frame(lam, cfg):
+    if not 0 < lam < 1:
+        raise ew.DomainError("lambda must lie in (0,1), got %s" % ew.errors._shown(lam, str))
+    H = cfg.theta_f(lam, lam * cfg.m + 1 - lam)
+    Hperp = cfg.theta_f(-lam, 1 + (cfg.m - cfg.e - 1) * lam)
+    return ref_make_frame(H, Hperp, 0, cfg)
+
+
+# lambda in (0,1), small or of ~1,000 digits, or any rational
+_unit = st.one_of(*[st.builds(lambda n, k: Fraction(n, n + k), st.integers(1, 20), st.integers(1, 20))] * 3,
+                  st.builds(lambda n, k: Fraction(n, n + k), st.integers(1, 10**1000), st.integers(1, 10**1000)))
+_lams = st.one_of(_unit, rationals)
+
+
+@st.composite
+def frame_inputs(draw, cfg):
+    """(H, H^perp, w): H near the ample cone, H^perp the part of a class orthogonal to H, zero,
+    or any class (mostly refused), of cfg's basis or, one in ten, of another."""
+    H = draw(classes(cfg))
+    if len(H.coeffs) == cfg.rank and draw(st.booleans()):
+        a = abs(H.coeffs[0]) + 1
+        H = cfg.divisor((a, a * cfg.e + abs(H.coeffs[1]) + 1, *H.coeffs[2:]))
+    P, kind = draw(classes(cfg)), draw(st.integers(0, 3))
+    if kind == 0:
+        P = cfg.zero()
+    elif kind < 3 and len(H.coeffs) == len(P.coeffs) == cfg.rank and ref_intersect(H, H, cfg):
+        P = P - ref_intersect(P, H, cfg) / ref_intersect(H, H, cfg) * H
+    return H, P, draw(rationals)
+
+
+@st.composite
+def frames(draw, cfg):
+    """A frame make_frame or elliptic_frame accepts."""
+    if draw(st.integers(0, 2)):
+        fr = outcome(ew.elliptic_frame, draw(_unit), cfg)
+    else:
+        fr = outcome(ew.make_frame, *draw(frame_inputs(cfg)), cfg)
+    assume(isinstance(fr, ew.Frame))
+    return fr
+
+
+_oracle = settings(max_examples=150, deadline=None, derandomize=True,
+                   suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+
+
+@_oracle
+@given(st.data())
+def test_frames_match_their_fraction_reference(data):
+    cfg = data.draw(surfaces())
+    H, Hperp, w = data.draw(frame_inputs(cfg))
+    got = outcome(ew.make_frame, H, Hperp, w, cfg)
+    assert got == outcome(ref_make_frame, H, Hperp, w, cfg)
+    lam = data.draw(_lams)
+    assert outcome(ew.elliptic_frame, lam, cfg) == outcome(ref_elliptic_frame, lam, cfg)
+    if isinstance(got, ew.Frame):
+        assert type(got.g) is Fraction and type(got.delta) is Fraction
+
+
+@_oracle
+@given(st.data())
+def test_charges_match_their_fraction_reference(data):
+    cfg = data.draw(surfaces())
+    ch, omega, B = data.draw(characters(cfg)), data.draw(classes(cfg)), data.draw(classes(cfg))
+    if cfg.rank == 2 and len(omega.coeffs) == 2 and data.draw(st.booleans()):  # mostly ample
+        a = abs(omega.coeffs[0]) + 1
+        omega = cfg.divisor((a, a * cfg.e + abs(omega.coeffs[1]) + 1))
+    got = outcome(ew.central_charge, ch, omega, B, cfg)
+    assert got == outcome(ref_central_charge, ch, omega, B, cfg)
+    vp = ew.volume_params(abs(data.draw(rationals)) or 1, cfg)  # K may be <= 0 off rank 2
+    lc = outcome(ew.limit_charge, ch, vp, cfg)
+    assert lc == outcome(ref_limit_charge, ch, vp, cfg)
+    values = [*(got.re, got.im)] if isinstance(got, ew.ChargeValue) else []
+    values += [lc.re_const, lc.im_hi, lc.im_lo] if isinstance(lc, ew.LimitCharge) else []
+    assert all(type(v) is Fraction for v in values)
+
+
+@_oracle
+@given(st.data())
+def test_charge_sq_matches_its_fraction_reference(data):
+    cfg = data.draw(surfaces())
+    fr, ch = data.draw(frames(cfg)), data.draw(characters(cfg))
+    s = data.draw(rationals)
+    pt = ew.SQ(s=s, q=s * s / 2 + abs(data.draw(rationals)) + Fraction(1, 7))
+    got = outcome(ew.charge_sq, ch, pt, fr, cfg)
+    assert got == outcome(ref_charge_sq, ch, pt, fr, cfg)
+    if isinstance(got, ew.ChargeValue):
+        assert type(got.re) is Fraction and type(got.im) is Fraction

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ellwall as ew
-from helpers import cfg_e0, cfg_e2m3, rnd_character, rnd_divisor
+from helpers import (cfg_e0, cfg_e2m3, characters, classes, outcome, ref_intersect, rnd_character,
+                     rnd_divisor, surfaces)
 
 
 def test_twist_pins():
@@ -232,3 +235,27 @@ def test_character_module_structure():
     ch = ew.character(2, [1, -1], Fraction(3, 2), cfg)
     assert ch.n() == 2 and ch.s() == Fraction(3, 2)
     assert ch.d(cfg) == 1 and ch.c(cfg) == -3  # f.ch1, Theta.ch1
+
+
+def ref_twist(ch, B, cfg):
+    """twist in Fractions, as it was written before the integer formula layer."""
+    return ew.ChernCharacter(
+        ch.ch0,
+        ch.ch1 + B.scale(-ch.ch0),
+        ch.ch2 - ref_intersect(B, ch.ch1, cfg) + ref_intersect(B, B, cfg) / 2 * ch.ch0,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_twist_matches_its_fraction_reference(data):
+    # random surfaces of rank 2-4, ~1,000-digit and negative rationals, rank zero, and
+    # classes of another basis, which must raise the same DimensionError line
+    cfg = data.draw(surfaces())
+    ch, B = data.draw(characters(cfg)), data.draw(classes(cfg))
+    got = outcome(ew.twist, ch, B, cfg)
+    assert got == outcome(ref_twist, ch, B, cfg)
+    assert outcome(ew.line_bundle_twist, ch, B, cfg) == outcome(ref_twist, ch, -B, cfg)
+    if isinstance(got, ew.ChernCharacter):
+        assert all(type(v) is Fraction for v in (got.ch0, got.ch2, *got.ch1.coeffs))

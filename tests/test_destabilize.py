@@ -526,6 +526,9 @@ def _check_row_bounds(ctx, K, seen):
         seen.add(("survivor", (gamma > 0) - (gamma < 0), min(r, 1)))
     for r, j, p, gamma, etas in rows:
         assert all(p.fixed.values())  # the pair bounds are the fixed checks
+        # 6.1 alone keeps eta < lam when gamma >= 1 (Theta.omega_0 > 0), so ch1(B)^2 =
+        # -gamma*(2*(lam - eta) + e*gamma) < 0 there: the upper half of 6.12 never cuts a row
+        assert gamma < 1 or etas.stop - 1 < ctx.lam
         seen.add(("row", (gamma > 0) - (gamma < 0), min(r, 1)))
         if r >= 1:
             seen.add(("min4", min(max(p.min4, 0), 2)))

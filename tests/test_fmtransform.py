@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ellwall as ew
-from helpers import cfg_e0, cfg_e2m3, cfg_rank3, rnd_character, rnd_fraction
+from helpers import (cfg_e0, cfg_e2m3, cfg_rank3, characters, outcome, ref_pairings, rnd_character,
+                     rnd_fraction, surfaces)
 
 
 def test_forward_pins():
@@ -96,3 +99,31 @@ def test_wit_sign():
         ew.wit_sign(fiber_deg_zero, "W2", "phi", cfg)
     with pytest.raises(ew.DomainError):
         ew.wit_sign(fiber_deg_zero, "W0", "psi", cfg)
+
+
+def ref_transform(ch, cfg, sigma):
+    """phi (sigma = 1) and phi_hat (sigma = -1) in Fractions, as they were written before the
+    integer formula layer."""
+    if any(c != 0 for c in ch.ch1.coeffs[2:]):
+        raise ew.DomainError(
+            "transform is only defined for ch1 in span{Theta, f}; "
+            "components along extra sections present"
+        )
+    e = Fraction(cfg.e)
+    c, d = ref_pairings(ch.ch1, cfg)[:2]
+    n, s = ch.ch0, ch.ch2
+    ch1 = -sigma * ch.ch1 + cfg.theta_f(sigma * d - n, s + sigma * (c + e * d / 2))
+    return ew.ChernCharacter(d, ch1, -c - e * d + sigma * n * e / 2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_transforms_match_their_fraction_reference(data):
+    cfg = data.draw(surfaces())
+    ch = data.draw(characters(cfg, span_tf=True))
+    for fn, sigma in ((ew.phi, 1), (ew.phi_hat, -1)):
+        got = outcome(fn, ch, cfg)
+        assert got == outcome(ref_transform, ch, cfg, sigma)
+        if isinstance(got, ew.ChernCharacter):
+            assert all(type(v) is Fraction for v in (got.ch0, got.ch2, *got.ch1.coeffs))

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import ellwall as ew
-from helpers import cfg_e2m3, cfg_rank3, rnd_bogomolov, rnd_character, rnd_divisor
+from helpers import (cfg_e2m3, cfg_rank3, characters, classes, outcome, rationals, ref_intersect,
+                     ref_pairings, rnd_bogomolov, rnd_character, rnd_divisor, surfaces)
+from test_charge import _oracle, frames, ref_sq_parts
+from test_chern import ref_twist
 
 
 def _frames(cfg):
@@ -794,3 +799,94 @@ def test_lambda_q_wall_asymptote_matches_hand_derived_constants():
             tags.add(got[:2])
     assert tags == {("dim2", t) for t in ("A1", "A2", "B1", "B2", "B3", "C1", "C2")} | {
         ("dim1", t) for t in ("A1", "A2", "A3", "B1", "B2")}
+
+
+# ---------------------------------------------------------------------------
+# the integer walls against Fraction references: each ref_ function is the
+# body the library had before it cleared its inputs to integers
+
+
+def ref_bertram_wall(ch, ch_prime, fr, cfg):
+    g, x, r = fr.g, ch.ch0, ch_prime.ch0
+    A, B = ref_sq_parts(ch, fr, cfg)
+    Ap, Bp = ref_sq_parts(ch_prime, fr, cfg)
+    a, b, c = x * Bp - r * B, r * A - x * Ap, A * Bp - Ap * B
+    if x != 0:
+        s0 = B / (g * x)
+        if a == 0:
+            return ew.WallSQ(kind="vertical", s=s0)
+    else:
+        if B <= 0:
+            raise ew.DomainError("rank-zero wall needs ch1.H > 0, got %s" % ew.errors._shown(B, str))
+        if r == 0:
+            return ew.WallSQ(kind="everywhere" if c == 0 else "nowhere")
+        s0 = Bp / (g * r)
+    slope = b / a
+    return ew.WallSQ(kind="line", point=(s0, slope * s0 - c / (g * a)), slope=slope)
+
+
+def ref_lambda_q_wall(ch, partner, cfg):
+    if isinstance(ch, ew.FactoredCharacter) and isinstance(partner, ew.PartnerCharacter):
+        family, L, C = "dim2", ch.L, partner.ch1(cfg)
+        alpha = ch.z / ch.x
+        beta = partner.chi - partner.r * alpha
+    elif isinstance(ch, ew.OneDimCharacter) and isinstance(partner, ew.OneDimPartner):
+        family, L, C = "dim1", partner.L, ch.ch1(cfg)
+        alpha = partner.chi / partner.r
+        beta = ch.z
+    else:
+        raise ew.DomainError(
+            "a wall pairs a FactoredCharacter with a PartnerCharacter or a OneDimCharacter"
+            " with a OneDimPartner, got %s and %s" % (type(ch).__name__, type(partner).__name__)
+        )
+    pC, pL = ref_pairings(C, cfg), ref_pairings(L, cfg)
+    m1 = cfg.m - 1
+    return ew.LambdaQWall(family, alpha + ref_intersect(L, L, cfg) / 2, beta + ref_intersect(L, C, cfg),
+                          pC[1], pC[0] + m1 * pC[1], pL[1], pL[0] + m1 * pL[1],
+                          cfg.m - Fraction(cfg.e) / 2 - 1)
+
+
+@settings(_oracle, max_examples=80)
+@given(st.data())
+def test_sq_walls_match_their_fraction_reference(data):
+    # every branch: a line, a vertical wall (ch' a multiple of ch of nonzero rank), the
+    # rank-zero refusal, everywhere (ch' a multiple of ch of rank zero) and nowhere
+    cfg = data.draw(surfaces())
+    fr, ch = data.draw(frames(cfg)), data.draw(characters(cfg))
+    ch_prime = ch.scale(data.draw(rationals)) if data.draw(st.integers(0, 3)) == 0 else \
+        data.draw(characters(cfg))
+    got = outcome(ew.bertram_wall, ch, ch_prime, fr, cfg)
+    event(got.kind if isinstance(got, ew.WallSQ) else got[1][:20])
+    assert got == outcome(ref_bertram_wall, ch, ch_prime, fr, cfg)
+    L = data.draw(classes(cfg))
+    assert outcome(ew.shift_wall, ch, ch_prime, L, fr, cfg) == outcome(
+        lambda: ref_bertram_wall(ref_twist(ch, -L, cfg), ref_twist(ch_prime, -L, cfg), fr, cfg))
+    if isinstance(got, ew.WallSQ):
+        assert all(type(v) is Fraction for v in (*(got.point or ()), got.slope, got.s) if v is not None)
+
+
+@st.composite
+def _wall_pairs(draw, cfg):
+    """A dim-2 or dim-1 pair, one in ten of mixed families; xis of the wrong length and
+    classes of another basis one in ten each."""
+    xis = tuple(draw(rationals) for _ in range(cfg.rank - 2)) if draw(st.integers(0, 9)) else \
+        (draw(rationals),) * draw(st.integers(1, 3))
+    k, p, z, r, chi = (draw(rationals) for _ in range(5))
+    L, nonzero = draw(classes(cfg)), draw(rationals) or Fraction(1)
+    dim2 = ew.FactoredCharacter(nonzero, -abs(z) if nonzero > 0 else abs(z), L)
+    pairs = [(dim2, ew.PartnerCharacter(r, k, p, xis, chi)),
+             (ew.OneDimCharacter(k, p, z, xis), ew.OneDimPartner(nonzero, chi, L))]
+    first, second = draw(st.integers(0, 1)), draw(st.integers(0, 9))
+    return pairs[first][0], pairs[first if second else 1 - first][1]
+
+
+@_oracle
+@given(st.data())
+def test_lambda_q_walls_match_their_fraction_reference(data):
+    cfg = data.draw(surfaces())
+    ch, partner = data.draw(_wall_pairs(cfg))
+    got = outcome(ew.lambda_q_wall, ch, partner, cfg)
+    event(got.family if isinstance(got, ew.LambdaQWall) else got[1][:20])
+    assert got == outcome(ref_lambda_q_wall, ch, partner, cfg)
+    if isinstance(got, ew.LambdaQWall):
+        assert all(type(getattr(got, f)) is Fraction for f in got.__dataclass_fields__ if f != "family")
