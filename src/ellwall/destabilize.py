@@ -25,7 +25,8 @@ from fractions import Fraction
 from .chern import ChernCharacter, bogomolov_constant, character
 from .errors import DomainError, InvariantError, NonGenericError, UnsupportedRankError, _shown
 from .fmtransform import phi_hat
-from .nslattice import DivisorClass, SurfaceConfig, VolumeSectionParams, _require_section, record, uv_on_section
+from .nslattice import (DivisorClass, SurfaceConfig, VolumeSectionParams, _cleared, _require_section, record,
+                        uv_on_section)
 from .walls import FactoredCharacter, PartnerCharacter, classify_asymptote_dim2
 
 # checks that gate emission; the strict variants of the category bound are
@@ -104,11 +105,10 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     x, z = t.ch0, t.ch2
     if x <= 0 or x.denominator != 1:
         raise DomainError("target needs ch0 a positive integer, got %s" % _shown(x, str))
-    coeffs = t.ch1.coeffs
-    if coeffs[0] != 0 or any(c != 0 for c in coeffs[2:]):
+    den, x, (gamma, lam) = _cleared((x,), t.ch1, cfg=cfg)  # x is an integer: den is ch1's
+    if gamma != 0:
         raise DomainError("target needs ch1 a positive multiple of the fiber class")
-    lam = coeffs[1]
-    if lam <= 0 or lam.denominator != 1:
+    if lam <= 0 or den != 1:
         raise DomainError("target needs ch1 = lam*f with lam a positive integer")
     if z > 0:
         raise DomainError("target needs ch2 <= 0, got %s" % _shown(z, str))
@@ -122,24 +122,22 @@ def _build_context(req: EnumerationRequest, cfg: SurfaceConfig) -> _Context:
     if u0 * u0 >= 4 * K:
         raise DomainError("u0^2 >= 4K")
     v0 = uv_on_section(u0, req.vp, cfg).v
-    th_om = u0 * (cfg.m - cfg.e) + v0
-    D = math.lcm(u0.denominator, th_om.denominator)
-    f_om = int(u0 * D)
-    N = math.lcm(req.ch2_denominator, K.denominator)
+    D, f_om, th_om = _cleared((u0, u0 * (cfg.m - cfg.e) + v0))
+    N, Kn, zn, _ = _cleared((K, z, Fraction(1, req.ch2_denominator)))
     return _Context(
         e=cfg.e,
-        x=int(x),
-        lam=int(lam),
+        x=x,
+        lam=lam,
         z=z,
         den=req.ch2_denominator,
         bog=bogomolov_constant(1, cfg).as_integer_ratio(),
         D=D,
         f_om=f_om,
-        th_om=int(th_om * D),
-        lam_om=int(lam) * f_om,
+        th_om=th_om,
+        lam_om=lam * f_om,
         N=N,
-        Kn=int(K * N),
-        wall=int((z - x * K) * N),
+        Kn=Kn,
+        wall=zn - x * Kn,
     )
 
 
@@ -201,20 +199,17 @@ def candidate_checks(
     """Named inequality checks for an arbitrary candidate character of the
     form (r, eta*f + gamma*Theta, c2) with integer r, gamma, eta."""
     ctx = _build_context(req, cfg)
-    r = candidate.ch0
-    gamma, eta = candidate.ch1.coeffs[0], candidate.ch1.coeffs[1]
-    if any(v.denominator != 1 for v in (r, gamma, eta)):
+    den, r, (gamma, eta) = _cleared((candidate.ch0,), candidate.ch1, cfg=cfg)
+    if den != 1:
         raise DomainError("candidate needs integer rank and ch1 coefficients")
     j = candidate.ch2 * ctx.den
     if j.denominator != 1:
         raise DomainError("candidate ch2 not on the configured lattice")
-    p = _pair(ctx, int(r), int(j))
-    gamma, eta = int(gamma), int(eta)
+    p = _pair(ctx, r, int(j))
     t = eta * ctx.f_om + gamma * ctx.th_om
     return {
         "6.1": 0 <= t <= ctx.lam_om,
-        "6.1_strict_lower": 0 < t,
-        "6.1_strict_upper": t < ctx.lam_om,
+        **dict(zip(STRICT_CHECKS, (0 < t, t < ctx.lam_om))),
         **p.fixed,
         **dict(zip(("6.4", "6.8", "6.9", "6.12"), _ch1_gates(ctx, p, gamma, eta))),
     }
@@ -337,7 +332,7 @@ def _reports(runs, pairs):
     for r, gamma, eta, r_b, gamma_b, eta_b, lower, upper, js in runs:
         rank, rank_b = Fraction(r), Fraction(r_b)
         ch1, ch1_b = DivisorClass((gamma, eta)), DivisorClass((gamma_b, eta_b))
-        strict = {"6.1_strict_lower": lower, "6.1_strict_upper": upper}
+        strict = dict(zip(STRICT_CHECKS, (lower, upper)))
         for j in js:
             c2, c2B, S = rationals[r, j]
             yield CandidateReport(

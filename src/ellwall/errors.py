@@ -10,8 +10,12 @@ _SHOWN_CHARS = 80
 
 def _shown(v, show=repr) -> str:
     """show(v), repr(v) by default, cut to _SHOWN_CHARS characters: a
-    message names a value without echoing all of it."""
-    text = show(v)
+    message names a value without echoing all of it.  A value with no text,
+    an int past the int-to-str digit limit (ValueError), gets a placeholder."""
+    try:
+        text = show(v)
+    except ValueError:
+        return "<a value too long to show>"
     return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS] + "..."
 
 

@@ -48,7 +48,6 @@ from .nslattice import (
     _form,
     _frac,
     intersect,
-    pairings,  # unused here, but walls.pairings is part of the pinned public surface
     record,
 )
 

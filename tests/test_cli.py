@@ -1398,6 +1398,16 @@ def test_error_lines_bound_the_values_they_echo(tmp_path, capsys):
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: " + prefix) and err.count("\n") == 1, err[:120]
         assert len(err.encode()) < 200 and "..." in err, err
+    # H.H over three ~1,000-digit denominators has more digits than str() of
+    # an int may make: the line names it by a placeholder, not exit 3
+    rank4_zero = tmp_path / "rank4_zero.json"
+    rank4_zero.write_text('{"e": 1, "m": "3", "sections": [{"theta": 0}, {"theta": 0, "cross": [0]}]}')
+    code, out, err = run(capsys, [
+        "charge-sq", "--config", str(rank4_zero), "--ch", ch4, "--frame-h",
+        "1/%d,0,1/%d,1/%d" % (n + 7, n + 9, n + 21), "--frame-hperp", "0,0,0,0", "--s", "0", "--q", "1"])
+    assert (code, out) == (2, ""), err[:120]
+    assert err.startswith("error: frame requires H.H > 0, got ") and err.count("\n") == 1, err[:120]
+    assert len(err.encode()) < 200, err[:120]
     # a value that fits is echoed in full, as before
     code, _, err = run(capsys, ["surface", "check", "--e", "2", "--m", "1/2"])
     assert (code, err) == (2, "error: rank-2 ampleness of Theta+mf requires m > e (m=1/2, e=2)\n")

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ellwall as ew
-from ellwall.destabilize import GATING_CHECKS
+from ellwall.destabilize import GATING_CHECKS, STRICT_CHECKS
 from helpers import cfg_e2m3
 
 # ---------------------------------------------------------------------------
@@ -636,3 +638,103 @@ def test_pairs_budget_does_not_count_the_6_5_stop(monkeypatch):
     got = _as_tuples(ew.enumerate_destabilizers(req, cfg))
     assert got == brute_force(cfg, Fraction(1, 2), Fraction(2), Fraction(4), Fraction(-1), Fraction(3, 4), den=1)
     assert len(got) == 61
+
+
+# ---------------------------------------------------------------------------
+# the request's rationals and classes, cleared through nslattice._cleared
+
+
+def _ch(ch0, ch1, ch2):
+    """A character built without a surface, so its ch1 may have any basis."""
+    return ew.ChernCharacter(Fraction(ch0), ew.DivisorClass(tuple(map(Fraction, ch1))), Fraction(ch2))
+
+
+_MISMATCH = "divisor/config basis mismatch: %d coefficients vs rank 2"
+
+
+@pytest.mark.parametrize("ch1", [(20,), (0, 20, 0), (0, 20, 1)])
+def test_a_target_of_another_basis_is_a_basis_mismatch(ch1):
+    cfg = cfg_e2m3()
+    req = ew.EnumerationRequest(_ch(3, ch1, -2), ew.volume_params(5, cfg), Fraction(1, 2))
+    for call in (lambda: ew.enumerate_destabilizers(req, cfg),
+                 lambda: ew.candidate_checks(req, cfg, _ch(1, (0, 1), -1))):
+        with pytest.raises(ew.DimensionError) as info:
+            call()
+        assert str(info.value) == _MISMATCH % len(ch1)
+
+
+@pytest.mark.parametrize("ch1", [(1,), (0, 1, 0), (0, 1, 5)])
+def test_a_candidate_of_another_basis_is_a_basis_mismatch(ch1):
+    cfg = cfg_e2m3()
+    req = ew.EnumerationRequest(_ch(3, (0, 20), -2), ew.volume_params(5, cfg), Fraction(1, 2))
+    with pytest.raises(ew.DimensionError) as info:
+        ew.candidate_checks(req, cfg, _ch(1, ch1, -1))
+    assert str(info.value) == _MISMATCH % len(ch1)
+    # on the surface's basis the same candidate is checked, and a rational
+    # rank or ch1 coefficient keeps its line
+    checks = ew.candidate_checks(req, cfg, _ch(1, (*ch1, 0)[:2], -1))
+    assert sorted(checks) == sorted(GATING_CHECKS + STRICT_CHECKS)
+    with pytest.raises(ew.DomainError, match="^candidate needs integer rank and ch1 coefficients$"):
+        ew.candidate_checks(req, cfg, _ch(1, (0, Fraction(1, 2)), -1))
+
+
+def _context_by_fractions(req, cfg):
+    """The _Context fields as _build_context made them on Fractions, with
+    math.lcm and int() clearing, before it read them through _cleared."""
+    from ellwall.chern import bogomolov_constant
+    from ellwall.nslattice import _require_section, uv_on_section
+
+    t = req.target
+    x, z = t.ch0, t.ch2
+    coeffs = t.ch1.coeffs
+    lam = coeffs[1]
+    assert coeffs[0] == 0 and lam > 0 and lam.denominator == 1 and x > 0 and x.denominator == 1
+    assert z <= 0 and (z * req.ch2_denominator).denominator == 1
+    _require_section(req.vp)
+    K, u0 = req.vp.K, req.u0
+    assert 0 < u0 and u0 * u0 < 4 * K
+    v0 = uv_on_section(u0, req.vp, cfg).v
+    th_om = u0 * (cfg.m - cfg.e) + v0
+    D = math.lcm(u0.denominator, th_om.denominator)
+    f_om = int(u0 * D)
+    N = math.lcm(req.ch2_denominator, K.denominator)
+    return dict(
+        e=cfg.e, x=int(x), lam=int(lam), z=z, den=req.ch2_denominator,
+        bog=bogomolov_constant(1, cfg).as_integer_ratio(), D=D, f_om=f_om, th_om=int(th_om * D),
+        lam_om=int(lam) * f_om, N=N, Kn=int(K * N), wall=int((z - x * K) * N),
+    )
+
+
+# small values, and ~1,000-digit ones within the input digit limit
+_size = st.one_of(st.integers(1, 60), st.integers(10**998, 10**999))
+
+
+@st.composite
+def _requests(draw):
+    """(req, cfg): a valid request on a rank-2 surface, e in 0..4 and m > e,
+    with alpha and u0 (v0 > 0) that may have ~1,000 digits each."""
+    e = draw(st.integers(0, 4))
+    cfg = ew.SurfaceConfig(e=e, m=e + Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 6))))
+    vp = ew.volume_params(Fraction(draw(_size), draw(_size)), cfg)
+    den = draw(st.integers(1, 6))
+    z = Fraction(-draw(st.one_of(st.integers(0, 40), st.integers(0, 10**999))), den)
+    target = ew.character(draw(st.integers(1, 5)), [0, draw(st.integers(1, 30))], z, cfg)
+    # u0 = p/q with u0^2 < min(4K, K/(m - e/2)): u0^2 < 4K, and v0 = (K - (m - e/2)*u0^2)/u0 > 0
+    q = draw(_size)
+    bound = min(4 * vp.K, vp.K / (cfg.m - Fraction(e, 2))) * q * q
+    top = math.isqrt(math.ceil(bound) - 1)  # top^2 < bound
+    assume(top >= 1)
+    u0 = Fraction(draw(st.one_of(st.integers(1, top), st.just(top))), q)
+    return ew.EnumerationRequest(target, vp, u0, den), cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_requests())
+def test_build_context_matches_the_fraction_clearing(request_cfg):
+    from ellwall import destabilize
+
+    req, cfg = request_cfg
+    ctx = destabilize._build_context(req, cfg)
+    want = _context_by_fractions(req, cfg)
+    assert {f: (type(getattr(ctx, f)), getattr(ctx, f)) for f in ctx.__dataclass_fields__} == {
+        f: (type(v), v) for f, v in want.items()}
