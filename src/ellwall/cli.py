@@ -52,17 +52,16 @@ def _join_negative_values(argv):
 
 
 def _int(text: str) -> int:
-    """An integer flag: an optional sign and at most io.MAX_DIGITS ASCII
-    digits (int() alone also takes other scripts' digits and underscores)."""
-    t = text.strip()
-    digits = t[1:] if t[:1] in ("+", "-") else t
-    if not (digits.isascii() and digits.isdigit()):
+    """An integer flag: the p of io's rational grammar, no "/q": an optional sign and at
+    most io.MAX_DIGITS ASCII digits (int() also takes other scripts' digits and "_")."""
+    match = eio._RATIONAL_RE.match(text.strip())
+    if not match or match[3]:
         raise argparse.ArgumentTypeError("invalid int value: %s" % _shown(text))
-    if len(digits) > eio.MAX_DIGITS:
+    if len(match[2]) > eio.MAX_DIGITS:
         raise argparse.ArgumentTypeError(
             "invalid int value, more than %d digits: %s" % (eio.MAX_DIGITS, _shown(text))
         )
-    return int(t)
+    return int(match[1])
 
 
 def _write_text(path, chunks):

@@ -43,7 +43,7 @@ from .walls import (
 
 SCHEMA = "ellwall/1"
 
-_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([1-9][0-9]*))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?([0-9]+))(?:/([1-9][0-9]*))?$")  # signed p, p's digits, q
 # Most digits an input integer, or the numerator or denominator of an
 # input rational, may have: far below the interpreter's int-string limit.
 MAX_DIGITS = 1000
@@ -86,11 +86,9 @@ def parse_rational(s) -> Fraction:
         raise InputError(
             "not an exact rational 'p/q' (decimals are rejected): %s" % _shown(s)
         )
-    if len(text) > MAX_DIGITS and any(
-        len(part) > MAX_DIGITS for part in text.lstrip("+-").split("/")
-    ):
+    if len(text) > MAX_DIGITS and max(len(match[2]), len(match[3] or "")) > MAX_DIGITS:
         raise InputError("more than %d digits in p or q: %s" % (MAX_DIGITS, _shown(s)))
-    return Fraction(int(match[1]), int(match[2] or 1))  # the regex's groups, not a second parse
+    return Fraction(int(match[1]), int(match[3] or 1))  # the regex's groups, not a second parse
 
 
 _ABSENT = object()  # an optional key that a JSON object leaves out
@@ -355,11 +353,10 @@ def _volume_section_plot(vp, cfg, vs: list, fmt: str) -> str:
     row by the evaluator of volume_section_u, which takes the same checks in the same order."""
     if not vs:
         raise DomainError("empty v range")
-    u_at, K, rows = _section_u(vp, cfg), vp.K, []
-    for n, d in vs:
-        u = u_at(n, d)
-        u_asym = (K.numerator * d, K.denominator * n)  # K/v
-        rows.append([(n, d), u, int(type(u) is tuple), u_asym])
+    u_at, K = _section_u(vp, cfg), vp.K
+    # lazy: _write_plot makes the rows only once it has taken the format
+    rows = ([(n, d), u, int(type(u) is tuple), (K.numerator * d, K.denominator * n)]  # K/v
+            for (n, d), u in zip(vs, itertools.starmap(u_at, vs)))
     series = [("section", "u", "#000000"), ("asymptote K/v", "u_asym", "#999999")]
     return _write_plot(fmt, ["v", "u", "u_is_exact", "u_asym"], ["v", "u", "u_asym"], rows,
                        series, "u")
@@ -406,10 +403,10 @@ def _lambda_q_plot(vp, cfg, lams: list, walls: Iterable, fmt: str) -> str:
     for label, key, _ in walls:
         if columns.count(key) > 1 or columns.count(key + _TWIN) > 1:
             raise InputError("wall label %s repeats a plot column" % _shown(label))
-    q_at, K, rows = _section_at(vp, cfg), vp.K, []
-    for n, d in lams:
-        row = [(n, d), q_at(n, d), (K.numerator * d, 2 * K.denominator * n)]
-        rows.append(row + [wall._q(n, d) for _, _, wall in walls])
+    q_at, K = _section_at(vp, cfg), vp.K
+    # lazy: _write_plot makes the rows only once it has taken the format
+    rows = ([(n, d), q_at(n, d), (K.numerator * d, 2 * K.denominator * n)]
+            + [wall._q(n, d) for _, _, wall in walls] for n, d in lams)
     series = [("section", "q_section", "#000000"), ("asymptote K/(2*lambda)", "q_asym", "#999999")]
     series += [("wall %s" % label, key, _PALETTE[i % len(_PALETTE)])
                for i, (label, key, _) in enumerate(walls)]
@@ -417,17 +414,19 @@ def _lambda_q_plot(vp, cfg, lams: list, walls: Iterable, fmt: str) -> str:
 
 
 def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
-    """Rows of exact cells as CSV or SVG, a column at a time: the twins of the
-    columns in twinned (_twins) before any text (_texts).  Only the CSV header goes
-    through csv, as a wall label may need quoting; the data rows, which never do,
-    fill one % template.  Each SVG series (name, column, colour) draws the twins of
-    its column against those of the first column, which is twinned; outcomes are
-    left out."""
+    """Rows of exact cells as CSV or SVG, a column at a time, with fmt decided before
+    the rows, which may be lazy, are read: the twins of the columns in twinned (_twins)
+    before any text (_texts).  Only the CSV header goes through csv, as a wall label
+    may need quoting; the data rows, which never do, fill one % template.  Each SVG
+    series (name, column, colour) draws the twins of its column against those of the
+    first column, which is twinned; outcomes are left out."""
+    if fmt not in ("csv", "svg"):
+        raise InputError("unknown plot format %s" % _shown(fmt))
     cols, at = list(zip(*rows)), {c: i for i, c in enumerate(columns)}
     try:
         twins = [_twins(cols[at[c]], c) for c in twinned]
     except DomainError:  # the error names the first cell in row order outside the float range
-        for row, c in itertools.product(rows, twinned):
+        for row, c in itertools.product(zip(*cols), twinned):
             _twins([row[at[c]]], c)
         raise InvariantError("a plot column refused a value that none of its cells refuses")
     if fmt == "csv":
@@ -436,13 +435,11 @@ def _write_plot(fmt, columns, twinned, rows, series, ylabel) -> str:
         line = ",".join(["%s"] * (len(columns) + len(twinned))) + "\n"
         cells = [_texts(col) for col in cols] + twins
         return buf.getvalue() + "".join([line % row for row in zip(*cells)])
-    if fmt == "svg":
-        curves = []
-        for name, column, colour in series:
-            ys = twins[twinned.index(column)]
-            curves.append((name, [(x, y) for x, y in zip(twins[0], ys) if y != ""], colour))
-        return _svg_plot(curves, xlabel=columns[0], ylabel=ylabel)
-    raise InputError("unknown plot format %s" % _shown(fmt))
+    curves = []
+    for name, column, colour in series:
+        ys = twins[twinned.index(column)]
+        curves.append((name, [(x, y) for x, y in zip(twins[0], ys) if y != ""], colour))
+    return _svg_plot(curves, xlabel=columns[0], ylabel=ylabel)
 
 
 def _texts(cells) -> list:

@@ -216,11 +216,13 @@ class SurfaceConfig:
 
     # basis helpers
     def divisor(self, coeffs: Sequence[Rational]) -> "DivisorClass":
-        D = DivisorClass(coeffs)
+        return self._on_basis(DivisorClass(coeffs))
+
+    def _on_basis(self, D: "DivisorClass") -> "DivisorClass":
+        """D, if it has one coefficient per class of this surface's basis."""
         if len(D.coeffs) != self.rank:
-            raise DimensionError(
-                "expected %d coefficients, got %d" % (self.rank, len(D.coeffs))
-            )
+            raise DimensionError("divisor/config basis mismatch: %d coefficients vs rank %d"
+                                 % (len(D.coeffs), self.rank))
         return D
 
     def zero(self) -> "DivisorClass":
@@ -283,9 +285,7 @@ class DivisorClass:
 def _cleared(values: Sequence, *classes: DivisorClass, cfg: SurfaceConfig = None) -> tuple:
     """(den, *values, *each class's coefficients as a list) as integers over one denominator."""
     for D in classes:
-        if len(D.coeffs) != cfg.rank:
-            raise DimensionError("divisor/config basis mismatch: %d coefficients vs rank %d"
-                                 % (len(D.coeffs), cfg.rank))
+        cfg._on_basis(D)
     ratios = [c.as_integer_ratio() for c in [*values, *[c for D in classes for c in D.coeffs]]]
     den = math.lcm(*[d for _, d in ratios])
     nums = iter([n * (den // d) for n, d in ratios])

@@ -47,6 +47,7 @@ from .nslattice import (
     _cleared,
     _form,
     _frac,
+    _shear_constant,
     intersect,
     record,
 )
@@ -338,7 +339,7 @@ def lambda_q_wall(ch, partner, cfg: SurfaceConfig) -> LambdaQWall:
                        Fraction(bn * den * den + bd * lc, bd * den * den),  # alpha+L^2/2, beta+L.C
                        Fraction(cf, den), Fraction(md * ct + (mn - md) * cf, md * den),  # a0, a1
                        Fraction(lf, den), Fraction(md * lt + (mn - md) * lf, md * den),  # l0, l1
-                       Fraction(2 * mn - (cfg.e + 2) * md, 2 * md))  # kappa = m - e/2 - 1
+                       _shear_constant(cfg) - 1)  # kappa = m - e/2 - 1
 
 
 def classify_asymptote_dim2(ch, partner, cfg: SurfaceConfig) -> AsymptoteClass:

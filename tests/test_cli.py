@@ -20,6 +20,7 @@ import ellwall as ew
 from ellwall import io as eio
 from ellwall import cli
 from ellwall.cli import main
+from ellwall.errors import _shown
 
 
 def run(capsys, argv):
@@ -1093,6 +1094,94 @@ def test_flags_take_ascii_digits_only(tmp_path, capsys):
     code, out, _ = run(capsys, ["surface", "check", "--e", " +2 ", "--m", "3"])
     assert code == 0 and json.loads(out)["config"]["e"] == 2
 
+
+# the numeral alphabet: ASCII digits, the signs, "/", "." and "_", blanks, and
+# other scripts' digits, which int() and str.isdigit take but the grammar does not
+_NUMERAL_CHARS = ("0123456789+-/._ \t" + "".join(map(chr, range(0x660, 0x66A)))
+                  + "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+@st.composite
+def _numeral_texts(draw):
+    """Texts of 0-8 characters, or of 999-1,001 with ASCII digits between a
+    head and a tail of up to 2 characters each: the edges of io.MAX_DIGITS."""
+    if draw(st.booleans()):
+        return draw(st.text(_NUMERAL_CHARS, max_size=8))
+    n = draw(st.integers(999, 1001))
+    head, tail = draw(st.text(_NUMERAL_CHARS, max_size=2)), draw(st.text(_NUMERAL_CHARS, max_size=2))
+    k = n - len(head) - len(tail)
+    return head + draw(st.text("0123456789", min_size=k, max_size=k)) + tail
+
+
+@given(_numeral_texts())
+@example("")
+@example(" +07\t")
+@example("-0")
+@example("5/1")
+@example("2.5")
+@example("1_0")
+@example("\u0663")
+@example("\uff11")
+@example("9" * 1000)
+@example("-" + "9" * 1000)
+@example("9" * 1001)
+@example("9" * 1001 + "/2")
+@settings(max_examples=300, deadline=None)
+def test_int_flags_read_the_rational_grammar(text):
+    # an integer flag takes exactly the texts that parse_rational takes with no
+    # "/q", with the same value; every other text gets one of _int's two lines
+    try:
+        want = eio.parse_rational(text)
+    except ew.InputError as exc:
+        want = exc
+    if "/" in text.strip() or (isinstance(want, ew.InputError) and "digits" not in str(want)):
+        line = "invalid int value: %s"
+    elif isinstance(want, ew.InputError):
+        line = "invalid int value, more than 1000 digits: %s"
+    else:
+        got = cli._int(text)
+        assert type(got) is int and got == want
+        return
+    with pytest.raises(argparse.ArgumentTypeError) as exc:
+        cli._int(text)
+    assert str(exc.value) == line % _shown(text)
+
+
+def test_wrong_basis_class_is_one_line(tmp_path, capsys):
+    # every class read from a flag or a file gets the library's basis line, exit 1
+    r = write_character(tmp_path, "r.json", 1, [0, 1], 0)
+    r3 = write_character(tmp_path, "r3.json", 1, [0, 1, 2], 0)
+    b = write_character(tmp_path, "b.json", 1, [1, 2], 5)
+    wall3 = tmp_path / "w3.json"
+    wall3.write_text(json.dumps({"dim": 2, "label": "v", "x": "2", "z": "-1", "L": ["1", "-1", "0"],
+                                 "r": "1", "k": "2", "p": "1", "chi": "1/2"}))
+    cfg3 = tmp_path / "cfg3.json"
+    cfg3.write_text(json.dumps({"e": 2, "m": "3", "sections": [{"theta": 1}]}))
+    frame = ["--frame-hperp", "1,-1", "--frame-w", "1/2"]
+    lam = ["wall", "lambda-q", "--lambda", "1/2", "--x", "1", "--z", "0", "--r", "1", "--k", "0",
+           "--p", "1", "--chi", "0"]
+    for n, rank, argv in (
+        (3, 2, ["twist", "--ch", r, "--divisor", "1,2,3"] + CFG),
+        (3, 2, ["charge", "--ch", r, "--omega", "1,3,1"] + CFG),
+        (3, 2, ["charge", "--ch", r, "--omega", "1,3", "--b-field", "1,2,3"] + CFG),
+        (3, 2, ["charge-sq", "--ch", r, "--frame-h", "1,3,0", "--s", "1/3", "--q", "2"]
+         + frame + CFG),
+        (3, 2, ["wall", "sq", "--ch", r, "--ch-prime", b, "--frame-h", "1,3",
+                "--shift", "2,-1/2,1"] + frame + CFG),
+        (3, 2, lam + ["--L", "0,0,0"] + CFG),
+        (3, 2, lam + ["--L", "0,0", "--xi", "1"] + CFG),
+        (3, 2, ["twist", "--ch", r3, "--divisor", "1,2"] + CFG),  # a JSON ch1
+        (3, 2, ["plot", "lambda-q", "--alpha", "5/2", "--lambda-from", "1/20", "--lambda-to",
+                "19/20", "--samples", "3", "--wall", str(wall3)] + CFG),  # a wall file's L
+        (2, 3, ["twist", "--config", str(cfg3), "--ch", r, "--divisor", "1,2,3"]),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (
+            1, "", "error: divisor/config basis mismatch: %d coefficients vs rank %d\n" % (n, rank)
+        ), argv
+    with pytest.raises(ew.DimensionError) as exc:
+        ew.SurfaceConfig(e=2, m=Fraction(3)).divisor([1, 2, 3])
+    assert str(exc.value) == "divisor/config basis mismatch: 3 coefficients vs rank 2"
 
 def _generic_enumerate_text(req, cfg):
     """The enumerate document through the report objects and emit_document."""

@@ -256,6 +256,42 @@ def test_plot_errors():
         eio.emit_lambda_q_plot(vp, cfg, [], fmt="csv")
 
 
+def test_plot_format_is_decided_before_any_row(monkeypatch):
+    # an unknown format is refused before the first evaluator call: an input that
+    # every row would refuse, or many rows, reach no evaluator
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg)
+    calls = []
+
+    def counted(make):  # make's evaluators, each call recorded in calls
+        def wrapped(*args):
+            at = make(*args)
+
+            def evaluator(n, d):
+                calls.append((n, d))
+                return at(n, d)
+            return evaluator
+        return wrapped
+
+    monkeypatch.setattr(eio, "_section_u", counted(eio._section_u))
+    monkeypatch.setattr(eio, "_section_at", counted(eio._section_at))
+    with pytest.raises(ew.InputError, match="^unknown plot format 'png'$"):
+        eio.emit_volume_section_plot(vp, cfg, [-1], fmt="png")  # v must be positive
+    with pytest.raises(ew.InputError, match="^unknown plot format 'png'$"):
+        eio.emit_lambda_q_plot(vp, cfg, [2], fmt="png")  # lambda must lie in (0,1)
+    with pytest.raises(ew.InputError, match="^unknown plot format 'png'$"):
+        eio.emit_lambda_q_plot(vp, cfg, [Fraction(k, 1001) for k in range(1, 1001)], fmt="png")
+    assert calls == []
+    # the empty range is still refused first
+    with pytest.raises(ew.DomainError, match="^empty v range$"):
+        eio.emit_volume_section_plot(vp, cfg, [], fmt="png")
+    with pytest.raises(ew.DomainError, match="^empty lambda range$"):
+        eio.emit_lambda_q_plot(vp, cfg, [], fmt="png")
+    # a known format still evaluates each row once, in order
+    eio.emit_lambda_q_plot(vp, cfg, [Fraction(1, 3), Fraction(1, 2)], fmt="svg")
+    eio.emit_volume_section_plot(vp, cfg, [2], fmt="csv")
+    assert calls == [(1, 3), (1, 2), (2, 1)]
+
 def test_plot_samples_take_only_exact_values():
     # a float sample would become its binary expansion in the exact column
     cfg = cfg_e2m3()
