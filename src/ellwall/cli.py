@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -156,7 +157,7 @@ _FLAGS = {
     "--ch:stdin": dict(default="-", help="character JSON file ('-' for stdin)"),
     "--ch:file": dict(default="-", help="character JSON file"),
     "--divisor": dict(required=True, help="comma-separated coefficients"),
-    "--line-bundle": dict(action="store_true", help="apply e^{L} instead of e^{-B}"),
+    "--line-bundle": dict(action="store_true", default=False, help="apply e^{L} instead of e^{-B}"),
     "--omega": dict(required=True, help="comma-separated coefficients"),
     "--b-field": dict(help="comma-separated coefficients (default 0)"),
     "--lambda:frame": dict(dest="lam", help="elliptic frame parameter in (0,1)"),
@@ -190,12 +191,20 @@ _GROUPS = {"surface": "surface config operations", "wall": "potential wall compu
            "destab": "destabilizer enumeration", "linebundle": "line bundle chamber analysis",
            "plot": "plot data emission"}
 _COMMANDS = []  # (command words, help, flags, handler), in the order of --help
+_TABLE = {}  # command words -> (namespace of a call with no flag, add_argument keywords by option)
 
 
 def _command(words: str, help: str, *flags: str):
     """Register the decorated handler as command words, taking the flags of these _FLAGS keys."""
     def register(fn):
         _COMMANDS.append((words, help, flags, fn))
+        group, _, name = words.rpartition(" ")
+        keys = ("--out:group" if group else "--out",) + _SURFACE + flags  # main loads the config
+        options = {key.split(":")[0]: {"dest": key.split(":")[0][2:].replace("-", "_"),
+                                       "default": None, **_FLAGS[key]} for key in keys}
+        values = {"command": group, group + "_command": name} if group else {"command": name}
+        values.update({kw["dest"]: kw["default"] for kw in options.values()}, func=fn)
+        _TABLE[tuple(words.split())] = values, options
         return fn
     return register
 
@@ -354,9 +363,9 @@ def _cmd_plot_lambda_q(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built at the first call _plain_args refuses: parsing leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellwall", description=__doc__)
-    parser.commands = {}  # command words -> (namespace of a call with no flag, actions by option)
     sub = parser.add_subparsers(dest="command", required=True)
     parents = {"": sub}  # the subparsers of the top level and of each group of _GROUPS
     for words, help, flags, fn in _COMMANDS:
@@ -366,44 +375,37 @@ def build_parser() -> _Parser:
             parents[group] = gp.add_subparsers(dest=group + "_command", required=True)
         sp = parents[group].add_parser(name, help=help)
         sp.set_defaults(func=fn)
-        keys = ("--out:group" if group else "--out",) + _SURFACE + flags  # main loads the config
-        actions = {key.split(":")[0]: sp.add_argument(key.split(":")[0], **_FLAGS[key])
-                   for key in keys}
-        values = {"command": group, group + "_command": name} if group else {"command": name}
-        values.update({a.dest: a.default for a in actions.values()}, func=fn)
-        parser.commands[tuple(words.split())] = values, actions
+        for option, kw in _TABLE[tuple(words.split())][1].items():
+            sp.add_argument(option, **kw)
     return parser
 
 
-# Built once per process: parsing leaves the parser unchanged, and building
-# it costs more than a small command.
-_PARSER = build_parser()
-
-
 def _plain_args(argv):
-    """The namespace _PARSER.parse_args(argv) makes of a plain call: the command words, then
-    only that command's flags in full, "--flag value" or "--flag=value", each value valid and
-    every required flag given.  None for any other call, which argparse reads instead."""
+    """The namespace build_parser().parse_args(argv) makes of a plain call, read from _TABLE: the
+    command words, then only that command's flags in full, "--flag value" or "--flag=value", each
+    value valid and every required flag given.  None for any other call, which argparse reads."""
     n = 2 if argv[:1] and argv[0] in _GROUPS else 1
     try:  # KeyError: unknown words or flag; StopIteration: no value; ArgumentTypeError: bad int
-        values, actions = _PARSER.commands[tuple(argv[:n])]
+        values, options = _TABLE[tuple(argv[:n])]
         args, tokens = argparse.Namespace(**values), iter(argv[n:])
         for token in tokens:
             option, eq, value = token.partition("=")
-            action = actions[option]
-            if action.nargs != 0:  # the value after "=", or the next token
+            kw = options[option]
+            if kw.get("action") != "store_true":  # the value after "=", or the next token
                 value = value if eq else next(tokens)
                 if not value or value[0] == "-" and not eq:  # which argparse reads as an option
                     return None
-                value = action.type(value) if action.type else value
-                if value not in (action.choices or [value]):
+                value = kw["type"](value) if "type" in kw else value
+                if value not in kw.get("choices", [value]):
                     return None
             elif eq:  # a flag that takes no value, given one
                 return None
-            action(_PARSER, args, value)  # stored, or appended to a list of this call's own
+            if kw.get("action") == "append":  # to a list of this call's own
+                value = (getattr(args, kw["dest"]) or []) + [value]
+            setattr(args, kw["dest"], True if kw.get("action") == "store_true" else value)
     except (KeyError, StopIteration, argparse.ArgumentTypeError):
         return None
-    if any(a.required and getattr(args, a.dest) is None for a in actions.values()):
+    if any(kw.get("required") and getattr(args, kw["dest"]) is None for kw in options.values()):
         return None
     return args
 
@@ -411,7 +413,7 @@ def _plain_args(argv):
 def main(argv=None) -> int:
     try:
         argv = _join_negative_values(sys.argv[1:] if argv is None else argv)
-        args = _plain_args(argv) or _PARSER.parse_args(argv)
+        args = _plain_args(argv) or build_parser().parse_args(argv)
         document = args.func(args, _load_config(args))  # its text, or its chunks of text
         _write_text(args.out, [document] if isinstance(document, str) else document)
         return 0

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Sequence, Union, get_args, get_origin
 
 from .errors import (
     DimensionError,
@@ -55,11 +56,13 @@ def _sequence(v):
     return v if isinstance(v, (tuple, list)) else _reject("a tuple", v)
 
 
-def _rule(tp, x: str, names: dict):
+def _rule(tp, x: str, names: dict, scope: dict = None):
     """(test, convert) for a field annotated tp, or None when tp is not an
     exact kind: test, an expression in x, holds when x is exact as it is, and
     convert makes a value exact or raises.  The names test reads go into names;
     each starts with two underscores, which a class body mangles in a field name."""
+    if type(tp) is str:  # postponed: a name is looked up; only X[...] text is compiled
+        tp = scope.get(tp) or getattr(sys.modules["builtins"], tp, None) or eval(tp, scope)
     origin, args = get_origin(tp), get_args(tp)
     inner = _rule(args[0], "y" if origin is tuple else x, names) if args else None
     if origin is Union and args[1:] == (type(None),) and inner:  # Optional[X]
@@ -125,10 +128,10 @@ def record(cls):
     cls = dataclass(init=False, repr=False, eq=False)(cls)  # generates no code
     params = cls.__dataclass_params__  # as __init__ and _RecordMethods make the class
     params.init = params.repr = params.eq = params.frozen = True
-    hints, flds = get_type_hints(cls), fields(cls)
+    flds, scope = fields(cls), vars(sys.modules[cls.__module__])
     ns = {"__set": object.__setattr__, "__named": _named, "__type": type, "__tuple": tuple,
           "__check": cls.__dict__.get("__post_init__")}
-    rules = [(f.name, r) for f in flds if (r := _rule(hints[f.name], f.name, ns))]
+    rules = [(f.name, r) for f in flds if (r := _rule(f.type, f.name, ns, scope))]
     ns.update(("__c_" + name, convert) for name, (_, convert) in rules)
     ns.update(("__d_" + f.name, f.default) for f in flds)
     args = ", ".join(f.name if f.default is MISSING else "{0}=__d_{0}".format(f.name) for f in flds)

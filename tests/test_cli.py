@@ -1916,9 +1916,9 @@ def test_malformed_call_exit_1_and_line(capsys, argv, message):
 
 
 # ---------------------------------------------------------------------------
-# the plain-call reader: argparse, built anew, is its oracle
+# the plain-call reader: argparse, built from the same table, is its oracle
 
-_ORACLE = cli.build_parser()  # a parser of its own, which the reader never reads
+_ORACLE = cli.build_parser()  # the parser main reads a refused call with; the reader reads none
 
 
 def test_plain_calls_take_the_fast_path():
@@ -1935,6 +1935,56 @@ def test_plain_calls_take_the_fast_path():
                 args = cli._plain_args(argv)
                 assert args is not None, argv
                 assert vars(args) == vars(_ORACLE.parse_args(argv)), argv
+
+
+# Run in a new interpreter: argparse.ArgumentParser.__init__ counts its calls from before
+# ellwall.cli is imported, through one main call per argv of argv[1], then one of argv[2].
+_COUNT_PARSERS = """\
+import argparse, contextlib, io, json, sys
+made, init = [], argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    made.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import ellwall.cli
+modules = sorted(name for name in sys.modules if name.startswith("ellwall."))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(ellwall.cli.main(argv))
+plain, err = len(made), io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = ellwall.cli.main(json.loads(sys.argv[2]))
+print(json.dumps([modules, codes, plain, code, err.getvalue(), len(made)]))
+"""
+_MODULES = ("cli", "io", "nslattice", "chern", "fmtransform", "charge", "walls", "destabilize")
+_TO_EXIT_0 = {  # flags that make the call of _REQUIRED succeed, beyond the required ones
+    **dict.fromkeys(("transform", "twist", "charge", "limit-phase"), ["--ch", "a.json"]),
+    **dict.fromkeys(("charge-sq", "wall sq"), ["--ch", "a.json", "--lambda", "1/2"]),
+    **dict.fromkeys(("wall lambda-q", "wall asymptote"),
+                    ["--x", "1", "--z", "-1", "--L", "0,0", "--k", "0", "--p", "1"]),
+}
+
+
+def test_plain_calls_build_no_parser(tmp_path):
+    # a cold process reads every plain call from the command table: importing
+    # the cli and one successful call of each command construct no argparse
+    # parser.  The first call the table refuses builds the parser, which gives
+    # argparse's usage line.  Every module is loaded at import, as a tracer that
+    # looks them up before the first call needs.
+    write_character(tmp_path, "a.json", 2, [1, 3], -1)
+    write_character(tmp_path, "b.json", 1, [1, 2], 5)
+    write_character(tmp_path, "t.json", 3, [0, 20], -2)
+    calls = [words.split() + required + _TO_EXIT_0.get(words, []) + CFG
+             for words, required in _REQUIRED.items()]
+    refused = ["plot", "lambda-q"] + _REQUIRED["plot lambda-q"] + CFG + ["--samples", "2.5"]
+    proc = _python(["-c", _COUNT_PARSERS, json.dumps(calls), json.dumps(refused)],
+                   stdout=subprocess.PIPE, check=True, cwd=tmp_path)
+    modules, codes, plain, code, err, made = json.loads(proc.stdout)
+    assert {"ellwall." + name for name in _MODULES} <= set(modules)
+    assert codes == [0] * len(_REQUIRED) and plain == 0
+    assert (code, err) == (1, "error: argument --samples: invalid int value: '2.5'\n")
+    assert made > 0
 
 
 _ODD_FLAGS = ["--alph", "--frame-hp", "--bogus", "-h", "--"]

@@ -1,7 +1,10 @@
+import builtins
 import dataclasses
 import inspect
 import random
 import re
+import sys
+import typing
 from fractions import Fraction
 from typing import Optional
 
@@ -714,6 +717,71 @@ def test_record_keeps_the_methods_a_class_defines():
     with pytest.raises(dataclasses.FrozenInstanceError):
         Tagged(2).n = 3
     assert dataclasses.replace(Tagged(2), tag="b").tag == "b"
+
+
+def _same_rule(cls, hints: dict):
+    """Assert that record's reading of each of cls's annotations gives the rule that the
+    annotation as typing.get_type_hints reads it (hints) gives: the same test, the same
+    names, and a convert that keeps, converts or refuses each probe value alike."""
+    from ellwall.nslattice import _rule
+
+    scope = vars(sys.modules[cls.__module__])
+    for f in dataclasses.fields(cls):
+        read, oracle = {}, {}
+        got, want = _rule(f.type, f.name, read, scope), _rule(hints[f.name], f.name, oracle)
+        assert (got is None, read) == (want is None, oracle), (cls, f.name)
+        if got is None:
+            continue
+        assert got[0] == want[0], (cls, f.name)
+        for probe in (1, Fraction(1, 2), 0.5, True, "1/2", None, (1, Fraction(2)), [0.5], ()):
+            outcomes = []
+            for convert in (got[1], want[1]):
+                try:
+                    outcomes.append(("value", convert(probe)))
+                except ew.DomainError as exc:
+                    outcomes.append(("error", str(exc)))
+            assert outcomes[0] == outcomes[1], (cls, f.name, probe)
+
+
+def test_record_reads_each_annotation_as_get_type_hints_does(monkeypatch):
+    # the oracle: every record class ellwall binds (each annotation text, under
+    # postponed evaluation) gets from record the rule its get_type_hints type
+    # gives, with the same error lines; so does a class of this module, whose
+    # annotations are the types themselves.  A name is looked up, in the class's
+    # module or the builtins: only a subscripted annotation is compiled.
+    from ellwall.nslattice import record
+
+    classes = {v for name, module in sys.modules.items() if name.split(".")[0] == "ellwall"
+               for v in vars(module).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}
+    assert len(classes) == 32
+    for cls in classes:
+        _same_rule(cls, typing.get_type_hints(cls))
+    point = dataclasses.fields(ew.WallSQ)[1]
+    assert (point.name, point.type) == ("point", "Optional[tuple[Fraction, ...]]")
+
+    @record
+    class Typed:
+        n: int
+        q: Fraction
+        opt: Optional[Fraction]
+        ns: tuple[int, ...]
+        point: Optional[tuple[Fraction, ...]]
+        D: ew.DivisorClass
+        tag: str = ""
+
+    assert all(type(f.type) is not str for f in dataclasses.fields(Typed))
+    _same_rule(Typed, typing.get_type_hints(Typed))
+    # the same annotations as text, of a class in a module that binds their names
+    texts = {"q": "Fraction", "n": "int", "D": "DivisorClass",
+             "point": "Optional[tuple[Fraction, ...]]", "ns": "tuple[int, ...]", "tag": "str"}
+    evaluate, compiled = builtins.eval, []
+    monkeypatch.setattr(builtins, "eval",
+                        lambda text, *scopes: compiled.append(text) or evaluate(text, *scopes))
+    probe = record(type("Probe", (), {"__annotations__": texts, "__module__": "ellwall.walls",
+                                      "tag": ""}))
+    monkeypatch.undo()
+    assert compiled == [texts["point"], texts["ns"]]
+    _same_rule(probe, typing.get_type_hints(probe))
 
 
 def test_record_fields_may_take_the_names_of_classes():
