@@ -190,21 +190,19 @@ _FLAGS = {
 _GROUPS = {"surface": "surface config operations", "wall": "potential wall computations",
            "destab": "destabilizer enumeration", "linebundle": "line bundle chamber analysis",
            "plot": "plot data emission"}
-_COMMANDS = []  # (command words, help, flags, handler), in the order of --help
-_TABLE = {}  # command words -> (namespace of a call with no flag, add_argument keywords by option)
+_TABLE = {}  # words -> (namespace of a call with no flag, add_argument keywords by option, help)
 
 
 def _command(words: str, help: str, *flags: str):
     """Register the decorated handler as command words, taking the flags of these _FLAGS keys."""
     def register(fn):
-        _COMMANDS.append((words, help, flags, fn))
         group, _, name = words.rpartition(" ")
         keys = ("--out:group" if group else "--out",) + _SURFACE + flags  # main loads the config
         options = {key.split(":")[0]: {"dest": key.split(":")[0][2:].replace("-", "_"),
                                        "default": None, **_FLAGS[key]} for key in keys}
         values = {"command": group, group + "_command": name} if group else {"command": name}
         values.update({kw["dest"]: kw["default"] for kw in options.values()}, func=fn)
-        _TABLE[tuple(words.split())] = values, options
+        _TABLE[tuple(words.split())] = values, options, help
         return fn
     return register
 
@@ -366,16 +364,15 @@ def _cmd_plot_lambda_q(args, cfg):
 @functools.cache  # built at the first call _plain_args refuses: parsing leaves it unchanged
 def build_parser() -> _Parser:
     parser = _Parser(prog="ellwall", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    parents = {"": sub}  # the subparsers of the top level and of each group of _GROUPS
-    for words, help, flags, fn in _COMMANDS:
-        group, _, name = words.rpartition(" ")
-        if group not in parents:  # made at the group's first command
-            gp = sub.add_parser(group, help=_GROUPS[group])
+    parents = {"": parser.add_subparsers(dest="command", required=True)}  # by group; "" is the top
+    for words, (values, options, help) in _TABLE.items():
+        group, name = " ".join(words[:-1]), words[-1]
+        if group not in parents:  # a group's subparsers, made at its first command
+            gp = parents[""].add_parser(group, help=_GROUPS[group])
             parents[group] = gp.add_subparsers(dest=group + "_command", required=True)
         sp = parents[group].add_parser(name, help=help)
-        sp.set_defaults(func=fn)
-        for option, kw in _TABLE[tuple(words.split())][1].items():
+        sp.set_defaults(func=values["func"])
+        for option, kw in options.items():
             sp.add_argument(option, **kw)
     return parser
 
@@ -386,7 +383,7 @@ def _plain_args(argv):
     value valid and every required flag given.  None for any other call, which argparse reads."""
     n = 2 if argv[:1] and argv[0] in _GROUPS else 1
     try:  # KeyError: unknown words or flag; StopIteration: no value; ArgumentTypeError: bad int
-        values, options = _TABLE[tuple(argv[:n])]
+        values, options, _ = _TABLE[tuple(argv[:n])]
         args, tokens = argparse.Namespace(**values), iter(argv[n:])
         for token in tokens:
             option, eq, value = token.partition("=")

@@ -47,11 +47,6 @@ def _frac(x) -> Fraction:
     _reject("an int or a Fraction", x)
 
 
-def _int_field(v) -> int:
-    """v when it is a plain int: a bool, a float or a string is rejected."""
-    return v if type(v) is int else _reject("an int", v)
-
-
 def _sequence(v):
     return v if isinstance(v, (tuple, list)) else _reject("a tuple", v)
 
@@ -74,7 +69,8 @@ def _rule(tp, x: str, names: dict, scope: dict = None):
         kind = ("an " if tp.__name__[0] in "AEIOU" else "a ") + tp.__name__
         convert = lambda v: v if isinstance(v, tp) else _reject(kind, v)
     else:
-        convert = {Fraction: _frac, int: _int_field}.get(tp)
+        convert = {Fraction: _frac,
+                   int: lambda v: v if type(v) is int else _reject("an int", v)}.get(tp)
     if convert:
         names["__t_" + tp.__name__] = tp
         return "__type(%s) is __t_%s" % (x, tp.__name__), convert
@@ -117,7 +113,7 @@ def _named(name: str, convert, v):
 def record(cls):
     """The one maker of ellwall's value classes: frozen, with eq, hash and
     repr as under @dataclass(frozen=True), and one exactness rule for every
-    field, read off its annotation when the class is created: Fraction and
+    field, read off its annotation when __init__ is first read: Fraction and
     Optional[Fraction] take an int or a Fraction and store a Fraction; int
     takes only an int; tuple[X, ...] takes a tuple or list and converts
     each element as X; a dataclass type takes only an instance.  Anything
@@ -128,24 +124,31 @@ def record(cls):
     cls = dataclass(init=False, repr=False, eq=False)(cls)  # generates no code
     params = cls.__dataclass_params__  # as __init__ and _RecordMethods make the class
     params.init = params.repr = params.eq = params.frozen = True
-    flds, scope = fields(cls), vars(sys.modules[cls.__module__])
-    ns = {"__set": object.__setattr__, "__named": _named, "__type": type, "__tuple": tuple,
-          "__check": cls.__dict__.get("__post_init__")}
-    rules = [(f.name, r) for f in flds if (r := _rule(f.type, f.name, ns, scope))]
-    ns.update(("__c_" + name, convert) for name, (_, convert) in rules)
-    ns.update(("__d_" + f.name, f.default) for f in flds)
-    args = ", ".join(f.name if f.default is MISSING else "{0}=__d_{0}".format(f.name) for f in flds)
-    converts = "".join("    if not {1}: {0} = __named({0!r}, __c_{0}, {0})\n".format(name, test)
-                       for name, (test, _) in rules)
-    sets = "".join("    __set(self, %r, %s)\n" % (f.name, f.name) for f in flds)
-    exec("def __init__(self, %s):\n%s%s    %s"
-         % (args, converts, sets, "__check(self)" if ns["__check"] else "pass"), ns)
-    ns["__init__"].__qualname__ = cls.__qualname__ + ".__init__"
-    ns["__init__"].__annotations__ = {f.name: f.type for f in flds} | {"return": None}
-    for name, method in {**vars(_RecordMethods), "__init__": ns["__init__"]}.items():
-        if callable(method) and name not in cls.__dict__:  # a method the class defines stays
-            setattr(cls, name, method)
+    for name, method in {**vars(_RecordMethods), "__init__": _LazyInit()}.items():
+        if (callable(method) or name == "__init__") and name not in cls.__dict__:
+            setattr(cls, name, method)  # a method the class defines stays
     return cls
+
+
+class _LazyInit:  # a record's __init__ until its first read, which compiles it in its place
+    def __get__(self, obj, cls):  # obj is the class itself when inspect reads __init__ (3.13)
+        cls = next(c for c in getattr(obj, "__mro__", cls.__mro__) if self in vars(c).values())
+        flds, scope = fields(cls), vars(sys.modules[cls.__module__])
+        ns = {"__set": object.__setattr__, "__named": _named, "__type": type, "__tuple": tuple,
+              "__check": cls.__dict__.get("__post_init__")}
+        rules = [(f.name, r) for f in flds if (r := _rule(f.type, f.name, ns, scope))]
+        ns.update(("__c_" + name, convert) for name, (_, convert) in rules)
+        ns.update(("__d_" + f.name, f.default) for f in flds)
+        args = ", ".join(f.name if f.default is MISSING else f"{f.name}=__d_{f.name}" for f in flds)
+        converts = "".join("    if not {1}: {0} = __named({0!r}, __c_{0}, {0})\n".format(name, test)
+                           for name, (test, _) in rules)
+        sets = "".join("    __set(self, %r, %s)\n" % (f.name, f.name) for f in flds)
+        exec("def __init__(self, %s):\n%s%s    %s"
+             % (args, converts, sets, "__check(self)" if ns["__check"] else "pass"), ns)
+        ns["__init__"].__qualname__ = cls.__qualname__ + ".__init__"
+        ns["__init__"].__annotations__ = {f.name: f.type for f in flds} | {"return": None}
+        cls.__init__ = ns["__init__"]
+        return ns["__init__"].__get__(obj, cls)
 
 
 @record

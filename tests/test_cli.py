@@ -1987,6 +1987,23 @@ def test_plain_calls_build_no_parser(tmp_path):
     assert made > 0
 
 
+def test_a_cold_surface_check_compiles_two_record_inits():
+    # a record's __init__ is compiled at its first read: an import and one
+    # `surface check` compile SurfaceConfig's and that of WallSQ, which walls
+    # constructs at import, and none of the other 30
+    code = ("import contextlib, inspect, io, sys\n"
+            "import ellwall.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = ellwall.cli.main(['surface', 'check', '--e', '2', '--m', '3'])\n"
+            "classes = {v for name, m in list(sys.modules.items()) if name.startswith('ellwall')\n"
+            "           for v in vars(m).values() if inspect.isclass(v)}\n"
+            "records = [c for c in classes if hasattr(c, '__dataclass_fields__')]\n"
+            "print(code, len(records), sorted(c.__name__ for c in records\n"
+            "                                 if inspect.isfunction(vars(c).get('__init__'))))\n")
+    proc = _python(["-c", code], stdout=subprocess.PIPE, check=True, text=True)
+    assert proc.stdout == "0 32 ['SurfaceConfig', 'WallSQ']\n"
+
+
 _ODD_FLAGS = ["--alph", "--frame-hp", "--bogus", "-h", "--"]
 _ODD_VALUES = ["", "-", "-1/2", "0.5", "1,3", "a.json"]
 
@@ -2009,7 +2026,7 @@ def _parser_calls(draw):
     argv = words.split()
     if draw(st.integers(0, 4)):
         argv += _REQUIRED.get(words, []) + CFG
-    own = [("--out",) + cli._SURFACE + flags for w, _, flags, _ in cli._COMMANDS if w == words]
+    own = [list(cli._TABLE[tuple(words.split())][1])] if tuple(words.split()) in cli._TABLE else []
     anything = st.sampled_from(sorted(cli._FLAGS) + _ODD_FLAGS)
     for _ in range(draw(st.integers(0, 4))):
         key = draw(_mostly(st.sampled_from(own[0]), anything) if own else anything)

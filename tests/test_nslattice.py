@@ -693,6 +693,56 @@ def test_integer_config_fields_take_only_ints():
     assert cfg._gram[2][3] == 3 and all(type(v) is int for row in cfg._gram for v in row)
 
 
+def test_record_compiles_its_init_at_the_first_read():
+    # until it is first read, by a construction (of the class or of a subclass)
+    # or by inspect, a record's __init__ is a stand-in; the first read compiles
+    # the real one, which then stands in the class itself
+    from ellwall.nslattice import record
+
+    @record
+    class Late:
+        q: Fraction
+        n: int = 0
+
+    class Later(Late):
+        pass
+
+    assert not inspect.isfunction(vars(Late)["__init__"])
+    assert Later(1) == Later(Fraction(1)) and type(Later(1).q) is Fraction
+    assert inspect.isfunction(vars(Late)["__init__"]) and "__init__" not in vars(Later)
+    assert Late.__init__ is vars(Late)["__init__"] and Late(1, n=2).n == 2
+
+    @record
+    class Base:
+        q: Fraction
+        n: int = 0
+
+    class Own(Base):  # its own __init__ reaches the stand-in through super()
+        def __init__(self, q):
+            super().__init__(q, n=1)
+
+    own = vars(Own)["__init__"]
+    assert Own(2).n == 1 and Own(2) == Own(Fraction(2))
+    assert inspect.isfunction(vars(Base)["__init__"]) and vars(Own)["__init__"] is own
+
+    @record
+    class Inspected:
+        q: Fraction
+
+    assert str(inspect.signature(Inspected)) == "(q: fractions.Fraction) -> None"
+    assert inspect.isfunction(vars(Inspected)["__init__"])
+    with pytest.raises(ew.DomainError, match="^q: expected an int or a Fraction, got 0.5$"):
+        Inspected(0.5)
+
+    @record
+    class Bound:
+        q: Fraction
+
+    # the inspect of Python 3.13 reads a class's __init__ bound to the class itself
+    method = vars(Bound)["__init__"].__get__(Bound, type)
+    assert method.__self__ is Bound and method.__func__ is vars(Bound)["__init__"]
+
+
 def test_record_keeps_the_methods_a_class_defines():
     from ellwall.nslattice import record
 
@@ -771,14 +821,16 @@ def test_record_reads_each_annotation_as_get_type_hints_does(monkeypatch):
 
     assert all(type(f.type) is not str for f in dataclasses.fields(Typed))
     _same_rule(Typed, typing.get_type_hints(Typed))
-    # the same annotations as text, of a class in a module that binds their names
+    # the same annotations as text, of a class in a module that binds their names:
+    # record reads them when the class's __init__ is first read
     texts = {"q": "Fraction", "n": "int", "D": "DivisorClass",
              "point": "Optional[tuple[Fraction, ...]]", "ns": "tuple[int, ...]", "tag": "str"}
+    probe = record(type("Probe", (), {"__annotations__": texts, "__module__": "ellwall.walls",
+                                      "tag": ""}))
     evaluate, compiled = builtins.eval, []
     monkeypatch.setattr(builtins, "eval",
                         lambda text, *scopes: compiled.append(text) or evaluate(text, *scopes))
-    probe = record(type("Probe", (), {"__annotations__": texts, "__module__": "ellwall.walls",
-                                      "tag": ""}))
+    assert list(inspect.signature(probe).parameters) == ["q", "n", "D", "point", "ns", "tag"]
     monkeypatch.undo()
     assert compiled == [texts["point"], texts["ns"]]
     _same_rule(probe, typing.get_type_hints(probe))
