@@ -13,8 +13,6 @@ phase comparisons as v' -> infinity are decided by signs of these
 rationals.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Optional
 

@@ -1,8 +1,6 @@
 """Chern-character arithmetic: twisting, slopes, discriminants,
 twisted Euler characteristics and Bogomolov-type bounds."""
 
-from __future__ import annotations
-
 import functools
 from fractions import Fraction
 

@@ -8,8 +8,6 @@ invariant breach or any other bug).  Output for identical inputs is
 byte-identical.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools

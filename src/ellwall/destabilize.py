@@ -17,8 +17,6 @@ The output is a superset of actual destabilizers by construction: no
 claim of Bridgeland-wall actuality is made.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

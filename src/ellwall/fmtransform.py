@@ -16,8 +16,6 @@ components along extra sections are rejected rather than silently
 projected.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .chern import ChernCharacter

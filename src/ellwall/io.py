@@ -7,8 +7,6 @@ CSV plot files keep the exact columns authoritative and add float twins
 suffixed `_float_lossy` for plotting convenience.
 """
 
-from __future__ import annotations
-
 import csv
 import functools
 import io as _stdio

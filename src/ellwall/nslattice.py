@@ -10,11 +10,8 @@ All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.
 """
 
-from __future__ import annotations
-
 import math
 import operator
-import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -51,13 +48,11 @@ def _sequence(v):
     return v if isinstance(v, (tuple, list)) else _reject("a tuple", v)
 
 
-def _rule(tp, x: str, names: dict, scope: dict = None):
-    """(test, convert) for a field annotated tp, or None when tp is not an
-    exact kind: test, an expression in x, holds when x is exact as it is, and
+def _rule(tp, x: str, names: dict):
+    """(test, convert) for a field annotated with the type tp, or None when tp is
+    not an exact kind: test, an expression in x, holds when x is exact as it is, and
     convert makes a value exact or raises.  The names test reads go into names;
     each starts with two underscores, which a class body mangles in a field name."""
-    if type(tp) is str:  # postponed: a name is looked up; only X[...] text is compiled
-        tp = scope.get(tp) or getattr(sys.modules["builtins"], tp, None) or eval(tp, scope)
     origin, args = get_origin(tp), get_args(tp)
     inner = _rule(args[0], "y" if origin is tuple else x, names) if args else None
     if origin is Union and args[1:] == (type(None),) and inner:  # Optional[X]
@@ -120,8 +115,12 @@ def record(cls):
     else (a float, a bool, a string) is a DomainError naming the field.  A
     value that is already exact is kept without a call; only a field whose
     value is not is converted.  The class's own __post_init__, if any, runs
-    after and only checks ranges and invariants."""
+    after and only checks ranges and invariants.  A text annotation is a TypeError."""
     cls = dataclass(init=False, repr=False, eq=False)(cls)  # generates no code
+    for f in fields(cls):  # text would leave the field without its rule
+        if type(f.type) is str:
+            raise TypeError("record %s: field %s is annotated with text %r, not a type"
+                            % (cls.__qualname__, f.name, f.type))
     params = cls.__dataclass_params__  # as __init__ and _RecordMethods make the class
     params.init = params.repr = params.eq = params.frozen = True
     for name, method in {**vars(_RecordMethods), "__init__": _LazyInit()}.items():
@@ -133,10 +132,10 @@ def record(cls):
 class _LazyInit:  # a record's __init__ until its first read, which compiles it in its place
     def __get__(self, obj, cls):  # obj is the class itself when inspect reads __init__ (3.13)
         cls = next(c for c in getattr(obj, "__mro__", cls.__mro__) if self in vars(c).values())
-        flds, scope = fields(cls), vars(sys.modules[cls.__module__])
+        flds = fields(cls)
         ns = {"__set": object.__setattr__, "__named": _named, "__type": type, "__tuple": tuple,
               "__check": cls.__dict__.get("__post_init__")}
-        rules = [(f.name, r) for f in flds if (r := _rule(f.type, f.name, ns, scope))]
+        rules = [(f.name, r) for f in flds if (r := _rule(f.type, f.name, ns))]
         ns.update(("__c_" + name, convert) for name, (_, convert) in rules)
         ns.update(("__d_" + f.name, f.default) for f in flds)
         args = ", ".join(f.name if f.default is MISSING else f"{f.name}=__d_{f.name}" for f in flds)
@@ -630,11 +629,12 @@ def _section_u(vp: VolumeSectionParams, cfg: SurfaceConfig):
     A*u^2 + B*u - C = 0 cleared over lcm(ad, d, Kd), one isqrt deciding whether it is
     rational (a pair (num, den), den > 0 and not reduced; s > B, so u > 0) or
     irrational (a _SectionRoot)."""
-    _require_section(vp)
     a, K = _shear_constant(cfg), vp.K
     an, ad, Kn, Kd = a.numerator, a.denominator, K.numerator, K.denominator
 
     def u_at(n: int, d: int):
+        if Kn <= 0:
+            _require_section(vp)
         if n <= 0:
             raise DomainError("v must be positive")
         if an == 0:

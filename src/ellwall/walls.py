@@ -30,8 +30,6 @@ needs ch1.H_lambda > 0 for small lambda: a0 > 0, or a0 = 0 and a1 > 0.
 All wall logic is exact rational arithmetic; no floats anywhere.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional

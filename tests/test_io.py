@@ -291,6 +291,16 @@ def test_plot_format_is_decided_before_any_row(monkeypatch):
     eio.emit_lambda_q_plot(vp, cfg, [Fraction(1, 3), Fraction(1, 2)], fmt="svg")
     eio.emit_volume_section_plot(vp, cfg, [2], fmt="csv")
     assert calls == [(1, 3), (1, 2), (2, 1)]
+    # an empty section (K = 1 + 3/2 - 4 <= 0) is a row's refusal too: the format
+    # comes first on both plots, and a known format still meets K before m < e/2
+    kappa = eio.config_from_obj({"e": 4, "m": "3/2", "sections": [{"theta": 2}]})
+    empty = ew.volume_params(1, kappa)
+    with pytest.raises(ew.InputError, match="^unknown plot format 'png'$"):
+        eio.emit_volume_section_plot(empty, kappa, [1], fmt="png")
+    with pytest.raises(ew.InputError, match="^unknown plot format 'png'$"):
+        eio.emit_lambda_q_plot(empty, kappa, [Fraction(1, 2)], fmt="png")
+    with pytest.raises(ew.EmptySectionError, match=r"^empty volume section: K = -3/2 <= 0$"):
+        eio.emit_volume_section_plot(empty, kappa, [1], fmt="csv")
 
 def test_plot_samples_take_only_exact_values():
     # a float sample would become its binary expansion in the exact column

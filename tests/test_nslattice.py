@@ -1,4 +1,3 @@
-import builtins
 import dataclasses
 import inspect
 import random
@@ -775,10 +774,9 @@ def _same_rule(cls, hints: dict):
     names, and a convert that keeps, converts or refuses each probe value alike."""
     from ellwall.nslattice import _rule
 
-    scope = vars(sys.modules[cls.__module__])
     for f in dataclasses.fields(cls):
         read, oracle = {}, {}
-        got, want = _rule(f.type, f.name, read, scope), _rule(hints[f.name], f.name, oracle)
+        got, want = _rule(f.type, f.name, read), _rule(hints[f.name], f.name, oracle)
         assert (got is None, read) == (want is None, oracle), (cls, f.name)
         if got is None:
             continue
@@ -793,21 +791,15 @@ def _same_rule(cls, hints: dict):
             assert outcomes[0] == outcomes[1], (cls, f.name, probe)
 
 
-def test_record_reads_each_annotation_as_get_type_hints_does(monkeypatch):
-    # the oracle: every record class ellwall binds (each annotation text, under
-    # postponed evaluation) gets from record the rule its get_type_hints type
-    # gives, with the same error lines; so does a class of this module, whose
-    # annotations are the types themselves.  A name is looked up, in the class's
-    # module or the builtins: only a subscripted annotation is compiled.
+def test_record_reads_each_annotation_as_get_type_hints_does():
+    # the oracle: every record class ellwall binds, and a class of this module,
+    # has as each field's annotation the type that get_type_hints reads, and gets
+    # from record the rule that type gives, with the same error lines
     from ellwall.nslattice import record
 
     classes = {v for name, module in sys.modules.items() if name.split(".")[0] == "ellwall"
                for v in vars(module).values() if isinstance(v, type) and dataclasses.is_dataclass(v)}
     assert len(classes) == 32
-    for cls in classes:
-        _same_rule(cls, typing.get_type_hints(cls))
-    point = dataclasses.fields(ew.WallSQ)[1]
-    assert (point.name, point.type) == ("point", "Optional[tuple[Fraction, ...]]")
 
     @record
     class Typed:
@@ -819,21 +811,29 @@ def test_record_reads_each_annotation_as_get_type_hints_does(monkeypatch):
         D: ew.DivisorClass
         tag: str = ""
 
-    assert all(type(f.type) is not str for f in dataclasses.fields(Typed))
-    _same_rule(Typed, typing.get_type_hints(Typed))
-    # the same annotations as text, of a class in a module that binds their names:
-    # record reads them when the class's __init__ is first read
+    for cls in classes | {Typed}:
+        hints = typing.get_type_hints(cls)
+        assert {f.name: f.type for f in dataclasses.fields(cls)} == hints, cls
+        _same_rule(cls, hints)
+    point = dataclasses.fields(ew.WallSQ)[1]
+    assert (point.name, point.type) == ("point", Optional[tuple[Fraction, ...]])
+    # annotations as text (postponed, or a quoted name) would leave a field without
+    # its rule: record refuses the class, and gives it no __init__ to compile
     texts = {"q": "Fraction", "n": "int", "D": "DivisorClass",
              "point": "Optional[tuple[Fraction, ...]]", "ns": "tuple[int, ...]", "tag": "str"}
-    probe = record(type("Probe", (), {"__annotations__": texts, "__module__": "ellwall.walls",
-                                      "tag": ""}))
-    evaluate, compiled = builtins.eval, []
-    monkeypatch.setattr(builtins, "eval",
-                        lambda text, *scopes: compiled.append(text) or evaluate(text, *scopes))
-    assert list(inspect.signature(probe).parameters) == ["q", "n", "D", "point", "ns", "tag"]
-    monkeypatch.undo()
-    assert compiled == [texts["point"], texts["ns"]]
-    _same_rule(probe, typing.get_type_hints(probe))
+    probe = type("Probe", (), {"__annotations__": texts, "__module__": "ellwall.walls", "tag": ""})
+    with pytest.raises(TypeError, match="^record Probe: field q is annotated with text 'Fraction', "
+                                        "not a type$"):
+        record(probe)
+    assert "__init__" not in vars(probe)
+
+    class Quoted:
+        n: int
+        D: "ew.DivisorClass"
+
+    with pytest.raises(TypeError, match="^record .*Quoted: field D is annotated with text "):
+        record(Quoted)
+    assert "__init__" not in vars(Quoted)
 
 
 def test_record_fields_may_take_the_names_of_classes():

@@ -2,9 +2,9 @@
 underscore that the package and each of its modules bind, with its kind
 and its shape, against the committed listing tests/public_surface.txt.
 
-Names bound to standard-library objects (`Fraction`, `Optional`, the
-`annotations` feature, modules such as `math`) are left out.  To accept a
-deliberate change, write the listing anew from the root of a checkout:
+Names bound to standard-library objects (`Fraction`, `Optional`, modules
+such as `math`) are left out.  To accept a deliberate change, write the
+listing anew from the root of a checkout:
 
     PYTHONPATH=src python3 tests/test_public_surface.py > tests/public_surface.txt
 """
