@@ -141,19 +141,16 @@ _FRAME = ("--lambda:frame", "--frame-h", "--frame-hperp", "--frame-w")
 _WALL = ("--dim", "--x", "--z", "--L", "--r", "--k", "--p", "--xi", "--chi")
 
 # The add_argument keywords of each flag, by option.  An option that two
-# commands read differently carries a tag: "--ch:stdin", "--lambda:frame".
+# commands read differently carries a tag: "--lambda:frame".
 _FLAGS = {
     "--out": dict(help="write output here instead of stdout"),
-    "--out:group": dict(),  # only the top-level commands describe --out
     "--config": dict(help="surface config JSON file ('-' for stdin)"),
     "--e": dict(type=_int, help="e = -Theta^2 (rank-2 shorthand)"),
     "--m": dict(help="ample offset m as 'p/q'"),
     "--genus-base": dict(type=_int, default=0),
     "--euler-char": dict(help="chi(O_X) as 'p/q' (default e)"),
     "--functor": dict(choices=["phi", "phihat"], required=True),
-    "--ch": dict(default="-"),
-    "--ch:stdin": dict(default="-", help="character JSON file ('-' for stdin)"),
-    "--ch:file": dict(default="-", help="character JSON file"),
+    "--ch": dict(default="-", help="character JSON file ('-' for stdin)"),
     "--divisor": dict(required=True, help="comma-separated coefficients"),
     "--line-bundle": dict(action="store_true", default=False, help="apply e^{L} instead of e^{-B}"),
     "--omega": dict(required=True, help="comma-separated coefficients"),
@@ -195,7 +192,7 @@ def _command(words: str, help: str, *flags: str):
     """Register the decorated handler as command words, taking the flags of these _FLAGS keys."""
     def register(fn):
         group, _, name = words.rpartition(" ")
-        keys = ("--out:group" if group else "--out",) + _SURFACE + flags  # main loads the config
+        keys = ("--out",) + _SURFACE + flags  # main loads the config
         options = {key.split(":")[0]: {"dest": key.split(":")[0][2:].replace("-", "_"),
                                        "default": None, **_FLAGS[key]} for key in keys}
         values = {"command": group, group + "_command": name} if group else {"command": name}
@@ -214,7 +211,7 @@ def _cmd_surface_check(args, cfg):
     return _document({"config": cfg, "rank": cfg.rank, "ok": True})
 
 
-@_command("transform", "apply a cohomological transform", "--functor", "--ch:stdin")
+@_command("transform", "apply a cohomological transform", "--functor", "--ch")
 def _cmd_transform(args, cfg):
     ch = _load_character(args.ch, cfg)
     fn = fmtransform.phi if args.functor == "phi" else fmtransform.phi_hat
@@ -267,7 +264,7 @@ def _cmd_limit_compare(args, cfg):
 
 
 @_command("wall sq", "wall in the (s,q)-plane of a frame",
-          "--ch:file", "--ch-prime", *_FRAME, "--shift")
+          "--ch", "--ch-prime", *_FRAME, "--shift")
 def _cmd_wall_sq(args, cfg):
     ch = _load_character(args.ch, cfg)
     chp = _load_character(args.ch_prime, cfg)

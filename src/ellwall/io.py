@@ -165,10 +165,7 @@ def wall_spec_from_obj(obj, cfg: SurfaceConfig, default_label) -> tuple:
     else:
         ch = OneDimCharacter(k=q["k"], p=q["p"], z=q["z"], xis=xis)
         pc = OneDimPartner(r=q["r"], chi=q["chi"], L=L)
-    label = str(default_label if label is _ABSENT else label)
-    if not _is_xml_text(label):  # labels name SVG legend entries
-        raise InputError("wall label %s holds a character XML 1.0 cannot represent" % _shown(label))
-    return label, ch, pc
+    return str(default_label if label is _ABSENT else label), ch, pc
 
 
 def _is_xml_text(text: str) -> bool:
@@ -383,8 +380,8 @@ def emit_lambda_q_plot(
 ) -> str:
     """The volume section and its asymptote in the (lambda,0,0,q)-plane,
     with optional wall curves.  Walls are (label, character, partner)
-    triples, dimension read off the character type; labels name columns,
-    so they must be distinct."""
+    triples, dimension read off the character type; labels name columns
+    and legend entries, so they must be distinct and XML 1.0 text."""
     lams = [(lam.numerator, lam.denominator) for lam in map(_frac, lambda_values)]
     return _lambda_q_plot(vp, cfg, lams, walls, fmt)
 
@@ -399,6 +396,8 @@ def _lambda_q_plot(vp, cfg, lams: list, walls: Iterable, fmt: str) -> str:
     header = ["lambda", "q_section", "q_asym"] + [key for _, key, _ in walls]
     columns = header + [h + _TWIN for h in header]
     for label, key, _ in walls:
+        if not _is_xml_text(key):  # labels name SVG legend entries
+            raise InputError("wall label %s holds a character XML 1.0 cannot represent" % _shown(label))
         if columns.count(key) > 1 or columns.count(key + _TWIN) > 1:
             raise InputError("wall label %s repeats a plot column" % _shown(label))
     q_at, K = _section_at(vp, cfg), vp.K

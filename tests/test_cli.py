@@ -529,6 +529,13 @@ def test_wall_flags_xi_of_wrong_length_exit_1(capsys):
         assert code == 1 and out == "" and err.startswith("error:")
 
 
+# size and sha256 of the enumerate documents of the console-script step, by input file
+_ENUMERATE_PINS = {
+    "target.json": (3_668_158, "3eb1a19f21ef0241d5755cbe59600cab3630bf105becfd7a383d28db20dc7f8c"),
+    "target2.json": (3_816_024, "e45263e7e2c7f94fa8bb22ad10e5e6b4fdff30ae214e5e95134db10dae41ad19"),
+}
+
+
 def test_enumerate_stdout_bytes_pin(tmp_path, capsys):
     # the enumerate-large instance: size and digest of the bytes that
     # json.dumps(doc, sort_keys=True, indent=2) + "\n" gives for it
@@ -540,10 +547,7 @@ def test_enumerate_stdout_bytes_pin(tmp_path, capsys):
     )
     assert code == 0, err
     data = out.encode("ascii")
-    assert len(data) == 3_668_158
-    assert hashlib.sha256(data).hexdigest() == (
-        "3eb1a19f21ef0241d5755cbe59600cab3630bf105becfd7a383d28db20dc7f8c"
-    )
+    assert (len(data), hashlib.sha256(data).hexdigest()) == _ENUMERATE_PINS["target.json"]
 
 
 def test_enumerate_second_bytes_pin(tmp_path, capsys):
@@ -558,10 +562,7 @@ def test_enumerate_second_bytes_pin(tmp_path, capsys):
     )
     assert code == 0, err
     data = out.encode("ascii")
-    assert len(data) == 3_816_024
-    assert hashlib.sha256(data).hexdigest() == (
-        "e45263e7e2c7f94fa8bb22ad10e5e6b4fdff30ae214e5e95134db10dae41ad19"
-    )
+    assert (len(data), hashlib.sha256(data).hexdigest()) == _ENUMERATE_PINS["target2.json"]
 
 
 def test_parser_reused_across_calls(tmp_path, capsys):
@@ -1775,13 +1776,22 @@ _CI_FILES = {
     "pole.json": '{"dim":1,"label":"pl","k":"1","p":"-4","z":"-3","r":"1","chi":"0","L":["1","0"]}',
     "wall2.json": ('{"dim":2,"label":"v","x":"2","z":"-1","L":["1","-1"],"r":"1","k":"2","p":"1",'
                    '"chi":"1/2"}'),
+    "cfg3.json": '{"e":2,"m":"3","sections":[{"theta":1}]}',
+    "a3.json": '{"ch0":"2","ch1":["1","3","-1/2"],"ch2":"-1"}',
+    "b3.json": '{"ch0":"1","ch1":["1","2","1"],"ch2":"5"}',
+    "odd.json": '{"ch0":"+02","ch1":["1","-7/14"],"ch2":"-0"}',
+    # written by python3's print(json.dumps(...))
+    "quoted.json": json.dumps({"dim": 2, "label": 'a,"b"', "x": "2", "z": "-1", "L": ["1", "-1"],
+                               "r": "1", "k": "2", "p": "1", "chi": "1/2"}) + "\n",
 }
 _CI_LQ = ("plot lambda-q --alpha 5/2 --lambda-from 1/20 --lambda-to 19/20 --samples 19"
           " --wall pole.json --wall wall2.json")
 _CI_VS = "plot volume-section --alpha 5/2 --v-from 1/2 --v-to 20 --v-step 1/7"
-
-
-@pytest.mark.parametrize("call, stdin, digest", [
+_CI_RANK3 = " --config cfg3.json --ch a3.json"
+_CI_FRAME3 = " --frame-h 1,3,0 --frame-hperp 1,-5,1 --frame-w 1/2"
+# the sha256 pins of the console-script step that no other test holds; a call
+# that names no surface (no --config, no --e) takes CI's "--e 2 --m 3"
+_CI_STEP_PINS = [
     pytest.param("wall sq --ch a.json --ch-prime b.json --frame-h 1,3 --frame-hperp 1,-1"
                  " --frame-w 1/2 --shift 2,-1/2", None,
                  "1a87580eacdfc9f8d908e8d791a46b0abfbb0f65952e63eceeae24ad9ac54ee5", id="wall.json"),
@@ -1803,17 +1813,42 @@ _CI_VS = "plot volume-section --alpha 5/2 --v-from 1/2 --v-to 20 --v-step 1/7"
     pytest.param("plot volume-section --alpha 3 --v-from 100000000 --v-to 100000000", None,
                  "9270314026fe8726b38ba0276d75d5d215520e7070e992faca913f8276998286",
                  id="lossy.csv"),
-])
+    pytest.param("twist" + _CI_RANK3 + " --divisor 1,-1/2,2/3", None,
+                 "63a33c0f5ce556c71e654e6556ce62b8b86cdb8c6645283c7ed28760ef56ef39", id="twist3"),
+    pytest.param("twist" + _CI_RANK3 + " --divisor 1,-1/2,2/3 --line-bundle", None,
+                 "0c52af639404051c223b1bbeb9a549190417a99a6f2a88db24295151cefbd676",
+                 id="twist3-line-bundle"),
+    pytest.param("charge" + _CI_RANK3 + " --omega 1,3,1 --b-field 1/2,0,-1", None,
+                 "06364177e57592f3fe48416eb91466b1bdd62bb792133639f431b6c799ed8d87", id="charge3"),
+    pytest.param("charge-sq" + _CI_RANK3 + _CI_FRAME3 + " --s 1/3 --q 2", None,
+                 "902180aba9d9232d4af78f4a28bd151e475666ee3e4f9426b6aff30a782e10c2",
+                 id="charge-sq3"),
+    pytest.param("wall sq" + _CI_RANK3 + " --ch-prime b3.json" + _CI_FRAME3 + " --shift 2,-1/2,1",
+                 None, "1e870874ae8494139afcfe2806328ea0215cc20d88d6fe2e618150c04c71020d",
+                 id="wall-sq3"),
+    pytest.param("limit-phase --ch odd.json --alpha 9/4", None,
+                 "e5c7db54d4826c362a1021ed49e802697ec3c7aa60e47f576533cfbcee3b541c", id="odd"),
+    pytest.param("limit-phase --ch odd.json --alpha 9/4 --e 2 --m 03/1", None,
+                 "e5c7db54d4826c362a1021ed49e802697ec3c7aa60e47f576533cfbcee3b541c",
+                 id="odd-m"),
+    pytest.param("plot lambda-q --alpha 5/2 --lambda-from 1/20 --lambda-to 19/20 --samples 19"
+                 " --wall quoted.json --format csv", None,
+                 "34a20ca412e6d9d44b03a5cf7d258647b550d53ba99db18b7efc79a7d8319687",
+                 id="quoted.csv"),
+]
+
+
+@pytest.mark.parametrize("call, stdin, digest", _CI_STEP_PINS)
 def test_console_script_step_pins(tmp_path, capsys, monkeypatch, call, stdin, digest):
-    # the sha256 pins of the console-script step that no other test holds,
-    # with its arguments and files, in-process: a byte change shows without
-    # CI, which still runs the installed entry point
+    # the step's calls with its arguments and files, in-process: a byte
+    # change shows without CI, which still runs the installed entry point
     for name, text in _CI_FILES.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
     if stdin:
         monkeypatch.setattr("sys.stdin", stdio.StringIO(_CI_FILES[stdin]))
-    code, out, err = run(capsys, call.split() + CFG)
+    argv = call.split()
+    code, out, err = run(capsys, argv if {"--config", "--e"} & set(argv) else argv + CFG)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
@@ -1831,37 +1866,54 @@ def _parsers(parser, words=()):
                 yield from _parsers(sub, words + (name,))
 
 
-# sha256 of format_help() at 80 columns (Python 3.11's argparse)
+# sha256 of format_help() at 80 columns with each run of whitespace made one
+# space: the words of the help in order, whichever way argparse wraps its lines
 _HELP_PINS = {
-    "": "a8f49a0e7e2620d991a69f35308d353c194b2895e2330352340f4b364fcbad4f",
-    "surface": "8d1c3579f6e4fa01eaa2e828d91782fdc9df65b5e2f0b343c75ad7f1b52685fb",
-    "surface check": "283d746eeebc398bcda289339ad395d4b79b33d046339948c7dfe24eb8d73b38",
-    "transform": "1506f427341cdcec032b4c161c8b513c9f101c76bda60202e04155c836c2b1e6",
-    "twist": "6fb1802761b5b3afb23733d463bbb1cc5d2e548daf61c28d32de9483658974de",
-    "charge": "b366ca2ba58f93d291714f83196be18b1addead3f5c11158fb25cfff84009f46",
-    "charge-sq": "e94d590d2d6632cf07a89c403a9fa42c25696f917a0d78792fb612654a38fc5d",
-    "limit-phase": "3e88f9410e56b2578f584259bfc58ba59b7e980edd58606e564f31ffc46c0447",
-    "limit-compare": "e66f0aa42a80bed2d77803df6c68634f63ea1e2e69bf2906f4d17252b4250e4d",
-    "wall": "27027e17b4eb899aaf4d10e19686bfcd6ea6bcf4ac91978f27a830faa6ad270e",
-    "wall sq": "33498f3a0fbc108642b7ffce6bffe8645c713c86446e2c4fea9aa8f9f73e5709",
-    "wall lambda-q": "c32ec3d0dd091a015da6b473e239363f18ea792e082add642daa00bf1a519556",
-    "wall asymptote": "cb62114675a98ea05877dac801e196c0bcee21818fd13cd1be96516b045df032",
-    "destab": "bd7e8525adfcb5ad166a1c314b4fd777078128134eca504464f0a3e58f61937a",
-    "destab enumerate": "5872b21e7414b434d463be37fae4a49d9e55c2cf1dded4d55718c83372105243",
-    "linebundle": "3209525eba95b9732838f2c1c0e0c413a56b703dcd0b86668b0b6b0d543d5592",
-    "linebundle analyze": "e0976e65ae58436e4e34f5ac3d57f75c0481bffc5cad58d801707528da10d367",
-    "plot": "96169a09ddc36063b8843bb6c734e63428a640c5d58d9b0936b8a19d2a139849",
-    "plot volume-section": "9248c0ce65292f1840e3c034a54ed19c0134294bc91eea4df621c3c95da95ef0",
-    "plot lambda-q": "d8ede3ea0a229809cc79c9615d4cc17aade90dd60f4c6d11bee4d7195a5c11fe",
+    "": "d5fe30778a93765c15328345db2090673058ea36e0b77c5fb34d48922805efe8",
+    "surface": "f749ab7f33ea35c44a7883f98bf859d2f08efcd2f4cfbc2ecdaaa99d3ad1cc79",
+    "surface check": "95f01e091907cf31c470fb4a9ee12a0875063d45c89dc4c503313a523a207592",
+    "transform": "f3ef3d448ca37df1ab96607c0e6373686ece0192a06e59a9aac3f546c28f3c5c",
+    "twist": "f8091ce56825fd9e7bd45bd2289d5e8dc3859405796b63b181c4496d71c46297",
+    "charge": "2758bfd0cebe0538a4497a2e9f6f12644b8b0d760f1b8bebbb5c6d2681961097",
+    "charge-sq": "426a021e31711128c5d800a947afde316aa57ae0b25048ae5a2fdebd0b604548",
+    "limit-phase": "98e6d65e12ed9f74b10a24065e87294bfddb332951491f8a87ba04f5aa73d567",
+    "limit-compare": "750f79baa3fad3bdcc9259213c3c00a481e1a3836fe92cae08632f2b9b438c87",
+    "wall": "d2c8d5d00e2603227d254716b15cf208b831555415e2815b008eec0f489d8874",
+    "wall sq": "f546671da4155dfe3671f14ceddb7be0f36ca51d2bb065d0934b6aae7961f501",
+    "wall lambda-q": "2801bfcc8d423aeb6321cda2ee851e957ddd1304a48d1e94b5460f238d437c72",
+    "wall asymptote": "f7f3a8500890f45db37e1001fa10348ac2c25805c9222b25f36da597eb86179f",
+    "destab": "a243f851ad8076bfc526b9ef19442724aa0937f5092abd0cb1de2f603ccdb1fd",
+    "destab enumerate": "a7e1b0de89a049ff8de6f7a069a5ae3e2926a47852958a3e27a474d855b7a22b",
+    "linebundle": "d4b747dd1f8f920c65956c3671f78490ce9eb01a6b0fdea60b0ce4ae892090ee",
+    "linebundle analyze": "fb821f6cdf9680a1e68e7599919f0d905d96d2ad11fd4fa6d709d1db33bea009",
+    "plot": "a3fd7f28948396c71280e952795085a9e4ab433df6b7429b1a9485db2fe331bd",
+    "plot volume-section": "0c1494a754b054dc256611ae36d17adbe65d38aa4d632483f088ba33a4f19b7b",
+    "plot lambda-q": "0bf316c0dcfb392a2b2376632abe8cb3bdab7878369ea079f12bc6423ea62b5c",
 }
 
 
 def test_help_text_pins(monkeypatch):
-    # every parser's help, flag order and wording included, is the same text
+    # every parser's help, flag order and wording included, is the same words;
+    # at 80 columns, where the description's wrapping splits "--frame-w" after its "--"
     monkeypatch.setenv("COLUMNS", "80")
-    digests = {words: hashlib.sha256(parser.format_help().encode()).hexdigest()
+    digests = {words: hashlib.sha256(re.sub(r"\s+", " ", parser.format_help()).encode())
                for words, parser in _parsers(cli.build_parser())}
-    assert digests == _HELP_PINS
+    assert {words: h.hexdigest() for words, h in digests.items()} == _HELP_PINS
+
+
+def test_every_workflow_digest_is_a_tier1_pin():
+    # each sha256 line of CI holds a digest that a pin of this module holds
+    # too, so a change that moves one fails here first and re-pins both places
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", ".github", "workflows",
+                        "tests.yml")
+    with open(path, encoding="utf-8") as fh:
+        lines = [line for line in fh if "sha256sum" in line]
+    digests = [re.search(r"\b[0-9a-f]{64}\b", line) for line in lines]
+    assert lines and all(digests)
+    held = {*_HELP_PINS.values(), *_DOCUMENT_PINS.values(),
+            *(param.values[-1] for param in _CI_STEP_PINS),
+            *(digest for _, digest in _ENUMERATE_PINS.values())}
+    assert sorted({match[0] for match in digests} - held) == []
 
 
 _REQUIRED = {  # the flags argparse requires of each command, with valid values

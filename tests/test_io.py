@@ -414,14 +414,26 @@ def test_emit_document_rejects_non_string_keys():
             eio.emit_document(doc)
 
 
-def test_wall_spec_rejects_labels_xml_cannot_hold():
+def test_emit_lambda_q_plot_rejects_labels_xml_cannot_hold():
+    # a label names an SVG legend entry, so the emitter refuses one that XML 1.0
+    # cannot hold on either format; the reader returns every label as it is
+    from xml.dom import minidom
+
     cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg)
     spec = {"x": "1", "z": "0", "L": ["2", "0"], "r": "1", "k": "-1", "p": "0", "chi": "-1"}
+    lams = [Fraction(1, 4), Fraction(1, 2)]
     for label in ("a\u0001b", "\x00", "a\x1fb", "\ud800", "\ufffe", "\uffff"):
-        with pytest.raises(ew.InputError):
-            eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)
+        wall = eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)
+        assert wall[0] == label
+        for fmt in ("csv", "svg"):
+            with pytest.raises(ew.InputError, match="holds a character XML 1.0 cannot represent$"):
+                eio.emit_lambda_q_plot(vp, cfg, lams, [wall], fmt=fmt)
     for label in ("a", "<b>&", "\t\n\r", "\u03bb \ud7ff\ue000\ufffd", "\U00010000\U0001f600\U0010ffff", ""):
-        assert eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)[0] == label
+        wall = eio.wall_spec_from_obj(dict(spec, label=label), cfg, 0)
+        assert wall[0] == label
+        assert eio.emit_lambda_q_plot(vp, cfg, lams, [wall], fmt="csv")
+        minidom.parseString(eio.emit_lambda_q_plot(vp, cfg, lams, [wall], fmt="svg"))
 
 
 _small = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4))
