@@ -300,24 +300,28 @@ def _sorted_cells(ctx: _Context) -> tuple:
     strict 6.1 checks, js) for each (rank, gamma, eta) with a cell passing
     the gating checks, in that order, where js holds the ch2 indices j of its
     cells in increasing order; and pairs[r, j] = (ch2(A), ch2(B), S) of each
-    pair with a survivor, as integer pairs (num, den), not reduced."""
+    pair with a survivor, as integer pairs (num, den), not reduced.  The rows
+    of a (rank, gamma) share one 6.1 window, so its js are kept by eta's offset in it."""
     groups, pairs = {}, {}
     zn, zd = ctx.z.numerator, ctx.z.denominator
     for r, j, p, gamma, etas in _rows(ctx):
-        etas = _survivors(ctx, p, gamma, etas)
-        if etas:
+        survivors = _survivors(ctx, p, gamma, etas)
+        if survivors:
             if (r, j) not in pairs:
                 pairs[r, j] = ((j, ctx.den), (zn * ctx.den - j * zd, zd * ctx.den),
                                (j * (ctx.N // ctx.den) - r * ctx.Kn, ctx.wall))
-            by_eta = groups.setdefault((r, gamma), {})
-            for eta in etas:  # the rows of each (rank, gamma) come in ch2 order
-                by_eta.setdefault(eta, []).append(j)
+            groups.setdefault((r, gamma), (etas, []))[1].append((j, survivors))
     runs = []
-    for (r, gamma), by_eta in sorted(groups.items()):
-        for eta in sorted(by_eta):
-            t = eta * ctx.f_om + gamma * ctx.th_om  # D*ch1(A).omega_0
-            runs.append((r, gamma, eta, ctx.x - r, -gamma, ctx.lam - eta, 0 < t, t < ctx.lam_om,
-                         by_eta[eta]))
+    for (r, gamma), (etas, rows) in sorted(groups.items()):
+        by_eta, base = [[] for _ in etas], etas.start
+        for j, survivors in rows:  # the rows of each (rank, gamma) come in ch2 order
+            for js in by_eta[survivors.start - base:survivors.stop - base]:
+                js.append(j)
+        for eta, js in zip(etas, by_eta):
+            if js:
+                t = eta * ctx.f_om + gamma * ctx.th_om  # D*ch1(A).omega_0
+                runs.append((r, gamma, eta, ctx.x - r, -gamma, ctx.lam - eta, 0 < t,
+                             t < ctx.lam_om, js))
     return runs, pairs
 
 

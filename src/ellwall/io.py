@@ -16,6 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .chern import ChernCharacter
@@ -263,15 +264,14 @@ def _document(obj) -> str:
 
 @functools.cache
 def _candidate_template() -> tuple:
-    """(head, separator, tail, pieces) of an enumerate document with
-    candidates: head, the blocks joined by separator, then tail.  A block
-    is five pieces, each a (format, order) for _fill: the layout, "%" as
-    "%%", with a %s slot per value, and the index of each slot's value among
-    the three texts of the candidate's (rank, ch2) pair in the first, third
-    and fifth, among the values v of its run in _enumeration_chunks in the
-    others.  All of it is cut from documents that _document renders with int
-    marks for the values, the block from the report _reports builds of a run
-    and of pair marks (mark, 1), so the text and the candidate have one source."""
+    """(head, separator, tail, pieces) of an enumerate document with candidates:
+    head, the blocks joined by separator, then tail.  A block is five pieces
+    (format, getter) for _fill: the layout, "%" as "%%", with a %s slot per value,
+    and an itemgetter of its slots' values, in order, from the three texts of the
+    candidate's (rank, ch2) pair in the first, third and fifth, from the values v
+    of its run in _enumeration_chunks in the others.  All is cut from documents
+    _document renders with int marks for the values, the block from the report
+    _reports builds of a run and pair marks (mark, 1), so they have one source."""
     marks = [str(10**40 + i) for i in range(11)]  # unlike any text of the layout
     run = (*map(int, marks[3:]), [0])  # int marks, checks too: quotes around a mark are layout
     rep = next(_reports([run], {(run[0], 0): tuple((int(mark), 1) for mark in marks[:3])}))
@@ -284,11 +284,13 @@ def _candidate_template() -> tuple:
     if [pair for pair, _ in groups] != [True, False, True, False, True]:
         raise InvariantError("an enumerate block no longer alternates pair and run values")
     return head + lead, sep + lead, tail, tuple(
-        ("".join([text for _, text in steps]), tuple([i for i, _ in steps])) for _, steps in groups)
+        ("".join(texts), itemgetter(*order)) for order, texts in [zip(*s) for _, s in groups])
 
 
 def _fill(piece: tuple, values: Sequence) -> str:
-    return piece[0] % tuple([values[i] for i in piece[1]])
+    """format % getter(values).  A one-slot getter returns its bare value, always
+    a pair text (a str), which % takes as its one argument."""
+    return piece[0] % piece[1](values)
 
 
 def _enumeration_chunks(req: EnumerationRequest, cfg: SurfaceConfig):

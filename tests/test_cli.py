@@ -1325,6 +1325,23 @@ def test_candidate_template_fills_hand_made_runs_as_the_reports_read():
         assert all('"6.1_strict_%s": %s' % (check, b) in expected for b in ("true", "false"))
 
 
+def test_candidate_template_filled_with_its_marks_rebuilds_its_sample():
+    # each piece's getter, fed the template's own 11 int marks as text (the
+    # three pair marks, then the eight run marks), must put every mark back
+    # in its slot: the sample documents of one and two candidates come back
+    from ellwall.destabilize import _reports
+
+    marks = [str(10**40 + i) for i in range(11)]
+    run = (*map(int, marks[3:]), [0])
+    rep = next(_reports([run], {(run[0], 0): tuple((int(mark), 1) for mark in marks[:3])}))
+    head, sep, tail, pieces = eio._candidate_template()
+    block = "".join(eio._fill(piece, marks[3:] if k % 2 else marks[:3])
+                    for k, piece in enumerate(pieces))
+    assert all(block.count(mark) == 1 for mark in marks)
+    assert head + block + tail == eio._document({"candidates": [rep]})
+    assert head + block + sep + block + tail == eio._document({"candidates": [rep, rep]})
+
+
 def test_unwritable_out_is_exit_1(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "x.json"
     code, out, err = run(capsys, ["surface", "check", "--out", str(missing)] + CFG)

@@ -568,6 +568,30 @@ def test_row_bounds_match_per_cell_loop():
         ("min4", 0), ("min4", 1), ("min4", 2)}
 
 
+def test_sorted_cells_skip_an_eta_inside_a_window_that_starts_below_zero():
+    # found by search over small targets: on e = 1, m = 2 the (1, 7f, -1)
+    # target's (rank 1, gamma 1) rows share the 6.1 window -2 <= eta <= 4,
+    # and their survivors reach eta = 1 and eta = 4 but no eta between
+    from ellwall import destabilize
+
+    cfg = ew.SurfaceConfig(e=1, m=2)
+    req = ew.EnumerationRequest(
+        ew.character(1, [0, 7], -1, cfg), ew.volume_params(Fraction(1, 2), cfg), Fraction(2, 3), 1
+    )
+    ctx = destabilize._build_context(req, cfg)
+    rows, (runs, _) = destabilize._rows(ctx), destabilize._sorted_cells(ctx)
+    assert {etas for r, _, _, gamma, etas in rows if (r, gamma) == (1, 1)} == {range(-2, 5)}
+    assert [eta for r, gamma, eta, *_ in runs if (r, gamma) == (1, 1)] == [1, 4]
+    assert (len(runs), sum(len(js) for *_, js in runs)) == (37, 45)
+    assert all(js for *_, js in runs)
+    assert [(r, gamma, eta, j) for r, gamma, eta, *_, js in runs for j in js] == sorted(
+        (r, gamma, eta, j)
+        for r, j, p, gamma, etas in rows
+        for eta in etas
+        if all(destabilize._ch1_gates(ctx, p, gamma, eta))
+    )
+
+
 def _cell_count(req, cfg):
     from ellwall import destabilize
 
