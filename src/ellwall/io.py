@@ -346,14 +346,14 @@ def emit_volume_section_plot(
 
 
 def _volume_section_plot(vp, cfg, vs: list, fmt: str) -> str:
-    """emit_volume_section_plot on each v = n/d as its pair (n, d) in lowest terms: each
-    row by the evaluator of volume_section_u, which takes the same checks in the same order."""
+    """emit_volume_section_plot on each v = n/d as its pair (n, d) in lowest terms.  The rows
+    are lazy, one tuple per v once _write_plot has taken the format: u_at's cell (the checks of
+    volume_section_u, in its order), the u_is_exact flag read off that cell, and K/v as a pair."""
     if not vs:
         raise DomainError("empty v range")
-    u_at, K = _section_u(vp, cfg), vp.K
-    # lazy: _write_plot makes the rows only once it has taken the format
-    rows = ([(n, d), u, int(type(u) is tuple), (K.numerator * d, K.denominator * n)]  # K/v
-            for (n, d), u in zip(vs, itertools.starmap(u_at, vs)))
+    u_at, (Kn, Kd) = _section_u(vp, cfg), (vp.K.numerator, vp.K.denominator)
+    rows = ((v, u, int(type(u) is tuple), (Kn * v[1], Kd * v[0]))
+            for v, u in zip(vs, itertools.starmap(u_at, vs)))
     series = [("section", "u", "#000000"), ("asymptote K/v", "u_asym", "#999999")]
     return _write_plot(fmt, ["v", "u", "u_is_exact", "u_asym"], ["v", "u", "u_asym"], rows,
                        series, "u")
@@ -389,8 +389,10 @@ def emit_lambda_q_plot(
 
 
 def _lambda_q_plot(vp, cfg, lams: list, walls: Iterable, fmt: str) -> str:
-    """emit_lambda_q_plot on each lambda = n/d as its pair (n, d) in lowest terms: each row by
-    the evaluators of section_q and LambdaQWall.at, which take the same checks in the same order."""
+    """emit_lambda_q_plot on each lambda = n/d as its pair (n, d) in lowest terms.  The rows
+    are lazy, a zip of the grid, q_at's cells, the K/(2*lambda) pairs and each wall's _q cells:
+    _write_plot pulls them once it has taken the format, a row at a time and its cells in column
+    order.  q_at and _q take the checks of section_q and LambdaQWall.at, in their order."""
     if not lams:
         raise DomainError("empty lambda range")
     walls = [(label, "q_wall_%s" % label, lambda_q_wall(ch, partner, cfg))
@@ -402,10 +404,9 @@ def _lambda_q_plot(vp, cfg, lams: list, walls: Iterable, fmt: str) -> str:
             raise InputError("wall label %s holds a character XML 1.0 cannot represent" % _shown(label))
         if columns.count(key) > 1 or columns.count(key + _TWIN) > 1:
             raise InputError("wall label %s repeats a plot column" % _shown(label))
-    q_at, K = _section_at(vp, cfg), vp.K
-    # lazy: _write_plot makes the rows only once it has taken the format
-    rows = ([(n, d), q_at(n, d), (K.numerator * d, 2 * K.denominator * n)]
-            + [wall._q(n, d) for _, _, wall in walls] for n, d in lams)
+    q_at, (Kn, Kd) = _section_at(vp, cfg), (vp.K.numerator, vp.K.denominator)
+    rows = zip(lams, itertools.starmap(q_at, lams), ((Kn * d, 2 * Kd * n) for n, d in lams),
+               *[itertools.starmap(wall._q, lams) for _, _, wall in walls])
     series = [("section", "q_section", "#000000"), ("asymptote K/(2*lambda)", "q_asym", "#999999")]
     series += [("wall %s" % label, key, _PALETTE[i % len(_PALETTE)])
                for i, (label, key, _) in enumerate(walls)]
@@ -462,21 +463,21 @@ def _xml_text(text: str) -> str:
 
 
 def _axis(values, start: int, length: int) -> tuple:
-    """(lo, hi, to) of a plot axis over values, where to maps [lo, hi] onto
-    [start, start + length].  A degenerate axis is widened: past 2^53, lo + 1.0
-    rounds back to lo.  A span past the float range is halved first (halves of
-    normal floats are exact); a finite one is used as is."""
+    """(lo, hi, scale) of a plot axis over values, where scale maps a column of values
+    in [lo, hi] onto [start, start + length], one expression per value.  A degenerate
+    axis is widened: past 2^53, lo + 1.0 rounds back to lo.  A span past the float range
+    is halved first (halves of normal floats are exact); a finite one is used as is."""
     lo, hi = min(values), max(values)
     if hi == lo:
         hi = max(lo + 1.0, math.nextafter(lo, math.inf))
     h = 0.5 if hi - lo == math.inf else 1.0
     a, span = h * lo, h * hi - h * lo
-    return lo, hi, lambda v: start + (h * v - a) / span * length
+    return lo, hi, lambda vs: [start + (h * v - a) / span * length for v in vs]
 
 
 def _svg_plot(series, xlabel: str, ylabel: str) -> str:
-    """Self-contained SVG 1.1: one polyline per series, simple axes with
-    extremal tick labels, legend in the top-right corner."""
+    """Self-contained SVG 1.1: one polyline per series of (x, y) points, whose x and y columns
+    _axis scales a column at a time; simple axes with extremal tick labels, legend top right."""
     width, height, margin = 640, 480, 60
     pts_all = [p for _, pts, _ in series for p in pts]
     x0, x1, sx = _axis([p[0] for p in pts_all], margin, width - 2 * margin)
@@ -502,7 +503,8 @@ def _svg_plot(series, xlabel: str, ylabel: str) -> str:
     for i, (name, pts, color) in enumerate(series):
         if not pts:
             continue
-        coords = " ".join("%.3f,%.3f" % (sx(x), sy(y)) for x, y in pts)
+        xs, ys = zip(*pts)
+        coords = " ".join(map("%.3f,%.3f".__mod__, zip(sx(xs), sy(ys))))
         out.append(poly % (color, coords))
         out.append(legend % (width - margin - 200, margin + 14 * (i + 1), color, _xml_text(name)))
     out.append("</svg>")

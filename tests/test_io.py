@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -301,6 +302,44 @@ def test_plot_format_is_decided_before_any_row(monkeypatch):
         eio.emit_lambda_q_plot(empty, kappa, [Fraction(1, 2)], fmt="png")
     with pytest.raises(ew.EmptySectionError, match=r"^empty volume section: K = -3/2 <= 0$"):
         eio.emit_volume_section_plot(empty, kappa, [1], fmt="csv")
+
+
+def test_lambda_q_rows_are_evaluated_in_row_order(monkeypatch):
+    # a lambda-q row is the section's cell, then each wall's, and the rows come in
+    # grid order: the first error in that order is the one reported
+    cfg = cfg_e2m3()
+    vp = ew.volume_params(2, cfg)
+    zero = cfg.zero()
+    bad = ("b", ew.OneDimCharacter(k=-1, p=0, z=-1), ew.OneDimPartner(r=1, chi=0, L=zero))
+    with pytest.raises(ew.DomainError, match=r"^one-dimensional character needs ch1\.H_lambda > 0"):
+        eio.emit_lambda_q_plot(vp, cfg, [Fraction(1, 2), 2], walls=[bad])  # row 1, its wall
+    with pytest.raises(ew.DomainError, match=r"^lambda must lie in \(0,1\), got 2$"):
+        eio.emit_lambda_q_plot(vp, cfg, [2, Fraction(1, 2)], walls=[bad])  # row 1, its section
+    # every evaluation recorded as (column, n, d)
+    calls = []
+
+    def recorded(name, at):
+        def evaluator(n, d):
+            calls.append((name, n, d))
+            return at(n, d)
+        return evaluator
+
+    section_at, wall_of = eio._section_at, eio.lambda_q_wall
+    monkeypatch.setattr(eio, "_section_at", lambda vp, cfg: recorded("section", section_at(vp, cfg)))
+    monkeypatch.setattr(eio, "lambda_q_wall", lambda ch, partner, cfg: SimpleNamespace(
+        _q=recorded("wall %d" % ch.k, wall_of(ch, partner, cfg)._q)))
+    walls = [("one", ew.OneDimCharacter(k=1, p=1, z=-1), ew.OneDimPartner(r=1, chi=0, L=zero)),
+             ("two", ew.OneDimCharacter(k=2, p=1, z=-1), ew.OneDimPartner(r=1, chi=1, L=zero))]
+    lams = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]
+    with pytest.raises(ew.InputError, match="^unknown plot format 'png'$"):
+        eio.emit_lambda_q_plot(vp, cfg, lams, walls=walls, fmt="png")
+    assert calls == []
+    for fmt in ("csv", "svg"):
+        eio.emit_lambda_q_plot(vp, cfg, lams, walls=walls, fmt=fmt)
+        assert calls == [(name, lam.numerator, lam.denominator)
+                         for lam in lams for name in ("section", "wall 1", "wall 2")]
+        calls.clear()
+
 
 def test_plot_samples_take_only_exact_values():
     # a float sample would become its binary expansion in the exact column

@@ -12,6 +12,7 @@ with the plain bisection of tests/test_nslattice.py.
 import csv
 import io
 import math
+import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
@@ -451,3 +452,35 @@ def test_csv_writer_matches_the_fraction_writer(table):
     columns, twinned, rows = table
     got = _outcome(eio._write_plot, "csv", columns, twinned, rows, [], "q")
     assert got == _outcome(_fraction_csv, columns, twinned, rows)
+
+
+def _axis_reference(values, start, length):
+    """The point map of a plot axis by the rules _axis documents: values run over
+    [lo, hi]; when lo == hi, hi is lo + 1.0, or the next float up where lo + 1.0 rounds
+    back to lo; a span past the float range is taken in halves."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        hi = lo + 1.0 if lo + 1.0 != lo else math.nextafter(lo, math.inf)
+    h = 0.5 if math.isinf(hi - lo) else 1.0
+    return lambda v: start + (h * v - h * lo) / (h * hi - h * lo) * length
+
+
+_coordinates = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0**53, 1e308, -1e308]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.tuples(_coordinates, _coordinates), max_size=6), min_size=1, max_size=3)
+       .filter(any))
+@example([[(1e16, 5.0), (1e16, 5.0)]])  # a degenerate axis past 2^53 on both sides
+@example([[(0.0, -1e308)], [], [(1.0, 1e308), (0.5, 0.0)]])  # a span past the float range
+@example([[(-0.0, -0.0), (0.0, -0.0)], [(-0.0, 0.0)]])
+def test_svg_points_follow_the_axis_rules(point_lists):
+    # every polyline, point for point, against each point mapped by the documented rules
+    # on a 640 x 480 plot with a margin of 60: x onto [60, 580], y onto [420, 60]
+    svg = eio._svg_plot([("s%d" % i, pts, "#000000") for i, pts in enumerate(point_lists)], "x", "y")
+    every = [p for pts in point_lists for p in pts]
+    sx = _axis_reference([x for x, _ in every], 60, 520)
+    sy = _axis_reference([y for _, y in every], 420, -360)
+    want = [" ".join("%.3f,%.3f" % (sx(x), sy(y)) for x, y in pts) for pts in point_lists if pts]
+    assert re.findall(r'points="([^"]*)"', svg) == want

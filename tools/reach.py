@@ -8,10 +8,13 @@ Usage, from the root of a checkout (standard library and pytest only):
 
 The arguments go to pytest unchanged.  pytest runs in this process under a
 `sys.settrace` hook that records each line executed in `src/ellwall/`, and
-`ast` lists the statements of each module.  A statement counts as run when
-a line of its head ran: the lines before the body of a compound statement,
-with the decorators of a definition, or the whole of a simple statement.
-Docstrings do not count.  Code that a test runs in a subprocess is not seen.
+`ast` lists the statements of each module as it was read before pytest
+started.  A statement counts as run when a line of its head ran: the lines
+before the body of a compound statement, with the decorators of a
+definition, or the whole of a simple statement.  Docstrings do not count.
+Code that a test runs in a subprocess is not seen.  A module whose source
+differs when the report is written is named after the report, and the tool
+exits with status 1: the traced lines may not map onto the source that ran.
 
 Tracing makes every call into ellwall slower, so a test with a wall-clock
 budget can fail under it.  The report keeps pytest's own summary, failures
@@ -93,13 +96,21 @@ def trace_lines(run, paths):
     return result, hits
 
 
-def report(hits) -> list:
+def read_sources(paths) -> dict:
+    """{path: source text} of each file in paths."""
+    sources = {}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            sources[path] = fh.read()
+    return sources
+
+
+def report(hits, sources) -> list:
     """The report lines: per module its statement and unrun counts, then
-    each unrun statement with its first source line."""
+    each unrun statement with its first source line, from sources."""
     out, total, unrun_total, raises = [], 0, 0, 0
     for path in sorted(hits):
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
+        source = sources[path]
         text = source.splitlines()
         heads = statements(source)
         unrun = sorted(
@@ -168,11 +179,17 @@ def main(argv) -> int:
     paths = sorted(
         os.path.realpath(os.path.join(PACKAGE, f)) for f in os.listdir(PACKAGE) if f.endswith(".py")
     )
+    sources = read_sources(paths)  # the lines are mapped onto the sources as the run read them
     failures = Failures()
     status, hits = trace_lines(lambda: pytest.main(argv, plugins=[failures]), paths)
     print("\n".join(["", "line reach of src/ellwall under pytest %s" % " ".join(argv)]
-                    + report(hits)))
+                    + report(hits, sources)))
     print("pytest exit status: %d" % status)
+    changed = [path for path, source in read_sources(paths).items() if source != sources[path]]
+    if changed:
+        print("\n".join(["source changed during the run, so its lines above may be wrong:"]
+                        + ["  " + os.path.relpath(path, ROOT) for path in changed]))
+        return 1
     if status != pytest.ExitCode.TESTS_FAILED or not failures.nodeids:
         return int(status)
     print("\nrunning the %d failed tests again, untraced:" % len(failures.nodeids), flush=True)
